@@ -1,6 +1,6 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-Every backward rule is itself written with Tensor operations, so with
+Most backward rules are themselves written with Tensor operations, so with
 ``create_graph=True`` a gradient is a differentiable graph node. That is
 what makes the gradient-penalty term trainable: the norm of a critic's
 input gradient can be differentiated a second time with respect to the
@@ -8,9 +8,17 @@ critic's parameters.
 
 Only what the model needs is implemented: broadcasting arithmetic, matmul
 with batched leading dims, reductions, shape ops, basic slicing, and the
-smooth nonlinearities (exp, log, tanh, sqrt). Composites (softmax,
-layer_norm, gelu) are built from those primitives and inherit exact
+smooth nonlinearities (exp, log, tanh, sqrt). These primitives have exact
 higher-order gradients.
+
+The fused nodes softmax, layer_norm and gelu are first-order only. Each is
+one graph node whose forward and closed-form VJP are plain numpy, because
+they sit on the backbone path, which is only ever differentiated once; as
+chains of primitives they made up most of a training step's graph. A
+backward with ``create_graph=True`` that reaches one of them raises
+NotImplementedError rather than return a gradient without its graph. The
+critics, whose input gradients are differentiated again, are built from
+primitives only (matmul, add, tanh).
 """
 from __future__ import annotations
 
@@ -338,34 +346,83 @@ def concat(tensors, axis=0) -> Tensor:
     return _attach(out, tuple(tensors), tuple(vjps))
 
 
-# composites
+# fused first-order nodes
+
+def _fused(name: str, data: np.ndarray, parents: tuple, vjps: tuple) -> Tensor:
+    """One graph node whose VJPs map a numpy gradient to numpy arrays.
+
+    Backward runs with graph building enabled only under create_graph=True,
+    and these VJPs cannot build a graph, so that case raises.
+    """
+
+    def lift(vjp):
+        def tensor_vjp(g: Tensor) -> Tensor:
+            if _grad_enabled:
+                raise NotImplementedError(
+                    f"{name} is first-order only; create_graph=True cannot pass through it"
+                )
+            return Tensor(vjp(g.data))
+
+        return tensor_vjp
+
+    return _attach(Tensor(data), parents, tuple(lift(f) for f in vjps))
+
 
 def softmax(a, axis=-1) -> Tensor:
-    """Shift-stabilized softmax; the shift is detached, which is exact."""
+    """Shift-stabilized softmax; the shift is a constant, which is exact."""
     a = as_tensor(a)
-    shift = Tensor(np.max(a.data, axis=axis, keepdims=True))
-    e = exp(sub(a, shift))
-    return div(e, tsum(e, axis=axis, keepdims=True))
+    e = np.exp(a.data - np.max(a.data, axis=axis, keepdims=True))
+    y = e / np.sum(e, axis=axis, keepdims=True)
+
+    def vjp(g):
+        return y * (g - np.sum(g * y, axis=axis, keepdims=True))
+
+    return _fused("softmax", y, (a,), (vjp,))
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
-    x = as_tensor(x)
-    mu = tmean(x, axis=-1, keepdims=True)
-    xc = sub(x, mu)
-    var = tmean(mul(xc, xc), axis=-1, keepdims=True)
-    y = div(xc, sqrt(add(var, eps)))
-    return add(mul(y, gamma), beta)
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    n = float(x.shape[-1])
+    xc = x.data - np.sum(x.data, axis=-1, keepdims=True) / n
+    std = np.sqrt(np.sum(xc * xc, axis=-1, keepdims=True) / n + eps)
+    # divide rather than multiply by 1/std: the same rounding as the
+    # primitive chain this node replaced
+    y = xc / std
+
+    def vjp_x(g):
+        gy = g * gamma.data
+        mean_gy = np.sum(gy, axis=-1, keepdims=True) / n
+        mean_gyy = np.sum(gy * y, axis=-1, keepdims=True) / n
+        return (gy - mean_gy - y * mean_gyy) / std
+
+    return _fused(
+        "layer_norm",
+        y * gamma.data + beta.data,
+        (x, gamma, beta),
+        (
+            vjp_x,
+            lambda g: _unbroadcast(Tensor(g * y), gamma.shape).data,
+            lambda g: _unbroadcast(Tensor(g), beta.shape).data,
+        ),
+    )
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
+_GELU_A = 0.044715
 
 
 def gelu(x) -> Tensor:
     """tanh-form gelu: smooth everywhere, safe for finite differences."""
     x = as_tensor(x)
-    inner = mul(_GELU_C, add(x, mul(0.044715, power(x, 3.0))))
-    return mul(mul(0.5, x), add(1.0, tanh(inner)))
+    xd = x.data
+    t = np.tanh(_GELU_C * (xd + _GELU_A * (xd * xd * xd)))
+
+    def vjp(g):
+        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * (xd * xd))
+        return g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner)
+
+    return _fused("gelu", (0.5 * xd) * (1.0 + t), (x,), (vjp,))
 
 
 # backward

@@ -264,8 +264,19 @@ def _cmd_perturb(args, cfgmap) -> int:
     return 0
 
 
-def _load_sequences(paths) -> list:
-    return [read_mqs_file(p).sequence for p in paths]
+def _load_windows(paths, cfg, stride):
+    """Window the clips at ``paths``; a corpus with no window is a data error.
+
+    The check runs before make_windows, which would warn once per short clip.
+    """
+    sequences = [read_mqs_file(p).sequence for p in paths]
+    span = cfg.obs_frames + cfg.future_frames
+    if all(seq.n_frames < span for seq in sequences):
+        raise SequenceTooShort(
+            f"no windows: every clip is shorter than obs_frames + future_frames "
+            f"= {span} frames"
+        )
+    return make_windows(sequences, cfg.obs_frames, cfg.future_frames, stride)
 
 
 def _parented(path) -> Path:
@@ -277,8 +288,7 @@ def _parented(path) -> Path:
 def _cmd_train(args, cfgmap) -> int:
     cfg = build_train_config(args, cfgmap)
     stride = _resolve(args, cfgmap, "stride", 1)
-    dataset = make_windows(_load_sequences(args.inputs), cfg.obs_frames,
-                           cfg.future_frames, stride)
+    dataset = _load_windows(args.inputs, cfg, stride)
     out = _parented(args.out)
     log_path = _parented(args.log) if args.log else out.with_suffix(".csv")
     result = train(dataset, cfg, log_path=log_path, checkpoint_path=out,
@@ -328,8 +338,7 @@ def _cmd_eval(args, cfgmap) -> int:
     stride = _resolve(args, cfgmap, "stride", 1)
     horizons_raw = _resolve(args, cfgmap, "horizons", None)
     horizons = _parse_horizons(horizons_raw) if horizons_raw else DEFAULT_HORIZONS_MS
-    dataset = make_windows(_load_sequences(args.inputs), cfg.obs_frames,
-                           cfg.future_frames, stride)
+    dataset = _load_windows(args.inputs, cfg, stride)
     predictor = make_predictor(state.params, cfg.use_quotient, cfg.input_gain,
                                state.root_index)
     report = run_evaluation(predictor, dataset, horizons, root_index=state.root_index)

@@ -281,6 +281,20 @@ class Trainer:
             "recon_targets": recon_targets,
         }
 
+    def _clean_prediction(self, batch: dict) -> Tensor:
+        """The batch's clean-feature prediction, with its graph, built once.
+
+        Critic steps write only critic tensors, so the critic steps and the
+        generator step of one batch all see the same generator weights. The
+        prediction is kept in the batch under "pred" until generator_update
+        takes it out.
+        """
+        pred = batch.get("pred")
+        if pred is None:
+            act = net.forward_backbone(batch["features"], None, self.params)
+            pred = batch["pred"] = net.heads(act, self.params)["pred"]
+        return pred
+
     # critic side
 
     def _fidelity_rows(self, frames) -> Tensor:
@@ -300,9 +314,7 @@ class Trainer:
     def critic_update(self, batch: dict, substep: int = 0) -> tuple[float, float]:
         """One critic Adam step; returns (critic loss, summed gp term)."""
         cfg = self.cfg
-        with ad.no_grad():
-            act = net.forward_backbone(batch["features"], None, self.params)
-            fake = net.heads(act, self.params)["pred"].data
+        fake = self._clean_prediction(batch).data
         real_fid = self._fidelity_rows(batch["fut"]).data
         fake_fid = self._fidelity_rows(fake).data
         real_win = self._seam_window(batch["obs"][:, -1], batch["fut"]).data
@@ -331,8 +343,8 @@ class Trainer:
     def generator_update(self, batch: dict, gp_term: float) -> LossReport:
         """One generator Adam step; returns the logged LossReport."""
         cfg = self.cfg
-        act = net.forward_backbone(batch["features"], None, self.params)
-        pred = net.heads(act, self.params)["pred"]
+        pred = self._clean_prediction(batch)
+        del batch["pred"]  # this step changes the weights it was computed with
         l_pred = lo.prediction_loss(pred, batch["fut"])
         if cfg.use_perturbation:
             act_m = net.forward_backbone(batch["masked"], batch["token_mask"], self.params)

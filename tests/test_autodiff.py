@@ -168,6 +168,62 @@ class TestComposites:
         out = ad.gelu(Tensor([0.0])).data
         assert abs(out[0]) < 1e-12
 
+    # the layouts the backbone uses: (B, G, H, N, r) attention maps, and
+    # (B, T, J, d) activations with (d,) layer-norm parameters
+
+    def test_softmax_grad_5d_rank_axis(self):
+        w = np.random.default_rng(5).normal(size=(2, 3, 2, 4, 3))
+        check_grads(lambda a: ad.tsum(ad.mul(ad.softmax(a, axis=-1), w)),
+                    [(2, 3, 2, 4, 3)], scale=2.0)
+
+    def test_softmax_grad_5d_token_axis(self):
+        w = np.random.default_rng(6).normal(size=(2, 3, 2, 4, 3))
+        check_grads(lambda a: ad.tsum(ad.mul(ad.softmax(a, axis=-2), w)),
+                    [(2, 3, 2, 4, 3)], scale=2.0)
+
+    def test_layer_norm_grads_broadcast_params(self):
+        w = np.random.default_rng(8).normal(size=(2, 3, 2, 5))
+        check_grads(
+            lambda x, g, b: ad.tsum(ad.mul(ad.layer_norm(x, g, b), w)),
+            [(2, 3, 2, 5), (5,), (5,)], tol=2e-6)
+
+    def test_gelu_grad_4d(self):
+        w = np.random.default_rng(9).normal(size=(2, 3, 2, 5))
+        check_grads(lambda a: ad.tsum(ad.mul(ad.gelu(a), w)), [(2, 3, 2, 5)],
+                    scale=2.0)
+
+
+FUSED = {
+    "softmax_rank": lambda x, g, b: ad.softmax(x, axis=-1),
+    "softmax_token": lambda x, g, b: ad.softmax(x, axis=-2),
+    "layer_norm": lambda x, g, b: ad.layer_norm(x, g, b),
+    "gelu": lambda x, g, b: ad.gelu(x),
+}
+
+
+def fused_inputs():
+    rng = np.random.default_rng(10)
+    return [Tensor(rng.normal(size=s), requires_grad=True)
+            for s in ((2, 3, 4), (4,), (4,))]
+
+
+class TestFusedNodes:
+    @pytest.mark.parametrize("name", sorted(FUSED))
+    def test_one_node_per_call(self, name):
+        x, g, b = fused_inputs()
+        out = FUSED[name](x, g, b)
+        leaves = {id(t) for t in (x, g, b)}
+        assert all(id(p) in leaves for p in out._parents)
+        assert len(out._parents) == (3 if name == "layer_norm" else 1)
+
+    @pytest.mark.parametrize("name", sorted(FUSED))
+    def test_create_graph_raises(self, name):
+        x, g, b = fused_inputs()
+        w = np.random.default_rng(11).normal(size=x.shape)
+        out = ad.tsum(ad.mul(FUSED[name](x, g, b), w))
+        with pytest.raises(NotImplementedError, match="first-order"):
+            ad.grad(out, [x], create_graph=True)
+
 
 class TestBackwardMachinery:
     def test_double_backward_cubic(self):

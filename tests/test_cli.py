@@ -301,6 +301,16 @@ class TestTrain:
         assert not state.cfg.use_lowrank
         assert not state.params.dims.lowrank
 
+    def test_clips_shorter_than_window_is_data_error(self, tmp_path, capsys):
+        src = synth_file(tmp_path, frames=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a skip warning would reach stderr too
+            rc = cli.main(["train", src, "--out", str(tmp_path / "x.mqck")])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("mqmotion: code=3 type=SequenceTooShort msg=")
+
     def test_bad_config_value_is_data_error(self, tmp_path, capsys):
         src = synth_file(tmp_path)
         cfg = write_config(tmp_path, "epochs = minus_one\n")
@@ -382,6 +392,18 @@ class TestPredictAndEval:
         assert rows[0] == "action,80,160"
         assert all(float(v) >= 0.0 for v in rows[-1].split(",")[1:])
         ET.fromstring(svg_path.read_text())
+
+    def test_eval_clips_shorter_than_window_is_data_error(self, tmp_path, capsys):
+        _, ckpt = self.trained(tmp_path)
+        short = synth_file(tmp_path, "short.mqs", frames=6)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["eval", short, "--checkpoint", str(ckpt)])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("mqmotion: code=3 type=SequenceTooShort msg=")
 
     def test_eval_bad_horizons(self, tmp_path, capsys):
         src, ckpt = self.trained(tmp_path)

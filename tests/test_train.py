@@ -225,6 +225,33 @@ class TestUpdates:
         assert np.array_equal(a.params.flat(), b.params.flat())
 
 
+    def test_one_clean_forward_per_step(self, monkeypatch):
+        calls = []
+        real = net.forward_backbone
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(net, "forward_backbone", counting)
+        tr.Trainer(self.ds, small_cfg(max_steps=1)).run()
+        assert len(calls) == 3  # clean (shared by critic and generator), masked, noised
+
+    def test_reused_batch_recomputes_prediction(self):
+        idxs = np.array([0, 1, 2, 3])
+        a = tr.Trainer(self.ds, small_cfg())
+        b = tr.Trainer(self.ds, small_cfg())
+        batch = a._prepare_batch(idxs, 0)
+        a.critic_update(batch)
+        a.generator_update(batch, 0.0)
+        reused = a.generator_update(batch, 0.0)
+        b.critic_update(b._prepare_batch(idxs, 0))
+        b.generator_update(b._prepare_batch(idxs, 0), 0.0)
+        fresh = b.generator_update(b._prepare_batch(idxs, 0), 0.0)
+        assert reused == fresh
+        assert np.array_equal(a.params.flat(), b.params.flat())
+
+
 class TestRun:
     def test_zero_epochs_writes_initial_checkpoint(self, tmp_path):
         ckpt = tmp_path / "run.mqck"
