@@ -1,110 +1,27 @@
-"""Hot numeric kernels: numba-compiled with pure-numpy fallbacks.
+"""Hot numeric kernels, in numpy.
 
-The default backend is chosen once at import from the env var
-``MQMOTION_NUMBA``: "0"/"false"/"off" forces the numpy path, "1"/"true"/"on"
-requires numba, anything else (including unset) uses numba when it imports.
-Both backends are deterministic run-to-run; elementwise kernels (adam,
-quotient channels, integration) agree bitwise across backends, reductions
-(mpjpe) agree to roundoff because summation order differs.
-
-Both implementations stay importable for the benchmark and parity tests
-whenever numba is installed, regardless of the selected default.
+Every kernel is deterministic run to run. Callers look each kernel up as
+``_kernels.<name>`` at call time, so it can be replaced as a module
+attribute (the span recorder in ``perfbench/tracing.py`` does this).
 
 Shapes below use B = batch, T = frames, J = joints.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
+# no compiled backend; perfbench/run.py's environment fingerprint reads these
+HAS_NUMBA = False
+USE_NUMBA = False
 
 
-def _resolve_backend() -> bool:
-    flag = os.environ.get("MQMOTION_NUMBA", "").strip().lower()
-    if flag in ("0", "false", "off", "no"):
-        return False
-    if flag in ("1", "true", "on", "yes") and not HAS_NUMBA:
-        raise ImportError("MQMOTION_NUMBA=1 but numba is not installed")
-    return HAS_NUMBA
+def quotient_channels(frames: np.ndarray, dt: float):
+    """Speed and plane cosines of (B, T, J, 3) frames.
 
-
-USE_NUMBA = _resolve_backend()
-
-
-# kernel bodies in plain python loops; numba compiles these directly
-
-def _quotient_channels_py(frames, dt, mag, cos, valid):
-    b_n, t_n, j_n = mag.shape
-    for b in range(b_n):
-        for t in range(t_n):
-            for j in range(j_n):
-                vx = (frames[b, t + 1, j, 0] - frames[b, t, j, 0]) / dt
-                vy = (frames[b, t + 1, j, 1] - frames[b, t, j, 1]) / dt
-                vz = (frames[b, t + 1, j, 2] - frames[b, t, j, 2]) / dt
-                n = np.sqrt(vx * vx + vy * vy + vz * vz)
-                if n == 0.0:
-                    mag[b, t, j] = 0.0
-                    cos[b, t, j, 0] = 0.0
-                    cos[b, t, j, 1] = 0.0
-                    cos[b, t, j, 2] = 0.0
-                    valid[b, t, j] = False
-                else:
-                    mag[b, t, j] = n
-                    cos[b, t, j, 0] = np.sqrt(vx * vx + vy * vy) / n
-                    cos[b, t, j, 1] = np.sqrt(vy * vy + vz * vz) / n
-                    cos[b, t, j, 2] = np.sqrt(vz * vz + vx * vx) / n
-                    valid[b, t, j] = True
-
-
-def _integrate_py(start, vel, dt, out):
-    t_n, j_n = vel.shape[0], vel.shape[1]
-    for j in range(j_n):
-        for a in range(3):
-            out[0, j, a] = start[j, a]
-    for t in range(t_n):
-        for j in range(j_n):
-            for a in range(3):
-                out[t + 1, j, a] = out[t, j, a] + vel[t, j, a] * dt
-
-
-def _mpjpe_py(pred, truth, root):
-    t_n, j_n = pred.shape[0], pred.shape[1]
-    acc = 0.0
-    for t in range(t_n):
-        for j in range(j_n):
-            dx = (pred[t, j, 0] - pred[t, root, 0]) - (truth[t, j, 0] - truth[t, root, 0])
-            dy = (pred[t, j, 1] - pred[t, root, 1]) - (truth[t, j, 1] - truth[t, root, 1])
-            dz = (pred[t, j, 2] - pred[t, root, 2]) - (truth[t, j, 2] - truth[t, root, 2])
-            acc += np.sqrt(dx * dx + dy * dy + dz * dz)
-    return acc / (t_n * j_n)
-
-
-def _adam_py(p, g, m, v, bc1, bc2, lr, b1, b2, eps):
-    for i in range(p.shape[0]):
-        m[i] = b1 * m[i] + (1.0 - b1) * g[i]
-        v[i] = b2 * v[i] + (1.0 - b2) * g[i] * g[i]
-        mh = m[i] / bc1
-        vh = v[i] / bc2
-        p[i] = p[i] - lr * mh / (np.sqrt(vh) + eps)
-
-
-def _bias_corrections(t: int, b1: float, b2: float) -> tuple[float, float]:
-    # pow is not correctly rounded, so compute it once here and hand the
-    # same doubles to either backend; everything left in the kernels is
-    # IEEE exact-rounded and therefore bitwise identical across them
-    return 1.0 - b1 ** t, 1.0 - b2 ** t
-
-
-# numpy backend, vectorized where that reads better than the loop
-
-def quotient_channels_numpy(frames: np.ndarray, dt: float):
+    Returns magnitudes (B, T-1, J), cosines (B, T-1, J, 3) against the
+    xy/yz/zx planes, and a validity mask (B, T-1, J) that is False where
+    the velocity is zero (magnitude and cosines are 0 there).
+    """
     vel = np.diff(frames, axis=1) / dt
     sq = vel * vel
     n = np.sqrt(sq.sum(axis=-1))
@@ -119,7 +36,8 @@ def quotient_channels_numpy(frames: np.ndarray, dt: float):
     return mag, cos, valid
 
 
-def integrate_numpy(start: np.ndarray, vel: np.ndarray, dt: float) -> np.ndarray:
+def integrate(start: np.ndarray, vel: np.ndarray, dt: float) -> np.ndarray:
+    """Frames (T+1, J, 3) from a start pose (J, 3) and velocities (T, J, 3)."""
     out = np.empty((vel.shape[0] + 1,) + start.shape, dtype=np.float64)
     out[0] = start
     out[1:] = vel * dt
@@ -127,55 +45,22 @@ def integrate_numpy(start: np.ndarray, vel: np.ndarray, dt: float) -> np.ndarray
     return out
 
 
-def mpjpe_numpy(pred: np.ndarray, truth: np.ndarray, root: int) -> float:
-    pa = pred - pred[:, root : root + 1, :]
-    ta = truth - truth[:, root : root + 1, :]
-    return float(np.sqrt(((pa - ta) ** 2).sum(axis=-1)).mean())
+def mpjpe_mean(pred: np.ndarray, truth: np.ndarray, root: int):
+    """Mean root-aligned joint error over the (T, J) axes of (..., T, J, 3).
+
+    A single (T, J, 3) window gives a scalar; leading axes are kept, so a
+    (B, H, 1, J, 3) stack gives one error per window and frame.
+    """
+    pa = pred - pred[..., root : root + 1, :]
+    ta = truth - truth[..., root : root + 1, :]
+    return np.sqrt(((pa - ta) ** 2).sum(axis=-1)).mean(axis=(-2, -1))
 
 
-def adam_numpy(p, g, m, v, t, lr, b1, b2, eps):
-    bc1, bc2 = _bias_corrections(t, b1, b2)
+def adam_update(p, g, m, v, t, lr, b1, b2, eps) -> None:
+    """One bias-corrected Adam step on flat vectors, in place on p, m, v."""
+    bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
     m[:] = b1 * m + (1.0 - b1) * g
     v[:] = b2 * v + (1.0 - b2) * g * g
     mh = m / bc1
     vh = v / bc2
     p -= lr * mh / (np.sqrt(vh) + eps)
-
-
-if HAS_NUMBA:
-    _quotient_channels_nb = njit(cache=True)(_quotient_channels_py)
-    _integrate_nb = njit(cache=True)(_integrate_py)
-    _mpjpe_nb = njit(cache=True)(_mpjpe_py)
-    _adam_nb = njit(cache=True)(_adam_py)
-
-    def quotient_channels_numba(frames, dt):
-        b, t, j = frames.shape[0], frames.shape[1], frames.shape[2]
-        mag = np.empty((b, t - 1, j), dtype=np.float64)
-        cos = np.empty((b, t - 1, j, 3), dtype=np.float64)
-        valid = np.empty((b, t - 1, j), dtype=np.bool_)
-        _quotient_channels_nb(np.ascontiguousarray(frames), dt, mag, cos, valid)
-        return mag, cos, valid
-
-    def integrate_numba(start, vel, dt):
-        out = np.empty((vel.shape[0] + 1,) + start.shape, dtype=np.float64)
-        _integrate_nb(np.ascontiguousarray(start), np.ascontiguousarray(vel), dt, out)
-        return out
-
-    def mpjpe_numba(pred, truth, root):
-        return float(_mpjpe_nb(np.ascontiguousarray(pred), np.ascontiguousarray(truth), root))
-
-    def adam_numba(p, g, m, v, t, lr, b1, b2, eps):
-        bc1, bc2 = _bias_corrections(t, b1, b2)
-        _adam_nb(p, g, m, v, bc1, bc2, lr, b1, b2, eps)
-
-
-if USE_NUMBA:
-    quotient_channels = quotient_channels_numba
-    integrate = integrate_numba
-    mpjpe_mean = mpjpe_numba
-    adam_update = adam_numba
-else:
-    quotient_channels = quotient_channels_numpy
-    integrate = integrate_numpy
-    mpjpe_mean = mpjpe_numpy
-    adam_update = adam_numpy

@@ -95,8 +95,6 @@ def build_train_config(args, cfgmap: dict) -> TrainConfig:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--seed", type=int, help="master seed for all derived streams")
-    p.add_argument("--threads", type=int,
-                   help="worker threads (any value runs the same deterministic path)")
 
 
 def _add_corruption(p: argparse.ArgumentParser) -> None:

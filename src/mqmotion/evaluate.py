@@ -27,7 +27,7 @@ def mpjpe(pred: np.ndarray, truth: np.ndarray, root_index: int = 0) -> float:
         raise DimsMismatch(f"expected (T, J, 3) windows, got {pred.shape}")
     if not 0 <= root_index < pred.shape[1]:
         raise DimsMismatch(f"root index {root_index} outside {pred.shape[1]} joints")
-    return _kernels.mpjpe_mean(pred, truth, root_index)
+    return float(_kernels.mpjpe_mean(pred, truth, root_index))
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,8 @@ def evaluate(predictor, dataset: WindowedDataset,
     if not windows:
         raise WindowTooShort("no windows to evaluate")
 
-    sums: dict[int, float] = {ms: 0.0 for ms in horizons_ms}
-    act_sums: dict[str, dict[int, float]] = {}
-    act_counts: dict[str, int] = {}
+    idx = np.array([frames_1b[ms] - 1 for ms in horizons_ms])
+    errs = []
     for lo in range(0, len(windows), batch_size):
         chunk = windows[lo : lo + batch_size]
         obs = np.stack([w.observed for w in chunk])
@@ -79,21 +78,22 @@ def evaluate(predictor, dataset: WindowedDataset,
                 f"predictor returned {pred.shape}, expected "
                 f"({len(chunk)}, {dataset.n_future}, {obs.shape[2]}, 3)"
             )
-        for i, w in enumerate(chunk):
-            label = w.action if w.action is not None else UNLABELED
-            bucket = act_sums.setdefault(label, {ms: 0.0 for ms in horizons_ms})
-            act_counts[label] = act_counts.get(label, 0) + 1
-            for ms, k in frames_1b.items():
-                err = _kernels.mpjpe_mean(pred[i, k - 1 : k], w.future[k - 1 : k], root)
-                sums[ms] += err
-                bucket[ms] += err
-    n = len(windows)
-    overall = {ms: sums[ms] / n for ms in horizons_ms}
-    per_action = {
-        a: {ms: act_sums[a][ms] / act_counts[a] for ms in horizons_ms}
-        for a in sorted(act_sums)
-    }
-    return HorizonReport(horizons_ms, overall, per_action, n, act_counts)
+        fut = np.stack([w.future for w in chunk])
+        # C-contiguous (B, H, 1, J, 3) stacks give one single-frame error per
+        # window and horizon, summed over joints in the same order as a
+        # (1, J, 3) call; fancy indexing would not keep that layout
+        errs.append(_kernels.mpjpe_mean(pred.take(idx, axis=1)[:, :, None],
+                                        fut.take(idx, axis=1)[:, :, None], root))
+    err = np.concatenate(errs)
+    labels = np.array([UNLABELED if w.action is None else w.action for w in windows])
+    act_counts = {}
+    per_action = {}
+    for a in sorted(set(labels.tolist())):
+        rows = err[labels == a]
+        act_counts[a] = len(rows)
+        per_action[a] = dict(zip(horizons_ms, rows.mean(axis=0).tolist()))
+    overall = dict(zip(horizons_ms, err.mean(axis=0).tolist()))
+    return HorizonReport(horizons_ms, overall, per_action, len(windows), act_counts)
 
 
 def format_table(report: HorizonReport) -> str:

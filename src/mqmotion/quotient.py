@@ -96,14 +96,18 @@ class QuotientRepresentation:
         object.__setattr__(self, "magnitudes", mag)
 
 
-def tangent_velocities(seq: MotionSequence, dt: float = 1.0) -> TangentField:
-    """Forward differences (p[t+1] - p[t]) / dt over a sequence."""
+def _check_differencing(seq: MotionSequence, dt: float) -> None:
     if seq.n_frames < 2:
         raise SequenceTooShort(
             f"need at least 2 frames for velocities, got {seq.n_frames}"
         )
     if not (np.isfinite(dt) and dt > 0):
         raise DegenerateVelocity(f"dt must be positive, got {dt}")
+
+
+def tangent_velocities(seq: MotionSequence, dt: float = 1.0) -> TangentField:
+    """Forward differences (p[t+1] - p[t]) / dt over a sequence."""
+    _check_differencing(seq, dt)
     vel = np.diff(seq.frames, axis=0) / dt
     return TangentField(vel, dt, seq.skeleton, seq.fps)
 
@@ -146,14 +150,16 @@ def orthogonal_cosine(v, plane: str) -> tuple[float, bool]:
 
 def encode_quotient(seq: MotionSequence, dt: float = 1.0) -> QuotientRepresentation:
     """Encode a window into (last pose, |v|, plane cosines)."""
-    field = tangent_velocities(seq, dt)
-    frames = seq.frames[np.newaxis]
-    mag, cos, valid = _kernels.quotient_channels(frames, dt)
+    _check_differencing(seq, dt)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        mag, cos, valid = _kernels.quotient_channels(seq.frames[np.newaxis], dt)
+    if not np.isfinite(mag).all():
+        raise DegenerateVelocity("velocities are too large to encode")
     return QuotientRepresentation(
         last_pose=seq.frames[-1],
         magnitudes=mag[0],
         cosines=GrassmannCosines(cos[0], valid[0]),
-        dt=field.dt,
+        dt=dt,
         skeleton=seq.skeleton,
         fps=seq.fps,
     )

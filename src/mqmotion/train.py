@@ -45,7 +45,7 @@ from . import perturb
 from . import streams
 from .autodiff import Tensor
 from .dataio import WindowedDataset
-from .errors import AbortStep, FormatError, NumericalInstability
+from .errors import AbortStep, DimsMismatch, FormatError, NumericalInstability
 from .losses import LossReport, LossWeights
 
 CHECKPOINT_MAGIC = b"MQCK"
@@ -87,13 +87,13 @@ class TrainConfig:
     input_gain: float = 0.01
     grad_clip: float | None = 10.0
     max_steps: int | None = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1 or self.critic_steps < 1:
             raise ValueError("epochs >= 0, batch_size >= 1, critic_steps >= 1 required")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        self.weights()  # LossWeights validates the loss weights
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.obs_frames < 2 or self.future_frames < 1:
@@ -125,7 +125,7 @@ class TrainConfig:
     _BOOLS = ("use_quotient", "use_perturbation", "use_lowrank")
     _INTS = (
         "epochs", "batch_size", "critic_steps", "seed", "d_model", "rank", "heads",
-        "layers", "obs_frames", "future_frames", "critic_width", "ffn_mult", "threads",
+        "layers", "obs_frames", "future_frames", "critic_width", "ffn_mult",
     )
 
     @classmethod
@@ -176,11 +176,6 @@ class Adam:
         _kernels.adam_update(p, g, self.m, self.v, self.t, self.lr, self.beta1,
                              self.beta2, self.eps)
         return p
-
-
-def adam_step(p: np.ndarray, g: np.ndarray, state: Adam) -> np.ndarray:
-    """Functional wrapper around Adam.step for a prebuilt state."""
-    return state.step(p, g)
 
 
 def _clip_global_norm(g: np.ndarray, clip: float | None) -> np.ndarray:
@@ -509,9 +504,22 @@ def load_checkpoint(path) -> CheckpointState:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"corrupt checkpoint header: {exc}") from None
 
-    cfg = TrainConfig(**header["config"])
-    dims = net.ModelDims(**header["dims"])
-    counts = header["counts"]
+    if not isinstance(header, dict) or not all(
+            isinstance(header.get(k), dict) for k in ("config", "dims", "counts")):
+        raise FormatError("checkpoint header lacks its config, dims or counts object")
+    config = dict(header["config"])
+    config.pop("threads", None)  # written by older versions, which never read it
+    try:
+        cfg = TrainConfig(**config)
+        dims = net.ModelDims(**header["dims"])
+        counts = {k: int(header["counts"][k]) for k in ("total", "generator", "critic")}
+        manifest = [(name, tuple(int(d) for d in shape)) for name, shape in header["params"]]
+        steps = {k: int(header["adam"][k]["t"]) for k in ("generator", "critic")}
+        counters = {k: int(header[k])
+                    for k in ("root_index", "epoch", "batch_index", "global_step")}
+        sigma = float(header["sigma"])
+    except (KeyError, TypeError, ValueError, DimsMismatch) as exc:
+        raise FormatError(f"bad checkpoint header: {type(exc).__name__}: {exc}") from None
     need = 16 + hlen + 8 * (counts["total"] + 2 * counts["generator"] + 2 * counts["critic"])
     if len(raw) != need:
         raise FormatError(
@@ -528,8 +536,7 @@ def load_checkpoint(path) -> CheckpointState:
     flat = pull(counts["total"])
     tensors = {}
     pos = 0
-    for name, shape in header["params"]:
-        shape = tuple(shape)
+    for name, shape in manifest:
         n = int(np.prod(shape)) if shape else 1
         tensors[name] = Tensor(flat[pos : pos + n].reshape(shape), requires_grad=True)
         pos += n
@@ -537,19 +544,15 @@ def load_checkpoint(path) -> CheckpointState:
         raise FormatError("parameter manifest disagrees with blob length")
     params = net.ModelParams(dims, tensors)
 
-    adam_gen = Adam(counts["generator"], cfg.lr)
-    adam_gen.m = pull(counts["generator"])
-    adam_gen.v = pull(counts["generator"])
-    adam_gen.t = int(header["adam"]["generator"]["t"])
-    adam_critic = Adam(counts["critic"], cfg.lr)
-    adam_critic.m = pull(counts["critic"])
-    adam_critic.v = pull(counts["critic"])
-    adam_critic.t = int(header["adam"]["critic"]["t"])
+    adams = {}
+    for k in ("generator", "critic"):
+        adams[k] = Adam(counts[k], cfg.lr)
+        adams[k].m = pull(counts[k])
+        adams[k].v = pull(counts[k])
+        adams[k].t = steps[k]
     return CheckpointState(
-        params=params, cfg=cfg, sigma=float(header["sigma"]),
-        root_index=int(header["root_index"]), epoch=int(header["epoch"]),
-        batch_index=int(header["batch_index"]), global_step=int(header["global_step"]),
-        adam_gen=adam_gen, adam_critic=adam_critic,
+        params=params, cfg=cfg, sigma=sigma, adam_gen=adams["generator"],
+        adam_critic=adams["critic"], **counters,
     )
 
 

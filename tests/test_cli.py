@@ -1,5 +1,7 @@
 """End-to-end command-line pipelines, config precedence, and exit codes."""
+import json
 import re
+import struct
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -79,7 +81,7 @@ FLAG_OF = {
     "alpha1": "--alpha1", "alpha2": "--alpha2", "beta1": "--beta1",
     "beta2": "--beta2", "gp_lambda": "--lambda", "p_m": "--pm",
     "p_n": "--pn", "sigma": "--sigma", "seed": "--seed",
-    "threads": "--threads", "max_steps": "--max-steps",
+    "max_steps": "--max-steps",
 }
 PRECEDENCE_CASES = {
     "lr": ("0.25", "0.75"), "epochs": ("3", "7"), "batch_size": ("2", "8"),
@@ -87,7 +89,7 @@ PRECEDENCE_CASES = {
     "beta1": ("0.5", "0.7"), "beta2": ("0.2", "0.3"),
     "gp_lambda": ("5", "20"), "p_m": ("0.05", "0.2"),
     "p_n": ("0.15", "0.25"), "sigma": ("0.5", "1.5"), "seed": ("3", "9"),
-    "threads": ("2", "4"), "max_steps": ("10", "40"),
+    "max_steps": ("10", "40"),
 }
 
 
@@ -319,6 +321,15 @@ class TestTrain:
         assert rc == 3
         assert "type=FormatError" in capsys.readouterr().err
 
+    def test_negative_lambda_is_data_error(self, tmp_path, capsys):
+        src = synth_file(tmp_path)
+        rc = cli.main(["train", src, "--lambda", "-1",
+                       "--out", str(tmp_path / "x.mqck")])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("mqmotion: code=3 type=FormatError msg=")
+
     def test_numeric_blowup_is_exit_4(self, tmp_path, capsys):
         out = tmp_path / "huge.mqs"
         assert cli.main(["synth", "--kind", "constant", "--joints", "2",
@@ -375,6 +386,26 @@ class TestPredictAndEval:
         rc = cli.main(["predict", short, "--checkpoint", str(ckpt)])
         assert rc == 3
         assert "type=SequenceTooShort" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.pop("config"),
+        lambda h: h["config"].update(warp_speed=9),
+        lambda h: h["config"].update(batch_size=0),
+    ], ids=["no_config", "unknown_config_key", "bad_config_value"])
+    def test_predict_bad_checkpoint_header(self, tmp_path, capsys, edit):
+        src, ckpt = self.trained(tmp_path)
+        raw = ckpt.read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16 : 16 + hlen])
+        edit(header)
+        blob = json.dumps(header).encode("utf-8")
+        ckpt.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
+        capsys.readouterr()
+        rc = cli.main(["predict", src, "--checkpoint", str(ckpt)])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("mqmotion: code=3 type=FormatError msg=")
 
     def test_eval_reports_table_and_files(self, tmp_path, capsys):
         src, ckpt = self.trained(tmp_path)

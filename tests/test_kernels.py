@@ -1,13 +1,7 @@
-"""Backend parity and selection for the hot kernels."""
-import subprocess
-import sys
-
+"""Fixtures for the numpy kernels and the names callers look up."""
 import numpy as np
-import pytest
 
 from mqmotion import _kernels as K
-
-needs_numba = pytest.mark.skipif(not K.HAS_NUMBA, reason="numba not installed")
 
 
 def random_frames(rng, b=3, t=12, j=5):
@@ -17,7 +11,7 @@ def random_frames(rng, b=3, t=12, j=5):
 class TestNumpyBackend:
     def test_quotient_channels_zero_velocity(self):
         frames = np.ones((1, 4, 2, 3))
-        mag, cos, valid = K.quotient_channels_numpy(frames, 1.0)
+        mag, cos, valid = K.quotient_channels(frames, 1.0)
         assert mag.shape == (1, 3, 2)
         assert not valid.any()
         assert np.array_equal(cos, np.zeros((1, 3, 2, 3)))
@@ -25,7 +19,7 @@ class TestNumpyBackend:
     def test_quotient_channels_identity(self):
         rng = np.random.default_rng(0)
         frames = random_frames(rng)
-        mag, cos, valid = K.quotient_channels_numpy(frames, 1.0)
+        mag, cos, valid = K.quotient_channels(frames, 1.0)
         assert valid.all()
         assert np.abs((cos ** 2).sum(axis=-1) - 2.0).max() < 1e-9
 
@@ -33,13 +27,24 @@ class TestNumpyBackend:
         rng = np.random.default_rng(1)
         frames = random_frames(rng, b=1)[0]
         vel = np.diff(frames, axis=0)
-        back = K.integrate_numpy(frames[0], vel, 1.0)
+        back = K.integrate(frames[0], vel, 1.0)
         assert np.abs(back - frames).max() < 1e-9
 
     def test_mpjpe_hand_value(self):
         pred = np.array([[[0.0, 0, 0], [3.0, 4.0, 0.0]]])
         truth = np.zeros((1, 2, 3))
-        assert abs(K.mpjpe_numpy(pred, truth, 0) - 2.5) < 1e-12
+        assert abs(K.mpjpe_mean(pred, truth, 0) - 2.5) < 1e-12
+
+    def test_mpjpe_keeps_leading_axes(self):
+        # a stacked call gives, bit for bit, the scalar of each window
+        rng = np.random.default_rng(5)
+        pred = rng.normal(size=(4, 6, 1, 17, 3)) * 100
+        truth = rng.normal(size=(4, 6, 1, 17, 3)) * 100
+        stacked = K.mpjpe_mean(pred, truth, 2)
+        assert stacked.shape == (4, 6)
+        each = [[K.mpjpe_mean(pred[i, h], truth[i, h], 2) for h in range(6)]
+                for i in range(4)]
+        assert np.array_equal(stacked, np.array(each))
 
     def test_adam_first_step_closed_form(self):
         # with m=v=0 and t=1 the update is exactly -lr * g / (|g| + eps*...)
@@ -47,84 +52,12 @@ class TestNumpyBackend:
         g = np.array([1.0, -2.0, 0.5, -0.25])
         m = np.zeros(4)
         v = np.zeros(4)
-        K.adam_numpy(p, g, m, v, 1, 0.001, 0.9, 0.999, 1e-8)
+        K.adam_update(p, g, m, v, 1, 0.001, 0.9, 0.999, 1e-8)
         expect = -0.001 * g / (np.abs(g) + 1e-8)
         assert np.allclose(p, expect, atol=1e-15)
 
 
-@needs_numba
-class TestBackendParity:
-    def test_quotient_channels_bitwise(self):
-        rng = np.random.default_rng(2)
-        frames = random_frames(rng)
-        frames[0, 1] = frames[0, 0]  # inject a zero-velocity transition
-        a = K.quotient_channels_numpy(frames, 0.5)
-        b = K.quotient_channels_numba(frames, 0.5)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
-
-    def test_integrate_bitwise(self):
-        rng = np.random.default_rng(3)
-        start = rng.normal(size=(4, 3)) * 100
-        vel = rng.normal(size=(9, 4, 3)) * 10
-        assert np.array_equal(
-            K.integrate_numpy(start, vel, 2.0), K.integrate_numba(start, vel, 2.0)
-        )
-
-    def test_adam_bitwise_over_steps(self):
-        rng = np.random.default_rng(4)
-        p1 = rng.normal(size=64)
-        p2 = p1.copy()
-        m1 = np.zeros(64); v1 = np.zeros(64)
-        m2 = np.zeros(64); v2 = np.zeros(64)
-        for t in range(1, 20):
-            g = rng.normal(size=64)
-            K.adam_numpy(p1, g, m1, v1, t, 0.01, 0.9, 0.999, 1e-8)
-            K.adam_numba(p2, g, m2, v2, t, 0.01, 0.9, 0.999, 1e-8)
-        assert np.array_equal(p1, p2)
-        assert np.array_equal(m1, m2)
-        assert np.array_equal(v1, v2)
-
-    def test_mpjpe_roundoff_parity(self):
-        rng = np.random.default_rng(5)
-        pred = rng.normal(size=(20, 17, 3)) * 100
-        truth = rng.normal(size=(20, 17, 3)) * 100
-        a = K.mpjpe_numpy(pred, truth, 0)
-        b = K.mpjpe_numba(pred, truth, 0)
-        assert abs(a - b) < 1e-9 * max(1.0, abs(a))
-
-
 class TestBackendSelection:
-    def _probe(self, env_value):
-        code = (
-            "from mqmotion import _kernels as K; "
-            "print(K.USE_NUMBA, K.quotient_channels.__name__)"
-        )
-        import os
-        env = dict(os.environ)
-        if env_value is None:
-            env.pop("MQMOTION_NUMBA", None)
-        else:
-            env["MQMOTION_NUMBA"] = env_value
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, env=env)
-        assert out.returncode == 0, out.stderr
-        return out.stdout.split()
-
-    def test_disabled_selects_numpy(self):
-        use, name = self._probe("0")
-        assert use == "False" and name == "quotient_channels_numpy"
-
-    @needs_numba
-    def test_enabled_selects_numba(self):
-        use, name = self._probe("1")
-        assert use == "True" and name == "quotient_channels_numba"
-
-    @needs_numba
-    def test_default_prefers_numba(self):
-        use, _ = self._probe(None)
-        assert use == "True"
-
     def test_dispatch_names_exist(self):
         for name in ("quotient_channels", "integrate", "mpjpe_mean", "adam_update"):
             assert callable(getattr(K, name))

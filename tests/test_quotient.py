@@ -1,4 +1,6 @@
 """Quotient encoding: tangent fields, plane cosines, round trips."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,19 @@ class TestEncodeQuotient:
         q2 = encode_quotient(seq_of(2.0 * frames))
         assert np.allclose(q2.magnitudes, 2.0 * q1.magnitudes, atol=1e-9)
         assert np.allclose(q2.cosines.omega, q1.cosines.omega, atol=1e-12)
+
+    def test_input_checks(self):
+        with pytest.raises(SequenceTooShort):
+            encode_quotient(seq_of(np.zeros((1, 1, 3))))
+        for dt in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(DegenerateVelocity):
+                encode_quotient(line_seq(), dt=dt)
+
+    def test_overflowing_velocity_raises(self):
+        frames = np.array([[[-1e308, 0, 0]], [[1e308, 0, 0]]])
+        with warnings.catch_warnings(), pytest.raises(DegenerateVelocity):
+            warnings.simplefilter("error")  # the error alone reaches the user
+            encode_quotient(seq_of(frames))
 
     def test_magnitude_zero_exactly_where_invalid(self):
         frames = np.ones((4, 2, 3))

@@ -1,6 +1,8 @@
 """Optimizer fixtures, alternating-update bookkeeping, checkpoint format,
 and the bitwise determinism / resume contract."""
 import dataclasses
+import json
+import struct
 import warnings
 
 import numpy as np
@@ -29,6 +31,16 @@ def small_dataset(frames=20, joints=3, seed=0):
     return make_windows([seq], n_observed=4, n_future=3, stride=2)
 
 
+def rewrite_header(path, edit):
+    """Apply edit(header) to a checkpoint's JSON header, keeping the blobs."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + hlen])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
+
+
 class TestTrainConfig:
     def test_defaults(self):
         cfg = tr.TrainConfig()
@@ -40,7 +52,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("bad", [
         dict(epochs=-1), dict(batch_size=0), dict(critic_steps=0),
         dict(obs_frames=1), dict(future_frames=0), dict(grad_clip=0.0),
-        dict(seed=-1), dict(threads=0),
+        dict(seed=-1), dict(gp_lambda=-1.0), dict(lr=float("nan")), dict(lr=0.0),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -109,13 +121,6 @@ class TestAdam:
             state.step(p, np.array([1.0, np.nan, 2.0]))
         assert state.t == 0
         assert np.array_equal(p, before)
-
-    def test_functional_wrapper(self):
-        p1, p2 = np.zeros(2), np.zeros(2)
-        g = np.array([3.0, -1.0])
-        tr.Adam(2, lr=0.2).step(p1, g)
-        tr.adam_step(p2, g, tr.Adam(2, lr=0.2))
-        assert np.array_equal(p1, p2)
 
     def test_clip_global_norm(self):
         g = np.array([3.0, 4.0])
@@ -344,6 +349,43 @@ class TestCheckpoint:
         ckpt.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             tr.load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.pop("config"),
+        lambda h: h.update(config=[1, 2]),
+        lambda h: h.pop("dims"),
+        lambda h: h.pop("counts"),
+        lambda h: h["counts"].pop("critic"),
+        lambda h: h["config"].update(warp_speed=9),
+        lambda h: h["config"].update(batch_size=0),
+        lambda h: h["config"].update(lr="fast"),
+        lambda h: h["dims"].update(heads=3),
+        lambda h: h.pop("sigma"),
+    ], ids=["no_config", "config_not_object", "no_dims", "no_counts",
+            "no_critic_count", "unknown_config_key", "bad_config_value",
+            "bad_config_type", "bad_dims_value", "no_sigma"])
+    def test_header_schema_rejected(self, tmp_path, edit):
+        ckpt, _ = self.run_short(tmp_path)
+        rewrite_header(ckpt, edit)
+        with pytest.raises(FormatError):
+            tr.load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("threads", [1, 0])
+    def test_legacy_threads_key_loads_and_resumes(self, tmp_path, threads):
+        # older versions wrote a "threads" config entry that nothing read
+        cfg_full = small_cfg(epochs=2)
+        straight = tmp_path / "straight.mqck"
+        tr.train(small_dataset(), cfg_full, checkpoint_path=straight)
+        ckpt = tmp_path / "mid.mqck"
+        tr.train(small_dataset(), dataclasses.replace(cfg_full, max_steps=3),
+                 checkpoint_path=ckpt)
+        rewrite_header(ckpt, lambda h: h["config"].update(threads=threads,
+                                                          max_steps=None))
+        assert tr.load_checkpoint(ckpt).cfg == cfg_full
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr.train(small_dataset(), cfg_full, checkpoint_path=ckpt, resume_from=ckpt)
+        assert ckpt.read_bytes() == straight.read_bytes()
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         cfg_full = small_cfg(epochs=2)
