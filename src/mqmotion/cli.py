@@ -364,7 +364,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfgmap = load_config(args.config) if args.config else {}
-        return _COMMANDS[args.command](args, cfgmap)
+        # a non-finite result on these paths raises a MotionError, so numpy's
+        # floating-point warnings would only add lines ahead of the error line
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args, cfgmap)
     except (BackwardBeforeForward, NumericalInstability, AbortStep) as exc:
         _report_error(4, exc)
         return 4

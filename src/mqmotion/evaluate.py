@@ -9,7 +9,7 @@ import numpy as np
 from . import _kernels
 from .core import DEFAULT_HORIZONS_MS, horizon_to_frame
 from .dataio import WindowedDataset
-from .errors import DimsMismatch, WindowTooShort
+from .errors import DimsMismatch, NumericalInstability, WindowTooShort
 
 UNLABELED = "unlabeled"
 
@@ -78,6 +78,9 @@ def evaluate(predictor, dataset: WindowedDataset,
                 f"predictor returned {pred.shape}, expected "
                 f"({len(chunk)}, {dataset.n_future}, {obs.shape[2]}, 3)"
             )
+        if not np.isfinite(pred).all():
+            raise NumericalInstability(f"predictor returned non-finite frames for windows "
+                                       f"{lo}..{lo + len(chunk) - 1}")
         fut = np.stack([w.future for w in chunk])
         # C-contiguous (B, H, 1, J, 3) stacks give one single-frame error per
         # window and horizon, summed over joints in the same order as a

@@ -156,42 +156,49 @@ def _param_spec(dims: ModelDims) -> list[tuple[str, tuple, str]]:
 
 
 class ModelParams:
-    """All trainable arrays, name-addressed, with a stable flat index.
+    """All trainable arrays as named views into one float64 vector.
 
-    The flat vector concatenates each array raveled in declaration order;
-    flat() and set_flat() are exact mutual inverses, which is what the
-    optimizer and the checkpoint format operate on.
+    ``vec`` holds every array raveled in ``_param_spec`` order and each
+    named tensor's ``.data`` is a reshaped view into it. The spec lists the
+    ``critic.*`` arrays last, so ``generator`` and ``critic`` are views of
+    the vector's leading and trailing slices: the optimizers step them in
+    place and checkpoints store ``vec``. flat() and set_flat() copy a name
+    subset out of and back into the views.
     """
 
-    def __init__(self, dims: ModelDims, tensors: dict[str, Tensor]):
-        self.dims = dims
-        self.tensors = tensors
-        self.names = list(tensors)
+    def __init__(self, dims: ModelDims, vec: np.ndarray):
+        spec = _param_spec(dims)
+        sizes = [int(np.prod(shape)) for _, shape, _ in spec]
+        if vec.shape != (sum(sizes),) or vec.dtype != np.float64:
+            raise DimsMismatch(f"need {sum(sizes)} float64 parameters, got {vec.dtype} {vec.shape}")
+        self.dims, self.vec, self.n_params = dims, vec, vec.size
+        self.names = [name for name, _, _ in spec]
         self._slices: dict[str, tuple[int, int]] = {}
+        self.tensors: dict[str, Tensor] = {}
         off = 0
-        for name in self.names:
-            n = tensors[name].size
+        for (name, shape, _), n in zip(spec, sizes):
             self._slices[name] = (off, off + n)
+            self.tensors[name] = Tensor(vec[off : off + n].reshape(shape), requires_grad=True)
             off += n
-        self.n_params = off
+        split = self._slices[self.critic_names[0]][0]
+        self.generator, self.critic = vec[:split], vec[split:]
 
     @classmethod
     def init(cls, dims: ModelDims, seed: int) -> "ModelParams":
         rng = streams.stream(seed, streams.INIT)
-        tensors: dict[str, Tensor] = {}
-        for name, shape, kind in _param_spec(dims):
+        arrays = []
+        for _, shape, kind in _param_spec(dims):
             if kind == "uniform":
                 fan_in = shape[-2] if len(shape) >= 2 else shape[0]
                 bound = float(np.sqrt(1.0 / fan_in))
-                data = rng.uniform(-bound, bound, size=shape)
+                arrays.append(rng.uniform(-bound, bound, size=shape))
             elif kind == "zeros":
-                data = np.zeros(shape)
+                arrays.append(np.zeros(shape))
             elif kind == "ones":
-                data = np.ones(shape)
+                arrays.append(np.ones(shape))
             else:  # eye
-                data = np.eye(shape[0])
-            tensors[name] = Tensor(data, requires_grad=True)
-        return cls(dims, tensors)
+                arrays.append(np.eye(shape[0]))
+        return cls(dims, np.concatenate([a.ravel() for a in arrays]))
 
     def t(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -223,10 +230,7 @@ class ModelParams:
         return [n for n in self.names if n.startswith("critic.")]
 
     def copy(self) -> "ModelParams":
-        out = ModelParams(
-            self.dims, {n: Tensor(t.data.copy(), requires_grad=True) for n, t in self.tensors.items()}
-        )
-        return out
+        return ModelParams(self.dims, self.vec.copy())
 
 
 def token_count(n_observed: int, use_quotient: bool) -> int:

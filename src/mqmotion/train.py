@@ -26,6 +26,10 @@ Checkpoint container (little-endian):
     then five raw float64 blobs, in order:
         full flat parameter vector (N), generator Adam m (n), v (n),
         critic Adam m (m), v (m)
+
+The flat layout is network.ModelParams's and follows from dims alone: the
+loader checks the params manifest and the counts against it, and dims
+against the config's model_dims, and rejects any disagreement.
 """
 from __future__ import annotations
 
@@ -196,35 +200,41 @@ class TrainResult:
 
 
 class Trainer:
-    """Owns parameters, optimizer states, and the deterministic schedule."""
+    """Owns parameters, optimizer states, and the deterministic schedule:
+    fresh from cfg, or a CheckpointState's params, sigma, Adams and counters."""
 
     def __init__(self, dataset: WindowedDataset, cfg: TrainConfig,
-                 params: net.ModelParams | None = None):
+                 state: CheckpointState | None = None):
         if len(dataset) == 0:
             raise ValueError("dataset has no windows")
         if dataset.n_observed != cfg.obs_frames or dataset.n_future != cfg.future_frames:
-            raise ValueError(
+            raise DimsMismatch(
                 f"dataset windows ({dataset.n_observed}, {dataset.n_future}) disagree "
                 f"with config ({cfg.obs_frames}, {cfg.future_frames})"
             )
         self.dataset = dataset
         self.cfg = cfg
         self.root_index = dataset.skeleton.root_index
+        self.weights = cfg.weights()
         dims = cfg.model_dims(dataset.skeleton.joint_count)
-        self.params = params if params is not None else net.ModelParams.init(dims, cfg.seed)
-        if self.params.dims != dims:
-            raise ValueError("provided parameters disagree with the config dims")
+        if state is None:
+            self.params = net.ModelParams.init(dims, cfg.seed)
+            self.adam_gen = Adam(self.params.generator.size, cfg.lr)
+            self.adam_critic = Adam(self.params.critic.size, cfg.lr)
+            self.sigma = cfg.sigma if cfg.sigma is not None else self._auto_sigma()
+            self.epoch = self.batch_index = self.global_step = 0
+        else:
+            if state.params.dims != dims:
+                diff = ", ".join(f"{k} {v} vs {getattr(dims, k)}"
+                                 for k, v in asdict(state.params.dims).items()
+                                 if v != getattr(dims, k))
+                raise DimsMismatch(f"checkpoint dims vs these clips and config: {diff}")
+            self.params, self.sigma = state.params, state.sigma
+            self.adam_gen, self.adam_critic = state.adam_gen, state.adam_critic
+            self.epoch, self.batch_index = state.epoch, state.batch_index
+            self.global_step = state.global_step
         self.gen_names = self.params.generator_names
         self.critic_names = self.params.critic_names
-        self.adam_gen = Adam(sum(self.params.tensors[n].size for n in self.gen_names), cfg.lr)
-        self.adam_critic = Adam(
-            sum(self.params.tensors[n].size for n in self.critic_names), cfg.lr
-        )
-        self.sigma = cfg.sigma if cfg.sigma is not None else self._auto_sigma()
-        self.epoch = 0
-        self.batch_index = 0
-        self.global_step = 0
-        self.weights = cfg.weights()
 
     def _auto_sigma(self) -> float:
         obs = np.stack([w.observed for w in self.dataset.windows])
@@ -327,10 +337,7 @@ class Trainer:
                                                cfg.gp_lambda, seed_c)
         closs = ad.add(closs_f, closs_c)
         grads = net.parameter_gradients(closs, self.params, self.critic_names)
-        grads = _clip_global_norm(grads, cfg.grad_clip)
-        vec = self.params.flat(self.critic_names)
-        self.adam_critic.step(vec, grads)
-        self.params.set_flat(vec, self.critic_names)
+        self.adam_critic.step(self.params.critic, _clip_global_norm(grads, cfg.grad_clip))
         return closs.item(), gp_f.item() + gp_c.item()
 
     # generator side
@@ -355,9 +362,8 @@ class Trainer:
             l_denoise = Tensor(0.0)
         composite = lo.loss_composite(l_pred, l_mask, l_denoise, self.weights)
 
-        fake_fid = net.fidelity_inputs(ad.mul(pred, cfg.input_gain))
-        fake_win = self._seam_window(batch["obs"][:, -1], pred)
-        fake_cont = net.continuity_inputs(ad.mul(fake_win, cfg.input_gain))
+        fake_fid = self._fidelity_rows(pred)
+        fake_cont = self._continuity_rows(self._seam_window(batch["obs"][:, -1], pred))
         adv = ad.add(
             ad.neg(ad.tmean(net.discriminate_fidelity(fake_fid, self.params))),
             ad.neg(ad.tmean(net.discriminate_continuity(fake_cont, self.params))),
@@ -366,10 +372,7 @@ class Trainer:
         if not np.isfinite(total.data).all():
             raise NumericalInstability(f"non-finite generator loss at step {self.global_step}")
         grads = net.parameter_gradients(total, self.params, self.gen_names)
-        grads = _clip_global_norm(grads, cfg.grad_clip)
-        vec = self.params.flat(self.gen_names)
-        self.adam_gen.step(vec, grads)
-        self.params.set_flat(vec, self.gen_names)
+        self.adam_gen.step(self.params.generator, _clip_global_norm(grads, cfg.grad_clip))
         return lo.make_report(
             l_pred.item(), l_mask.item(), l_denoise.item(), adv.item(), gp_term,
             self.weights,
@@ -409,11 +412,7 @@ class Trainer:
         return TrainResult(self.params, reports, self.sigma, self.epoch)
 
     def save(self, path: str | Path) -> None:
-        save_checkpoint(
-            path, self.params, self.cfg, sigma=self.sigma, root_index=self.root_index,
-            epoch=self.epoch, batch_index=self.batch_index, global_step=self.global_step,
-            adam_gen=self.adam_gen, adam_critic=self.adam_critic,
-        )
+        save_checkpoint(path, self)
 
 
 def log_to_csv(reports: list[tuple[int, LossReport]]) -> str:
@@ -442,24 +441,27 @@ def train(dataset: WindowedDataset, cfg: TrainConfig,
 
 # checkpoint serialization
 
-def save_checkpoint(path, params: net.ModelParams, cfg: TrainConfig, *, sigma: float,
-                    root_index: int, epoch: int, batch_index: int, global_step: int,
-                    adam_gen: Adam, adam_critic: Adam) -> None:
+def _layout(params: net.ModelParams) -> dict:
+    """The header's "params" manifest and "counts" for params' flat layout."""
+    return {
+        "params": [[n, list(params.t(n).shape)] for n in params.names],
+        "counts": {"total": params.vec.size, "generator": params.generator.size,
+                   "critic": params.critic.size},
+    }
+
+
+def save_checkpoint(path, trainer: Trainer) -> None:
+    params, adam_gen, adam_critic = trainer.params, trainer.adam_gen, trainer.adam_critic
     header = {
         "dims": asdict(params.dims),
-        "config": asdict(cfg),
-        "sigma": sigma,
-        "root_index": root_index,
-        "epoch": epoch,
-        "batch_index": batch_index,
-        "global_step": global_step,
+        "config": asdict(trainer.cfg),
+        "sigma": trainer.sigma,
+        "root_index": trainer.root_index,
+        "epoch": trainer.epoch,
+        "batch_index": trainer.batch_index,
+        "global_step": trainer.global_step,
         "adam": {"generator": {"t": adam_gen.t}, "critic": {"t": adam_critic.t}},
-        "params": [[n, list(params.tensors[n].shape)] for n in params.names],
-        "counts": {
-            "total": params.n_params,
-            "generator": int(adam_gen.m.size),
-            "critic": int(adam_critic.m.size),
-        },
+        **_layout(params),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     parts = [
@@ -467,7 +469,7 @@ def save_checkpoint(path, params: net.ModelParams, cfg: TrainConfig, *, sigma: f
         struct.pack("<I", CHECKPOINT_VERSION),
         struct.pack("<Q", len(blob)),
         blob,
-        params.flat().astype("<f8").tobytes(),
+        params.vec.astype("<f8").tobytes(),
         adam_gen.m.astype("<f8").tobytes(),
         adam_gen.v.astype("<f8").tobytes(),
         adam_critic.m.astype("<f8").tobytes(),
@@ -512,8 +514,10 @@ def load_checkpoint(path) -> CheckpointState:
     try:
         cfg = TrainConfig(**config)
         dims = net.ModelDims(**header["dims"])
+        if cfg.model_dims(dims.joints) != dims:
+            raise FormatError("checkpoint dims disagree with the model dims of its config")
         counts = {k: int(header["counts"][k]) for k in ("total", "generator", "critic")}
-        manifest = [(name, tuple(int(d) for d in shape)) for name, shape in header["params"]]
+        manifest = header["params"]
         steps = {k: int(header["adam"][k]["t"]) for k in ("generator", "critic")}
         counters = {k: int(header[k])
                     for k in ("root_index", "epoch", "batch_index", "global_step")}
@@ -533,16 +537,12 @@ def load_checkpoint(path) -> CheckpointState:
         off += 8 * n
         return arr
 
-    flat = pull(counts["total"])
-    tensors = {}
-    pos = 0
-    for name, shape in manifest:
-        n = int(np.prod(shape)) if shape else 1
-        tensors[name] = Tensor(flat[pos : pos + n].reshape(shape), requires_grad=True)
-        pos += n
-    if pos != counts["total"]:
-        raise FormatError("parameter manifest disagrees with blob length")
-    params = net.ModelParams(dims, tensors)
+    try:
+        params = net.ModelParams(dims, pull(counts["total"]))
+    except DimsMismatch as exc:
+        raise FormatError(f"checkpoint parameter blob: {exc}") from None
+    if {"params": manifest, "counts": counts} != _layout(params):
+        raise FormatError("checkpoint parameter manifest or counts disagree with its dims")
 
     adams = {}
     for k in ("generator", "critic"):
@@ -559,14 +559,7 @@ def load_checkpoint(path) -> CheckpointState:
 def load_trainer(path, dataset: WindowedDataset) -> Trainer:
     """Rebuild a Trainer mid-run from a checkpoint."""
     state = load_checkpoint(path)
-    trainer = Trainer(dataset, state.cfg, params=state.params)
-    trainer.sigma = state.sigma
-    trainer.adam_gen = state.adam_gen
-    trainer.adam_critic = state.adam_critic
-    trainer.epoch = state.epoch
-    trainer.batch_index = state.batch_index
-    trainer.global_step = state.global_step
-    return trainer
+    return Trainer(dataset, state.cfg, state)
 
 
 def make_predictor(params: net.ModelParams, use_quotient: bool, input_gain: float,

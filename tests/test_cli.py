@@ -336,13 +336,42 @@ class TestTrain:
                          "--frames", "10", "--offset-scale", "1e200",
                          "--out", str(out)]) == 0
         cfg = write_config(tmp_path, SMALL_MODEL)
-        with warnings.catch_warnings(), np.errstate(all="ignore"):
-            warnings.simplefilter("ignore")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a floating-point warning would reach stderr too
             rc = cli.main(["train", str(out), "--config", cfg,
                            "--sigma", "1.0",
                            "--out", str(tmp_path / "x.mqck")])
         assert rc == 4
-        assert "code=4" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("mqmotion: code=4 ")
+
+    def resume(self, tmp_path, capsys, clip, with_config):
+        """Train 2 steps on a 3-joint clip, then resume on `clip`: (rc, stderr lines)."""
+        cfg = write_config(tmp_path, SMALL_MODEL)
+        ckpt = tmp_path / "mid.mqck"
+        assert cli.main(["train", synth_file(tmp_path, frames=40), "--config", cfg,
+                         "--max-steps", "2", "--out", str(ckpt)]) == 0
+        capsys.readouterr()
+        args = ["train", clip, "--resume", str(ckpt), "--out", str(tmp_path / "more.mqck")]
+        rc = cli.main(args + (["--config", cfg] if with_config else []))
+        return rc, capsys.readouterr().err.splitlines()
+
+    def test_resume_on_other_joint_count_is_data_error(self, tmp_path, capsys):
+        wide = synth_file(tmp_path, "wide.mqs", joints=5, frames=40)
+        rc, err = self.resume(tmp_path, capsys, wide, with_config=True)
+        assert rc == 3
+        assert len(err) == 1
+        assert err[0].startswith("mqmotion: code=3 type=DimsMismatch msg=")
+        assert "joints 3 vs 5" in err[0]
+
+    def test_resume_without_its_config_is_data_error(self, tmp_path, capsys):
+        # the default windows (10 + 25 frames) are not the checkpoint's (4 + 4)
+        long = synth_file(tmp_path, "long.mqs", frames=40)
+        rc, err = self.resume(tmp_path, capsys, long, with_config=False)
+        assert rc == 3
+        assert len(err) == 1
+        assert err[0].startswith("mqmotion: code=3 type=DimsMismatch msg=")
 
 
 class TestPredictAndEval:
@@ -391,7 +420,8 @@ class TestPredictAndEval:
         lambda h: h.pop("config"),
         lambda h: h["config"].update(warp_speed=9),
         lambda h: h["config"].update(batch_size=0),
-    ], ids=["no_config", "unknown_config_key", "bad_config_value"])
+        lambda h: h["params"][0][1].reverse(),  # embed.w's shape transposed
+    ], ids=["no_config", "unknown_config_key", "bad_config_value", "manifest_shape_transposed"])
     def test_predict_bad_checkpoint_header(self, tmp_path, capsys, edit):
         src, ckpt = self.trained(tmp_path)
         raw = ckpt.read_bytes()
@@ -435,6 +465,22 @@ class TestPredictAndEval:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("mqmotion: code=3 type=SequenceTooShort msg=")
+
+    def test_eval_non_finite_predictions_is_exit_4(self, tmp_path, capsys):
+        src, ckpt = self.trained(tmp_path)
+        n = load_checkpoint(ckpt).params.n_params
+        raw = ckpt.read_bytes()
+        start = 16 + struct.unpack("<Q", raw[8:16])[0]
+        huge = np.full(n, 1e300).astype("<f8").tobytes()  # the forward overflows
+        ckpt.write_bytes(raw[:start] + huge + raw[start + 8 * n :])
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["eval", src, "--checkpoint", str(ckpt), "--horizons", "80,160"])
+        assert rc == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("mqmotion: code=4 type=NumericalInstability msg=")
 
     def test_eval_bad_horizons(self, tmp_path, capsys):
         src, ckpt = self.trained(tmp_path)

@@ -8,7 +8,7 @@ import pytest
 import mqmotion.evaluate as ev
 from mqmotion.core import MotionSequence, Skeleton
 from mqmotion.dataio import make_windows, synth_generate
-from mqmotion.errors import DimsMismatch, WindowTooShort
+from mqmotion.errors import DimsMismatch, NumericalInstability, WindowTooShort
 
 
 def labeled_sequence(action, seed, frames=12, joints=2):
@@ -181,6 +181,17 @@ class TestEvaluate:
             return np.zeros((len(obs), 2, 2, 3))
 
         with pytest.raises(DimsMismatch):
+            ev.evaluate(predict, ds, horizons_ms=(80,))
+
+    def test_non_finite_prediction_rejected(self):
+        ds = small_dataset()
+
+        def predict(obs):
+            out = oracle_predictor(ds)(obs)
+            out[0, 0, 0, 0] = np.nan
+            return out
+
+        with pytest.raises(NumericalInstability):
             ev.evaluate(predict, ds, horizons_ms=(80,))
 
     def test_default_horizons_fit_standard_windows(self):

@@ -96,6 +96,15 @@ class TestModelParams:
         assert not np.array_equal(params.t("embed.w").data,
                                   dup.t("embed.w").data)
 
+    def test_tensors_are_views_of_one_vector(self):
+        params = net.ModelParams.init(small_dims(), seed=0)
+        assert np.array_equal(params.vec, params.flat())
+        assert np.array_equal(params.generator, params.flat(params.generator_names))
+        assert np.array_equal(params.critic, params.flat(params.critic_names))
+        for name in params.names:
+            assert np.shares_memory(params.t(name).data, params.vec), name
+        assert not np.shares_memory(params.vec, params.copy().vec)
+
     def test_fullrank_allocates_no_gate_or_rank_params(self):
         params = net.ModelParams.init(small_dims(lowrank=False), seed=0)
         assert not any(".gate" in n or ".pq" in n or ".pk" in n

@@ -12,7 +12,7 @@ import mqmotion.network as net
 import mqmotion.train as tr
 from mqmotion.core import MotionSequence, Skeleton
 from mqmotion.dataio import make_windows, synth_generate
-from mqmotion.errors import AbortStep, FormatError, MaskTermSkipped
+from mqmotion.errors import AbortStep, DimsMismatch, FormatError, MaskTermSkipped
 
 EPS = 1e-8
 
@@ -39,6 +39,14 @@ def rewrite_header(path, edit):
     edit(header)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
+
+
+def swap_manifest_entries(header, a, b):
+    """Exchange two same-shape entries of a header's parameter manifest."""
+    entries = header["params"]
+    i, j = (next(k for k, (name, _) in enumerate(entries) if name == n) for n in (a, b))
+    assert entries[i][1] == entries[j][1]
+    entries[i], entries[j] = entries[j], entries[i]
 
 
 class TestTrainConfig:
@@ -122,6 +130,15 @@ class TestAdam:
         assert state.t == 0
         assert np.array_equal(p, before)
 
+    def test_step_on_critic_view_writes_only_critic_tensors(self):
+        params = net.ModelParams.init(small_cfg().model_dims(3), seed=0)
+        before = {n: params.t(n).data.copy() for n in params.names}
+        tr.Adam(params.critic.size, lr=0.1).step(params.critic, np.ones(params.critic.size))
+        assert not np.array_equal(params.t("critic.fidelity.w1").data,
+                                  before["critic.fidelity.w1"])
+        for n in params.generator_names:
+            assert np.array_equal(params.t(n).data, before[n]), n
+
     def test_clip_global_norm(self):
         g = np.array([3.0, 4.0])
         assert tr._clip_global_norm(g, None) is g
@@ -133,7 +150,7 @@ class TestAdam:
 
 class TestTrainerSetup:
     def test_window_shape_must_match_config(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimsMismatch):
             tr.Trainer(small_dataset(), small_cfg(obs_frames=5))
 
     def test_empty_dataset_rejected(self):
@@ -144,10 +161,11 @@ class TestTrainerSetup:
         with pytest.raises(ValueError):
             tr.Trainer(ds, small_cfg())
 
-    def test_foreign_params_rejected(self):
-        params = net.ModelParams.init(small_cfg().model_dims(7), seed=0)
-        with pytest.raises(ValueError):
-            tr.Trainer(small_dataset(), small_cfg(), params=params)
+    def test_foreign_params_rejected(self, tmp_path):
+        ckpt = tmp_path / "seven.mqck"
+        tr.Trainer(small_dataset(joints=7), small_cfg()).save(ckpt)
+        with pytest.raises(DimsMismatch, match="joints 7 vs 3"):
+            tr.Trainer(small_dataset(), small_cfg(), state=tr.load_checkpoint(ckpt))
 
     def test_explicit_sigma_honored(self):
         t = tr.Trainer(small_dataset(), small_cfg(sigma=0.25))
@@ -361,9 +379,16 @@ class TestCheckpoint:
         lambda h: h["config"].update(lr="fast"),
         lambda h: h["dims"].update(heads=3),
         lambda h: h.pop("sigma"),
+        lambda h: h["dims"].update(head_gain=50.0),
+        lambda h: swap_manifest_entries(h, "layer0.spatial.bq", "layer0.spatial.bk"),
+        lambda h: h["params"][0][1].reverse(),  # embed.w's shape transposed
+        lambda h: h["counts"].update(generator=h["counts"]["generator"] + 1,
+                                     critic=h["counts"]["critic"] - 1),
     ], ids=["no_config", "config_not_object", "no_dims", "no_counts",
             "no_critic_count", "unknown_config_key", "bad_config_value",
-            "bad_config_type", "bad_dims_value", "no_sigma"])
+            "bad_config_type", "bad_dims_value", "no_sigma",
+            "dims_disagree_with_config", "manifest_names_swapped",
+            "manifest_shape_transposed", "counts_disagree_with_dims"])
     def test_header_schema_rejected(self, tmp_path, edit):
         ckpt, _ = self.run_short(tmp_path)
         rewrite_header(ckpt, edit)
@@ -402,6 +427,15 @@ class TestCheckpoint:
         assert np.array_equal(result.params.flat(), straight.params.flat())
         assert np.array_equal(resumed.adam_gen.m, np.zeros(0)) is False
         assert resumed.adam_gen.t == 4
+
+    def test_resume_skips_the_sigma_pass(self, tmp_path, monkeypatch):
+        ckpt, _ = self.run_short(tmp_path)
+
+        def no_pass(self):
+            raise AssertionError("a resumed run takes sigma from its checkpoint")
+
+        monkeypatch.setattr(tr.Trainer, "_auto_sigma", no_pass)
+        assert tr.load_trainer(ckpt, small_dataset()).sigma == tr.load_checkpoint(ckpt).sigma
 
     def test_resume_with_differing_config_warns(self, tmp_path):
         ckpt, cfg = self.run_short(tmp_path)
