@@ -1,17 +1,22 @@
 """Command-line entry point: synth, transform, perturb, train, predict, eval.
 
-Configuration precedence is flag > config file > built-in default. The
-config file is flat ``key = value`` text whose keys mirror TrainConfig
-field names plus a few data-pipeline extras (fps, kind, joints, frames,
-count, amplitude, stride, horizons). Exit codes: 0 success, 2 usage,
-3 data error, 4 numeric failure. Errors print one machine-readable line
-to stderr: ``mqmotion: code=<n> type=<ExceptionName> msg=<repr>``.
+Options resolve flag > config file > default by one mechanism: a
+``--config`` file's values become the command parser's defaults. The file is
+flat ``key = value`` text over the TrainConfig fields (typed and defaulted by
+the dataclass; ``--seed`` is one) and the data-pipeline options kind, joints,
+frames, fps, count, amplitude, base_period, offset_scale, stride and horizons
+(typed and defaulted by their flags). synth, perturb and train take --seed;
+those and eval take --config. Every value is validated before any input file
+is read. Exit codes: 0 success, 2 usage, 3 data error or bad option value,
+4 numeric failure. Errors print one machine-readable line to stderr:
+``mqmotion: code=<n> type=<ExceptionName> msg=<repr>``.
 """
 from __future__ import annotations
 
 import argparse
+import inspect
+import math
 import sys
-from dataclasses import fields as dc_fields
 from pathlib import Path
 
 import numpy as np
@@ -19,32 +24,24 @@ import numpy as np
 from . import perturb as pt
 from . import streams
 from .core import DEFAULT_HORIZONS_MS, HorizonSpec
-from .dataio import read_mqs_file, synth_generate, write_mqs_file, write_mqq, \
+from .dataio import SYNTH_KINDS, read_mqs_file, synth_generate, write_mqs_file, write_mqq, \
     make_windows
 from .errors import AbortStep, BackwardBeforeForward, FormatError, MotionError, \
     NumericalInstability, SequenceTooShort, SkeletonMismatch
 from .evaluate import evaluate as run_evaluation
 from .evaluate import format_table, write_report
 from .quotient import encode_quotient
-from .train import TrainConfig, load_checkpoint, make_predictor, train
+from .train import CONFIG_TYPES, TrainConfig, default_sigma, load_checkpoint, \
+    make_predictor, train
 
-_EXTRA_TYPES = {
-    "fps": float,
-    "kind": str,
-    "joints": int,
-    "frames": int,
-    "count": int,
-    "amplitude": float,
-    "base_period": float,
-    "offset_scale": float,
-    "stride": int,
-    "horizons": str,
-}
-_TRAIN_KEYS = {f.name for f in dc_fields(TrainConfig)}
+_SYNTH_DEFAULTS = {name: param.default
+                   for name, param in inspect.signature(synth_generate).parameters.items()}
 
 
 def load_config(path: str | Path) -> dict:
-    """Parse a flat key=value config file into typed values."""
+    """Parse a flat key=value config file into typed values: TrainConfig
+    fields as their annotations say, the other options as their flags do."""
+    flags = _file_options()
     out: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -53,77 +50,88 @@ def load_config(path: str | Path) -> dict:
         if "=" not in line:
             raise FormatError(f"expected key=value in {path}", line=lineno)
         key, val = (s.strip() for s in line.split("=", 1))
-        if key in _TRAIN_KEYS:
-            out[key] = TrainConfig.parse_value(key, val)
-        elif key in _EXTRA_TYPES:
-            try:
-                out[key] = _EXTRA_TYPES[key](val)
-            except ValueError as exc:
-                raise FormatError(f"bad value for {key!r}: {exc}", line=lineno) from None
-        else:
-            raise FormatError(f"unknown config key {key!r} in {path}", line=lineno)
+        try:
+            if key in flags:
+                out[key] = (flags[key].type or str)(val)
+                if flags[key].choices and out[key] not in flags[key].choices:
+                    raise ValueError(f"{val!r} is not one of {', '.join(flags[key].choices)}")
+            else:  # a TrainConfig field, or an unknown key
+                out[key] = TrainConfig.parse_value(key, val)
+        except ValueError as exc:
+            raise FormatError(f"bad value for {key!r} in {path}: {exc}", line=lineno) from None
+        except FormatError as exc:
+            raise FormatError(f"{exc} in {path}", line=lineno) from None
     return out
 
 
-def _resolve(args, cfgmap: dict, name: str, default):
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    return cfgmap.get(name, default)
+def _file_options() -> dict[str, argparse.Action]:
+    """Config-file options besides the TrainConfig fields: flags taking a non-PATH value."""
+    commands = next(a.choices for a in build_parser()._actions if isinstance(a.choices, dict))
+    return {a.dest: a for p in commands.values() for a in p._actions
+            if a.option_strings and a.nargs != 0 and a.metavar != "PATH"
+            and a.dest not in CONFIG_TYPES}
 
 
-def build_train_config(args, cfgmap: dict) -> TrainConfig:
-    kwargs = {}
-    for f in dc_fields(TrainConfig):
-        if f.name in cfgmap:
-            kwargs[f.name] = cfgmap[f.name]
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            kwargs[f.name] = flag
-    if getattr(args, "ablate_d", False):
-        kwargs["use_quotient"] = False
-    if getattr(args, "ablate_e", False):
-        kwargs["use_perturbation"] = False
-    if getattr(args, "ablate_l", False):
-        kwargs["use_lowrank"] = False
-    try:
-        return TrainConfig(**kwargs)
-    except ValueError as exc:
-        raise FormatError(f"bad configuration: {exc}") from None
+def parse_args(argv=None) -> argparse.Namespace:
+    """argv parsed with its --config file's values under the flags."""
+    args = build_parser().parse_args(argv)
+    if getattr(args, "config", None):
+        args = build_parser(load_config(args.config)).parse_args(argv)
+    return args
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--seed", type=int, help="master seed for all derived streams")
+def build_train_config(args: argparse.Namespace) -> TrainConfig:
+    """The TrainConfig of parsed args; a field neither flag nor file set keeps its default."""
+    return TrainConfig(**{k: getattr(args, k) for k in CONFIG_TYPES if hasattr(args, k)})
+
+
+def _require(args, *names: str, zero_ok: bool = False) -> None:
+    """FormatError for the first option of names not finite and positive (or zero_ok)."""
+    for name in names:
+        value = getattr(args, name)
+        if not (0 <= value if zero_ok else 0 < value) or not value < math.inf:
+            sign = "non-negative" if zero_ok else "positive"
+            raise FormatError(f"bad value for {name!r}: must be {sign} and finite, got {value!r}")
+
+
+def _field_flag(p: argparse.ArgumentParser, flag: str, name: str, help: str) -> None:
+    """A flag for TrainConfig field name, typed by its annotation; when it is not
+    given, the config-file value or else the field default holds."""
+    p.add_argument(flag, dest=name, type=CONFIG_TYPES[name][0], default=argparse.SUPPRESS,
+                   help=f"{help} (default {getattr(TrainConfig, name)})")
+
+
+def _add_config(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", metavar="PATH", help="flat key=value config file")
 
 
 def _add_corruption(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pm", dest="p_m", type=float, help="per-scalar mask probability")
-    p.add_argument("--pn", dest="p_n", type=float, help="per-scalar noise probability")
-    p.add_argument("--sigma", type=float, help="noise std (default 0.05 x data std)")
+    _field_flag(p, "--seed", "seed", "master seed for all derived streams")
+    _field_flag(p, "--pm", "p_m", "per-scalar mask probability")
+    _field_flag(p, "--pn", "p_n", "per-scalar noise probability")
+    _field_flag(p, "--sigma", "sigma", "noise std, 0.05 x the data std when None")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha1", type=float, help="mask-loss weight")
-    p.add_argument("--alpha2", type=float, help="denoise-loss weight")
-    p.add_argument("--beta1", type=float, help="composite-loss weight")
-    p.add_argument("--beta2", type=float, help="adversarial-loss weight")
-    p.add_argument("--lambda", dest="gp_lambda", type=float,
-                   help="gradient-penalty coefficient")
-    p.add_argument("--lr", type=float, help="Adam learning rate")
-    p.add_argument("--epochs", type=int, help="training epochs")
-    p.add_argument("--batch", dest="batch_size", type=int, help="batch size")
-    p.add_argument("--max-steps", dest="max_steps", type=int,
-                   help="stop after this many generator steps")
-    p.add_argument("--ablate-d", action="store_true",
-                   help="disable the quotient encoding (raw coordinates in)")
-    p.add_argument("--ablate-e", action="store_true",
-                   help="disable the mask/noise auxiliary tasks")
-    p.add_argument("--ablate-l", action="store_true",
-                   help="disable low-rank gated attention (full-rank softmax)")
+    _field_flag(p, "--alpha1", "alpha1", "mask-loss weight")
+    _field_flag(p, "--alpha2", "alpha2", "denoise-loss weight")
+    _field_flag(p, "--beta1", "beta1", "composite-loss weight")
+    _field_flag(p, "--beta2", "beta2", "adversarial-loss weight")
+    _field_flag(p, "--lambda", "gp_lambda", "gradient-penalty coefficient")
+    _field_flag(p, "--lr", "lr", "Adam learning rate")
+    _field_flag(p, "--epochs", "epochs", "training epochs")
+    _field_flag(p, "--batch", "batch_size", "batch size")
+    _field_flag(p, "--max-steps", "max_steps", "stop after this many generator steps")
+    for flag, name, module in (
+            ("--ablate-d", "use_quotient", "the quotient encoding (raw coordinates in)"),
+            ("--ablate-e", "use_perturbation", "the mask/noise auxiliary tasks"),
+            ("--ablate-l", "use_lowrank", "low-rank gated attention (full-rank softmax)")):
+        p.add_argument(flag, dest=name, action="store_false", default=argparse.SUPPRESS,
+                       help=f"disable {module}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(file_values: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI parser, with file_values (from a config file) as command defaults."""
     ap = argparse.ArgumentParser(
         prog="mqmotion",
         description="Quotient-space motion prediction: data, training, evaluation.",
@@ -131,90 +139,97 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate synthetic MQS motion files")
-    _add_common(p)
-    p.add_argument("--kind", choices=("sinusoid", "random_walk", "constant"),
-                   help="generator family (default sinusoid)")
-    p.add_argument("--joints", type=int, help="joint count (default 5)")
-    p.add_argument("--frames", type=int, help="frame count (default 60)")
-    p.add_argument("--fps", type=float, help="frame rate (default 25)")
-    p.add_argument("--count", type=int, help="number of sequences (default 1)")
-    p.add_argument("--amplitude", type=float, help="motion scale in mm (default 10)")
+    p.set_defaults(run=_cmd_synth)
+    _add_config(p)
+    _field_flag(p, "--seed", "seed", "master seed for all derived streams")
+    p.add_argument("--kind", choices=SYNTH_KINDS, default="sinusoid",
+                   help="generator family (default %(default)s)")
+    p.add_argument("--joints", type=int, default=5, help="joint count (default %(default)s)")
+    p.add_argument("--frames", type=int, default=60, help="frame count (default %(default)s)")
+    p.add_argument("--fps", type=float, default=25.0, help="frame rate (default %(default)s)")
+    p.add_argument("--count", type=int, default=1,
+                   help="number of sequences (default %(default)s)")
+    p.add_argument("--amplitude", type=float, default=_SYNTH_DEFAULTS["amplitude"],
+                   help="motion scale in mm (default %(default)s)")
     p.add_argument("--base-period", dest="base_period", type=float,
-                   help="sinusoid base period in seconds (default 1)")
+                   default=_SYNTH_DEFAULTS["base_period_s"],
+                   help="sinusoid base period in seconds (default %(default)s)")
     p.add_argument("--offset-scale", dest="offset_scale", type=float,
-                   help="std of per-joint constant offsets in mm (default 100)")
-    p.add_argument("--out", required=True,
+                   default=_SYNTH_DEFAULTS["offset_scale"],
+                   help="std of per-joint constant offsets in mm (default %(default)s)")
+    p.add_argument("--out", metavar="PATH", required=True,
                    help=".mqs file for a single sequence, else a directory")
 
     p = sub.add_parser("transform", help="encode MQS files into MQQ quotient files")
-    _add_common(p)
+    p.set_defaults(run=_cmd_transform)
     p.add_argument("inputs", nargs="+", help="input .mqs files")
-    p.add_argument("--out", required=True,
+    p.add_argument("--out", metavar="PATH", required=True,
                    help=".mqq file for a single input, else a directory")
 
     p = sub.add_parser("perturb", help="write masked/noised copies plus mask sidecars")
-    _add_common(p)
+    p.set_defaults(run=_cmd_perturb)
+    _add_config(p)
     _add_corruption(p)
     p.add_argument("inputs", nargs="+", help="input .mqs files")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", metavar="PATH", required=True, help="output directory")
 
     p = sub.add_parser("train", help="train a predictor on MQS files")
-    _add_common(p)
+    p.set_defaults(run=_cmd_train)
+    _add_config(p)
     _add_corruption(p)
     _add_train_flags(p)
     p.add_argument("inputs", nargs="+", help="training .mqs files")
-    p.add_argument("--stride", type=int, help="window stride (default 1)")
-    p.add_argument("--out", default="checkpoint.mqck", help="checkpoint path")
-    p.add_argument("--log", help="CSV loss log path (default: checkpoint with .csv)")
-    p.add_argument("--resume", help="resume from this checkpoint")
+    p.add_argument("--stride", type=int, default=1, help="window stride (default %(default)s)")
+    p.add_argument("--out", metavar="PATH", default="checkpoint.mqck", help="checkpoint path")
+    p.add_argument("--log", metavar="PATH",
+                   help="CSV loss log path (default: checkpoint with .csv)")
+    p.add_argument("--resume", metavar="PATH",
+                   help="resume this checkpoint, which fixes every option but --epochs "
+                        "and --max-steps; the run appends to its log")
 
     p = sub.add_parser("predict", help="predict future frames from an observation file")
-    _add_common(p)
+    p.set_defaults(run=_cmd_predict)
     p.add_argument("input", help="observation .mqs file")
-    p.add_argument("--checkpoint", required=True, help="trained checkpoint")
-    p.add_argument("--out", help="output .mqs path (default: <input>.pred.mqs)")
+    p.add_argument("--checkpoint", metavar="PATH", required=True, help="trained checkpoint")
+    p.add_argument("--out", metavar="PATH", help="output .mqs path (default: <input>.pred.mqs)")
 
     p = sub.add_parser("eval", help="report horizon-wise MPJPE for a checkpoint")
-    _add_common(p)
+    p.set_defaults(run=_cmd_eval)
+    _add_config(p)
     p.add_argument("inputs", nargs="+", help="evaluation .mqs files")
-    p.add_argument("--checkpoint", required=True, help="trained checkpoint")
-    p.add_argument("--stride", type=int, help="window stride (default 1)")
+    p.add_argument("--checkpoint", metavar="PATH", required=True, help="trained checkpoint")
+    p.add_argument("--stride", type=int, default=1, help="window stride (default %(default)s)")
     p.add_argument("--horizons", help="comma-separated horizons in ms")
-    p.add_argument("--out", help="write the report as CSV here")
-    p.add_argument("--svg", help="write an error-vs-horizon SVG chart here")
+    p.add_argument("--out", metavar="PATH", help="write the report as CSV here")
+    p.add_argument("--svg", metavar="PATH", help="write an error-vs-horizon SVG chart here")
+
+    for p in sub.choices.values():
+        p.set_defaults(**(file_values or {}))
     return ap
 
 
-# subcommand bodies
+# subcommand bodies; each validates its options before it reads a file
 
-def _cmd_synth(args, cfgmap) -> int:
-    kind = _resolve(args, cfgmap, "kind", "sinusoid")
-    joints = _resolve(args, cfgmap, "joints", 5)
-    frames = _resolve(args, cfgmap, "frames", 60)
-    fps = _resolve(args, cfgmap, "fps", 25.0)
-    count = _resolve(args, cfgmap, "count", 1)
-    amplitude = _resolve(args, cfgmap, "amplitude", 10.0)
-    base_period = _resolve(args, cfgmap, "base_period", 1.0)
-    offset_scale = _resolve(args, cfgmap, "offset_scale", 100.0)
-    seed = _resolve(args, cfgmap, "seed", 0)
-    if count < 1:
-        raise FormatError(f"count must be >= 1, got {count}")
+def _cmd_synth(args, cfg) -> int:
+    _require(args, "joints", "frames", "fps", "count", "base_period")
+    _require(args, "amplitude", "offset_scale", zero_ok=True)
     out = Path(args.out)
-    single_file = count == 1 and out.suffix == ".mqs"
+    single_file = args.count == 1 and out.suffix == ".mqs"
     if not single_file:
         out.mkdir(parents=True, exist_ok=True)
-    for i in range(count):
+    for i in range(args.count):
         seq = synth_generate(
-            kind, joints, frames, fps, streams.derive_seed(seed, streams.SYNTH, i),
-            amplitude=amplitude, offset_scale=offset_scale, base_period_s=base_period,
+            args.kind, args.joints, args.frames, args.fps,
+            streams.derive_seed(cfg.seed, streams.SYNTH, i), amplitude=args.amplitude,
+            offset_scale=args.offset_scale, base_period_s=args.base_period,
         )
-        path = out if single_file else out / f"{kind}_{i:03d}.mqs"
+        path = out if single_file else out / f"{args.kind}_{i:03d}.mqs"
         write_mqs_file(path, seq)
         print(path)
     return 0
 
 
-def _cmd_transform(args, cfgmap) -> int:
+def _cmd_transform(args, _cfg) -> int:
     out = Path(args.out)
     single_file = len(args.inputs) == 1 and out.suffix == ".mqq"
     if not single_file:
@@ -235,23 +250,15 @@ def _sidecar(flags: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_perturb(args, cfgmap) -> int:
-    p_m = _resolve(args, cfgmap, "p_m", 0.1)
-    p_n = _resolve(args, cfgmap, "p_n", 0.1)
-    sigma = _resolve(args, cfgmap, "sigma", None)
-    seed = _resolve(args, cfgmap, "seed", 0)
+def _cmd_perturb(args, cfg) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, src in enumerate(args.inputs):
         seq = read_mqs_file(src).sequence
-        if sigma is None:
-            std = float(seq.frames.std())
-            sigma_i = 0.05 * std if std > 0 else 1e-8
-        else:
-            sigma_i = sigma
-        fseed = streams.derive_seed(seed, streams.CORRUPT, i)
-        masked, mask = pt.apply_mask(seq.frames, p_m, fseed)
-        noised, nmask = pt.apply_noise(seq.frames, p_n, sigma_i, fseed)
+        sigma = cfg.sigma if cfg.sigma is not None else default_sigma(seq.frames)
+        fseed = streams.derive_seed(cfg.seed, streams.CORRUPT, i)
+        masked, mask = pt.apply_mask(seq.frames, cfg.p_m, fseed)
+        noised, nmask = pt.apply_noise(seq.frames, cfg.p_n, sigma, fseed)
         stem = Path(src).stem
         for tag, data, flags in (("masked", masked, mask.flags),
                                  ("noised", noised, nmask.flags)):
@@ -283,10 +290,9 @@ def _parented(path) -> Path:
     return path
 
 
-def _cmd_train(args, cfgmap) -> int:
-    cfg = build_train_config(args, cfgmap)
-    stride = _resolve(args, cfgmap, "stride", 1)
-    dataset = _load_windows(args.inputs, cfg, stride)
+def _cmd_train(args, cfg) -> int:
+    _require(args, "stride")
+    dataset = _load_windows(args.inputs, cfg, args.stride)
     out = _parented(args.out)
     log_path = _parented(args.log) if args.log else out.with_suffix(".csv")
     result = train(dataset, cfg, log_path=log_path, checkpoint_path=out,
@@ -297,7 +303,7 @@ def _cmd_train(args, cfgmap) -> int:
     return 0
 
 
-def _cmd_predict(args, cfgmap) -> int:
+def _cmd_predict(args, _cfg) -> int:
     state = load_checkpoint(args.checkpoint)
     cfg = state.cfg
     mqs = read_mqs_file(args.input)
@@ -325,18 +331,15 @@ def _parse_horizons(text: str) -> tuple[int, ...]:
         ms = tuple(int(s) for s in text.split(",") if s.strip())
     except ValueError as exc:
         raise FormatError(f"bad horizon list {text!r}: {exc}") from None
-    if not ms:
-        raise FormatError(f"empty horizon list {text!r}")
-    return HorizonSpec(ms).milliseconds
+    return HorizonSpec(ms).milliseconds  # an empty list raises HorizonMisaligned
 
 
-def _cmd_eval(args, cfgmap) -> int:
+def _cmd_eval(args, _cfg) -> int:
+    _require(args, "stride")
+    horizons = _parse_horizons(args.horizons) if args.horizons else DEFAULT_HORIZONS_MS
     state = load_checkpoint(args.checkpoint)
     cfg = state.cfg
-    stride = _resolve(args, cfgmap, "stride", 1)
-    horizons_raw = _resolve(args, cfgmap, "horizons", None)
-    horizons = _parse_horizons(horizons_raw) if horizons_raw else DEFAULT_HORIZONS_MS
-    dataset = _load_windows(args.inputs, cfg, stride)
+    dataset = _load_windows(args.inputs, cfg, args.stride)
     predictor = make_predictor(state.params, cfg.use_quotient, cfg.input_gain,
                                state.root_index)
     report = run_evaluation(predictor, dataset, horizons, root_index=state.root_index)
@@ -347,39 +350,21 @@ def _cmd_eval(args, cfgmap) -> int:
     return 0
 
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "transform": _cmd_transform,
-    "perturb": _cmd_perturb,
-    "train": _cmd_train,
-    "predict": _cmd_predict,
-    "eval": _cmd_eval,
-}
-
-
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        cfgmap = load_config(args.config) if args.config else {}
+        args = parse_args(argv)
+        cfg = build_train_config(args)
         # a non-finite result on these paths raises a MotionError, so numpy's
         # floating-point warnings would only add lines ahead of the error line
         with np.errstate(all="ignore"):
-            return _COMMANDS[args.command](args, cfgmap)
-    except (BackwardBeforeForward, NumericalInstability, AbortStep) as exc:
-        _report_error(4, exc)
-        return 4
-    except (MotionError, OSError) as exc:
-        _report_error(3, exc)
-        return 3
-
-
-def _report_error(code: int, exc: Exception) -> None:
-    msg = str(exc)
-    print(f"mqmotion: code={code} type={type(exc).__name__} msg={msg!r}",
-          file=sys.stderr)
+            return args.run(args, cfg)
+    except SystemExit as exc:  # argparse: a usage error or --help
+        return int(exc.code or 0)
+    except (MotionError, OSError, UnicodeDecodeError) as exc:
+        code = 4 if isinstance(exc, (BackwardBeforeForward, NumericalInstability, AbortStep)) else 3
+        print(f"mqmotion: code={code} type={type(exc).__name__} msg={str(exc)!r}",
+              file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

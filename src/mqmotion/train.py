@@ -34,8 +34,9 @@ against the config's model_dims, and rejects any disagreement.
 from __future__ import annotations
 
 import json
+import math
 import struct
-import warnings
+import typing
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -60,8 +61,8 @@ LOG_COLUMNS = ("step", "l_pred", "l_mask", "l_denoise", "l_adv", "gp_term", "l_t
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Every tunable of a training run. Flat key=value config files and CLI
-    flags both resolve into this; precedence is flag > file > default."""
+    """Every tunable of a training run, typed by its annotation and defaulted
+    here once; construction raises FormatError naming the first bad field."""
 
     lr: float = 0.001
     epochs: int = 15
@@ -73,7 +74,7 @@ class TrainConfig:
     gp_lambda: float = 10.0
     p_m: float = 0.1
     p_n: float = 0.1
-    sigma: float | None = None  # None: 0.05 * global feature std
+    sigma: float | None = None  # None: default_sigma of the features
     critic_steps: int = 1
     seed: int = 0
     use_quotient: bool = True      # ablation flag D
@@ -93,17 +94,22 @@ class TrainConfig:
     max_steps: int | None = None
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.critic_steps < 1:
-            raise ValueError("epochs >= 0, batch_size >= 1, critic_steps >= 1 required")
-        if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be positive and finite, got {self.lr}")
-        self.weights()  # LossWeights validates the loss weights
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.obs_frames < 2 or self.future_frames < 1:
-            raise ValueError("obs_frames >= 2 and future_frames >= 1 required")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ValueError(f"grad_clip must be positive or None, got {self.grad_clip}")
+        for name, (kind, optional) in CONFIG_TYPES.items():
+            value = getattr(self, name)  # a bool is no number, and an int is a float
+            if not (optional and value is None or isinstance(value, bool) == (kind is bool)
+                    and isinstance(value, (int, float) if kind is float else kind)):
+                raise FormatError(f"bad configuration: {name} must be {kind.__name__}, "
+                                  f"got {value!r}")
+        for names, rule, ok in _BOUNDS:
+            for name in names:
+                value = getattr(self, name)
+                if value is not None and not ok(value):
+                    raise FormatError(f"bad configuration: {name} must be {rule}, got {value!r}")
+        try:
+            self.weights()
+            self.model_dims(1)
+        except (ValueError, DimsMismatch) as exc:
+            raise FormatError(f"bad configuration: {exc}") from None
 
     def weights(self) -> LossWeights:
         return LossWeights(self.alpha1, self.alpha2, self.beta1, self.beta2, self.gp_lambda)
@@ -124,35 +130,44 @@ class TrainConfig:
             lowrank=self.use_lowrank,
         )
 
-    _OPTIONAL_FLOATS = ("sigma", "grad_clip")
-    _OPTIONAL_INTS = ("max_steps",)
-    _BOOLS = ("use_quotient", "use_perturbation", "use_lowrank")
-    _INTS = (
-        "epochs", "batch_size", "critic_steps", "seed", "d_model", "rank", "heads",
-        "layers", "obs_frames", "future_frames", "critic_width", "ffn_mult",
-    )
-
     @classmethod
     def parse_value(cls, key: str, raw: str):
-        """Parse one key=value pair from a flat config file."""
-        if key not in cls.__dataclass_fields__:
+        """Parse one config-file value as its field's annotation says."""
+        if key not in CONFIG_TYPES:
             raise FormatError(f"unknown config key {key!r}")
+        kind, optional = CONFIG_TYPES[key]
         low = raw.strip().lower()
-        if key in cls._OPTIONAL_FLOATS or key in cls._OPTIONAL_INTS:
-            if low in ("none", ""):
-                return None
+        if optional and low in ("none", ""):
+            return None
         try:
-            if key in cls._BOOLS:
-                if low in ("1", "true", "yes", "on"):
-                    return True
-                if low in ("0", "false", "no", "off"):
-                    return False
+            if kind is bool and low not in _BOOL_WORDS:
                 raise ValueError(f"not a boolean: {raw!r}")
-            if key in cls._INTS or key in cls._OPTIONAL_INTS:
-                return int(raw)
-            return float(raw)
+            return _BOOL_WORDS[low] if kind is bool else kind(raw)
         except ValueError as exc:
             raise FormatError(f"bad value for {key!r}: {exc}") from None
+
+
+# each field's (type, whether None is allowed); "T | None" has the args (T, NoneType)
+CONFIG_TYPES = {name: (typing.get_args(hint)[0], True) if typing.get_args(hint) else (hint, False)
+                for name, hint in typing.get_type_hints(TrainConfig).items()}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
+_BOUNDS = (  # (fields, rule, test); a None passes where the annotation allows it
+    (("epochs", "seed", "max_steps"), ">= 0", lambda v: v >= 0),
+    (("batch_size", "critic_steps", "future_frames"), ">= 1", lambda v: v >= 1),
+    (("obs_frames",), ">= 2", lambda v: v >= 2),
+    (("lr", "head_gain", "input_gain", "sigma", "grad_clip"), "positive and finite",
+     lambda v: 0 < v < math.inf),
+    (("p_m", "p_n"), "in [0, 1]", lambda v: 0 <= v <= 1),
+)
+
+
+def default_sigma(values: np.ndarray) -> float:
+    """The noise std when none is configured: 0.05 x the std of values, or 1e-8."""
+    std = float(values.std())
+    return 0.05 * std if std > 0 else 1e-8
 
 
 class Adam:
@@ -229,6 +244,11 @@ class Trainer:
                                  for k, v in asdict(state.params.dims).items()
                                  if v != getattr(dims, k))
                 raise DimsMismatch(f"checkpoint dims vs these clips and config: {diff}")
+            if diff := ", ".join(f"{k} {v} vs {getattr(cfg, k)}"
+                                 for k, v in asdict(state.cfg).items()
+                                 if k not in ("epochs", "max_steps") and v != getattr(cfg, k)):
+                raise FormatError(f"checkpoint config vs this run's: {diff}; a resume "
+                                  "may change only epochs and max_steps")
             self.params, self.sigma = state.params, state.sigma
             self.adam_gen, self.adam_critic = state.adam_gen, state.adam_critic
             self.epoch, self.batch_index = state.epoch, state.batch_index
@@ -240,8 +260,7 @@ class Trainer:
         obs = np.stack([w.observed for w in self.dataset.windows])
         feats, _ = net.build_features(obs, self.root_index, self.cfg.use_quotient,
                                       self.cfg.input_gain)
-        std = float(feats.std())
-        return 0.05 * std if std > 0 else 1e-8
+        return default_sigma(feats)
 
     # deterministic schedule helpers
 
@@ -384,6 +403,7 @@ class Trainer:
             checkpoint_path: str | Path | None = None) -> TrainResult:
         cfg = self.cfg
         reports: list[tuple[int, LossReport]] = []
+        append = self.global_step > 0 and log_path is not None and Path(log_path).exists()
         done = cfg.max_steps is not None and self.global_step >= cfg.max_steps
         while self.epoch < cfg.epochs and not done:
             batches = self._batches(self.epoch)
@@ -407,36 +427,32 @@ class Trainer:
                 self.save(checkpoint_path)
         if checkpoint_path is not None:
             self.save(checkpoint_path)
-        if log_path is not None:
-            Path(log_path).write_text(log_to_csv(reports))
+        if log_path is not None:  # a run that continues another appends to its log
+            with open(log_path, "a" if append else "w") as fh:
+                fh.write(log_to_csv(reports, header=not append))
         return TrainResult(self.params, reports, self.sigma, self.epoch)
 
     def save(self, path: str | Path) -> None:
         save_checkpoint(path, self)
 
 
-def log_to_csv(reports: list[tuple[int, LossReport]]) -> str:
-    rows = [",".join(LOG_COLUMNS)]
+def log_to_csv(reports: list[tuple[int, LossReport]], header: bool = True) -> str:
+    rows = [",".join(LOG_COLUMNS)] if header else []
     for step, r in reports:
         rows.append(
             ",".join([str(step)] + [repr(getattr(r, f)) for f in LOG_COLUMNS[1:]])
         )
-    return "\n".join(rows) + "\n"
+    return "".join(row + "\n" for row in rows)
 
 
 def train(dataset: WindowedDataset, cfg: TrainConfig,
           log_path: str | Path | None = None,
           checkpoint_path: str | Path | None = None,
           resume_from: str | Path | None = None) -> TrainResult:
-    """Train from scratch or resume; returns final params and the log."""
-    if resume_from is not None:
-        trainer = load_trainer(resume_from, dataset)
-        if trainer.cfg != cfg:
-            warnings.warn("resume config differs from checkpoint config; "
-                          "the checkpoint's config wins", stacklevel=2)
-    else:
-        trainer = Trainer(dataset, cfg)
-    return trainer.run(log_path=log_path, checkpoint_path=checkpoint_path)
+    """Train from scratch, or resume_from a checkpoint for cfg's run length;
+    returns final params and the log."""
+    state = load_checkpoint(resume_from) if resume_from is not None else None
+    return Trainer(dataset, cfg, state).run(log_path=log_path, checkpoint_path=checkpoint_path)
 
 
 # checkpoint serialization
@@ -556,18 +572,12 @@ def load_checkpoint(path) -> CheckpointState:
     )
 
 
-def load_trainer(path, dataset: WindowedDataset) -> Trainer:
-    """Rebuild a Trainer mid-run from a checkpoint."""
-    state = load_checkpoint(path)
-    return Trainer(dataset, state.cfg, state)
-
-
 def make_predictor(params: net.ModelParams, use_quotient: bool, input_gain: float,
                    root_index: int = 0):
     """Wrap params into a pure function: observed window -> predicted frames.
 
     Accepts (n, J, 3) or (B, n, J, 3); returns matching (T_f, J, 3) or
-    (B, T_f, J, 3) arrays in mm.
+    (B, T_f, J, 3) arrays in mm. Non-finite output raises NumericalInstability.
     """
 
     def predict(obs: np.ndarray) -> np.ndarray:
@@ -579,6 +589,8 @@ def make_predictor(params: net.ModelParams, use_quotient: bool, input_gain: floa
         with ad.no_grad():
             act = net.forward_backbone(feats, None, params)
             out = net.heads(act, params)["pred"].data
+        if not np.isfinite(out).all():
+            raise NumericalInstability("the predictor's forward pass gave non-finite frames")
         return out[0] if single else out
 
     return predict

@@ -312,8 +312,7 @@ def test_09_determinism_and_checkpointing(tmp_path):
     mid = tmp_path / "mid.mqck"
     half = tr.Trainer(ds, dataclasses.replace(cfg, max_steps=2))
     half.run(checkpoint_path=mid)
-    resumed = tr.load_trainer(mid, ds)
-    resumed.cfg = dataclasses.replace(resumed.cfg, max_steps=None)
+    resumed = tr.Trainer(ds, cfg, tr.load_checkpoint(mid))
     resumed.run()
     rejoined = np.array_equal(
         resumed.params.flat(resumed.params.names),

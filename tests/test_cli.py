@@ -7,10 +7,13 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mqmotion.cli as cli
+import mqmotion.train as tr
 from mqmotion.dataio import parse_mqs, read_mqs_file
-from mqmotion.errors import FormatError
+from mqmotion.errors import FormatError, MotionError
 from mqmotion.train import TrainConfig, load_checkpoint
 
 SMALL_MODEL = """
@@ -94,9 +97,7 @@ PRECEDENCE_CASES = {
 
 
 def config_for(args):
-    parsed = cli.build_parser().parse_args(args)
-    cfgmap = cli.load_config(parsed.config) if parsed.config else {}
-    return cli.build_train_config(parsed, cfgmap)
+    return cli.build_train_config(cli.parse_args(args))
 
 
 class TestPrecedence:
@@ -131,6 +132,70 @@ class TestPrecedence:
         path = write_config(tmp_path, "use_lowrank = false\n")
         cfg = config_for(["train", "dummy.mqs", "--config", path])
         assert not cfg.use_lowrank
+
+
+CONFIG_KEYS = sorted(tr.CONFIG_TYPES) + ["kind", "fps", "joints", "frames", "count",
+                                        "stride", "horizons", "warp_speed", "out", ""]
+CONFIG_VALUES = st.one_of(
+    st.sampled_from(["none", "", "nan", "inf", "-inf", "1e400", "-1", "0", "1", "2", "0.5",
+                     "yes", "off", "maybe", "constant", "80,160", "9" * 5000]),
+    st.integers().map(str), st.floats().map(repr), st.text(max_size=12))
+CONFIG_LINES = st.one_of(
+    st.tuples(st.sampled_from(CONFIG_KEYS) | st.text(max_size=8), CONFIG_VALUES)
+    .map(" = ".join),
+    st.text(max_size=20))  # junk: no "=", stray "#", control characters
+
+
+class TestConfigProperties:
+    @settings(max_examples=100, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(CONFIG_LINES, max_size=6))
+    def test_only_motion_errors_escape(self, tmp_path, lines):
+        path = tmp_path / "gen.cfg"
+        path.write_text("\n".join(lines))
+        try:
+            cli.build_train_config(cli.parse_args(["train", "clip.mqs", "--config", str(path)]))
+        except MotionError:
+            pass
+
+
+class TestOptionValidation:
+    """A bad option value exits 3 with one line naming it, before any file is read."""
+
+    CASES = {
+        "synth_seed": (["synth", "--seed", "-1", "--out", "x.mqs"], None, "seed"),
+        "synth_fps": (["synth", "--fps", "0", "--out", "x.mqs"], None, "fps"),
+        "synth_kind_in_file": (["synth", "--out", "x.mqs"], "kind = bogus\n", "kind"),
+        "perturb_seed": (["perturb", "a.mqs", "--seed", "-1", "--out", "o"], None, "seed"),
+        "train_stride": (["train", "a.mqs", "--stride", "0"], None, "stride"),
+        "train_max_steps": (["train", "a.mqs", "--max-steps", "-1"], None, "max_steps"),
+        "train_input_gain_in_file": (["train", "a.mqs"], "input_gain = nan\n", "input_gain"),
+        "train_pm": (["train", "a.mqs", "--pm", "2"], None, "p_m"),
+        "eval_stride": (["eval", "a.mqs", "--checkpoint", "c.mqck", "--stride", "0"], None,
+                        "stride"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bad_value_is_one_line(self, case, tmp_path, monkeypatch, capsys):
+        argv, config, option = self.CASES[case]
+        monkeypatch.chdir(tmp_path)
+
+        def touched(*args, **kwargs):
+            raise AssertionError("an option value is checked before any file is touched")
+
+        for name in ("read_mqs_file", "load_checkpoint", "write_mqs_file"):
+            monkeypatch.setattr(cli, name, touched)
+        monkeypatch.setattr(tr.Trainer, "_auto_sigma", touched)
+        if config is not None:
+            argv = argv + ["--config", write_config(tmp_path, config)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(argv)
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("mqmotion: code=3 type=FormatError msg=")
+        assert f"{option!r}" in err[0] or f" {option} " in err[0]
 
 
 class TestSynth:
@@ -357,6 +422,34 @@ class TestTrain:
         rc = cli.main(args + (["--config", cfg] if with_config else []))
         return rc, capsys.readouterr().err.splitlines()
 
+    def test_resume_runs_on_to_the_straight_run(self, tmp_path):
+        src = synth_file(tmp_path, frames=40)
+        cfg = write_config(tmp_path, SMALL_MODEL)
+        base = ["train", src, "--config", cfg, "--max-steps"]
+        straight, cut = tmp_path / "straight.mqck", tmp_path / "cut.mqck"
+        assert cli.main(base + ["4", "--out", str(straight)]) == 0
+        assert cli.main(base + ["2", "--out", str(cut)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(base + ["4", "--resume", str(cut), "--out", str(cut)]) == 0
+        assert cut.read_bytes() == straight.read_bytes()
+        assert cut.with_suffix(".csv").read_text() == straight.with_suffix(".csv").read_text()
+
+    def test_resume_with_another_lr_is_data_error(self, tmp_path, capsys):
+        long = synth_file(tmp_path, "long.mqs", frames=40)
+        cfg = write_config(tmp_path, SMALL_MODEL)
+        ckpt = tmp_path / "mid.mqck"
+        assert cli.main(["train", long, "--config", cfg, "--max-steps", "2",
+                         "--out", str(ckpt)]) == 0
+        capsys.readouterr()
+        rc = cli.main(["train", long, "--config", cfg, "--lr", "0.5", "--resume", str(ckpt),
+                       "--out", str(tmp_path / "more.mqck")])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("mqmotion: code=3 type=FormatError msg=")
+        assert "lr 0.001 vs 0.5" in err[0]
+
     def test_resume_on_other_joint_count_is_data_error(self, tmp_path, capsys):
         wide = synth_file(tmp_path, "wide.mqs", joints=5, frames=40)
         rc, err = self.resume(tmp_path, capsys, wide, with_config=True)
@@ -482,6 +575,23 @@ class TestPredictAndEval:
         assert len(err) == 1
         assert err[0].startswith("mqmotion: code=4 type=NumericalInstability msg=")
 
+    def test_predict_non_finite_predictions_is_exit_4(self, tmp_path, capsys):
+        src, ckpt = self.trained(tmp_path)
+        n = load_checkpoint(ckpt).params.n_params
+        raw = ckpt.read_bytes()
+        start = 16 + struct.unpack("<Q", raw[8:16])[0]
+        huge = np.full(n, 1e300).astype("<f8").tobytes()  # the forward overflows
+        ckpt.write_bytes(raw[:start] + huge + raw[start + 8 * n :])
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["predict", src, "--checkpoint", str(ckpt)])
+        assert rc == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("mqmotion: code=4 type=NumericalInstability msg=")
+        assert not (tmp_path / "clip.pred.mqs").exists()
+
     def test_eval_bad_horizons(self, tmp_path, capsys):
         src, ckpt = self.trained(tmp_path)
         rc = cli.main(["eval", src, "--checkpoint", str(ckpt),
@@ -505,6 +615,15 @@ class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         assert cli.main(["synth", "--out", "x.mqs", "--warp", "9"]) == 2
         capsys.readouterr()
+
+    def test_config_not_utf8_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "bin.cfg"
+        path.write_bytes(b"lr = \xff\n")
+        rc = cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "x.mqs")])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("mqmotion: code=3 type=UnicodeDecodeError msg=")
 
     def test_error_line_shape(self, tmp_path, capsys):
         rc = cli.main(["transform", str(tmp_path / "nope.mqs"),

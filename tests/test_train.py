@@ -61,9 +61,14 @@ class TestTrainConfig:
         dict(epochs=-1), dict(batch_size=0), dict(critic_steps=0),
         dict(obs_frames=1), dict(future_frames=0), dict(grad_clip=0.0),
         dict(seed=-1), dict(gp_lambda=-1.0), dict(lr=float("nan")), dict(lr=0.0),
+        dict(max_steps=-1), dict(input_gain=float("nan")), dict(head_gain=0.0),
+        dict(p_m=2.0), dict(p_n=-0.1), dict(sigma=0.0), dict(grad_clip=float("inf")),
+        dict(lr="fast"), dict(epochs=1.5), dict(use_quotient=1), dict(seed=True),
+        dict(heads=3),
     ])
     def test_validation(self, bad):
-        with pytest.raises(ValueError):
+        (name,) = bad
+        with pytest.raises(FormatError, match=name if name != "heads" else "divisible"):
             small_cfg(**bad)
 
     def test_weights_mapping(self):
@@ -328,8 +333,9 @@ class TestCheckpoint:
     def test_round_trip_is_bitwise(self, tmp_path):
         ckpt, cfg = self.run_short(tmp_path)
         ds = small_dataset()
-        trainer = tr.load_trainer(ckpt, ds)
-        assert trainer.cfg == cfg
+        state = tr.load_checkpoint(ckpt)
+        assert state.cfg == cfg
+        trainer = tr.Trainer(ds, cfg, state)
         assert trainer.epoch == 1 and trainer.batch_index == 0
         assert trainer.global_step == 2
         assert trainer.adam_gen.t == 2 and trainer.adam_critic.t == 2
@@ -419,9 +425,8 @@ class TestCheckpoint:
         ckpt = tmp_path / "mid.mqck"
         cfg_cut = dataclasses.replace(cfg_full, max_steps=3)
         tr.train(small_dataset(), cfg_cut, checkpoint_path=ckpt)
-        resumed = tr.load_trainer(ckpt, small_dataset())
+        resumed = tr.Trainer(small_dataset(), cfg_full, tr.load_checkpoint(ckpt))
         assert resumed.epoch == 1 and resumed.batch_index == 1
-        resumed.cfg = dataclasses.replace(resumed.cfg, max_steps=None)
         result = resumed.run()
         assert [step for step, _ in result.reports] == [3]
         assert np.array_equal(result.params.flat(), straight.params.flat())
@@ -435,13 +440,25 @@ class TestCheckpoint:
             raise AssertionError("a resumed run takes sigma from its checkpoint")
 
         monkeypatch.setattr(tr.Trainer, "_auto_sigma", no_pass)
-        assert tr.load_trainer(ckpt, small_dataset()).sigma == tr.load_checkpoint(ckpt).sigma
+        state = tr.load_checkpoint(ckpt)
+        assert tr.Trainer(small_dataset(), state.cfg, state).sigma == state.sigma
 
-    def test_resume_with_differing_config_warns(self, tmp_path):
+    def test_resume_with_differing_config_is_error(self, tmp_path):
         ckpt, cfg = self.run_short(tmp_path)
-        other = dataclasses.replace(cfg, lr=0.5)
-        with pytest.warns(UserWarning, match="checkpoint's config wins"):
+        other = dataclasses.replace(cfg, lr=0.5, seed=3, epochs=4)
+        with pytest.raises(FormatError, match=r"lr 0\.01 vs 0\.5, seed 0 vs 3; "
+                                              r"a resume may change only epochs and max_steps"):
             tr.train(small_dataset(), other, resume_from=ckpt)
+
+    def test_resume_appends_to_its_log(self, tmp_path):
+        cfg_full = small_cfg(epochs=2)
+        straight = tmp_path / "straight.csv"
+        tr.train(small_dataset(), cfg_full, log_path=straight)
+        ckpt, log = tmp_path / "mid.mqck", tmp_path / "mid.csv"
+        tr.train(small_dataset(), dataclasses.replace(cfg_full, max_steps=3),
+                 log_path=log, checkpoint_path=ckpt)
+        tr.train(small_dataset(), cfg_full, log_path=log, resume_from=ckpt)
+        assert log.read_text() == straight.read_text()
 
 
 class TestPredictor:
