@@ -11,9 +11,18 @@ with batched leading dims, reductions, shape ops, basic slicing, and the
 smooth nonlinearities (exp, log, tanh, sqrt). These primitives have exact
 higher-order gradients.
 
-The fused nodes softmax, layer_norm and gelu are first-order only. Each is
-one graph node whose forward and closed-form VJP are plain numpy, because
-they sit on the backbone path, which is only ever differentiated once; as
+Fused nodes are first-order only. ``fused`` makes one graph node over any
+number of parents from a numpy forward result and one closed-form numpy
+backward that returns every parent's gradient. The fused nodes are:
+
+- ``softmax``, ``layer_norm`` and ``gelu``, built on the numpy kernels
+  ``softmax_forward``/``softmax_backward``, ``layer_norm_forward``/
+  ``layer_norm_backward`` and ``gelu_forward``/``gelu_backward``;
+- the backbone's sublayers in ``network``: spatial attention and temporal
+  attention, each with its feed-forward, and the position-wise FFN, each
+  node including its residual and post-LN, built on the same kernels.
+
+They sit on the backbone path, which is only ever differentiated once; as
 chains of primitives they made up most of a training step's graph. A
 backward with ``create_graph=True`` that reaches one of them raises
 NotImplementedError rather than return a gradient without its graph. The
@@ -41,6 +50,11 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+def grad_enabled() -> bool:
+    """Whether operations build a graph now (False inside no_grad)."""
+    return _grad_enabled
 
 
 class Tensor:
@@ -348,81 +362,172 @@ def concat(tensors, axis=0) -> Tensor:
 
 # fused first-order nodes
 
-def _fused(name: str, data: np.ndarray, parents: tuple, vjps: tuple) -> Tensor:
-    """One graph node whose VJPs map a numpy gradient to numpy arrays.
+def fused(name: str, data: np.ndarray, parents: tuple, backward) -> Tensor:
+    """One graph node over several parents, with a numpy backward.
+
+    backward maps the output's gradient (an ndarray) to a sequence of
+    ndarray gradients, one per parent in order. It runs once per gradient
+    reaching the node: the first parent's VJP calls it, and the results are
+    handed out to the parents in the order grad visits them.
 
     Backward runs with graph building enabled only under create_graph=True,
-    and these VJPs cannot build a graph, so that case raises.
+    and a numpy backward cannot build a graph, so that case raises.
     """
+    out = Tensor(data)
+    if not _grad_enabled:
+        return out
+    last = max((i for i, p in enumerate(parents) if p.requires_grad), default=-1)
+    memo: list = [None, None]  # (gradient seen, backward's results for it)
 
-    def lift(vjp):
+    def lift(i):
         def tensor_vjp(g: Tensor) -> Tensor:
             if _grad_enabled:
                 raise NotImplementedError(
                     f"{name} is first-order only; create_graph=True cannot pass through it"
                 )
-            return Tensor(vjp(g.data))
+            if memo[0] is not g:
+                memo[0], memo[1] = g, backward(g.data)
+            pg = memo[1][i]
+            if i == last:
+                memo[0] = memo[1] = None
+            return Tensor(pg)
 
         return tensor_vjp
 
-    return _attach(Tensor(data), parents, tuple(lift(f) for f in vjps))
+    return _attach(out, parents, tuple(lift(i) for i in range(len(parents))))
+
+
+# numpy's reductions are several times slower than elementwise work over the
+# short axes the backbone reduces (rank 8, a few tokens, width 32), hence the
+# two helpers below. Forwards keep numpy's sums: a GEMV's rounding can depend
+# on a row's position, and a sample's output must not depend on its batch.
+
+def _sum_keepdims(a: np.ndarray, axis: int) -> np.ndarray:
+    """np.sum(a, axis, keepdims=True), as a GEMV over a C-contiguous last axis."""
+    if axis % a.ndim == a.ndim - 1 and a.flags.c_contiguous:
+        n = a.shape[-1]
+        return (a.reshape(-1, n) @ np.ones(n)).reshape(a.shape[:-1] + (1,))
+    return np.sum(a, axis=axis, keepdims=True)
+
+
+def _max_keepdims(a: np.ndarray, axis: int) -> np.ndarray:
+    """np.max(a, axis, keepdims=True) by halving the axis; exact."""
+    axis %= a.ndim
+    while a.shape[axis] > 1:
+        n = a.shape[axis]
+        half = (n + 1) // 2  # an odd length overlaps the middle entry
+        lead = (slice(None),) * axis
+        a = np.maximum(a[lead + (slice(0, half),)], a[lead + (slice(n - half, n),)])
+    return a
+
+
+def softmax_forward(a: np.ndarray, axis: int) -> np.ndarray:
+    """Shift-stabilized softmax; the shift is a constant, which is exact."""
+    e = a - _max_keepdims(a, axis)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e
+
+
+def softmax_backward(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """y * (g - sum(g * y)), computed in one scratch array."""
+    d = g * y
+    np.subtract(g, _sum_keepdims(d, axis), out=d)
+    d *= y
+    return d
 
 
 def softmax(a, axis=-1) -> Tensor:
-    """Shift-stabilized softmax; the shift is a constant, which is exact."""
     a = as_tensor(a)
-    e = np.exp(a.data - np.max(a.data, axis=axis, keepdims=True))
-    y = e / np.sum(e, axis=axis, keepdims=True)
+    y = softmax_forward(a.data, axis)
+    return fused("softmax", y, (a,), lambda g: (softmax_backward(y, g, axis),))
 
-    def vjp(g):
-        return y * (g - np.sum(g * y, axis=axis, keepdims=True))
 
-    return _fused("softmax", y, (a,), (vjp,))
+def layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5):
+    """Normalize over the last axis, then scale and shift.
+
+    Returns (output, normalized x, std); the last two feed layer_norm_backward.
+    """
+    n = float(x.shape[-1])
+    y = x - np.sum(x, axis=-1, keepdims=True) / n
+    out = y * y
+    std = np.sqrt(np.sum(out, axis=-1, keepdims=True) / n + eps)
+    # divide rather than multiply by 1/std: the same rounding as the
+    # primitive chain this node replaced
+    y /= std
+    np.multiply(y, gamma, out=out)
+    out += beta
+    return out, y, std
+
+
+def layer_norm_backward(g: np.ndarray, gamma: np.ndarray, y: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """Gradient with respect to layer_norm_forward's x."""
+    n = float(y.shape[-1])
+    gy = g * gamma
+    scratch = gy * y
+    mean_gyy = _sum_keepdims(scratch, -1) / n
+    gy -= _sum_keepdims(gy, -1) / n
+    gy -= np.multiply(y, mean_gyy, out=scratch)
+    gy /= std
+    return gy
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    n = float(x.shape[-1])
-    xc = x.data - np.sum(x.data, axis=-1, keepdims=True) / n
-    std = np.sqrt(np.sum(xc * xc, axis=-1, keepdims=True) / n + eps)
-    # divide rather than multiply by 1/std: the same rounding as the
-    # primitive chain this node replaced
-    y = xc / std
+    out, y, std = layer_norm_forward(x.data, gamma.data, beta.data, eps)
 
-    def vjp_x(g):
-        gy = g * gamma.data
-        mean_gy = np.sum(gy, axis=-1, keepdims=True) / n
-        mean_gyy = np.sum(gy * y, axis=-1, keepdims=True) / n
-        return (gy - mean_gy - y * mean_gyy) / std
+    def backward(g):
+        return (
+            layer_norm_backward(g, gamma.data, y, std),
+            _unbroadcast(Tensor(g * y), gamma.shape).data,
+            _unbroadcast(Tensor(g), beta.shape).data,
+        )
 
-    return _fused(
-        "layer_norm",
-        y * gamma.data + beta.data,
-        (x, gamma, beta),
-        (
-            vjp_x,
-            lambda g: _unbroadcast(Tensor(g * y), gamma.shape).data,
-            lambda g: _unbroadcast(Tensor(g), beta.shape).data,
-        ),
-    )
+    return fused("layer_norm", out, (x, gamma, beta), backward)
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 
 
+def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tanh-form gelu: smooth everywhere, safe for finite differences.
+
+    Returns (output, tanh term); the tanh term feeds gelu_backward.
+    """
+    t = x * x
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)  # tanh(c * (x + a * x^3))
+    out = t + 1.0
+    out *= x
+    out *= 0.5  # exact, so equal to (0.5 * x) * (1 + t)
+    return out, t
+
+
+def gelu_backward(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g * (0.5 * (1 + t) + 0.5 * x * (1 - t^2) * c * (1 + 3a * x^2))."""
+    s = t * t
+    np.subtract(1.0, s, out=s)
+    d = x * x
+    d *= 3.0 * _GELU_A
+    d += 1.0
+    d *= _GELU_C
+    d *= s
+    d *= x
+    d += t
+    d += 1.0
+    d *= 0.5
+    d *= g
+    return d
+
+
 def gelu(x) -> Tensor:
-    """tanh-form gelu: smooth everywhere, safe for finite differences."""
     x = as_tensor(x)
-    xd = x.data
-    t = np.tanh(_GELU_C * (xd + _GELU_A * (xd * xd * xd)))
-
-    def vjp(g):
-        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * (xd * xd))
-        return g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner)
-
-    return _fused("gelu", (0.5 * xd) * (1.0 + t), (x,), (vjp,))
+    out, t = gelu_forward(x.data)
+    return fused("gelu", out, (x,), lambda g: (gelu_backward(x.data, t, g),))
 
 
 # backward

@@ -94,6 +94,20 @@ def _require(args, *names: str, zero_ok: bool = False) -> None:
             raise FormatError(f"bad value for {name!r}: must be {sign} and finite, got {value!r}")
 
 
+def _require_sinusoid_angle(args) -> None:
+    """FormatError naming fps or base_period (the smaller) when their product
+    underflows or the sinusoid's largest angle, 2 pi joints (frames - 1) /
+    (fps * base_period), is not finite."""
+    period = args.fps * args.base_period
+    angle = 2 * math.pi * args.joints * (args.frames - 1) / period if period > 0 else math.inf
+    if not math.isfinite(angle):
+        name = "fps" if args.fps <= args.base_period else "base_period"
+        raise FormatError(
+            f"bad value for {name!r}: fps * base_period = {period!r} makes the "
+            f"sinusoid's angle non-finite"
+        )
+
+
 def _field_flag(p: argparse.ArgumentParser, flag: str, name: str, help: str) -> None:
     """A flag for TrainConfig field name, typed by its annotation; when it is not
     given, the config-file value or else the field default holds."""
@@ -213,6 +227,8 @@ def build_parser(file_values: dict | None = None) -> argparse.ArgumentParser:
 def _cmd_synth(args, cfg) -> int:
     _require(args, "joints", "frames", "fps", "count", "base_period")
     _require(args, "amplitude", "offset_scale", zero_ok=True)
+    if args.kind == "sinusoid":
+        _require_sinusoid_angle(args)
     out = Path(args.out)
     single_file = args.count == 1 and out.suffix == ".mqs"
     if not single_file:

@@ -4,16 +4,29 @@ Tokens are joint-frames: an input window becomes a (B, T, J, D) activation
 where spatial attention mixes joints within a frame and temporal attention
 mixes frames within a joint. Both attentions are low-rank: queries and
 keys are projected to rank r per head and normalized (softmax over the
-rank axis for queries, over the token axis for keys), so aggregation costs
-O(tokens * r) instead of O(tokens^2); a learnable square gate (initialized
-to identity) then remixes token outputs per head. With the low-rank flag
-off, a plain full-rank scaled-dot-product block is used and the gates
-disappear.
+rank axis for queries, over the token axis for keys), so the aggregation
+itself costs O(tokens * r) instead of O(tokens^2); a learnable square gate
+(initialized to identity) then remixes token outputs. The gate is an N x N
+product per group of N tokens, so the form as a whole stays quadratic in
+N. perfbench/sweep.py measures the low-rank form no faster than full
+attention at the 22-joint, 9-token windows of the H3.6M-shaped workloads;
+it pays off only at a few hundred tokens per sample. With the low-rank
+flag off, a plain full-rank scaled-dot-product block is used and the
+gates disappear.
 
 Each attention ends with a small feed-forward over the concatenated heads;
 each block runs spatial attention, temporal attention, and a position-wise
 FFN, every sublayer wrapped in residual-plus-layernorm. Zero blocks means
 the embedding passes through untouched.
+
+Each sublayer, residual and post-LN included, is one first-order graph
+node (autodiff.fused): a numpy forward that keeps its intermediates and a
+closed-form numpy backward. In the low-rank form the rank projections fold
+into the query and key projections, x @ (w p) instead of (x @ w) @ p,
+which changes rounding but not the function. A key bias (bk, and pk_b in
+the low-rank form) adds the same logit to every token of a head, which the
+softmax over tokens cancels: its true gradient is exactly zero (about
+1e-15 in floating point), so it stays near its initial zeros.
 
 The Tensor returned by the forward functions carries the backward graph;
 that graph is the "activation cache" consumed by parameter_gradients.
@@ -289,77 +302,232 @@ def embed(features, token_mask, params: ModelParams) -> Tensor:
     return emb
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    b, t, n, d = x.shape
-    x = ad.reshape(x, (b, t, n, heads, d // heads))
-    return ad.transpose(x, (0, 1, 3, 2, 4))  # (B, T, H, N, Dh)
+# Parameter names of each sublayer, in the order its fused node lists them.
+_QKV = ("wq", "bq", "wk", "bk", "wv", "bv")
+_GATED = ("pq", "pq_b", "pk", "pk_b", "gate")
+_ATTN_FF = ("ff_w1", "ff_b1", "ff_w2", "ff_b2")
+_FFN = ("w1", "b1", "w2", "b2")
+_LN = ("ln_g", "ln_b")
 
 
-def _merge_heads(x: Tensor) -> Tensor:
-    b, t, h, n, dh = x.shape
-    x = ad.transpose(x, (0, 1, 3, 2, 4))
-    return ad.reshape(x, (b, t, n, h * dh))
+# The numpy forwards and backwards of the sublayer nodes. A backward product
+# with a weight's transpose takes w.T.copy(): numpy's batched matmul runs
+# about 1.7x slower with a transposed right operand.
+
+def _sum_leading(a: np.ndarray) -> np.ndarray:
+    """Sum over the first axis as a GEMV, which beats numpy's axis-0 sum."""
+    return np.ones(a.shape[0]) @ a.reshape(a.shape[0], -1)
 
 
-def _attention_heads(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
-    """Gated per-head aggregation over the second-to-last axis of x.
+def _weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Gradient of W in x @ W, summed over every token axis.
 
-    x is (B, G, N, D): attention runs over the N tokens within each of the
-    G groups. Returns the concatenated heads (B, G, N, D), before the
-    attention feed-forward.
+    One GEMM per sample over its tokens, then a sum over the samples: a
+    single 2-D GEMM over all tokens is slower once it spans a few thousand.
     """
-    dims = params.dims
-    q = ad.add(ad.matmul(x, params.t(f"{prefix}.wq")), params.t(f"{prefix}.bq"))
-    k = ad.add(ad.matmul(x, params.t(f"{prefix}.wk")), params.t(f"{prefix}.bk"))
-    v = ad.add(ad.matmul(x, params.t(f"{prefix}.wv")), params.t(f"{prefix}.bv"))
-    qh = _split_heads(q, dims.heads)
-    kh = _split_heads(k, dims.heads)
-    vh = _split_heads(v, dims.heads)
+    b = x.shape[0]
+    per_sample = x.reshape(b, -1, x.shape[-1]).swapaxes(-1, -2) @ dy.reshape(b, -1, dy.shape[-1])
+    return _sum_leading(per_sample).reshape(x.shape[-1], dy.shape[-1])
+
+
+def _bias_grad(dy: np.ndarray) -> np.ndarray:
+    """Gradient of b in x @ W + b: dy summed over every token axis."""
+    return _sum_leading(dy.reshape(-1, dy.shape[-1]))
+
+
+def _fold(w, b, p, pb, heads: int):
+    """Fold a per-head rank projection into the projection it follows.
+
+    With w (D, D), b (D,), p (H, Dh, r) and pb (H, 1, r), returns W (D, H*r)
+    and B (H*r,) such that x @ W + B equals, head by head, the rank-r map
+    (x @ w + b)[head's Dh columns] @ p[head] + pb[head].
+    """
+    d = w.shape[0]
+    w3 = w.reshape(d, heads, -1).transpose(1, 0, 2)  # (H, D, Dh)
+    return (w3 @ p).transpose(1, 0, 2).reshape(d, -1), (b.reshape(heads, 1, -1) @ p + pb).reshape(-1)
+
+
+def _unfold_grads(dw_f, db_f, w, b, p, heads: int):
+    """Chain the gradients of _fold's (W, B) back to those of (w, b, p, pb)."""
+    d = w.shape[0]
+    dw3 = dw_f.reshape(d, heads, -1).transpose(1, 0, 2)  # (H, D, r)
+    db3 = db_f.reshape(heads, 1, -1)  # (H, 1, r)
+    w3 = w.reshape(d, heads, -1).transpose(1, 0, 2)  # (H, D, Dh)
+    pt = p.swapaxes(-1, -2)
+    dp = w3.swapaxes(-1, -2) @ dw3 + b.reshape(heads, 1, -1).swapaxes(-1, -2) @ db3
+    return (dw3 @ pt).transpose(1, 0, 2).reshape(d, -1), (db3 @ pt).reshape(-1), dp, db3
+
+
+def _attention(x: np.ndarray, P: dict, dims: ModelDims):
+    """Attention heads over the second-to-last axis of x (B, G, N, D).
+
+    Attention runs over the N tokens within each of the G groups. Returns
+    the concatenated heads (B, G, N, D), before the attention feed-forward,
+    and their backward: a map from the heads' gradient to (dx, {parameter
+    suffix: gradient}).
+    """
+    b, g, n, d = x.shape
+    h, dh, r = dims.heads, dims.head_dim, dims.rank
+
+    def split(a, w):  # (B, G, N, H*w) -> (B, G, H, N, w), a view
+        return a.reshape(b, g, n, h, w).transpose(0, 1, 3, 2, 4)
+
+    def merge(a):  # (B, G, H, N, w) -> (B, G, N, H*w)
+        return a.transpose(0, 1, 3, 2, 4).reshape(b, g, n, -1)
+
+    vh = split(x @ P["wv"] + P["bv"], dh)
     if dims.lowrank:
-        # phi(Q): rows normalized over the rank axis; phi(K): over tokens
-        aq = ad.softmax(
-            ad.add(ad.matmul(qh, params.t(f"{prefix}.pq")), params.t(f"{prefix}.pq_b")),
-            axis=-1,
-        )
-        ak = ad.softmax(
-            ad.add(ad.matmul(kh, params.t(f"{prefix}.pk")), params.t(f"{prefix}.pk_b")),
-            axis=-2,
-        )
-        ctx = ad.matmul(ad.swapaxes(ak, -1, -2), vh)  # (B, G, H, r, Dh)
-        out = ad.matmul(aq, ctx)  # (B, G, H, N, Dh)
-        out = ad.matmul(params.t(f"{prefix}.gate"), out)
+        # The rank projections fold into the query and key projections, and
+        # the gate, shared by all heads, mixes the merged heads at once. The
+        # softmaxes run on (B, G, N, H, r) arrays, contiguous over the rank.
+        wq, bq = _fold(P["wq"], P["bq"], P["pq"], P["pq_b"], h)
+        wk, bk = _fold(P["wk"], P["bk"], P["pk"], P["pk_b"], h)
+        aq = ad.softmax_forward((x @ wq + bq).reshape(b, g, n, h, r), -1)  # phi(Q): over the rank
+        ak = ad.softmax_forward((x @ wk + bk).reshape(b, g, n, h, r), 2)  # phi(K): over tokens
+        aqh, akh = aq.transpose(0, 1, 3, 2, 4), ak.transpose(0, 1, 3, 2, 4)
+        ctx = akh.swapaxes(-1, -2) @ vh  # (B, G, H, r, Dh)
+        mixed = merge(aqh @ ctx)
+        out = P["gate"] @ mixed
     else:
-        scores = ad.mul(
-            ad.matmul(qh, ad.swapaxes(kh, -1, -2)), 1.0 / np.sqrt(dims.head_dim)
-        )
-        out = ad.matmul(ad.softmax(scores, axis=-1), vh)
-    return _merge_heads(out)
+        scale = 1.0 / np.sqrt(dh)
+        qh = split(x @ P["wq"] + P["bq"], dh)
+        kh = split(x @ P["wk"] + P["bk"], dh)
+        att = ad.softmax_forward((qh @ kh.swapaxes(-1, -2)) * scale, -1)
+        out = merge(att @ vh)
+    if not ad.grad_enabled():
+        return out, None  # and the intermediates go with this frame
+
+    def backward(dout):
+        grads = {}
+        if dims.lowrank:
+            grads["gate"] = _sum_leading((dout @ mixed.swapaxes(-1, -2)).reshape(b * g, -1)).reshape(n, n)
+            dmixed = split(P["gate"].T.copy() @ dout, dh)
+            dctx = aqh.swapaxes(-1, -2) @ dmixed
+            dvh = akh @ dctx
+            dq = ad.softmax_backward(aq, (dmixed @ ctx.swapaxes(-1, -2)).transpose(0, 1, 3, 2, 4), -1)
+            dk = ad.softmax_backward(ak, (vh @ dctx.swapaxes(-1, -2)).transpose(0, 1, 3, 2, 4), 2)
+            proj = (("q", wq, dq.reshape(b, g, n, -1)), ("k", wk, dk.reshape(b, g, n, -1)))
+        else:
+            douth = split(dout, dh)
+            dvh = att.swapaxes(-1, -2) @ douth
+            ds = ad.softmax_backward(att, douth @ vh.swapaxes(-1, -2), -1) * scale
+            proj = (("q", P["wq"], merge(ds @ kh)), ("k", P["wk"], merge(ds.swapaxes(-1, -2) @ qh)))
+        dv = merge(dvh)
+        xs = x.reshape(b, -1, d)  # copies a swapped (temporal) input once
+        grads["wv"], grads["bv"] = _weight_grad(xs, dv), _bias_grad(dv)
+        dx = dv @ P["wv"].T.copy()
+        for c, w, dy in proj:
+            dw, db = _weight_grad(xs, dy), _bias_grad(dy)
+            dx += dy @ w.T.copy()
+            if dims.lowrank:
+                dw, db, grads[f"p{c}"], grads[f"p{c}_b"] = _unfold_grads(
+                    dw, db, P[f"w{c}"], P[f"b{c}"], P[f"p{c}"], h
+                )
+            grads[f"w{c}"], grads[f"b{c}"] = dw, db
+        return dx, grads
+
+    return out, backward
 
 
-def _attention_ff(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
-    h = ad.gelu(ad.add(ad.matmul(x, params.t(f"{prefix}.ff_w1")), params.t(f"{prefix}.ff_b1")))
-    return ad.add(ad.matmul(h, params.t(f"{prefix}.ff_w2")), params.t(f"{prefix}.ff_b2"))
+def _mlp(x: np.ndarray, P: dict, names: tuple):
+    """gelu MLP over the last axis with weights P[names] = (w1, b1, w2, b2)."""
+    w1, b1, w2, b2 = (P[s] for s in names)
+    pre = x @ w1 + b1
+    hidden, t = ad.gelu_forward(pre)
+    if not ad.grad_enabled():
+        return hidden @ w2 + b2, None
+
+    def backward(dy):
+        dpre = ad.gelu_backward(pre, t, dy @ w2.T.copy())
+        grads = (_weight_grad(x, dpre), _bias_grad(dpre), _weight_grad(hidden, dy), _bias_grad(dy))
+        return dpre @ w1.T.copy(), dict(zip(names, grads))
+
+    return hidden @ w2 + b2, backward
+
+
+def _residual_post_ln(x: np.ndarray, y: np.ndarray, P: dict, branch_backward):
+    """LN(x + y) and the backward of the whole residual sublayer.
+
+    branch_backward maps the gradient of y to (dx, grads) for the branch
+    that computed y from x.
+    """
+    out, normed, std = ad.layer_norm_forward(x + y, P["ln_g"], P["ln_b"])
+    if not ad.grad_enabled():
+        return out, None
+
+    def backward(g):
+        dz = ad.layer_norm_backward(g, P["ln_g"], normed, std)
+        dx, grads = branch_backward(dz)
+        grads["ln_g"], grads["ln_b"] = _bias_grad(g * normed), _bias_grad(g)
+        return dz + dx, grads
+
+    return out, backward
+
+
+def _sublayer(h: Tensor, params: ModelParams, prefix: str, names: tuple, forward) -> Tensor:
+    """One fused graph node over h and the parameters prefix.<names>.
+
+    forward maps (h's array, {name: array}) to (output array, backward), and
+    backward maps the output's gradient to (dh, {name: gradient}). Under
+    no_grad every forward returns None for its backward instead of keeping
+    its intermediates alive, so inference holds one stage's arrays at a time.
+    """
+    tensors = tuple(params.t(f"{prefix}.{s}") for s in names)
+    out, backward = forward(h.data, {s: t.data for s, t in zip(names, tensors)})
+
+    def vjp(g):
+        dh, grads = backward(g)
+        return (dh, *(grads[s] for s in names))
+
+    return ad.fused(prefix, out, (h, *tensors), vjp)
+
+
+def _attention_sublayer(h, params: ModelParams, layer: int, branch: str, pre_ff: bool) -> Tensor:
+    """LN(h + FF(heads(h))) over joints (spatial) or frames (temporal).
+
+    With pre_ff, the concatenated heads alone. Either way one graph node.
+    """
+    h = ad.as_tensor(h)
+    _check_act(h, params, name=branch)
+    dims = params.dims
+    # the attention runs over axis -2: joints as they are, frames swapped in
+    swap = (lambda a: a) if branch == "spatial" else (lambda a: a.swapaxes(1, 2))
+
+    def forward(x, P):
+        heads, heads_backward = _attention(swap(x), P, dims)
+        if pre_ff:
+
+            def pre_ff_backward(g):
+                dx, grads = heads_backward(swap(g))
+                return swap(dx), grads
+
+            return swap(heads), pre_ff_backward
+        y, ff_backward = _mlp(heads, P, _ATTN_FF)
+
+        def branch_backward(dy):
+            dheads, grads = ff_backward(np.ascontiguousarray(swap(dy)))
+            dx, attn_grads = heads_backward(dheads)
+            grads.update(attn_grads)
+            return swap(dx), grads
+
+        return _residual_post_ln(x, swap(y), P, branch_backward)
+
+    names = _QKV + (_GATED if dims.lowrank else ()) + (() if pre_ff else _ATTN_FF + _LN)
+    return _sublayer(h, params, f"layer{layer}.{branch}", names, forward)
 
 
 def spatial_attention(h, params: ModelParams, layer: int, pre_ff: bool = False) -> Tensor:
-    """Mix joints within each frame: (B, T, J, D) -> (B, T, J, D)."""
-    h = ad.as_tensor(h)
-    _check_act(h, params, name="spatial")
-    prefix = f"layer{layer}.spatial"
-    heads = _attention_heads(h, params, prefix)
-    return heads if pre_ff else _attention_ff(heads, params, prefix)
+    """Mix joints within each frame, residual and post-LN included:
+    (B, T, J, D) -> (B, T, J, D). pre_ff=True returns the concatenated
+    attention heads instead, before the feed-forward and the residual."""
+    return _attention_sublayer(h, params, layer, "spatial", pre_ff)
 
 
 def temporal_attention(h, params: ModelParams, layer: int, pre_ff: bool = False) -> Tensor:
-    """Mix frames within each joint: (B, T, J, D) -> (B, T, J, D)."""
-    h = ad.as_tensor(h)
-    _check_act(h, params, name="temporal")
-    prefix = f"layer{layer}.temporal"
-    ht = ad.swapaxes(h, 1, 2)  # (B, J, T, D)
-    out = _attention_heads(ht, params, prefix)
-    if not pre_ff:
-        out = _attention_ff(out, params, prefix)
-    return ad.swapaxes(out, 1, 2)
+    """Mix frames within each joint, residual and post-LN included:
+    (B, T, J, D) -> (B, T, J, D). pre_ff=True returns the concatenated
+    attention heads instead, before the feed-forward and the residual."""
+    return _attention_sublayer(h, params, layer, "temporal", pre_ff)
 
 
 def _check_act(h: Tensor, params: ModelParams, name: str) -> None:
@@ -375,27 +543,27 @@ def _check_act(h: Tensor, params: ModelParams, name: str) -> None:
 
 
 def _ffn(h: Tensor, params: ModelParams, layer: int) -> Tensor:
-    p = f"layer{layer}.ffn"
-    inner = ad.gelu(ad.add(ad.matmul(h, params.t(f"{p}.w1")), params.t(f"{p}.b1")))
-    return ad.add(ad.matmul(inner, params.t(f"{p}.w2")), params.t(f"{p}.b2"))
+    """Position-wise FFN sublayer, residual and post-LN included."""
 
+    def forward(x, P):
+        y, branch_backward = _mlp(x, P, _FFN)
+        return _residual_post_ln(x, y, P, branch_backward)
 
-def _post_ln(h: Tensor, params: ModelParams, prefix: str) -> Tensor:
-    return ad.layer_norm(h, params.t(f"{prefix}.ln_g"), params.t(f"{prefix}.ln_b"))
+    return _sublayer(h, params, f"layer{layer}.ffn", _FFN + _LN, forward)
 
 
 def forward_backbone(features, token_mask, params: ModelParams) -> Tensor:
     """Embed then run all blocks; returns the (B, T, J, D) activation.
 
     Each block: spatial attention, temporal attention, position-wise FFN,
-    each residual-added and layer-normalized (post-LN). With zero layers
-    the embedding passes through exactly.
+    each residual-added and layer-normalized (post-LN) inside its own
+    sublayer node. With zero layers the embedding passes through exactly.
     """
     h = embed(features, token_mask, params)
     for i in range(params.dims.layers):
-        h = _post_ln(ad.add(h, spatial_attention(h, params, i)), params, f"layer{i}.spatial")
-        h = _post_ln(ad.add(h, temporal_attention(h, params, i)), params, f"layer{i}.temporal")
-        h = _post_ln(ad.add(h, _ffn(h, params, i)), params, f"layer{i}.ffn")
+        h = spatial_attention(h, params, i)
+        h = temporal_attention(h, params, i)
+        h = _ffn(h, params, i)
     return h
 
 

@@ -165,6 +165,13 @@ class TestOptionValidation:
     CASES = {
         "synth_seed": (["synth", "--seed", "-1", "--out", "x.mqs"], None, "seed"),
         "synth_fps": (["synth", "--fps", "0", "--out", "x.mqs"], None, "fps"),
+        "synth_fps_angle_overflow": (["synth", "--fps", "1e-320", "--out", "x.mqs"], None,
+                                     "fps"),
+        "synth_base_period_angle_overflow": (
+            ["synth", "--base-period", "1e-320", "--out", "x.mqs"], None, "base_period"),
+        "synth_period_underflow": (
+            ["synth", "--fps", "1e-200", "--base-period", "1e-170", "--out", "x.mqs"], None,
+            "fps"),
         "synth_kind_in_file": (["synth", "--out", "x.mqs"], "kind = bogus\n", "kind"),
         "perturb_seed": (["perturb", "a.mqs", "--seed", "-1", "--out", "o"], None, "seed"),
         "train_stride": (["train", "a.mqs", "--stride", "0"], None, "stride"),
@@ -199,6 +206,18 @@ class TestOptionValidation:
 
 
 class TestSynth:
+    def test_overflowing_period_is_accepted(self, tmp_path):
+        # fps * base_period = inf makes every angle 0: a static sinusoid pose
+        out = tmp_path / "still.mqs"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["synth", "--fps", "1e300", "--base-period", "1e300",
+                           "--frames", "4", "--out", str(out)])
+        assert rc == 0
+        data = parse_mqs(out.read_text()).sequence.frames
+        assert np.isfinite(data).all()
+        assert np.array_equal(data[0], data[-1])
+
     def test_single_file(self, tmp_path, capsys):
         out = tmp_path / "one.mqs"
         rc = cli.main(["synth", "--joints", "4", "--frames", "12",

@@ -1,5 +1,7 @@
 """Backbone, output heads, and critics: exactness fixtures, attention
 normalization properties, and gradient checks against finite differences."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ import mqmotion.network as net
 from mqmotion.autodiff import Tensor
 from mqmotion.core import root_align
 from mqmotion.errors import BackwardBeforeForward, DimsMismatch
+from mqmotion.train import TrainConfig
 
 
 def small_dims(**over):
@@ -198,19 +201,28 @@ class TestEmbed:
 
 class TestAttention:
     def test_low_rank_maps_are_normalized(self):
+        # the rank maps as the attention computes them: each rank projection
+        # folded into the query or key projection before it
         params = net.ModelParams.init(small_dims(), seed=0)
-        x = ad.as_tensor(rand_act(params.dims))
-        p = "layer0.spatial"
-        q = ad.add(ad.matmul(x, params.t(f"{p}.wq")), params.t(f"{p}.bq"))
-        k = ad.add(ad.matmul(x, params.t(f"{p}.wk")), params.t(f"{p}.bk"))
-        qh = net._split_heads(q, params.dims.heads)
-        kh = net._split_heads(k, params.dims.heads)
-        aq = ad.softmax(ad.add(ad.matmul(qh, params.t(f"{p}.pq")),
-                               params.t(f"{p}.pq_b")), axis=-1)
-        ak = ad.softmax(ad.add(ad.matmul(kh, params.t(f"{p}.pk")),
-                               params.t(f"{p}.pk_b")), axis=-2)
-        assert np.abs(aq.data.sum(axis=-1) - 1.0).max() < 1e-12
-        assert np.abs(ak.data.sum(axis=-2) - 1.0).max() < 1e-12
+        dims = params.dims
+        x = rand_act(dims)
+        b, t, n, d = x.shape
+        p = {s: params.t(f"layer0.spatial.{s}").data
+             for s in ("wq", "bq", "pq", "pq_b", "wk", "bk", "pk", "pk_b")}
+        maps = {}
+        for c, axis in (("q", -1), ("k", -2)):
+            w, bias = net._fold(p[f"w{c}"], p[f"b{c}"], p[f"p{c}"],
+                                p[f"p{c}_b"], dims.heads)
+            logits = (x @ w + bias).reshape(b, t, n, dims.heads, dims.rank)
+            logits = logits.transpose(0, 1, 3, 2, 4)
+            heads = (x @ p[f"w{c}"] + p[f"b{c}"]).reshape(
+                b, t, n, dims.heads, dims.head_dim).transpose(0, 1, 3, 2, 4)
+            unfolded = heads @ p[f"p{c}"] + p[f"p{c}_b"]
+            assert np.allclose(logits, unfolded, rtol=1e-12, atol=1e-13)
+            maps[c] = ad.softmax(logits, axis=axis).data
+        aq, ak = maps["q"], maps["k"]
+        assert np.abs(aq.sum(axis=-1) - 1.0).max() < 1e-12
+        assert np.abs(ak.sum(axis=-2) - 1.0).max() < 1e-12
 
     def test_constant_values_pass_through_spatial(self):
         params = net.ModelParams.init(small_dims(), seed=0)
@@ -312,6 +324,43 @@ class TestBackbone:
         b = net.heads(net.forward_backbone(bumped, None, params), params)
         assert not np.array_equal(a["pred"].data, b["pred"].data)
 
+    def test_graph_is_one_node_per_sublayer(self):
+        # default dims, no mask: the embedding's matmul and add, then one
+        # node per sublayer (3 per layer); every other reachable node is a
+        # parameter leaf
+        dims = TrainConfig().model_dims(5)
+        params = net.ModelParams.init(dims, seed=0)
+        act = net.forward_backbone(rand_features(dims), None, params)
+        seen, stack = {}, [act]
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen[id(t)] = t
+                stack.extend(t._parents)
+        inner = [t for t in seen.values() if t._parents]
+        assert dims.layers == 2
+        assert len(inner) == 8
+        assert len(seen) == 90
+
+    @pytest.mark.parametrize("lowrank", [True, False])
+    def test_nograd_forward_keeps_no_intermediates(self, lowrank):
+        # under no_grad a sublayer frees each stage's arrays as it goes;
+        # holding them for a backward that never comes peaked at ~15
+        # activation-sized arrays, against ~9-10 for the forward itself
+        dims = TrainConfig(use_lowrank=lowrank).model_dims(22)
+        params = net.ModelParams.init(dims, seed=0)
+        feats = np.random.default_rng(0).standard_normal((16, 9, 22, 7))
+        act_bytes = 16 * 9 * 22 * dims.d_model * 8
+        with ad.no_grad():
+            net.forward_backbone(feats, None, params)
+            tracemalloc.start()
+            try:
+                net.forward_backbone(feats, None, params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 11 * act_bytes
+
     def test_fullrank_forward_runs(self):
         dims = small_dims(lowrank=False)
         params = net.ModelParams.init(dims, seed=0)
@@ -319,6 +368,157 @@ class TestBackbone:
                                              params), params)
         assert out["pred"].shape == (2, dims.future, 3, 3)
         assert np.isfinite(out["pred"].data).all()
+
+
+def reference_sublayer(h, params, kind, pre_ff=False):
+    """Layer 0's sublayer `kind` as the chain of primitive Tensor ops the
+    fused sublayer node replaced: the oracle for its forward and backward."""
+    dims = params.dims
+    prefix = f"layer0.{kind}"
+
+    def t(s):
+        return params.t(f"{prefix}.{s}")
+
+    def split(a):
+        b, g, n, d = a.shape
+        a = ad.reshape(a, (b, g, n, dims.heads, d // dims.heads))
+        return ad.transpose(a, (0, 1, 3, 2, 4))
+
+    def mlp(x, names):
+        w1, b1, w2, b2 = (t(s) for s in names)
+        return ad.add(ad.matmul(ad.gelu(ad.add(ad.matmul(x, w1), b1)), w2), b2)
+
+    if kind == "ffn":
+        y = mlp(h, ("w1", "b1", "w2", "b2"))
+    else:
+        x = h if kind == "spatial" else ad.swapaxes(h, 1, 2)
+        q, k, v = (split(ad.add(ad.matmul(x, t(f"w{c}")), t(f"b{c}")))
+                   for c in "qkv")
+        if dims.lowrank:
+            aq = ad.softmax(ad.add(ad.matmul(q, t("pq")), t("pq_b")), axis=-1)
+            ak = ad.softmax(ad.add(ad.matmul(k, t("pk")), t("pk_b")), axis=-2)
+            out = ad.matmul(aq, ad.matmul(ad.swapaxes(ak, -1, -2), v))
+            out = ad.matmul(t("gate"), out)
+        else:
+            scores = ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)),
+                            1.0 / np.sqrt(dims.head_dim))
+            out = ad.matmul(ad.softmax(scores, axis=-1), v)
+        b, g, nh, n, dh = out.shape
+        y = ad.reshape(ad.transpose(out, (0, 1, 3, 2, 4)), (b, g, n, nh * dh))
+        if not pre_ff:
+            y = mlp(y, ("ff_w1", "ff_b1", "ff_w2", "ff_b2"))
+        if kind == "temporal":
+            y = ad.swapaxes(y, 1, 2)
+        if pre_ff:
+            return y
+    return ad.layer_norm(ad.add(h, y), t("ln_g"), t("ln_b"))
+
+
+def fused_sublayer(h, params, kind, pre_ff=False):
+    if kind == "ffn":
+        return net._ffn(h, params, 0)
+    attention = net.spatial_attention if kind == "spatial" else net.temporal_attention
+    return attention(h, params, 0, pre_ff=pre_ff)
+
+
+# (kind, lowrank, masked input, pre_ff): every sublayer node in both
+# attention forms, on input with and without identical mask-token rows
+SUBLAYER_CASES = [
+    (kind, lowrank, masked, False)
+    for kind in ("spatial", "temporal") for lowrank in (True, False)
+    for masked in (False, True)
+] + [
+    (kind, lowrank, False, True)
+    for kind in ("spatial", "temporal") for lowrank in (True, False)
+] + [("ffn", True, masked, False) for masked in (False, True)]
+
+
+def sublayer_id(case):
+    kind, lowrank, masked, pre_ff = case
+    return "-".join([kind, "lowrank" if lowrank else "full",
+                     "masked" if masked else "unmasked"] + (["pre_ff"] if pre_ff else []))
+
+
+def sublayer_setup(case):
+    """Params moved off the init point, a leaf input and the loss weights."""
+    kind, lowrank, masked, pre_ff = case
+    params = net.ModelParams.init(small_dims(lowrank=lowrank), seed=3)
+    rng = np.random.default_rng(7)
+    params.vec += rng.uniform(-0.2, 0.2, params.n_params)
+    feats = rand_features(params.dims)
+    mask = rng.random(feats.shape[:3]) < 0.4 if masked else None
+    h = Tensor(net.embed(feats, mask, params).data, requires_grad=True)
+    names = [n for n in params.generator_names if n.startswith(f"layer0.{kind}.")]
+    if pre_ff:
+        names = [n for n in names if n.split(".")[-1] not in
+                 ("ff_w1", "ff_b1", "ff_w2", "ff_b2", "ln_g", "ln_b")]
+    w = rng.standard_normal(h.shape)
+    return params, h, names, w
+
+
+def sublayer_grads(fn, case, params, h, names, w):
+    kind, _, _, pre_ff = case
+    out = fn(h, params, kind, pre_ff)
+    loss = ad.tsum(ad.mul(out, w))
+    grads = ad.grad(loss, [h] + [params.t(n) for n in names])
+    return out.data, loss.item(), grads
+
+
+class TestSublayerNodes:
+    @pytest.mark.parametrize("case", SUBLAYER_CASES, ids=sublayer_id)
+    def test_one_node_over_input_and_parameters(self, case):
+        params, h, names, w = sublayer_setup(case)
+        out = fused_sublayer(h, params, case[0], case[3])
+        assert [id(p) for p in out._parents] == [id(h)] + [
+            id(params.t(n)) for n in names]
+
+    @pytest.mark.parametrize("case", SUBLAYER_CASES, ids=sublayer_id)
+    def test_matches_primitive_chain(self, case):
+        params, h, names, w = sublayer_setup(case)
+        out, _, grads = sublayer_grads(fused_sublayer, case, params, h, names, w)
+        ref, _, ref_grads = sublayer_grads(reference_sublayer, case, params, h,
+                                           names, w)
+        assert np.allclose(out, ref, rtol=1e-12, atol=1e-12)
+        for name, g, r in zip(["input"] + names, grads, ref_grads):
+            scale = max(np.abs(r.data).max(), 1e-3)
+            assert np.abs(g.data - r.data).max() <= 1e-10 * scale, name
+
+    @pytest.mark.parametrize("case", SUBLAYER_CASES, ids=sublayer_id)
+    def test_gradient_matches_finite_difference(self, case):
+        params, h, names, w = sublayer_setup(case)
+        _, _, grads = sublayer_grads(fused_sublayer, case, params, h, names, w)
+        g = np.concatenate([gr.data.ravel() for gr in grads])
+        h0 = h.data.copy()
+
+        def f(vec):
+            h.data[...] = vec[:h0.size].reshape(h0.shape)
+            params.set_flat(vec[h0.size:], names)
+            with ad.no_grad():
+                out = fused_sublayer(h, params, case[0], case[3])
+            return float(np.sum(out.data * w))
+
+        start = np.concatenate([h0.ravel(), params.flat(names)])
+        fd = ad.finite_difference(f, start, step=1e-5)
+        f(start)
+        # floored as in the full-model check: where both sides sit under 1e-8
+        # (the key biases) the gradient is zero at finite-difference resolution
+        big = np.maximum(np.abs(fd), np.abs(g))
+        rel = np.abs(g - fd) / np.maximum(big, 1e-6)
+        assert np.where(big < 1e-8, 0.0, rel).max() < 1e-4
+
+    @pytest.mark.parametrize("lowrank", [True, False])
+    @pytest.mark.parametrize("kind", ["spatial", "temporal"])
+    def test_key_biases_have_zero_gradient(self, kind, lowrank):
+        # a key bias adds the same logit to every token of a head, which the
+        # softmax over tokens cancels: its true gradient is exactly zero
+        case = (kind, lowrank, False, False)
+        params, h, names, w = sublayer_setup(case)
+        _, _, grads = sublayer_grads(fused_sublayer, case, params, h, names, w)
+        by_name = dict(zip(names, grads[1:]))
+        dead = ["bk"] + (["pk_b"] if lowrank else [])
+        for s in dead:
+            assert np.abs(by_name[f"layer0.{kind}.{s}"].data).max() < 1e-12
+        assert np.abs(by_name[f"layer0.{kind}.bq"].data).max() > 1e-6
 
 
 class TestHeads:
