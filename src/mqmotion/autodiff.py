@@ -13,21 +13,22 @@ higher-order gradients.
 
 Fused nodes are first-order only. ``fused`` makes one graph node over any
 number of parents from a numpy forward result and one closed-form numpy
-backward that returns every parent's gradient. The fused nodes are:
+backward that returns every parent's gradient. The backbone's sublayers in
+``network`` are such nodes: spatial attention and temporal attention, each
+with its feed-forward, and the position-wise FFN, each node including its
+residual and post-LN. They are built on the numpy kernels here
+(``softmax_forward``/``softmax_backward``, ``layer_norm_forward``/
+``layer_norm_backward``, ``gelu_forward``/``gelu_backward``). The Tensor
+ops ``softmax``, ``layer_norm`` and ``gelu`` wrap those kernels as fused
+nodes of their own; no model code calls them, and they serve to test the
+kernels against finite differences.
 
-- ``softmax``, ``layer_norm`` and ``gelu``, built on the numpy kernels
-  ``softmax_forward``/``softmax_backward``, ``layer_norm_forward``/
-  ``layer_norm_backward`` and ``gelu_forward``/``gelu_backward``;
-- the backbone's sublayers in ``network``: spatial attention and temporal
-  attention, each with its feed-forward, and the position-wise FFN, each
-  node including its residual and post-LN, built on the same kernels.
-
-They sit on the backbone path, which is only ever differentiated once; as
-chains of primitives they made up most of a training step's graph. A
-backward with ``create_graph=True`` that reaches one of them raises
-NotImplementedError rather than return a gradient without its graph. The
-critics, whose input gradients are differentiated again, are built from
-primitives only (matmul, add, tanh).
+The backbone is only ever differentiated once; as chains of primitives its
+sublayers made up most of a training step's graph. A backward with
+``create_graph=True`` that reaches a fused node raises NotImplementedError
+rather than return a gradient without its graph. The critics, whose input
+gradients are differentiated again, are built from primitives only
+(matmul, add, tanh).
 """
 from __future__ import annotations
 
@@ -397,18 +398,8 @@ def fused(name: str, data: np.ndarray, parents: tuple, backward) -> Tensor:
     return _attach(out, parents, tuple(lift(i) for i in range(len(parents))))
 
 
-# numpy's reductions are several times slower than elementwise work over the
-# short axes the backbone reduces (rank 8, a few tokens, width 32), hence the
-# two helpers below. Forwards keep numpy's sums: a GEMV's rounding can depend
-# on a row's position, and a sample's output must not depend on its batch.
-
-def _sum_keepdims(a: np.ndarray, axis: int) -> np.ndarray:
-    """np.sum(a, axis, keepdims=True), as a GEMV over a C-contiguous last axis."""
-    if axis % a.ndim == a.ndim - 1 and a.flags.c_contiguous:
-        n = a.shape[-1]
-        return (a.reshape(-1, n) @ np.ones(n)).reshape(a.shape[:-1] + (1,))
-    return np.sum(a, axis=axis, keepdims=True)
-
+# np.max over the short axes the softmaxes reduce (rank 8, a few tokens) is
+# several times slower than elementwise maxima over halves of the axis.
 
 def _max_keepdims(a: np.ndarray, axis: int) -> np.ndarray:
     """np.max(a, axis, keepdims=True) by halving the axis; exact."""
@@ -432,7 +423,7 @@ def softmax_forward(a: np.ndarray, axis: int) -> np.ndarray:
 def softmax_backward(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     """y * (g - sum(g * y)), computed in one scratch array."""
     d = g * y
-    np.subtract(g, _sum_keepdims(d, axis), out=d)
+    np.subtract(g, np.sum(d, axis=axis, keepdims=True), out=d)
     d *= y
     return d
 
@@ -465,8 +456,8 @@ def layer_norm_backward(g: np.ndarray, gamma: np.ndarray, y: np.ndarray, std: np
     n = float(y.shape[-1])
     gy = g * gamma
     scratch = gy * y
-    mean_gyy = _sum_keepdims(scratch, -1) / n
-    gy -= _sum_keepdims(gy, -1) / n
+    mean_gyy = np.sum(scratch, axis=-1, keepdims=True) / n
+    gy -= np.sum(gy, axis=-1, keepdims=True) / n
     gy -= np.multiply(y, mean_gyy, out=scratch)
     gy /= std
     return gy

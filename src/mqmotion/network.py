@@ -8,11 +8,11 @@ rank axis for queries, over the token axis for keys), so the aggregation
 itself costs O(tokens * r) instead of O(tokens^2); a learnable square gate
 (initialized to identity) then remixes token outputs. The gate is an N x N
 product per group of N tokens, so the form as a whole stays quadratic in
-N. perfbench/sweep.py measures the low-rank form no faster than full
-attention at the 22-joint, 9-token windows of the H3.6M-shaped workloads;
-it pays off only at a few hundred tokens per sample. With the low-rank
-flag off, a plain full-rank scaled-dot-product block is used and the
-gates disappear.
+N. perfbench/sweep.py finds no consistent gain over full attention at the
+22-joint, 9-token windows of the H3.6M-shaped workloads, nor at a few
+hundred tokens per sample; the low-rank form is clearly faster only at a
+few thousand. With the low-rank flag off, a plain full-rank
+scaled-dot-product block is used and the gates disappear.
 
 Each attention ends with a small feed-forward over the concatenated heads;
 each block runs spatial attention, temporal attention, and a position-wise
@@ -310,14 +310,7 @@ _FFN = ("w1", "b1", "w2", "b2")
 _LN = ("ln_g", "ln_b")
 
 
-# The numpy forwards and backwards of the sublayer nodes. A backward product
-# with a weight's transpose takes w.T.copy(): numpy's batched matmul runs
-# about 1.7x slower with a transposed right operand.
-
-def _sum_leading(a: np.ndarray) -> np.ndarray:
-    """Sum over the first axis as a GEMV, which beats numpy's axis-0 sum."""
-    return np.ones(a.shape[0]) @ a.reshape(a.shape[0], -1)
-
+# The numpy forwards and backwards of the sublayer nodes.
 
 def _weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """Gradient of W in x @ W, summed over every token axis.
@@ -327,12 +320,12 @@ def _weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """
     b = x.shape[0]
     per_sample = x.reshape(b, -1, x.shape[-1]).swapaxes(-1, -2) @ dy.reshape(b, -1, dy.shape[-1])
-    return _sum_leading(per_sample).reshape(x.shape[-1], dy.shape[-1])
+    return per_sample.sum(axis=0)
 
 
 def _bias_grad(dy: np.ndarray) -> np.ndarray:
     """Gradient of b in x @ W + b: dy summed over every token axis."""
-    return _sum_leading(dy.reshape(-1, dy.shape[-1]))
+    return dy.reshape(-1, dy.shape[-1]).sum(axis=0)
 
 
 def _fold(w, b, p, pb, heads: int):
@@ -400,8 +393,8 @@ def _attention(x: np.ndarray, P: dict, dims: ModelDims):
     def backward(dout):
         grads = {}
         if dims.lowrank:
-            grads["gate"] = _sum_leading((dout @ mixed.swapaxes(-1, -2)).reshape(b * g, -1)).reshape(n, n)
-            dmixed = split(P["gate"].T.copy() @ dout, dh)
+            grads["gate"] = (dout @ mixed.swapaxes(-1, -2)).reshape(b * g, n, n).sum(axis=0)
+            dmixed = split(P["gate"].T @ dout, dh)
             dctx = aqh.swapaxes(-1, -2) @ dmixed
             dvh = akh @ dctx
             dq = ad.softmax_backward(aq, (dmixed @ ctx.swapaxes(-1, -2)).transpose(0, 1, 3, 2, 4), -1)
@@ -415,10 +408,10 @@ def _attention(x: np.ndarray, P: dict, dims: ModelDims):
         dv = merge(dvh)
         xs = x.reshape(b, -1, d)  # copies a swapped (temporal) input once
         grads["wv"], grads["bv"] = _weight_grad(xs, dv), _bias_grad(dv)
-        dx = dv @ P["wv"].T.copy()
+        dx = dv @ P["wv"].T
         for c, w, dy in proj:
             dw, db = _weight_grad(xs, dy), _bias_grad(dy)
-            dx += dy @ w.T.copy()
+            dx += dy @ w.T
             if dims.lowrank:
                 dw, db, grads[f"p{c}"], grads[f"p{c}_b"] = _unfold_grads(
                     dw, db, P[f"w{c}"], P[f"b{c}"], P[f"p{c}"], h
@@ -438,9 +431,9 @@ def _mlp(x: np.ndarray, P: dict, names: tuple):
         return hidden @ w2 + b2, None
 
     def backward(dy):
-        dpre = ad.gelu_backward(pre, t, dy @ w2.T.copy())
+        dpre = ad.gelu_backward(pre, t, dy @ w2.T)
         grads = (_weight_grad(x, dpre), _bias_grad(dpre), _weight_grad(hidden, dy), _bias_grad(dy))
-        return dpre @ w1.T.copy(), dict(zip(names, grads))
+        return dpre @ w1.T, dict(zip(names, grads))
 
     return hidden @ w2 + b2, backward
 
@@ -482,11 +475,8 @@ def _sublayer(h: Tensor, params: ModelParams, prefix: str, names: tuple, forward
     return ad.fused(prefix, out, (h, *tensors), vjp)
 
 
-def _attention_sublayer(h, params: ModelParams, layer: int, branch: str, pre_ff: bool) -> Tensor:
-    """LN(h + FF(heads(h))) over joints (spatial) or frames (temporal).
-
-    With pre_ff, the concatenated heads alone. Either way one graph node.
-    """
+def _attention_sublayer(h, params: ModelParams, layer: int, branch: str) -> Tensor:
+    """LN(h + FF(heads(h))) over joints (spatial) or frames (temporal), one node."""
     h = ad.as_tensor(h)
     _check_act(h, params, name=branch)
     dims = params.dims
@@ -495,13 +485,6 @@ def _attention_sublayer(h, params: ModelParams, layer: int, branch: str, pre_ff:
 
     def forward(x, P):
         heads, heads_backward = _attention(swap(x), P, dims)
-        if pre_ff:
-
-            def pre_ff_backward(g):
-                dx, grads = heads_backward(swap(g))
-                return swap(dx), grads
-
-            return swap(heads), pre_ff_backward
         y, ff_backward = _mlp(heads, P, _ATTN_FF)
 
         def branch_backward(dy):
@@ -512,22 +495,20 @@ def _attention_sublayer(h, params: ModelParams, layer: int, branch: str, pre_ff:
 
         return _residual_post_ln(x, swap(y), P, branch_backward)
 
-    names = _QKV + (_GATED if dims.lowrank else ()) + (() if pre_ff else _ATTN_FF + _LN)
+    names = _QKV + (_GATED if dims.lowrank else ()) + _ATTN_FF + _LN
     return _sublayer(h, params, f"layer{layer}.{branch}", names, forward)
 
 
-def spatial_attention(h, params: ModelParams, layer: int, pre_ff: bool = False) -> Tensor:
+def spatial_attention(h, params: ModelParams, layer: int) -> Tensor:
     """Mix joints within each frame, residual and post-LN included:
-    (B, T, J, D) -> (B, T, J, D). pre_ff=True returns the concatenated
-    attention heads instead, before the feed-forward and the residual."""
-    return _attention_sublayer(h, params, layer, "spatial", pre_ff)
+    (B, T, J, D) -> (B, T, J, D)."""
+    return _attention_sublayer(h, params, layer, "spatial")
 
 
-def temporal_attention(h, params: ModelParams, layer: int, pre_ff: bool = False) -> Tensor:
+def temporal_attention(h, params: ModelParams, layer: int) -> Tensor:
     """Mix frames within each joint, residual and post-LN included:
-    (B, T, J, D) -> (B, T, J, D). pre_ff=True returns the concatenated
-    attention heads instead, before the feed-forward and the residual."""
-    return _attention_sublayer(h, params, layer, "temporal", pre_ff)
+    (B, T, J, D) -> (B, T, J, D)."""
+    return _attention_sublayer(h, params, layer, "temporal")
 
 
 def _check_act(h: Tensor, params: ModelParams, name: str) -> None:

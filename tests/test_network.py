@@ -30,6 +30,18 @@ def rand_features(dims, b=2, seed=2):
     return rng.standard_normal((b, dims.window, dims.joints, dims.in_channels))
 
 
+def attention_heads(act, params, kind):
+    """Layer 0's concatenated attention heads over act, before the attention
+    feed-forward: joints mixed (spatial) or frames mixed (temporal)."""
+    prefix = f"layer0.{kind}."
+    P = {n[len(prefix):]: params.t(n).data for n in params.names
+         if n.startswith(prefix)}
+    swap = (lambda a: a) if kind == "spatial" else (lambda a: a.swapaxes(1, 2))
+    with ad.no_grad():
+        out, _ = net._attention(swap(np.asarray(act)), P, params.dims)
+    return swap(out)
+
+
 class TestModelDims:
     def test_head_dim(self):
         assert small_dims().head_dim == 4
@@ -229,25 +241,23 @@ class TestAttention:
         c = np.linspace(-1.0, 1.3, 8)
         params.t("layer0.spatial.wv").data[...] = 0.0
         params.t("layer0.spatial.bv").data[...] = c
-        out = net.spatial_attention(rand_act(params.dims), params, 0,
-                                    pre_ff=True)
-        assert np.abs(out.data - c).max() < 1e-12
-        assert np.ptp(out.data, axis=2).max() < 1e-12
+        out = attention_heads(rand_act(params.dims), params, "spatial")
+        assert np.abs(out - c).max() < 1e-12
+        assert np.ptp(out, axis=2).max() < 1e-12
 
     def test_zero_gate_zeroes_spatial_pre_ff(self):
         params = net.ModelParams.init(small_dims(), seed=0)
         params.t("layer0.spatial.gate").data[...] = 0.0
-        out = net.spatial_attention(rand_act(params.dims), params, 0,
-                                    pre_ff=True)
-        assert np.all(out.data == 0.0)
+        out = attention_heads(rand_act(params.dims), params, "spatial")
+        assert np.all(out == 0.0)
 
     def test_single_frame_temporal_is_identity(self):
         params = net.ModelParams.init(small_dims(window=1), seed=0)
         params.t("layer0.temporal.wv").data[...] = np.eye(8)
         params.t("layer0.temporal.bv").data[...] = 0.0
         act = rand_act(params.dims)
-        out = net.temporal_attention(act, params, 0, pre_ff=True)
-        assert np.allclose(out.data, act, rtol=1e-12, atol=1e-14)
+        out = attention_heads(act, params, "temporal")
+        assert np.allclose(out, act, rtol=1e-12, atol=1e-14)
 
     def test_spatial_permutation_equivariance_at_init(self):
         params = net.ModelParams.init(small_dims(joints=5), seed=0)
@@ -262,11 +272,11 @@ class TestAttention:
         params = net.ModelParams.init(small_dims(lowrank=False), seed=0)
         params.t("layer0.spatial.wq").data[...] = 0.0
         act = rand_act(params.dims)
-        out = net.spatial_attention(act, params, 0, pre_ff=True)
+        out = attention_heads(act, params, "spatial")
         wv = params.t("layer0.spatial.wv").data
         bv = params.t("layer0.spatial.bv").data
         v = act @ wv + bv
-        assert np.allclose(out.data, np.broadcast_to(v.mean(axis=2,
+        assert np.allclose(out, np.broadcast_to(v.mean(axis=2,
                            keepdims=True), v.shape), rtol=1e-12, atol=1e-12)
 
     def test_wrong_joint_count_rejected(self):
@@ -370,9 +380,29 @@ class TestBackbone:
         assert np.isfinite(out["pred"].data).all()
 
 
-def reference_sublayer(h, params, kind, pre_ff=False):
-    """Layer 0's sublayer `kind` as the chain of primitive Tensor ops the
-    fused sublayer node replaced: the oracle for its forward and backward."""
+# The oracle's nonlinearities, built from primitive Tensor ops only, so that
+# it shares no numpy kernel with the fused sublayer nodes.
+
+def ref_softmax(a, axis):
+    # the max is a constant shift, which the softmax cancels exactly
+    e = ad.exp(ad.sub(a, np.max(a.data, axis=axis, keepdims=True)))
+    return ad.div(e, ad.tsum(e, axis=axis, keepdims=True))
+
+
+def ref_layer_norm(x, gamma, beta, eps=1e-5):
+    y = ad.sub(x, ad.tmean(x, axis=-1, keepdims=True))
+    std = ad.sqrt(ad.add(ad.tmean(ad.mul(y, y), axis=-1, keepdims=True), eps))
+    return ad.add(ad.mul(ad.div(y, std), gamma), beta)
+
+
+def ref_gelu(x):
+    inner = ad.mul(ad.add(x, ad.mul(ad.power(x, 3.0), 0.044715)), np.sqrt(2.0 / np.pi))
+    return ad.mul(ad.mul(x, 0.5), ad.add(ad.tanh(inner), 1.0))
+
+
+def reference_sublayer(h, params, kind):
+    """Layer 0's sublayer `kind` as a chain of primitive Tensor ops: the
+    oracle for the fused sublayer node's forward and backward."""
     dims = params.dims
     prefix = f"layer0.{kind}"
 
@@ -386,7 +416,7 @@ def reference_sublayer(h, params, kind, pre_ff=False):
 
     def mlp(x, names):
         w1, b1, w2, b2 = (t(s) for s in names)
-        return ad.add(ad.matmul(ad.gelu(ad.add(ad.matmul(x, w1), b1)), w2), b2)
+        return ad.add(ad.matmul(ref_gelu(ad.add(ad.matmul(x, w1), b1)), w2), b2)
 
     if kind == "ffn":
         y = mlp(h, ("w1", "b1", "w2", "b2"))
@@ -395,53 +425,47 @@ def reference_sublayer(h, params, kind, pre_ff=False):
         q, k, v = (split(ad.add(ad.matmul(x, t(f"w{c}")), t(f"b{c}")))
                    for c in "qkv")
         if dims.lowrank:
-            aq = ad.softmax(ad.add(ad.matmul(q, t("pq")), t("pq_b")), axis=-1)
-            ak = ad.softmax(ad.add(ad.matmul(k, t("pk")), t("pk_b")), axis=-2)
+            aq = ref_softmax(ad.add(ad.matmul(q, t("pq")), t("pq_b")), axis=-1)
+            ak = ref_softmax(ad.add(ad.matmul(k, t("pk")), t("pk_b")), axis=-2)
             out = ad.matmul(aq, ad.matmul(ad.swapaxes(ak, -1, -2), v))
             out = ad.matmul(t("gate"), out)
         else:
             scores = ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)),
                             1.0 / np.sqrt(dims.head_dim))
-            out = ad.matmul(ad.softmax(scores, axis=-1), v)
+            out = ad.matmul(ref_softmax(scores, axis=-1), v)
         b, g, nh, n, dh = out.shape
         y = ad.reshape(ad.transpose(out, (0, 1, 3, 2, 4)), (b, g, n, nh * dh))
-        if not pre_ff:
-            y = mlp(y, ("ff_w1", "ff_b1", "ff_w2", "ff_b2"))
+        y = mlp(y, ("ff_w1", "ff_b1", "ff_w2", "ff_b2"))
         if kind == "temporal":
             y = ad.swapaxes(y, 1, 2)
-        if pre_ff:
-            return y
-    return ad.layer_norm(ad.add(h, y), t("ln_g"), t("ln_b"))
+    return ref_layer_norm(ad.add(h, y), t("ln_g"), t("ln_b"))
 
 
-def fused_sublayer(h, params, kind, pre_ff=False):
+def fused_sublayer(h, params, kind):
     if kind == "ffn":
         return net._ffn(h, params, 0)
     attention = net.spatial_attention if kind == "spatial" else net.temporal_attention
-    return attention(h, params, 0, pre_ff=pre_ff)
+    return attention(h, params, 0)
 
 
-# (kind, lowrank, masked input, pre_ff): every sublayer node in both
-# attention forms, on input with and without identical mask-token rows
+# (kind, lowrank, masked input): every sublayer node in both attention
+# forms, on input with and without identical mask-token rows
 SUBLAYER_CASES = [
-    (kind, lowrank, masked, False)
+    (kind, lowrank, masked)
     for kind in ("spatial", "temporal") for lowrank in (True, False)
     for masked in (False, True)
-] + [
-    (kind, lowrank, False, True)
-    for kind in ("spatial", "temporal") for lowrank in (True, False)
-] + [("ffn", True, masked, False) for masked in (False, True)]
+] + [("ffn", True, masked) for masked in (False, True)]
 
 
 def sublayer_id(case):
-    kind, lowrank, masked, pre_ff = case
+    kind, lowrank, masked = case
     return "-".join([kind, "lowrank" if lowrank else "full",
-                     "masked" if masked else "unmasked"] + (["pre_ff"] if pre_ff else []))
+                     "masked" if masked else "unmasked"])
 
 
 def sublayer_setup(case):
     """Params moved off the init point, a leaf input and the loss weights."""
-    kind, lowrank, masked, pre_ff = case
+    kind, lowrank, masked = case
     params = net.ModelParams.init(small_dims(lowrank=lowrank), seed=3)
     rng = np.random.default_rng(7)
     params.vec += rng.uniform(-0.2, 0.2, params.n_params)
@@ -449,16 +473,12 @@ def sublayer_setup(case):
     mask = rng.random(feats.shape[:3]) < 0.4 if masked else None
     h = Tensor(net.embed(feats, mask, params).data, requires_grad=True)
     names = [n for n in params.generator_names if n.startswith(f"layer0.{kind}.")]
-    if pre_ff:
-        names = [n for n in names if n.split(".")[-1] not in
-                 ("ff_w1", "ff_b1", "ff_w2", "ff_b2", "ln_g", "ln_b")]
     w = rng.standard_normal(h.shape)
     return params, h, names, w
 
 
 def sublayer_grads(fn, case, params, h, names, w):
-    kind, _, _, pre_ff = case
-    out = fn(h, params, kind, pre_ff)
+    out = fn(h, params, case[0])
     loss = ad.tsum(ad.mul(out, w))
     grads = ad.grad(loss, [h] + [params.t(n) for n in names])
     return out.data, loss.item(), grads
@@ -468,7 +488,7 @@ class TestSublayerNodes:
     @pytest.mark.parametrize("case", SUBLAYER_CASES, ids=sublayer_id)
     def test_one_node_over_input_and_parameters(self, case):
         params, h, names, w = sublayer_setup(case)
-        out = fused_sublayer(h, params, case[0], case[3])
+        out = fused_sublayer(h, params, case[0])
         assert [id(p) for p in out._parents] == [id(h)] + [
             id(params.t(n)) for n in names]
 
@@ -494,7 +514,7 @@ class TestSublayerNodes:
             h.data[...] = vec[:h0.size].reshape(h0.shape)
             params.set_flat(vec[h0.size:], names)
             with ad.no_grad():
-                out = fused_sublayer(h, params, case[0], case[3])
+                out = fused_sublayer(h, params, case[0])
             return float(np.sum(out.data * w))
 
         start = np.concatenate([h0.ravel(), params.flat(names)])
@@ -511,7 +531,7 @@ class TestSublayerNodes:
     def test_key_biases_have_zero_gradient(self, kind, lowrank):
         # a key bias adds the same logit to every token of a head, which the
         # softmax over tokens cancels: its true gradient is exactly zero
-        case = (kind, lowrank, False, False)
+        case = (kind, lowrank, False)
         params, h, names, w = sublayer_setup(case)
         _, _, grads = sublayer_grads(fused_sublayer, case, params, h, names, w)
         by_name = dict(zip(names, grads[1:]))

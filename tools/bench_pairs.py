@@ -4,15 +4,15 @@
         --pairs 10 --workloads train_small --first-seed 101
 
 Each checkout runs its own perfbench/run.py (with --trace 0, so the numbers
-are the 9 end-to-end metrics) on the same seeds. Pair i runs seed
-first_seed + i on both sides, the parent first when i is even and the change
-first when it is odd. Per workload the file holds every run, each side's
-median and quartiles of every metric and the pairs the change won. With
---traced-seed it adds one --trace 1 run per side and workload (the
-per-layer metrics), with --sweep the perfbench/sweep.py summary of each side.
+are the 9 end-to-end metrics) on the same seeds, for the run length that
+BENCHMARK.json declares. Pair i runs seed first_seed + i on both sides, the
+parent first when i is even and the change first when it is odd. Per workload
+the file holds every run, each side's median and quartiles of every metric,
+the pairs the change won, and one --trace 1 run per side at seed 5 (the
+per-layer metrics). It also holds each side's perfbench/sweep.py summary.
 The file is rewritten after every run, so an interrupted collection keeps
 what it measured; --append adds pairs to an existing file instead of
-starting over.
+starting over, and skips the traced runs and sweeps it already holds.
 """
 import argparse
 import json
@@ -23,6 +23,7 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+TRACED_SEED = 5
 
 
 def run_json(checkout: Path, args: list[str], timeout: float) -> dict:
@@ -77,22 +78,19 @@ def main() -> int:
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--pairs", type=int, default=5)
     ap.add_argument("--first-seed", type=int, default=101)
-    ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--traced-seed", type=int, help="add one --trace 1 run per side")
-    ap.add_argument("--sweep", action="store_true", help="add perfbench/sweep.py per side")
     ap.add_argument("--append", action="store_true", help="add pairs to an existing --out")
     args = ap.parse_args()
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    timeout = 10 * args.seconds + 300
+    seconds = str(bench["run_seconds"])
+    timeout = 10 * bench["run_seconds"] + 300
 
     if args.append and args.out.is_file():
         doc = json.loads(args.out.read_text())
     else:
         doc = {
-            "command": f"perfbench/run.py --workload W --seed S --seconds {args.seconds:g}"
-                       " --trace 0",
+            "command": f"perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
             "checkouts": {s: {"commit": git_commit(p)} for s, p in checkouts.items()},
             "workloads": {},
         }
@@ -110,7 +108,7 @@ def main() -> int:
                 t0 = time.monotonic()
                 res = run_json(checkouts[side], ["perfbench/run.py", "--workload", wl,
                                                  "--seed", str(seed), "--seconds",
-                                                 str(args.seconds), "--trace", "0"], timeout)
+                                                 seconds, "--trace", "0"], timeout)
                 res.update(seed=seed, first=order[0], wall_s=time.monotonic() - t0)
                 entry["runs"][side].append(res)
                 steps = res.get("metrics", {}).get("train_steps_per_s", {}).get("value")
@@ -118,18 +116,18 @@ def main() -> int:
                       f"steps/s={steps}", file=sys.stderr, flush=True)
                 entry["summary"] = summarize(entry["runs"], better)
                 save()
-        if args.traced_seed is not None:
-            entry["traced"] = {"seed": args.traced_seed}
-            for side in SIDES:
-                res = run_json(checkouts[side], ["perfbench/run.py", "--workload", wl,
-                                                 "--seed", str(args.traced_seed), "--seconds",
-                                                 str(args.seconds), "--trace", "1"], timeout)
-                entry["traced"][side] = res
+        traced = entry.setdefault("traced", {"seed": TRACED_SEED})
+        for side in SIDES:
+            if side not in traced:
+                traced[side] = run_json(checkouts[side], ["perfbench/run.py", "--workload", wl,
+                                                          "--seed", str(TRACED_SEED), "--seconds",
+                                                          seconds, "--trace", "1"], timeout)
                 save()
-    if args.sweep:
-        doc["sweep"] = {side: run_json(checkouts[side], ["perfbench/sweep.py"], 3600)
-                        for side in SIDES}
-        save()
+    sweep = doc.setdefault("sweep", {})
+    for side in SIDES:
+        if side not in sweep:
+            sweep[side] = run_json(checkouts[side], ["perfbench/sweep.py"], 3600)
+            save()
     return 0
 
 
