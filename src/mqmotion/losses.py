@@ -127,6 +127,17 @@ def interpolate_samples(real, fake, rng_seed: int) -> tuple[Tensor, np.ndarray]:
     return Tensor(x_hat, requires_grad=True), eps
 
 
+def penalty_of_gradients(g: np.ndarray, gp_lambda: float) -> tuple[float, np.ndarray]:
+    """lambda * mean((||g_n|| - 1)^2) over the rows g_n of g, and its gradient in g."""
+    if not np.isfinite(g).all():
+        raise NumericalInstability("non-finite critic input gradient in penalty term")
+    norms = np.sqrt(np.sum(g * g, axis=1))
+    shifted = norms - 1.0
+    value = gp_lambda * (np.sum(shifted * shifted) / float(len(norms)))
+    slope = g * ((2.0 * gp_lambda / len(norms)) * shifted / norms)[:, None]
+    return float(value), slope
+
+
 def gradient_penalty(critic_fn, x_hat: Tensor, gp_lambda: float) -> Tensor:
     """lambda * E[(||grad_x critic(x)|| - 1)^2] at the given points.
 
@@ -155,6 +166,12 @@ def loss_adversarial(critic_fn, real, fake, gp_lambda: float, rng_seed: int):
     """
     real_t, fake_t = ad.as_tensor(real), ad.as_tensor(fake)
     x_hat, _ = interpolate_samples(real_t, fake_t, rng_seed)
+    if hasattr(critic_fn, "wgan_gp"):
+        critic_loss, gp, score_fake = critic_fn.wgan_gp(x_hat.data, fake_t.data, real_t.data,
+                                                        gp_lambda)
+        if not np.isfinite(critic_loss.data):
+            raise NumericalInstability("non-finite critic loss")
+        return critic_loss, Tensor(gp), Tensor(-score_fake)
     gp = gradient_penalty(critic_fn, x_hat, gp_lambda)
     score_fake = ad.tmean(critic_fn(fake_t))
     score_real = ad.tmean(critic_fn(real_t))

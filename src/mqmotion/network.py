@@ -41,6 +41,7 @@ from . import autodiff as ad
 from . import streams
 from .autodiff import Tensor
 from .errors import BackwardBeforeForward, DimsMismatch
+from .losses import penalty_of_gradients
 from . import _kernels
 from .core import root_align
 
@@ -605,6 +606,81 @@ def discriminate_continuity(pairs, params: ModelParams) -> Tensor:
     """
     x = ad.as_tensor(pairs)
     return _critic_mlp(x, params, "continuity")
+
+
+_CRITIC = ("w1", "b1", "w2", "b2", "w3", "b3")
+
+
+@dataclass(frozen=True)
+class Critic:
+    """One of the model's two critics, "fidelity" or "continuity".
+
+    Calling it scores (N, features) rows as _critic_mlp does. wgan_gp gives
+    its WGAN-GP loss in closed form.
+    """
+
+    params: ModelParams
+    which: str
+
+    def __call__(self, rows) -> Tensor:
+        return _critic_mlp(ad.as_tensor(rows), self.params, self.which)
+
+    def wgan_gp(self, x_hat: np.ndarray, fake: np.ndarray, real: np.ndarray,
+                gp_lambda: float) -> tuple[Tensor, float, float]:
+        """E[D(fake)] - E[D(real)] + gp, as one node over the six weights.
+
+        gp is the penalty of losses.penalty_of_gradients at the rows x_hat.
+        The critic is D(x) = tanh(tanh(x W1 + b1) W2 + b2) w3 + b3, and one
+        forward scores the stacked [x_hat; fake; real] rows. With
+        s = 1 - tanh^2, the input gradient is W1 (s1 * W2 (s2 * w3)), and
+        the node's backward takes the penalty through it by the chain rule,
+        with tanh' = s and s' = -2 tanh s. The rows are constants of the
+        node. Returns (loss, gp, E[D(fake)]).
+        """
+        tensors = tuple(self.params.t(f"critic.{self.which}.{s}") for s in _CRITIC)
+        w1, b1, w2, b2, w3, b3 = (t.data for t in tensors)
+        x = np.concatenate([x_hat, fake, real])
+        if x.ndim != 2 or x.shape[1] != w1.shape[0]:
+            raise DimsMismatch(
+                f"{self.which} critic expects (N, {w1.shape[0]}), got {tuple(x.shape)}"
+            )
+        n, nf, nr = len(x_hat), len(fake), len(real)
+        h1 = np.tanh(x @ w1 + b1)
+        h2 = np.tanh(h1 @ w2 + b2)
+        scores = (h2 @ w3 + b3)[:, 0]
+        s1, s2 = 1.0 - h1 * h1, 1.0 - h2 * h2
+        # the input gradient at the interpolates, the first n rows
+        u2 = s2[:n] * w3[:, 0]
+        v1 = u2 @ w2.T
+        u1 = s1[:n] * v1
+        gp, slope = penalty_of_gradients(u1 @ w1.T, gp_lambda)
+        score_fake = np.sum(scores[n:n + nf]) / float(nf)
+        loss = score_fake - np.sum(scores[n + nf:]) / float(nr) + gp
+
+        def backward(g):
+            # the penalty through the input gradient, interpolate rows only
+            du1 = slope @ w1
+            dw1 = slope.T @ u1
+            dv1 = du1 * s1[:n]
+            dw2 = dv1.T @ u2
+            du2 = dv1 @ w2
+            dw3 = np.sum(du2 * s2[:n], axis=0)[:, None]
+            # the scores' slopes over all rows, then the penalty's terms in
+            # s2 and s1, through s' = -2 tanh s
+            c = np.zeros(len(x))
+            c[n:n + nf] = 1.0 / nf
+            c[n + nf:] = -1.0 / nr
+            dw3 += h2.T @ c[:, None]
+            da2 = c[:, None] * w3[:, 0] * s2
+            da2[:n] -= 2.0 * h2[:n] * s2[:n] * (du2 * w3[:, 0])
+            dw2 += h1.T @ da2
+            da1 = (da2 @ w2.T) * s1
+            da1[:n] -= 2.0 * h1[:n] * s1[:n] * (du1 * v1)
+            dw1 += x.T @ da1
+            grads = (dw1, da1.sum(axis=0), dw2, da2.sum(axis=0), dw3, np.sum(c, keepdims=True))
+            return tuple(g * d for d in grads)
+
+        return ad.fused(f"critic.{self.which}", np.array(loss), tensors, backward), gp, score_fake
 
 
 def continuity_inputs(window) -> Tensor:

@@ -348,12 +348,10 @@ class Trainer:
 
         seed_f = streams.derive_seed(cfg.seed, streams.INTERP, self.global_step, substep, 0)
         seed_c = streams.derive_seed(cfg.seed, streams.INTERP, self.global_step, substep, 1)
-        fid_fn = lambda x: net.discriminate_fidelity(x, self.params)
-        cont_fn = lambda x: net.discriminate_continuity(x, self.params)
-        closs_f, gp_f, _ = lo.loss_adversarial(fid_fn, real_fid, fake_fid,
-                                               cfg.gp_lambda, seed_f)
-        closs_c, gp_c, _ = lo.loss_adversarial(cont_fn, real_cont, fake_cont,
-                                               cfg.gp_lambda, seed_c)
+        closs_f, gp_f, _ = lo.loss_adversarial(net.Critic(self.params, "fidelity"),
+                                               real_fid, fake_fid, cfg.gp_lambda, seed_f)
+        closs_c, gp_c, _ = lo.loss_adversarial(net.Critic(self.params, "continuity"),
+                                               real_cont, fake_cont, cfg.gp_lambda, seed_c)
         closs = ad.add(closs_f, closs_c)
         grads = net.parameter_gradients(closs, self.params, self.critic_names)
         self.adam_critic.step(self.params.critic, _clip_global_norm(grads, cfg.grad_clip))
