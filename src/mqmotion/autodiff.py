@@ -1,34 +1,31 @@
-"""Minimal reverse-mode automatic differentiation over float64 numpy arrays.
+"""Minimal first-order reverse-mode automatic differentiation over float64
+numpy arrays.
 
-Most backward rules are themselves written with Tensor operations, so with
-``create_graph=True`` a gradient is a differentiable graph node. That is
-what makes the gradient-penalty term trainable: the norm of a critic's
-input gradient can be differentiated a second time with respect to the
-critic's parameters.
+Every backward rule (VJP) maps the output's gradient, an ndarray, to the
+operand's gradient, an ndarray, in numpy. grad returns plain gradients
+without a graph, so nothing is differentiated twice. A VJP reads the arrays
+it needs and never holds a Tensor of its own node, so no graph holds a
+reference cycle and a graph is freed as soon as the last reference to its
+output goes.
 
 Only what the model needs is implemented: broadcasting arithmetic, matmul
 with batched leading dims, reductions, shape ops, basic slicing, and the
-smooth nonlinearities (exp, log, tanh, sqrt). These primitives have exact
-higher-order gradients.
+smooth nonlinearities (exp, log, tanh, sqrt).
 
-Fused nodes are first-order only. ``fused`` makes one graph node over any
-number of parents from a numpy forward result and one closed-form numpy
-backward that returns every parent's gradient. The backbone's sublayers in
-``network`` are such nodes: spatial attention and temporal attention, each
-with its feed-forward, and the position-wise FFN, each node including its
-residual and post-LN. They are built on the numpy kernels here
-(``softmax_forward``/``softmax_backward``, ``layer_norm_forward``/
-``layer_norm_backward``, ``gelu_forward``/``gelu_backward``). The Tensor
-ops ``softmax``, ``layer_norm`` and ``gelu`` wrap those kernels as fused
-nodes of their own; no model code calls them, and they serve to test the
-kernels against finite differences.
-
-The backbone is only ever differentiated once; as chains of primitives its
-sublayers made up most of a training step's graph. A backward with
-``create_graph=True`` that reaches a fused node raises NotImplementedError
-rather than return a gradient without its graph. The critics, whose input
-gradients are differentiated again, are built from primitives only
-(matmul, add, tanh).
+``fused`` makes one graph node over any number of parents from a numpy
+forward result and one closed-form numpy backward that returns every
+parent's gradient. The backbone's sublayers in ``network`` are such nodes:
+spatial attention and temporal attention, each with its feed-forward, and
+the position-wise FFN, each node including its residual and post-LN. They
+are built on the numpy kernels here (``softmax_forward``/
+``softmax_backward``, ``layer_norm_forward``/``layer_norm_backward``,
+``gelu_forward``/``gelu_backward``). The Tensor ops ``softmax``,
+``layer_norm`` and ``gelu`` wrap those kernels as fused nodes of their own;
+no model code calls them, and they serve to test the kernels against finite
+differences. Each critic's WGAN-GP loss, whose gradient penalty is a
+function of the critic's input gradient, is one such node too
+(``network.Critic.wgan_gp``), with the second derivative written out in its
+backward.
 """
 from __future__ import annotations
 
@@ -155,18 +152,18 @@ def _attach(out: Tensor, parents: tuple, vjps: tuple) -> Tensor:
     return out
 
 
-def _unbroadcast(g: Tensor, shape: tuple) -> Tensor:
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to the operand's shape."""
     if g.shape == shape:
         return g
     extra = g.ndim - len(shape)
     if extra > 0:
-        g = tsum(g, axis=tuple(range(extra)))
+        g = np.sum(g, axis=tuple(range(extra)))
     axes = tuple(i for i, (gd, sd) in enumerate(zip(g.shape, shape)) if sd == 1 and gd != 1)
     if axes:
-        g = tsum(g, axis=axes, keepdims=True)
+        g = np.sum(g, axis=axes, keepdims=True)
     if g.shape != shape:
-        g = reshape(g, shape)
+        g = g.reshape(shape)
     return g
 
 
@@ -185,7 +182,7 @@ def add(a, b) -> Tensor:
 def neg(a) -> Tensor:
     a = as_tensor(a)
     out = Tensor(-a.data)
-    return _attach(out, (a,), (lambda g: neg(g),))
+    return _attach(out, (a,), (lambda g: -g,))
 
 
 def sub(a, b) -> Tensor:
@@ -194,7 +191,7 @@ def sub(a, b) -> Tensor:
     return _attach(
         out,
         (a, b),
-        (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(neg(g), b.shape)),
+        (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(-g, b.shape)),
     )
 
 
@@ -205,8 +202,8 @@ def mul(a, b) -> Tensor:
         out,
         (a, b),
         (
-            lambda g: _unbroadcast(mul(g, b), a.shape),
-            lambda g: _unbroadcast(mul(g, a), b.shape),
+            lambda g: _unbroadcast(g * b.data, a.shape),
+            lambda g: _unbroadcast(g * a.data, b.shape),
         ),
     )
 
@@ -218,8 +215,8 @@ def div(a, b) -> Tensor:
         out,
         (a, b),
         (
-            lambda g: _unbroadcast(div(g, b), a.shape),
-            lambda g: _unbroadcast(neg(div(mul(g, a), mul(b, b))), b.shape),
+            lambda g: _unbroadcast(g / b.data, a.shape),
+            lambda g: _unbroadcast(-((g * a.data) / (b.data * b.data)), b.shape),
         ),
     )
 
@@ -229,31 +226,35 @@ def power(a, c) -> Tensor:
     a = as_tensor(a)
     c = float(c)
     out = Tensor(a.data ** c)
-    return _attach(out, (a,), (lambda g: mul(mul(g, c), power(a, c - 1.0)),))
+    return _attach(out, (a,), (lambda g: (g * c) * a.data ** (c - 1.0),))
 
+
+# The VJPs below read the output's array, never the output Tensor: a VJP
+# that held its own node would make every graph through it a reference
+# cycle, freed only by the cyclic garbage collector.
 
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.sqrt(a.data))
-    return _attach(out, (a,), (lambda g: div(g, mul(out, 2.0)),))
+    y = np.sqrt(a.data)
+    return _attach(Tensor(y), (a,), (lambda g: g / (y * 2.0),))
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.exp(a.data))
-    return _attach(out, (a,), (lambda g: mul(g, out),))
+    y = np.exp(a.data)
+    return _attach(Tensor(y), (a,), (lambda g: g * y,))
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
     out = Tensor(np.log(a.data))
-    return _attach(out, (a,), (lambda g: div(g, a),))
+    return _attach(out, (a,), (lambda g: g / a.data,))
 
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.tanh(a.data))
-    return _attach(out, (a,), (lambda g: mul(g, sub(1.0, mul(out, out))),))
+    y = np.tanh(a.data)
+    return _attach(Tensor(y), (a,), (lambda g: g * (1.0 - y * y),))
 
 
 # linear algebra
@@ -267,8 +268,8 @@ def matmul(a, b) -> Tensor:
         out,
         (a, b),
         (
-            lambda g: _unbroadcast(matmul(g, swapaxes(b, -1, -2)), a.shape),
-            lambda g: _unbroadcast(matmul(swapaxes(a, -1, -2), g), b.shape),
+            lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape),
+            lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape),
         ),
     )
 
@@ -281,15 +282,15 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
 
     def vjp(g):
         if axis is None:
-            return broadcast_to(reshape(g, (1,) * a.ndim), a.shape)
+            return np.broadcast_to(g.reshape((1,) * a.ndim), a.shape).copy()
         axes = axis if isinstance(axis, tuple) else (axis,)
         axes = tuple(ax % a.ndim for ax in axes)
         if not keepdims:
             kept = list(g.shape)
             for ax in sorted(axes):
                 kept.insert(ax, 1)
-            g = reshape(g, tuple(kept))
-        return broadcast_to(g, a.shape)
+            g = g.reshape(tuple(kept))
+        return np.broadcast_to(g, a.shape).copy()
 
     return _attach(out, (a,), (vjp,))
 
@@ -309,7 +310,7 @@ def tmean(a, axis=None, keepdims=False) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     out = Tensor(a.data.reshape(shape))
-    return _attach(out, (a,), (lambda g: reshape(g, a.shape),))
+    return _attach(out, (a,), (lambda g: g.reshape(a.shape),))
 
 
 def broadcast_to(a, shape) -> Tensor:
@@ -321,7 +322,7 @@ def broadcast_to(a, shape) -> Tensor:
 def swapaxes(a, ax1, ax2) -> Tensor:
     a = as_tensor(a)
     out = Tensor(np.swapaxes(a.data, ax1, ax2))
-    return _attach(out, (a,), (lambda g: swapaxes(g, ax1, ax2),))
+    return _attach(out, (a,), (lambda g: np.swapaxes(g, ax1, ax2),))
 
 
 def transpose(a, axes) -> Tensor:
@@ -329,22 +330,27 @@ def transpose(a, axes) -> Tensor:
     axes = tuple(axes)
     out = Tensor(np.transpose(a.data, axes))
     inv = tuple(int(i) for i in np.argsort(axes))
-    return _attach(out, (a,), (lambda g: transpose(g, inv),))
+    return _attach(out, (a,), (lambda g: np.transpose(g, inv),))
+
+
+def _scattered(g: np.ndarray, idx, shape) -> np.ndarray:
+    data = np.zeros(shape, dtype=np.float64)
+    data[idx] = g
+    return data
 
 
 def take(a, idx) -> Tensor:
     """Basic slicing/indexing; gradient scatters back into zeros."""
     a = as_tensor(a)
     out = Tensor(np.array(a.data[idx]))
-    return _attach(out, (a,), (lambda g: scatter(g, idx, a.shape),))
+    return _attach(out, (a,), (lambda g: _scattered(g, idx, a.shape),))
 
 
 def scatter(g, idx, shape) -> Tensor:
+    """Zeros of the given shape with g written at idx; the inverse of take."""
     g = as_tensor(g)
-    data = np.zeros(shape, dtype=np.float64)
-    data[idx] = g.data
-    out = Tensor(data)
-    return _attach(out, (g,), (lambda gg: take(gg, idx),))
+    out = Tensor(_scattered(g.data, idx, shape))
+    return _attach(out, (g,), (lambda gg: np.array(gg[idx]),))
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -356,23 +362,20 @@ def concat(tensors, axis=0) -> Tensor:
     for t in tensors:
         n = t.shape[ax]
         sl = (slice(None),) * ax + (slice(offset, offset + n),)
-        vjps.append(lambda g, sl=sl: take(g, sl))
+        vjps.append(lambda g, sl=sl: np.array(g[sl]))
         offset += n
     return _attach(out, tuple(tensors), tuple(vjps))
 
 
-# fused first-order nodes
+# fused nodes
 
-def fused(name: str, data: np.ndarray, parents: tuple, backward) -> Tensor:
+def fused(data: np.ndarray, parents: tuple, backward) -> Tensor:
     """One graph node over several parents, with a numpy backward.
 
-    backward maps the output's gradient (an ndarray) to a sequence of
-    ndarray gradients, one per parent in order. It runs once per gradient
-    reaching the node: the first parent's VJP calls it, and the results are
-    handed out to the parents in the order grad visits them.
-
-    Backward runs with graph building enabled only under create_graph=True,
-    and a numpy backward cannot build a graph, so that case raises.
+    backward maps the output's gradient to a sequence of gradients, one per
+    parent in order. It runs once per gradient reaching the node: the first
+    parent's VJP calls it, and the results are handed out to the parents in
+    the order grad visits them.
     """
     out = Tensor(data)
     if not _grad_enabled:
@@ -380,22 +383,18 @@ def fused(name: str, data: np.ndarray, parents: tuple, backward) -> Tensor:
     last = max((i for i, p in enumerate(parents) if p.requires_grad), default=-1)
     memo: list = [None, None]  # (gradient seen, backward's results for it)
 
-    def lift(i):
-        def tensor_vjp(g: Tensor) -> Tensor:
-            if _grad_enabled:
-                raise NotImplementedError(
-                    f"{name} is first-order only; create_graph=True cannot pass through it"
-                )
+    def vjp(i):
+        def parent_grad(g: np.ndarray) -> np.ndarray:
             if memo[0] is not g:
-                memo[0], memo[1] = g, backward(g.data)
+                memo[0], memo[1] = g, backward(g)
             pg = memo[1][i]
             if i == last:
                 memo[0] = memo[1] = None
-            return Tensor(pg)
+            return pg
 
-        return tensor_vjp
+        return parent_grad
 
-    return _attach(out, parents, tuple(lift(i) for i in range(len(parents))))
+    return _attach(out, parents, tuple(vjp(i) for i in range(len(parents))))
 
 
 # np.max over the short axes the softmaxes reduce (rank 8, a few tokens) is
@@ -431,7 +430,7 @@ def softmax_backward(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
 def softmax(a, axis=-1) -> Tensor:
     a = as_tensor(a)
     y = softmax_forward(a.data, axis)
-    return fused("softmax", y, (a,), lambda g: (softmax_backward(y, g, axis),))
+    return fused(y, (a,), lambda g: (softmax_backward(y, g, axis),))
 
 
 def layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5):
@@ -470,11 +469,11 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     def backward(g):
         return (
             layer_norm_backward(g, gamma.data, y, std),
-            _unbroadcast(Tensor(g * y), gamma.shape).data,
-            _unbroadcast(Tensor(g), beta.shape).data,
+            _unbroadcast(g * y, gamma.shape),
+            _unbroadcast(g, beta.shape),
         )
 
-    return fused("layer_norm", out, (x, gamma, beta), backward)
+    return fused(out, (x, gamma, beta), backward)
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
@@ -518,7 +517,7 @@ def gelu_backward(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
 def gelu(x) -> Tensor:
     x = as_tensor(x)
     out, t = gelu_forward(x.data)
-    return fused("gelu", out, (x,), lambda g: (gelu_backward(x.data, t, g),))
+    return fused(out, (x,), lambda g: (gelu_backward(x.data, t, g),))
 
 
 # backward
@@ -542,50 +541,40 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def grad(
-    output: Tensor,
-    inputs: list[Tensor],
-    create_graph: bool = False,
-    grad_output: Tensor | None = None,
-) -> list[Tensor]:
+def grad(output: Tensor, inputs: list[Tensor]) -> list[Tensor]:
     """Gradients of a scalar output with respect to each input tensor.
 
-    Inputs the output does not depend on get exact zeros. With
-    ``create_graph=True`` the returned tensors carry graphs and can be
-    differentiated again.
+    Inputs the output does not depend on get exact zeros. The returned
+    tensors carry no graph.
     """
     if not isinstance(output, Tensor):
         raise BackwardBeforeForward("output is not a Tensor from a forward pass")
-    if grad_output is None:
-        if output.size != 1:
-            raise ValueError(f"output must be scalar, got shape {output.shape}")
-        grad_output = Tensor(np.ones_like(output.data))
+    if output.size != 1:
+        raise ValueError(f"output must be scalar, got shape {output.shape}")
     if not output.requires_grad:
         raise BackwardBeforeForward(
             "output carries no graph; run the forward pass with gradients enabled"
         )
 
     order = _topo_order(output)
-    grads: dict[int, Tensor] = {id(output): as_tensor(grad_output)}
+    grads: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
     input_ids = {id(t) for t in inputs}
 
-    ctx = contextlib.nullcontext() if create_graph else no_grad()
-    with ctx:
-        for node in reversed(order):
-            g = grads.get(id(node))
-            if g is None:
-                continue
-            for parent, vjp in zip(node._parents, node._vjps):
-                pg = vjp(g)
-                prev = grads.get(id(parent))
-                grads[id(parent)] = pg if prev is None else add(prev, pg)
-            if id(node) not in input_ids:
-                del grads[id(node)]
+    for node in reversed(order):
+        g = grads.get(id(node))
+        if g is None:
+            continue
+        for parent, vjp in zip(node._parents, node._vjps):
+            pg = vjp(g)
+            prev = grads.get(id(parent))
+            grads[id(parent)] = pg if prev is None else prev + pg
+        if id(node) not in input_ids:
+            del grads[id(node)]
 
     out = []
     for t in inputs:
         g = grads.get(id(t))
-        out.append(g if g is not None else Tensor(np.zeros_like(t.data)))
+        out.append(Tensor(g) if g is not None else Tensor(np.zeros_like(t.data)))
     return out
 
 

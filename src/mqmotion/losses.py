@@ -128,59 +128,65 @@ def interpolate_samples(real, fake, rng_seed: int) -> tuple[Tensor, np.ndarray]:
 
 
 def penalty_of_gradients(g: np.ndarray, gp_lambda: float) -> tuple[float, np.ndarray]:
-    """lambda * mean((||g_n|| - 1)^2) over the rows g_n of g, and its gradient in g."""
+    """lambda * mean((||g_n|| - 1)^2) over the rows g_n of g, and its gradient in g.
+
+    A zero row has no gradient of its norm; it gets the subgradient 0.
+    """
     if not np.isfinite(g).all():
         raise NumericalInstability("non-finite critic input gradient in penalty term")
     norms = np.sqrt(np.sum(g * g, axis=1))
     shifted = norms - 1.0
     value = gp_lambda * (np.sum(shifted * shifted) / float(len(norms)))
-    slope = g * ((2.0 * gp_lambda / len(norms)) * shifted / norms)[:, None]
-    return float(value), slope
+    if not np.isfinite(value):
+        raise NumericalInstability("non-finite penalty loss")
+    scale = np.divide(shifted, norms, out=np.zeros_like(norms), where=norms > 0.0)
+    return float(value), g * ((2.0 * gp_lambda / len(norms)) * scale)[:, None]
 
 
 def gradient_penalty(critic_fn, x_hat: Tensor, gp_lambda: float) -> Tensor:
-    """lambda * E[(||grad_x critic(x)|| - 1)^2] at the given points.
+    """lambda * E[(||grad_x critic(x)|| - 1)^2] at the given points, as a value.
 
-    The input gradient is built with create_graph=True, so the returned
-    scalar can be differentiated with respect to the critic parameters.
+    critic_fn is any Tensor function of (N, features) rows to (N,) scores,
+    and x_hat a leaf Tensor that requires grad. The result carries no
+    graph: a penalty's gradient in a critic's weights needs the critic's
+    second derivatives, which the first-order engine does not build. The
+    model's critics have them in closed form (network.Critic.wgan_gp).
     """
     scores = critic_fn(x_hat)
     if scores.ndim != 1:
         raise DimsMismatch(f"critic must return (N,) scores, got {scores.shape}")
-    g = ad.grad(ad.tsum(scores), [x_hat], create_graph=True)[0]
-    if not np.isfinite(g.data).all():
-        raise NumericalInstability("non-finite critic input gradient in penalty term")
-    norms = ad.sqrt(ad.tsum(ad.mul(g, g), axis=1))
-    shifted = ad.sub(norms, 1.0)
-    return ad.mul(gp_lambda, ad.tmean(ad.mul(shifted, shifted)))
+    g = ad.grad(ad.tsum(scores), [x_hat])[0]
+    return Tensor(penalty_of_gradients(g.data, gp_lambda)[0])
 
 
-def loss_adversarial(critic_fn, real, fake, gp_lambda: float, rng_seed: int):
+def loss_adversarial(critic, real, fake, gp_lambda: float, rng_seed: int):
     """WGAN-GP terms for one critic.
 
     Returns (critic_loss, gp_term, gen_term):
       critic_loss = E[D(fake)] - E[D(real)] + gp_term   (critic minimizes)
       gen_term    = -E[D(fake)]                         (generator minimizes)
-    The caller detaches fake for critic updates; for generator updates the
-    gen_term keeps the graph back into the generator.
+    critic is one of the model's critics as a network.Critic, or any
+    Tensor function of rows to scores. For a network.Critic, critic_loss is
+    one graph node over the critic's weights, from Critic.wgan_gp, and the
+    other two terms are values. For a Tensor function, critic_loss is a
+    value too (see gradient_penalty), and gen_term keeps its graph back
+    into the critic and into fake.
     """
     real_t, fake_t = ad.as_tensor(real), ad.as_tensor(fake)
     x_hat, _ = interpolate_samples(real_t, fake_t, rng_seed)
-    if hasattr(critic_fn, "wgan_gp"):
-        critic_loss, gp, score_fake = critic_fn.wgan_gp(x_hat.data, fake_t.data, real_t.data,
-                                                        gp_lambda)
-        if not np.isfinite(critic_loss.data):
-            raise NumericalInstability("non-finite critic loss")
-        return critic_loss, Tensor(gp), Tensor(-score_fake)
-    gp = gradient_penalty(critic_fn, x_hat, gp_lambda)
-    score_fake = ad.tmean(critic_fn(fake_t))
-    score_real = ad.tmean(critic_fn(real_t))
-    critic_loss = ad.add(ad.sub(score_fake, score_real), gp)
-    gen_term = ad.neg(score_fake)
-    for name, t in (("critic", critic_loss), ("penalty", gp)):
-        if not np.isfinite(t.data).all():
-            raise NumericalInstability(f"non-finite {name} loss")
-    return critic_loss, gp, gen_term
+    if hasattr(critic, "wgan_gp"):
+        critic_loss, gp, score_fake = critic.wgan_gp(x_hat.data, fake_t.data, real_t.data,
+                                                     gp_lambda)
+        gen_term = Tensor(-score_fake)
+    else:
+        gp = gradient_penalty(critic, x_hat, gp_lambda).item()
+        score_fake = ad.tmean(critic(fake_t))
+        score_real = ad.tmean(critic(real_t))
+        critic_loss = Tensor(score_fake.data - score_real.data + gp)
+        gen_term = ad.neg(score_fake)
+    if not np.isfinite(critic_loss.data):
+        raise NumericalInstability("non-finite critic loss")
+    return critic_loss, Tensor(gp), gen_term
 
 
 def make_report(

@@ -473,7 +473,7 @@ def _sublayer(h: Tensor, params: ModelParams, prefix: str, names: tuple, forward
         dh, grads = backward(g)
         return (dh, *(grads[s] for s in names))
 
-    return ad.fused(prefix, out, (h, *tensors), vjp)
+    return ad.fused(out, (h, *tensors), vjp)
 
 
 def _attention_sublayer(h, params: ModelParams, layer: int, branch: str) -> Tensor:
@@ -577,13 +577,17 @@ def heads(act, params: ModelParams) -> dict[str, Tensor]:
     return {"pred": pred, "mask_recon": mask_recon, "denoise_recon": denoise_recon}
 
 
-def _critic_mlp(x: Tensor, params: ModelParams, which: str) -> Tensor:
-    p = f"critic.{which}"
-    w1 = params.t(f"{p}.w1")
+def _check_critic_rows(x, w1, which: str) -> None:
     if x.ndim != 2 or x.shape[1] != w1.shape[0]:
         raise DimsMismatch(
             f"{which} critic expects (N, {w1.shape[0]}), got {tuple(x.shape)}"
         )
+
+
+def _critic_mlp(x: Tensor, params: ModelParams, which: str) -> Tensor:
+    p = f"critic.{which}"
+    w1 = params.t(f"{p}.w1")
+    _check_critic_rows(x, w1, which)
     h = ad.tanh(ad.add(ad.matmul(x, w1), params.t(f"{p}.b1")))
     h = ad.tanh(ad.add(ad.matmul(h, params.t(f"{p}.w2")), params.t(f"{p}.b2")))
     out = ad.add(ad.matmul(h, params.t(f"{p}.w3")), params.t(f"{p}.b3"))
@@ -613,17 +617,11 @@ _CRITIC = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 @dataclass(frozen=True)
 class Critic:
-    """One of the model's two critics, "fidelity" or "continuity".
-
-    Calling it scores (N, features) rows as _critic_mlp does. wgan_gp gives
-    its WGAN-GP loss in closed form.
-    """
+    """One of the model's two critics, "fidelity" or "continuity", whose
+    WGAN-GP loss wgan_gp gives in closed form."""
 
     params: ModelParams
     which: str
-
-    def __call__(self, rows) -> Tensor:
-        return _critic_mlp(ad.as_tensor(rows), self.params, self.which)
 
     def wgan_gp(self, x_hat: np.ndarray, fake: np.ndarray, real: np.ndarray,
                 gp_lambda: float) -> tuple[Tensor, float, float]:
@@ -640,10 +638,7 @@ class Critic:
         tensors = tuple(self.params.t(f"critic.{self.which}.{s}") for s in _CRITIC)
         w1, b1, w2, b2, w3, b3 = (t.data for t in tensors)
         x = np.concatenate([x_hat, fake, real])
-        if x.ndim != 2 or x.shape[1] != w1.shape[0]:
-            raise DimsMismatch(
-                f"{self.which} critic expects (N, {w1.shape[0]}), got {tuple(x.shape)}"
-            )
+        _check_critic_rows(x, w1, self.which)
         n, nf, nr = len(x_hat), len(fake), len(real)
         h1 = np.tanh(x @ w1 + b1)
         h2 = np.tanh(h1 @ w2 + b2)
@@ -680,7 +675,7 @@ class Critic:
             grads = (dw1, da1.sum(axis=0), dw2, da2.sum(axis=0), dw3, np.sum(c, keepdims=True))
             return tuple(g * d for d in grads)
 
-        return ad.fused(f"critic.{self.which}", np.array(loss), tensors, backward), gp, score_fake
+        return ad.fused(np.array(loss), tensors, backward), gp, score_fake
 
 
 def continuity_inputs(window) -> Tensor:

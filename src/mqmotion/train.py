@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import typing
 from dataclasses import dataclass, asdict
@@ -489,7 +490,22 @@ def save_checkpoint(path, trainer: Trainer) -> None:
         adam_critic.m.astype("<f8").tobytes(),
         adam_critic.v.astype("<f8").tobytes(),
     ]
-    Path(path).write_bytes(b"".join(parts))
+    _write_atomically(Path(path), b"".join(parts))
+
+
+def _write_atomically(path: Path, data: bytes) -> None:
+    """Write through a synced temp file in the same directory, then rename
+    it over path, so a crash at any point leaves the old file or the new."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass

@@ -189,21 +189,27 @@ class TestGradientPenalty:
         assert abs(got - want) < 1e-10
 
     def test_differentiable_wrt_critic_weights(self):
+        # the closed-form penalty's gradient in the critic weights is the
+        # critic loss's gradient at lambda 10 less its gradient at lambda 0;
+        # finite differences of gradient_penalty's value are the oracle
         params = net.ModelParams.init(critic_dims(), seed=0)
-        x0 = np.random.default_rng(10).standard_normal((4, 9))
-        names = ["critic.fidelity.w1", "critic.fidelity.b2"]
+        rng = np.random.default_rng(10)
+        x0, fake, real = (rng.standard_normal((4, 9)) for _ in range(3))
+        critic = net.Critic(params, "fidelity")
+        names = [f"critic.fidelity.{s}" for s in net._CRITIC]
 
-        def gp_value():
-            x_hat = Tensor(x0.copy(), requires_grad=True)
-            return losses.gradient_penalty(
-                lambda x: net.discriminate_fidelity(x, params), x_hat, 10.0)
+        def loss_grad(gp_lambda):
+            loss, _, _ = critic.wgan_gp(x0, fake, real, gp_lambda)
+            return net.parameter_gradients(loss, params, names)
 
-        g = net.parameter_gradients(gp_value(), params, names)
+        g = loss_grad(10.0) - loss_grad(0.0)
         start = params.flat(names)
 
         def f(vec):
             params.set_flat(vec, names)
-            return gp_value().item()
+            x_hat = Tensor(x0.copy(), requires_grad=True)
+            return losses.gradient_penalty(
+                lambda x: net.discriminate_fidelity(x, params), x_hat, 10.0).item()
 
         fd = ad.finite_difference(f, start, step=1e-5)
         params.set_flat(start, names)
@@ -261,6 +267,43 @@ class TestAdversarial:
         (g,) = ad.grad(gen, [fake])
         assert g.data.shape == fake.shape
         assert np.any(g.data != 0.0)
+
+    @pytest.mark.parametrize("which", ["fidelity", "continuity"])
+    def test_closed_form_matches_tensor_critic(self, which):
+        # the same critic as a network.Critic and as a plain Tensor function
+        discriminate = {"fidelity": net.discriminate_fidelity,
+                        "continuity": net.discriminate_continuity}[which]
+        width = 9 if which == "fidelity" else 18
+        rng = np.random.default_rng(12)
+        real, fake = rng.standard_normal((2, 6, width))
+        closed = losses.loss_adversarial(net.Critic(self.params, which), real, fake, 10.0,
+                                         rng_seed=27)
+        generic = losses.loss_adversarial(lambda x: discriminate(x, self.params), real, fake,
+                                          10.0, rng_seed=27)
+        for a, b in zip(closed, generic):
+            assert abs(a.item() - b.item()) <= 1e-12 * abs(b.item())
+
+    @pytest.mark.parametrize("which", ["fidelity", "continuity"])
+    def test_closed_form_gradients_match_fd(self, which):
+        critic = net.Critic(self.params, which)
+        width = 9 if which == "fidelity" else 18
+        rng = np.random.default_rng(13)
+        x_hat, fake, real = rng.standard_normal((3, 5, width))
+        names = [f"critic.{which}.{s}" for s in net._CRITIC]
+        loss, _, _ = critic.wgan_gp(x_hat, fake, real, 10.0)
+        g = net.parameter_gradients(loss, self.params, names)
+        start = self.params.flat(names)
+
+        def f(vec):
+            self.params.set_flat(vec, names)
+            return critic.wgan_gp(x_hat, fake, real, 10.0)[0].item()
+
+        fd = ad.finite_difference(f, start, step=1e-5)
+        self.params.set_flat(start, names)
+        # b3 shifts every score alike, which the two means cancel
+        assert abs(g[-1]) < 1e-12
+        denom = np.maximum(np.abs(fd[:-1]), 1e-8)
+        assert (np.abs(g[:-1] - fd[:-1]) / denom).max() < 1e-5
 
     def test_overflowing_critic_raises(self):
         def critic(x):

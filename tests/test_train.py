@@ -1,6 +1,7 @@
 """Optimizer fixtures, alternating-update bookkeeping, checkpoint format,
 and the bitwise determinism / resume contract."""
 import dataclasses
+import gc
 import json
 import struct
 import warnings
@@ -315,6 +316,26 @@ class TestRun:
         assert float(cells[1]) == report.l_pred
         assert float(cells[6]) == report.l_total
 
+    def test_training_step_leaves_no_reference_cycles(self):
+        # a graph with a cycle (say, a VJP holding its own output Tensor)
+        # outlives its step until the cyclic collector runs
+        cfg = tr.TrainConfig(max_steps=1)
+        seqs = [synth_generate("sinusoid", joints=5, frames=60, fps=25.0, seed=s)
+                for s in range(3)]
+        ds = make_windows(seqs, n_observed=cfg.obs_frames, n_future=cfg.future_frames,
+                          stride=1)
+        trainer = tr.Trainer(ds, cfg)
+        gc.collect()
+        gc.disable()
+        try:
+            result = trainer.run()
+            assert len(result.reports) == 1
+            del result
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0
+
     def test_bitwise_deterministic_in_seed(self):
         a = tr.train(small_dataset(), small_cfg(epochs=1))
         b = tr.train(small_dataset(), small_cfg(epochs=1))
@@ -342,6 +363,25 @@ class TestCheckpoint:
         resaved = tmp_path / "again.mqck"
         trainer.save(resaved)
         assert resaved.read_bytes() == ckpt.read_bytes()
+
+    @pytest.mark.parametrize("fail", ["fsync", "replace"])
+    def test_interrupted_save_keeps_the_old_file(self, tmp_path, monkeypatch, fail):
+        ckpt, cfg = self.run_short(tmp_path)
+        old = ckpt.read_bytes()
+        trainer = tr.Trainer(small_dataset(), cfg, tr.load_checkpoint(ckpt))
+        trainer.global_step += 1
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(tr.os, fail, interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            trainer.save(ckpt)
+        monkeypatch.undo()
+        assert ckpt.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == [ckpt.name]
+        trainer.save(ckpt)
+        assert tr.load_checkpoint(ckpt).global_step == trainer.global_step
 
     def test_bad_magic_rejected(self, tmp_path):
         ckpt, _ = self.run_short(tmp_path)
