@@ -313,12 +313,6 @@ def reshape(a, shape) -> Tensor:
     return _attach(out, (a,), (lambda g: g.reshape(a.shape),))
 
 
-def broadcast_to(a, shape) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.broadcast_to(a.data, shape).copy())
-    return _attach(out, (a,), (lambda g: _unbroadcast(g, a.shape),))
-
-
 def swapaxes(a, ax1, ax2) -> Tensor:
     a = as_tensor(a)
     out = Tensor(np.swapaxes(a.data, ax1, ax2))
@@ -344,13 +338,6 @@ def take(a, idx) -> Tensor:
     a = as_tensor(a)
     out = Tensor(np.array(a.data[idx]))
     return _attach(out, (a,), (lambda g: _scattered(g, idx, a.shape),))
-
-
-def scatter(g, idx, shape) -> Tensor:
-    """Zeros of the given shape with g written at idx; the inverse of take."""
-    g = as_tensor(g)
-    out = Tensor(_scattered(g.data, idx, shape))
-    return _attach(out, (g,), (lambda gg: np.array(gg[idx]),))
 
 
 def concat(tensors, axis=0) -> Tensor:

@@ -47,8 +47,7 @@ class HorizonReport:
 
 def evaluate(predictor, dataset: WindowedDataset,
              horizons_ms: tuple[int, ...] = DEFAULT_HORIZONS_MS,
-             root_index: int | None = None, batch_size: int = 64,
-             max_windows: int | None = None) -> HorizonReport:
+             root_index: int | None = None, batch_size: int = 64) -> HorizonReport:
     """Run the predictor over every window and average single-frame errors.
 
     `predictor` maps observed frames (B, n, J, 3) to predictions
@@ -63,7 +62,7 @@ def evaluate(predictor, dataset: WindowedDataset,
             f"hold {dataset.n_future} future frames"
         )
     root = dataset.skeleton.root_index if root_index is None else root_index
-    windows = dataset.windows if max_windows is None else dataset.windows[:max_windows]
+    windows = dataset.windows
     if not windows:
         raise WindowTooShort("no windows to evaluate")
 

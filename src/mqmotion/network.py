@@ -23,10 +23,7 @@ Each sublayer, residual and post-LN included, is one first-order graph
 node (autodiff.fused): a numpy forward that keeps its intermediates and a
 closed-form numpy backward. In the low-rank form the rank projections fold
 into the query and key projections, x @ (w p) instead of (x @ w) @ p,
-which changes rounding but not the function. A key bias (bk, and pk_b in
-the low-rank form) adds the same logit to every token of a head, which the
-softmax over tokens cancels: its true gradient is exactly zero (about
-1e-15 in floating point), so it stays near its initial zeros.
+which changes rounding but not the function.
 
 The Tensor returned by the forward functions carries the backward graph;
 that graph is the "activation cache" consumed by parameter_gradients.
@@ -117,7 +114,6 @@ def _param_spec(dims: ModelDims) -> list[tuple[str, tuple, str]]:
                 (f"{p}.wq", (d, d), "uniform"),
                 (f"{p}.bq", (d,), "zeros"),
                 (f"{p}.wk", (d, d), "uniform"),
-                (f"{p}.bk", (d,), "zeros"),
                 (f"{p}.wv", (d, d), "uniform"),
                 (f"{p}.bv", (d,), "zeros"),
             ]
@@ -126,7 +122,6 @@ def _param_spec(dims: ModelDims) -> list[tuple[str, tuple, str]]:
                     (f"{p}.pq", (h, dh, r), "uniform"),
                     (f"{p}.pq_b", (h, 1, r), "zeros"),
                     (f"{p}.pk", (h, dh, r), "uniform"),
-                    (f"{p}.pk_b", (h, 1, r), "zeros"),
                     (f"{p}.gate", (tokens, tokens), "eye"),
                 ]
             spec += [
@@ -164,7 +159,6 @@ def _param_spec(dims: ModelDims) -> list[tuple[str, tuple, str]]:
             (f"{p}.w2", (w, w), "uniform"),
             (f"{p}.b2", (w,), "zeros"),
             (f"{p}.w3", (w, 1), "uniform"),
-            (f"{p}.b3", (1,), "zeros"),
         ]
     return spec
 
@@ -304,8 +298,8 @@ def embed(features, token_mask, params: ModelParams) -> Tensor:
 
 
 # Parameter names of each sublayer, in the order its fused node lists them.
-_QKV = ("wq", "bq", "wk", "bk", "wv", "bv")
-_GATED = ("pq", "pq_b", "pk", "pk_b", "gate")
+_QKV = ("wq", "bq", "wk", "wv", "bv")
+_GATED = ("pq", "pq_b", "pk", "gate")
 _ATTN_FF = ("ff_w1", "ff_b1", "ff_w2", "ff_b2")
 _FFN = ("w1", "b1", "w2", "b2")
 _LN = ("ln_g", "ln_b")
@@ -329,27 +323,23 @@ def _bias_grad(dy: np.ndarray) -> np.ndarray:
     return dy.reshape(-1, dy.shape[-1]).sum(axis=0)
 
 
-def _fold(w, b, p, pb, heads: int):
+def _fold(w, p, heads: int):
     """Fold a per-head rank projection into the projection it follows.
 
-    With w (D, D), b (D,), p (H, Dh, r) and pb (H, 1, r), returns W (D, H*r)
-    and B (H*r,) such that x @ W + B equals, head by head, the rank-r map
-    (x @ w + b)[head's Dh columns] @ p[head] + pb[head].
+    With w (D, D) and p (H, Dh, r), returns W (D, H*r) such that x @ W
+    equals, head by head, the rank-r map (x @ w)[head's Dh columns] @ p[head].
     """
     d = w.shape[0]
     w3 = w.reshape(d, heads, -1).transpose(1, 0, 2)  # (H, D, Dh)
-    return (w3 @ p).transpose(1, 0, 2).reshape(d, -1), (b.reshape(heads, 1, -1) @ p + pb).reshape(-1)
+    return (w3 @ p).transpose(1, 0, 2).reshape(d, -1)
 
 
-def _unfold_grads(dw_f, db_f, w, b, p, heads: int):
-    """Chain the gradients of _fold's (W, B) back to those of (w, b, p, pb)."""
+def _unfold_grads(dw_f, w, p, heads: int):
+    """Chain the gradient of _fold's W back to those of (w, p)."""
     d = w.shape[0]
     dw3 = dw_f.reshape(d, heads, -1).transpose(1, 0, 2)  # (H, D, r)
-    db3 = db_f.reshape(heads, 1, -1)  # (H, 1, r)
     w3 = w.reshape(d, heads, -1).transpose(1, 0, 2)  # (H, D, Dh)
-    pt = p.swapaxes(-1, -2)
-    dp = w3.swapaxes(-1, -2) @ dw3 + b.reshape(heads, 1, -1).swapaxes(-1, -2) @ db3
-    return (dw3 @ pt).transpose(1, 0, 2).reshape(d, -1), (db3 @ pt).reshape(-1), dp, db3
+    return (dw3 @ p.swapaxes(-1, -2)).transpose(1, 0, 2).reshape(d, -1), w3.swapaxes(-1, -2) @ dw3
 
 
 def _attention(x: np.ndarray, P: dict, dims: ModelDims):
@@ -358,7 +348,8 @@ def _attention(x: np.ndarray, P: dict, dims: ModelDims):
     Attention runs over the N tokens within each of the G groups. Returns
     the concatenated heads (B, G, N, D), before the attention feed-forward,
     and their backward: a map from the heads' gradient to (dx, {parameter
-    suffix: gradient}).
+    suffix: gradient}). Keys have no bias: a bias adds the same logit to
+    every token of a head, which the softmax over tokens cancels.
     """
     b, g, n, d = x.shape
     h, dh, r = dims.heads, dims.head_dim, dims.rank
@@ -374,18 +365,19 @@ def _attention(x: np.ndarray, P: dict, dims: ModelDims):
         # The rank projections fold into the query and key projections, and
         # the gate, shared by all heads, mixes the merged heads at once. The
         # softmaxes run on (B, G, N, H, r) arrays, contiguous over the rank.
-        wq, bq = _fold(P["wq"], P["bq"], P["pq"], P["pq_b"], h)
-        wk, bk = _fold(P["wk"], P["bk"], P["pk"], P["pk_b"], h)
+        wq, wk = _fold(P["wq"], P["pq"], h), _fold(P["wk"], P["pk"], h)
+        bq = (P["bq"].reshape(h, 1, -1) @ P["pq"] + P["pq_b"]).reshape(-1)
         aq = ad.softmax_forward((x @ wq + bq).reshape(b, g, n, h, r), -1)  # phi(Q): over the rank
-        ak = ad.softmax_forward((x @ wk + bk).reshape(b, g, n, h, r), 2)  # phi(K): over tokens
+        ak = ad.softmax_forward((x @ wk).reshape(b, g, n, h, r), 2)  # phi(K): over tokens
         aqh, akh = aq.transpose(0, 1, 3, 2, 4), ak.transpose(0, 1, 3, 2, 4)
         ctx = akh.swapaxes(-1, -2) @ vh  # (B, G, H, r, Dh)
         mixed = merge(aqh @ ctx)
         out = P["gate"] @ mixed
     else:
         scale = 1.0 / np.sqrt(dh)
-        qh = split(x @ P["wq"] + P["bq"], dh)
-        kh = split(x @ P["wk"] + P["bk"], dh)
+        wq, wk = P["wq"], P["wk"]
+        qh = split(x @ wq + P["bq"], dh)
+        kh = split(x @ wk, dh)
         att = ad.softmax_forward((qh @ kh.swapaxes(-1, -2)) * scale, -1)
         out = merge(att @ vh)
     if not ad.grad_enabled():
@@ -400,24 +392,26 @@ def _attention(x: np.ndarray, P: dict, dims: ModelDims):
             dvh = akh @ dctx
             dq = ad.softmax_backward(aq, (dmixed @ ctx.swapaxes(-1, -2)).transpose(0, 1, 3, 2, 4), -1)
             dk = ad.softmax_backward(ak, (vh @ dctx.swapaxes(-1, -2)).transpose(0, 1, 3, 2, 4), 2)
-            proj = (("q", wq, dq.reshape(b, g, n, -1)), ("k", wk, dk.reshape(b, g, n, -1)))
+            dq, dk = dq.reshape(b, g, n, -1), dk.reshape(b, g, n, -1)
         else:
             douth = split(dout, dh)
             dvh = att.swapaxes(-1, -2) @ douth
             ds = ad.softmax_backward(att, douth @ vh.swapaxes(-1, -2), -1) * scale
-            proj = (("q", P["wq"], merge(ds @ kh)), ("k", P["wk"], merge(ds.swapaxes(-1, -2) @ qh)))
+            dq, dk = merge(ds @ kh), merge(ds.swapaxes(-1, -2) @ qh)
         dv = merge(dvh)
         xs = x.reshape(b, -1, d)  # copies a swapped (temporal) input once
         grads["wv"], grads["bv"] = _weight_grad(xs, dv), _bias_grad(dv)
+        grads["wq"], grads["bq"] = _weight_grad(xs, dq), _bias_grad(dq)
+        grads["wk"] = _weight_grad(xs, dk)
         dx = dv @ P["wv"].T
-        for c, w, dy in proj:
-            dw, db = _weight_grad(xs, dy), _bias_grad(dy)
-            dx += dy @ w.T
-            if dims.lowrank:
-                dw, db, grads[f"p{c}"], grads[f"p{c}_b"] = _unfold_grads(
-                    dw, db, P[f"w{c}"], P[f"b{c}"], P[f"p{c}"], h
-                )
-            grads[f"w{c}"], grads[f"b{c}"] = dw, db
+        dx += dq @ wq.T
+        dx += dk @ wk.T
+        if dims.lowrank:
+            grads["wq"], grads["pq"] = _unfold_grads(grads["wq"], P["wq"], P["pq"], h)
+            grads["wk"], grads["pk"] = _unfold_grads(grads["wk"], P["wk"], P["pk"], h)
+            grads["pq_b"] = grads["bq"].reshape(h, 1, -1)
+            grads["pq"] += P["bq"].reshape(h, 1, -1).swapaxes(-1, -2) @ grads["pq_b"]
+            grads["bq"] = (grads["pq_b"] @ P["pq"].swapaxes(-1, -2)).reshape(-1)
         return dx, grads
 
     return out, backward
@@ -590,8 +584,7 @@ def _critic_mlp(x: Tensor, params: ModelParams, which: str) -> Tensor:
     _check_critic_rows(x, w1, which)
     h = ad.tanh(ad.add(ad.matmul(x, w1), params.t(f"{p}.b1")))
     h = ad.tanh(ad.add(ad.matmul(h, params.t(f"{p}.w2")), params.t(f"{p}.b2")))
-    out = ad.add(ad.matmul(h, params.t(f"{p}.w3")), params.t(f"{p}.b3"))
-    return ad.reshape(out, (x.shape[0],))
+    return ad.reshape(ad.matmul(h, params.t(f"{p}.w3")), (x.shape[0],))
 
 
 def discriminate_fidelity(frames, params: ModelParams) -> Tensor:
@@ -612,7 +605,7 @@ def discriminate_continuity(pairs, params: ModelParams) -> Tensor:
     return _critic_mlp(x, params, "continuity")
 
 
-_CRITIC = ("w1", "b1", "w2", "b2", "w3", "b3")
+_CRITIC = ("w1", "b1", "w2", "b2", "w3")
 
 
 @dataclass(frozen=True)
@@ -625,10 +618,10 @@ class Critic:
 
     def wgan_gp(self, x_hat: np.ndarray, fake: np.ndarray, real: np.ndarray,
                 gp_lambda: float) -> tuple[Tensor, float, float]:
-        """E[D(fake)] - E[D(real)] + gp, as one node over the six weights.
+        """E[D(fake)] - E[D(real)] + gp, as one node over the five weights.
 
         gp is the penalty of losses.penalty_of_gradients at the rows x_hat.
-        The critic is D(x) = tanh(tanh(x W1 + b1) W2 + b2) w3 + b3, and one
+        The critic is D(x) = tanh(tanh(x W1 + b1) W2 + b2) w3, and one
         forward scores the stacked [x_hat; fake; real] rows. With
         s = 1 - tanh^2, the input gradient is W1 (s1 * W2 (s2 * w3)), and
         the node's backward takes the penalty through it by the chain rule,
@@ -636,13 +629,13 @@ class Critic:
         node. Returns (loss, gp, E[D(fake)]).
         """
         tensors = tuple(self.params.t(f"critic.{self.which}.{s}") for s in _CRITIC)
-        w1, b1, w2, b2, w3, b3 = (t.data for t in tensors)
+        w1, b1, w2, b2, w3 = (t.data for t in tensors)
         x = np.concatenate([x_hat, fake, real])
         _check_critic_rows(x, w1, self.which)
         n, nf, nr = len(x_hat), len(fake), len(real)
         h1 = np.tanh(x @ w1 + b1)
         h2 = np.tanh(h1 @ w2 + b2)
-        scores = (h2 @ w3 + b3)[:, 0]
+        scores = (h2 @ w3)[:, 0]
         s1, s2 = 1.0 - h1 * h1, 1.0 - h2 * h2
         # the input gradient at the interpolates, the first n rows
         u2 = s2[:n] * w3[:, 0]
@@ -672,8 +665,7 @@ class Critic:
             da1 = (da2 @ w2.T) * s1
             da1[:n] -= 2.0 * h1[:n] * s1[:n] * (du1 * v1)
             dw1 += x.T @ da1
-            grads = (dw1, da1.sum(axis=0), dw2, da2.sum(axis=0), dw3, np.sum(c, keepdims=True))
-            return tuple(g * d for d in grads)
+            return tuple(g * d for d in (dw1, da1.sum(axis=0), dw2, da2.sum(axis=0), dw3))
 
         return ad.fused(np.array(loss), tensors, backward), gp, score_fake
 

@@ -56,14 +56,11 @@ class PerturbedBatch:
     seed: int
 
 
-def apply_mask(features: np.ndarray, p_m: float, rng_seed: int,
-               per_joint: bool = False):
+def apply_mask(features: np.ndarray, p_m: float, rng_seed: int):
     """Zero each scalar independently with probability p_m.
 
     Returns (masked, CorruptionMask). p_m = 0 returns the input bitwise
-    unchanged (a copy) with an all-false mask. With per_joint=True the
-    draw happens once per leading position and covers the whole last
-    axis, masking entire joint vectors instead of single scalars.
+    unchanged (a copy) with an all-false mask.
     """
     p_m = _check_prob(p_m, "p_m")
     arr = np.asarray(features, dtype=np.float64)
@@ -71,11 +68,7 @@ def apply_mask(features: np.ndarray, p_m: float, rng_seed: int,
     if p_m == 0.0:
         return out, CorruptionMask(np.zeros(arr.shape, dtype=np.bool_), "masked")
     rng = streams.stream(rng_seed, streams.MASK)
-    if per_joint:
-        picks = rng.random(arr.shape[:-1]) < p_m
-        flags = np.broadcast_to(picks[..., np.newaxis], arr.shape).copy()
-    else:
-        flags = rng.random(arr.shape) < p_m
+    flags = rng.random(arr.shape) < p_m
     out[flags] = MASK_SENTINEL
     return out, CorruptionMask(flags, "masked")
 

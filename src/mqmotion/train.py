@@ -8,7 +8,8 @@ needs the loop counters to resume exactly.
 
 Checkpoint container (little-endian):
     bytes 0..3    magic ``MQCK``
-    bytes 4..7    u32 format version, currently 1
+    bytes 4..7    u32 format version, currently 2; any other version,
+                  version 1 included, is rejected (the CLI exits 3)
     bytes 8..15   u64 byte length H of the JSON header
     bytes 16..16+H UTF-8 JSON header with fields:
         dims         ModelDims fields (joints, window, future, in_channels,
@@ -55,7 +56,7 @@ from .errors import AbortStep, DimsMismatch, FormatError, NumericalInstability
 from .losses import LossReport, LossWeights
 
 CHECKPOINT_MAGIC = b"MQCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 LOG_COLUMNS = ("step", "l_pred", "l_mask", "l_denoise", "l_adv", "gp_term", "l_total")
 
@@ -495,7 +496,8 @@ def save_checkpoint(path, trainer: Trainer) -> None:
 
 def _write_atomically(path: Path, data: bytes) -> None:
     """Write through a synced temp file in the same directory, then rename
-    it over path, so a crash at any point leaves the old file or the new."""
+    it over path, so a crash at any point leaves the old file or the new;
+    syncing the directory afterwards makes the rename itself durable."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -506,6 +508,11 @@ def _write_atomically(path: Path, data: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 @dataclass
@@ -539,10 +546,8 @@ def load_checkpoint(path) -> CheckpointState:
     if not isinstance(header, dict) or not all(
             isinstance(header.get(k), dict) for k in ("config", "dims", "counts")):
         raise FormatError("checkpoint header lacks its config, dims or counts object")
-    config = dict(header["config"])
-    config.pop("threads", None)  # written by older versions, which never read it
     try:
-        cfg = TrainConfig(**config)
+        cfg = TrainConfig(**header["config"])
         dims = net.ModelDims(**header["dims"])
         if cfg.model_dims(dims.joints) != dims:
             raise FormatError("checkpoint dims disagree with the model dims of its config")

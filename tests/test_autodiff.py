@@ -99,10 +99,6 @@ class TestShapesAndReductions:
     def test_reshape(self):
         check_grads(lambda a: ad.tsum(ad.power(ad.reshape(a, (6,)), 2.0)), [(2, 3)])
 
-    def test_broadcast_to(self):
-        check_grads(lambda a: ad.tsum(ad.power(ad.broadcast_to(a, (4, 3)), 3.0)),
-                    [(1, 3)])
-
     def test_swapaxes_transpose(self):
         check_grads(lambda a: ad.tsum(ad.mul(ad.swapaxes(a, 0, 1), np.ones((3, 2, 4)))),
                     [(2, 3, 4)])
@@ -123,12 +119,6 @@ class TestShapesAndReductions:
         check_grads(
             lambda a, b: ad.tsum(ad.power(ad.concat([a, b], axis=1), 2.0)),
             [(2, 3), (2, 2)])
-
-    def test_scatter_inverts_take(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        y = ad.tsum(ad.scatter(x[0], (slice(0, 1),), (4, 3)))
-        g = ad.grad(y, [x])[0]
-        assert np.array_equal(g.data, [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
 
 
 class TestComposites:

@@ -153,16 +153,12 @@ class TestEvaluate:
             ev.evaluate(oracle_predictor(ds), ds, horizons_ms=(80, 320))
 
     def test_no_windows_rejected(self):
-        ds = small_dataset()
+        with pytest.warns(UserWarning, match="skipped"):
+            ds = make_windows([labeled_sequence("walk", seed=0, frames=6)],
+                              n_observed=3, n_future=4)
+        assert len(ds) == 0
         with pytest.raises(WindowTooShort):
-            ev.evaluate(oracle_predictor(ds), ds, horizons_ms=(80,),
-                        max_windows=0)
-
-    def test_max_windows_limits_count(self):
-        ds = small_dataset()
-        report = ev.evaluate(oracle_predictor(ds), ds, horizons_ms=(80,),
-                             max_windows=3)
-        assert report.n_windows == 3
+            ev.evaluate(oracle_predictor(ds), ds, horizons_ms=(80,))
 
     def test_batch_size_does_not_change_result(self):
         ds = small_dataset()

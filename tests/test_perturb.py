@@ -56,13 +56,6 @@ class TestApplyMask:
         with pytest.raises(InvalidProbability):
             apply_mask(features(10), 1.5, 0)
 
-    def test_per_joint_covers_last_axis(self):
-        x = np.random.default_rng(4).normal(size=(20, 6, 3))
-        _, mask = apply_mask(x, 0.5, 5, per_joint=True)
-        rows = mask.flags.reshape(-1, 3)
-        assert ((rows.sum(axis=1) == 0) | (rows.sum(axis=1) == 3)).all()
-        assert mask.flags.any() and not mask.flags.all()
-
 
 class TestApplyNoise:
     def test_pn_zero_identity(self):

@@ -383,6 +383,27 @@ class TestCheckpoint:
         trainer.save(ckpt)
         assert tr.load_checkpoint(ckpt).global_step == trainer.global_step
 
+    def test_save_syncs_the_directory_after_the_rename(self, tmp_path, monkeypatch):
+        # the rename survives a power loss only once its directory is synced
+        ckpt, cfg = self.run_short(tmp_path)
+        trainer = tr.Trainer(small_dataset(), cfg, tr.load_checkpoint(ckpt))
+        events = []
+        fsync, replace = tr.os.fsync, tr.os.replace
+
+        def record_fsync(fd):
+            events.append(("fsync", tr.os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def record_replace(src, dst):
+            events.append(("replace", None))
+            replace(src, dst)
+
+        monkeypatch.setattr(tr.os, "fsync", record_fsync)
+        monkeypatch.setattr(tr.os, "replace", record_replace)
+        trainer.save(ckpt)
+        assert events == [("fsync", ckpt.stat().st_ino), ("replace", None),
+                          ("fsync", tmp_path.stat().st_ino)]
+
     def test_bad_magic_rejected(self, tmp_path):
         ckpt, _ = self.run_short(tmp_path)
         raw = bytearray(ckpt.read_bytes())
@@ -393,11 +414,12 @@ class TestCheckpoint:
 
     def test_unknown_version_rejected(self, tmp_path):
         ckpt, _ = self.run_short(tmp_path)
-        raw = bytearray(ckpt.read_bytes())
-        raw[4] = 99
-        ckpt.write_bytes(bytes(raw))
-        with pytest.raises(FormatError):
-            tr.load_checkpoint(ckpt)
+        raw = ckpt.read_bytes()
+        # version 1 stored the key and critic output biases that version 2 dropped
+        for version in (1, 99):
+            ckpt.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
+            with pytest.raises(FormatError, match=f"version {version}"):
+                tr.load_checkpoint(ckpt)
 
     def test_truncation_rejected(self, tmp_path):
         ckpt, _ = self.run_short(tmp_path)
@@ -426,7 +448,7 @@ class TestCheckpoint:
         lambda h: h["dims"].update(heads=3),
         lambda h: h.pop("sigma"),
         lambda h: h["dims"].update(head_gain=50.0),
-        lambda h: swap_manifest_entries(h, "layer0.spatial.bq", "layer0.spatial.bk"),
+        lambda h: swap_manifest_entries(h, "layer0.spatial.bq", "layer0.spatial.bv"),
         lambda h: h["params"][0][1].reverse(),  # embed.w's shape transposed
         lambda h: h["counts"].update(generator=h["counts"]["generator"] + 1,
                                      critic=h["counts"]["critic"] - 1),
@@ -440,23 +462,6 @@ class TestCheckpoint:
         rewrite_header(ckpt, edit)
         with pytest.raises(FormatError):
             tr.load_checkpoint(ckpt)
-
-    @pytest.mark.parametrize("threads", [1, 0])
-    def test_legacy_threads_key_loads_and_resumes(self, tmp_path, threads):
-        # older versions wrote a "threads" config entry that nothing read
-        cfg_full = small_cfg(epochs=2)
-        straight = tmp_path / "straight.mqck"
-        tr.train(small_dataset(), cfg_full, checkpoint_path=straight)
-        ckpt = tmp_path / "mid.mqck"
-        tr.train(small_dataset(), dataclasses.replace(cfg_full, max_steps=3),
-                 checkpoint_path=ckpt)
-        rewrite_header(ckpt, lambda h: h["config"].update(threads=threads,
-                                                          max_steps=None))
-        assert tr.load_checkpoint(ckpt).cfg == cfg_full
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            tr.train(small_dataset(), cfg_full, checkpoint_path=ckpt, resume_from=ckpt)
-        assert ckpt.read_bytes() == straight.read_bytes()
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         cfg_full = small_cfg(epochs=2)
