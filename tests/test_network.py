@@ -405,9 +405,13 @@ def ref_gelu(x):
     return ad.mul(ad.mul(x, 0.5), ad.add(ad.tanh(inner), 1.0))
 
 
-def reference_sublayer(h, params, kind):
+def reference_sublayer(h, params, kind, key_bias=None):
     """Layer 0's sublayer `kind` as a chain of primitive Tensor ops: the
-    oracle for the fused sublayer node's forward and backward."""
+    oracle for the fused sublayer node's forward and backward.
+
+    key_bias, if given, maps "bk" (D,) and, in the low-rank form, "pk_b"
+    (H, 1, r) to Tensors added on the key side, which the model has not.
+    """
     dims = params.dims
     prefix = f"layer0.{kind}"
 
@@ -428,10 +432,13 @@ def reference_sublayer(h, params, kind):
     else:
         x = h if kind == "spatial" else ad.swapaxes(h, 1, 2)
         q, v = (split(ad.add(ad.matmul(x, t(f"w{c}")), t(f"b{c}"))) for c in "qv")
-        k = split(ad.matmul(x, t("wk")))
+        k = ad.matmul(x, t("wk"))
+        k = split(k if key_bias is None else ad.add(k, key_bias["bk"]))
         if dims.lowrank:
             aq = ref_softmax(ad.add(ad.matmul(q, t("pq")), t("pq_b")), axis=-1)
-            ak = ref_softmax(ad.matmul(k, t("pk")), axis=-2)
+            k = ad.matmul(k, t("pk"))
+            ak = ref_softmax(k if key_bias is None else ad.add(k, key_bias["pk_b"]),
+                             axis=-2)
             out = ad.matmul(aq, ad.matmul(ad.swapaxes(ak, -1, -2), v))
             out = ad.matmul(t("gate"), out)
         else:
@@ -530,6 +537,28 @@ class TestSublayerNodes:
         f(start)
         big = np.maximum(np.abs(fd), np.abs(g))
         assert (np.abs(g - fd) / np.maximum(big, 1e-6)).max() < 1e-4
+
+    @pytest.mark.parametrize("lowrank", [True, False])
+    @pytest.mark.parametrize("kind", ["spatial", "temporal"])
+    def test_key_biases_have_zero_gradient(self, kind, lowrank):
+        # a key bias adds the same logit to every token of a head, which the
+        # softmax over tokens cancels: its true gradient is exactly zero, so
+        # the sublayer node, which has none, computes the function of one
+        case = (kind, lowrank, False)
+        params, h, names, w = sublayer_setup(case)
+        dims, rng = params.dims, np.random.default_rng(11)
+        key_bias = {"bk": Tensor(rng.uniform(-1, 1, dims.d_model), requires_grad=True)}
+        if lowrank:
+            key_bias["pk_b"] = Tensor(rng.uniform(-1, 1, (dims.heads, 1, dims.rank)),
+                                      requires_grad=True)
+        out = fused_sublayer(h, params, kind)
+        ref = reference_sublayer(h, params, kind, key_bias)
+        assert np.allclose(out.data, ref.data, rtol=1e-12, atol=1e-12)
+        loss = ad.tsum(ad.mul(ref, w))
+        grads = ad.grad(loss, [params.t(f"layer0.{kind}.bq"), *key_bias.values()])
+        for s, g in zip(key_bias, grads[1:]):
+            assert np.abs(g.data).max() < 1e-12, s
+        assert np.abs(grads[0].data).max() > 1e-6
 
 
 
