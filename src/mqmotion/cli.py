@@ -24,8 +24,8 @@ import numpy as np
 from . import perturb as pt
 from . import streams
 from .core import DEFAULT_HORIZONS_MS, HorizonSpec
-from .dataio import SYNTH_KINDS, read_mqs_file, synth_generate, write_mqs_file, write_mqq, \
-    make_windows
+from .dataio import SYNTH_KINDS, read_mqs_file, synth_generate, write_atomically, \
+    write_mqs_file, write_mqq, make_windows
 from .errors import AbortStep, BackwardBeforeForward, FormatError, MotionError, \
     NumericalInstability, SequenceTooShort, SkeletonMismatch
 from .evaluate import evaluate as run_evaluation
@@ -254,7 +254,7 @@ def _cmd_transform(args, _cfg) -> int:
         seq = read_mqs_file(src).sequence
         q = encode_quotient(seq)
         path = out if single_file else out / (Path(src).stem + ".mqq")
-        Path(path).write_text(write_mqq(q))
+        write_atomically(path, write_mqq(q))
         print(path)
     return 0
 
@@ -280,7 +280,7 @@ def _cmd_perturb(args, cfg) -> int:
                                  ("noised", noised, nmask.flags)):
             path = out / f"{stem}.{tag}.mqs"
             write_mqs_file(path, seq.with_frames(data))
-            (out / f"{stem}.{tag}.mask.txt").write_text(_sidecar(flags))
+            write_atomically(out / f"{stem}.{tag}.mask.txt", _sidecar(flags))
             print(path)
     return 0
 

@@ -14,6 +14,7 @@ Floats are written with repr(float), which round-trips bitwise.
 """
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -119,8 +120,33 @@ def read_mqs_file(path: str | Path) -> MqsFile:
     return parse_mqs(text, path=str(path))
 
 
+def write_atomically(path: str | Path, data: bytes | str) -> None:
+    """Write through a synced temp file in the same directory, then rename
+    it over path, so a crash at any point leaves the old file or the new;
+    syncing the directory afterwards makes the rename itself durable. Text
+    is written as UTF-8."""
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def write_mqs_file(path: str | Path, seq: MotionSequence) -> None:
-    Path(path).write_text(write_mqs(seq))
+    write_atomically(path, write_mqs(seq))
 
 
 def write_mqq(q: QuotientRepresentation) -> str:

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import _kernels
 from .core import DEFAULT_HORIZONS_MS, horizon_to_frame
-from .dataio import WindowedDataset
+from .dataio import WindowedDataset, write_atomically
 from .errors import DimsMismatch, NumericalInstability, WindowTooShort
 
 UNLABELED = "unlabeled"
@@ -174,6 +174,6 @@ def svg_chart(report: HorizonReport, width: int = 640, height: int = 400) -> str
 def write_report(report: HorizonReport, csv_path: str | Path | None = None,
                  svg_path: str | Path | None = None) -> None:
     if csv_path is not None:
-        Path(csv_path).write_text(report_to_csv(report))
+        write_atomically(csv_path, report_to_csv(report))
     if svg_path is not None:
-        Path(svg_path).write_text(svg_chart(report))
+        write_atomically(svg_path, svg_chart(report))

@@ -25,6 +25,13 @@ closed-form numpy backward. In the low-rank form the rank projections fold
 into the query and key projections, x @ (w p) instead of (x @ w) @ p,
 which changes rounding but not the function.
 
+The prediction head reads only each joint's final-frame token, so the
+passes that feed it (training's clean pass and every predictor call) ask
+forward_backbone for the final frame alone: the last block's temporal
+attention queries that frame only, and its feed-forward, post-LN and the
+block's FFN run there only. The masked and noised passes, whose
+reconstruction heads read every token, run the whole window.
+
 The Tensor returned by the forward functions carries the backward graph;
 that graph is the "activation cache" consumed by parameter_gradients.
 """
@@ -342,7 +349,7 @@ def _unfold_grads(dw_f, w, p, heads: int):
     return (dw3 @ p.swapaxes(-1, -2)).transpose(1, 0, 2).reshape(d, -1), w3.swapaxes(-1, -2) @ dw3
 
 
-def _attention(x: np.ndarray, P: dict, dims: ModelDims):
+def _attention(x: np.ndarray, P: dict, dims: ModelDims, last: bool = False):
     """Attention heads over the second-to-last axis of x (B, G, N, D).
 
     Attention runs over the N tokens within each of the G groups. Returns
@@ -350,17 +357,24 @@ def _attention(x: np.ndarray, P: dict, dims: ModelDims):
     and their backward: a map from the heads' gradient to (dx, {parameter
     suffix: gradient}). Keys have no bias: a bias adds the same logit to
     every token of a head, which the softmax over tokens cancels.
+
+    With last set, only each group's final token is an output, (B, G, 1, D):
+    the gate's last row in the low-rank form, the last query row in the
+    full-rank form. Keys and values still span all N tokens, and dx still
+    covers all of x.
     """
     b, g, n, d = x.shape
     h, dh, r = dims.heads, dims.head_dim, dims.rank
 
-    def split(a, w):  # (B, G, N, H*w) -> (B, G, H, N, w), a view
-        return a.reshape(b, g, n, h, w).transpose(0, 1, 3, 2, 4)
+    def split(a, w):  # (B, G, M, H*w) -> (B, G, H, M, w), a view
+        return a.reshape(b, g, -1, h, w).transpose(0, 1, 3, 2, 4)
 
-    def merge(a):  # (B, G, H, N, w) -> (B, G, N, H*w)
-        return a.transpose(0, 1, 3, 2, 4).reshape(b, g, n, -1)
+    def merge(a):  # (B, G, H, M, w) -> (B, G, M, H*w)
+        return a.transpose(0, 1, 3, 2, 4).reshape(b, g, a.shape[3], -1)
 
     vh = split(x @ P["wv"] + P["bv"], dh)
+    # the queried rows: every token, or the last one of the full-rank form
+    xq = x[:, :, -1:] if last and not dims.lowrank else x
     if dims.lowrank:
         # The rank projections fold into the query and key projections, and
         # the gate, shared by all heads, mixes the merged heads at once. The
@@ -372,11 +386,12 @@ def _attention(x: np.ndarray, P: dict, dims: ModelDims):
         aqh, akh = aq.transpose(0, 1, 3, 2, 4), ak.transpose(0, 1, 3, 2, 4)
         ctx = akh.swapaxes(-1, -2) @ vh  # (B, G, H, r, Dh)
         mixed = merge(aqh @ ctx)
-        out = P["gate"] @ mixed
+        gate = P["gate"][-1:] if last else P["gate"]
+        out = gate @ mixed
     else:
         scale = 1.0 / np.sqrt(dh)
         wq, wk = P["wq"], P["wk"]
-        qh = split(x @ wq + P["bq"], dh)
+        qh = split(xq @ wq + P["bq"], dh)
         kh = split(x @ wk, dh)
         att = ad.softmax_forward((qh @ kh.swapaxes(-1, -2)) * scale, -1)
         out = merge(att @ vh)
@@ -386,8 +401,9 @@ def _attention(x: np.ndarray, P: dict, dims: ModelDims):
     def backward(dout):
         grads = {}
         if dims.lowrank:
-            grads["gate"] = (dout @ mixed.swapaxes(-1, -2)).reshape(b * g, n, n).sum(axis=0)
-            dmixed = split(P["gate"].T @ dout, dh)
+            dgate = (dout @ mixed.swapaxes(-1, -2)).reshape(b * g, -1, n).sum(axis=0)
+            grads["gate"] = np.concatenate([np.zeros((n - 1, n)), dgate]) if last else dgate
+            dmixed = split(gate.T @ dout, dh)
             dctx = aqh.swapaxes(-1, -2) @ dmixed
             dvh = akh @ dctx
             dq = ad.softmax_backward(aq, (dmixed @ ctx.swapaxes(-1, -2)).transpose(0, 1, 3, 2, 4), -1)
@@ -401,10 +417,11 @@ def _attention(x: np.ndarray, P: dict, dims: ModelDims):
         dv = merge(dvh)
         xs = x.reshape(b, -1, d)  # copies a swapped (temporal) input once
         grads["wv"], grads["bv"] = _weight_grad(xs, dv), _bias_grad(dv)
-        grads["wq"], grads["bq"] = _weight_grad(xs, dq), _bias_grad(dq)
+        grads["wq"] = _weight_grad(xs if xq is x else xq.reshape(b, -1, d), dq)
+        grads["bq"] = _bias_grad(dq)
         grads["wk"] = _weight_grad(xs, dk)
         dx = dv @ P["wv"].T
-        dx += dq @ wq.T
+        dx[:, :, -dq.shape[2]:] += dq @ wq.T  # the queried rows
         dx += dk @ wk.T
         if dims.lowrank:
             grads["wq"], grads["pq"] = _unfold_grads(grads["wq"], P["wq"], P["pq"], h)
@@ -433,13 +450,16 @@ def _mlp(x: np.ndarray, P: dict, names: tuple):
     return hidden @ w2 + b2, backward
 
 
-def _residual_post_ln(x: np.ndarray, y: np.ndarray, P: dict, branch_backward):
+def _residual_post_ln(x: np.ndarray, y: np.ndarray, P: dict, branch_backward,
+                      last: bool = False):
     """LN(x + y) and the backward of the whole residual sublayer.
 
     branch_backward maps the gradient of y to (dx, grads) for the branch
-    that computed y from x.
+    that computed y from x. With last set, y is the branch output at x's
+    final frame only, (B, 1, J, D), and so is the sublayer's output.
     """
-    out, normed, std = ad.layer_norm_forward(x + y, P["ln_g"], P["ln_b"])
+    out, normed, std = ad.layer_norm_forward((x[:, -1:] if last else x) + y,
+                                             P["ln_g"], P["ln_b"])
     if not ad.grad_enabled():
         return out, None
 
@@ -447,6 +467,9 @@ def _residual_post_ln(x: np.ndarray, y: np.ndarray, P: dict, branch_backward):
         dz = ad.layer_norm_backward(g, P["ln_g"], normed, std)
         dx, grads = branch_backward(dz)
         grads["ln_g"], grads["ln_b"] = _bias_grad(g * normed), _bias_grad(g)
+        if last:
+            dx[:, -1:] += dz
+            return dx, grads
         return dz + dx, grads
 
     return out, backward
@@ -470,8 +493,10 @@ def _sublayer(h: Tensor, params: ModelParams, prefix: str, names: tuple, forward
     return ad.fused(out, (h, *tensors), vjp)
 
 
-def _attention_sublayer(h, params: ModelParams, layer: int, branch: str) -> Tensor:
-    """LN(h + FF(heads(h))) over joints (spatial) or frames (temporal), one node."""
+def _attention_sublayer(h, params: ModelParams, layer: int, branch: str,
+                        last_frame: bool = False) -> Tensor:
+    """LN(h + FF(heads(h))) over joints (spatial) or frames (temporal), one
+    node; with last_frame (temporal only), at the final frame only."""
     h = ad.as_tensor(h)
     _check_act(h, params, name=branch)
     dims = params.dims
@@ -479,7 +504,7 @@ def _attention_sublayer(h, params: ModelParams, layer: int, branch: str) -> Tens
     swap = (lambda a: a) if branch == "spatial" else (lambda a: a.swapaxes(1, 2))
 
     def forward(x, P):
-        heads, heads_backward = _attention(swap(x), P, dims)
+        heads, heads_backward = _attention(swap(x), P, dims, last_frame)
         y, ff_backward = _mlp(heads, P, _ATTN_FF)
 
         def branch_backward(dy):
@@ -488,7 +513,7 @@ def _attention_sublayer(h, params: ModelParams, layer: int, branch: str) -> Tens
             grads.update(attn_grads)
             return swap(dx), grads
 
-        return _residual_post_ln(x, swap(y), P, branch_backward)
+        return _residual_post_ln(x, swap(y), P, branch_backward, last_frame)
 
     names = _QKV + (_GATED if dims.lowrank else ()) + _ATTN_FF + _LN
     return _sublayer(h, params, f"layer{layer}.{branch}", names, forward)
@@ -500,10 +525,11 @@ def spatial_attention(h, params: ModelParams, layer: int) -> Tensor:
     return _attention_sublayer(h, params, layer, "spatial")
 
 
-def temporal_attention(h, params: ModelParams, layer: int) -> Tensor:
+def temporal_attention(h, params: ModelParams, layer: int, last_frame: bool = False) -> Tensor:
     """Mix frames within each joint, residual and post-LN included:
-    (B, T, J, D) -> (B, T, J, D)."""
-    return _attention_sublayer(h, params, layer, "temporal")
+    (B, T, J, D) -> (B, T, J, D), or (B, 1, J, D) with last_frame, where
+    only the final frame is queried (keys and values span every frame)."""
+    return _attention_sublayer(h, params, layer, "temporal", last_frame)
 
 
 def _check_act(h: Tensor, params: ModelParams, name: str) -> None:
@@ -528,47 +554,69 @@ def _ffn(h: Tensor, params: ModelParams, layer: int) -> Tensor:
     return _sublayer(h, params, f"layer{layer}.ffn", _FFN + _LN, forward)
 
 
-def forward_backbone(features, token_mask, params: ModelParams) -> Tensor:
+def forward_backbone(features, token_mask, params: ModelParams,
+                     last_frame: bool = False) -> Tensor:
     """Embed then run all blocks; returns the (B, T, J, D) activation.
 
     Each block: spatial attention, temporal attention, position-wise FFN,
     each residual-added and layer-normalized (post-LN) inside its own
     sublayer node. With zero layers the embedding passes through exactly.
+
+    With last_frame, returns the final frame's activation only, (B, 1, J, D),
+    all that the pred head reads: the last block's spatial attention still
+    runs on every frame and its temporal attention's keys and values still
+    span the window, but its queries, feed-forward, post-LN and FFN run at
+    the final frame alone. It equals the full activation's last frame up to
+    rounding, and the backward still reaches every frame.
     """
     h = embed(features, token_mask, params)
-    for i in range(params.dims.layers):
+    layers = params.dims.layers
+    if last_frame and layers == 0:
+        return h[:, -1:]
+    for i in range(layers):
         h = spatial_attention(h, params, i)
-        h = temporal_attention(h, params, i)
+        h = temporal_attention(h, params, i, last_frame=last_frame and i == layers - 1)
         h = _ffn(h, params, i)
     return h
 
 
-def heads(act, params: ModelParams) -> dict[str, Tensor]:
-    """The three linear output heads over a backbone activation.
+HEAD_NAMES = ("pred", "mask_recon", "denoise_recon")
+
+
+def heads(act, params: ModelParams, *which: str) -> dict[str, Tensor]:
+    """The linear output heads named in which (all three by default).
 
     pred reads the final-token features per joint and emits all future
     frames at once, (B, T_f, J, 3); the two reconstruction heads map every
-    in-window token back to coordinates, (B, T, J, 3). All heads share a
-    fixed output gain so millimeter-scale targets are reachable early in
-    training; zero weights still give exactly zero outputs.
+    in-window token back to coordinates, (B, T, J, 3), so they need the
+    full activation: on a last-frame activation only pred exists. All heads
+    share a fixed output gain so millimeter-scale targets are reachable
+    early in training; zero weights still give exactly zero outputs.
     """
     act = ad.as_tensor(act)
     dims = params.dims
     if act.ndim != 4 or act.shape[-1] != dims.d_model:
         raise DimsMismatch(f"activation must be (B, T, J, {dims.d_model}), got {act.shape}")
     gain = dims.head_gain
-    last = act[:, -1]  # (B, J, D)
-    pred = ad.add(ad.matmul(last, params.t("heads.pred_w")), params.t("heads.pred_b"))
-    b = act.shape[0]
-    pred = ad.reshape(pred, (b, dims.joints, dims.future, 3))
-    pred = ad.mul(ad.transpose(pred, (0, 2, 1, 3)), gain)
-    mask_recon = ad.mul(
-        ad.add(ad.matmul(act, params.t("heads.mask_w")), params.t("heads.mask_b")), gain
-    )
-    denoise_recon = ad.mul(
-        ad.add(ad.matmul(act, params.t("heads.denoise_w")), params.t("heads.denoise_b")), gain
-    )
-    return {"pred": pred, "mask_recon": mask_recon, "denoise_recon": denoise_recon}
+    out = {}
+    for name in which or HEAD_NAMES:
+        if name == "pred":
+            last = act[:, -1]  # (B, J, D)
+            pred = ad.add(ad.matmul(last, params.t("heads.pred_w")), params.t("heads.pred_b"))
+            pred = ad.reshape(pred, (act.shape[0], dims.joints, dims.future, 3))
+            out[name] = ad.mul(ad.transpose(pred, (0, 2, 1, 3)), gain)
+        elif name in HEAD_NAMES:
+            if act.shape[1] != dims.window:
+                raise DimsMismatch(
+                    f"{name} needs the {dims.window}-frame activation, got {act.shape[1]} frames"
+                )
+            p = f"heads.{name.split('_')[0]}"
+            out[name] = ad.mul(
+                ad.add(ad.matmul(act, params.t(f"{p}_w")), params.t(f"{p}_b")), gain
+            )
+        else:
+            raise ValueError(f"unknown head {name!r}; heads are {HEAD_NAMES}")
+    return out
 
 
 def _check_critic_rows(x, w1, which: str) -> None:

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 import typing
 from dataclasses import dataclass, asdict
@@ -51,7 +50,7 @@ from . import network as net
 from . import perturb
 from . import streams
 from .autodiff import Tensor
-from .dataio import WindowedDataset
+from .dataio import WindowedDataset, write_atomically
 from .errors import AbortStep, DimsMismatch, FormatError, NumericalInstability
 from .losses import LossReport, LossWeights
 
@@ -317,8 +316,8 @@ class Trainer:
         """
         pred = batch.get("pred")
         if pred is None:
-            act = net.forward_backbone(batch["features"], None, self.params)
-            pred = batch["pred"] = net.heads(act, self.params)["pred"]
+            act = net.forward_backbone(batch["features"], None, self.params, last_frame=True)
+            pred = batch["pred"] = net.heads(act, self.params, "pred")["pred"]
         return pred
 
     # critic side
@@ -369,12 +368,12 @@ class Trainer:
         l_pred = lo.prediction_loss(pred, batch["fut"])
         if cfg.use_perturbation:
             act_m = net.forward_backbone(batch["masked"], batch["token_mask"], self.params)
-            recon_m = net.heads(act_m, self.params)["mask_recon"]
+            recon_m = net.heads(act_m, self.params, "mask_recon")["mask_recon"]
             l_mask = lo.masked_reconstruction_loss(
                 recon_m, batch["recon_targets"], batch["token_mask"]
             )
             act_d = net.forward_backbone(batch["noised"], None, self.params)
-            recon_d = net.heads(act_d, self.params)["denoise_recon"]
+            recon_d = net.heads(act_d, self.params, "denoise_recon")["denoise_recon"]
             l_denoise = lo.denoise_reconstruction_loss(recon_d, batch["recon_targets"])
         else:
             l_mask = Tensor(0.0)
@@ -491,28 +490,7 @@ def save_checkpoint(path, trainer: Trainer) -> None:
         adam_critic.m.astype("<f8").tobytes(),
         adam_critic.v.astype("<f8").tobytes(),
     ]
-    _write_atomically(Path(path), b"".join(parts))
-
-
-def _write_atomically(path: Path, data: bytes) -> None:
-    """Write through a synced temp file in the same directory, then rename
-    it over path, so a crash at any point leaves the old file or the new;
-    syncing the directory afterwards makes the rename itself durable."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    fd = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+    write_atomically(path, b"".join(parts))
 
 
 @dataclass
@@ -597,6 +575,8 @@ def make_predictor(params: net.ModelParams, use_quotient: bool, input_gain: floa
 
     Accepts (n, J, 3) or (B, n, J, 3); returns matching (T_f, J, 3) or
     (B, T_f, J, 3) arrays in mm. Non-finite output raises NumericalInstability.
+    The backbone runs its final block at the last frame only, the one frame
+    the prediction head reads (forward_backbone's last_frame).
     """
 
     def predict(obs: np.ndarray) -> np.ndarray:
@@ -606,8 +586,8 @@ def make_predictor(params: net.ModelParams, use_quotient: bool, input_gain: floa
             arr = arr[None]
         feats, _ = net.build_features(arr, root_index, use_quotient, input_gain)
         with ad.no_grad():
-            act = net.forward_backbone(feats, None, params)
-            out = net.heads(act, params)["pred"].data
+            act = net.forward_backbone(feats, None, params, last_frame=True)
+            out = net.heads(act, params, "pred")["pred"].data
         if not np.isfinite(out).all():
             raise NumericalInstability("the predictor's forward pass gave non-finite frames")
         return out[0] if single else out

@@ -1,4 +1,6 @@
 """MQS/MQQ formats, synthetic generators, window extraction."""
+import os
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,25 @@ class TestMqsFormat:
         back = read_mqs_file(p)
         assert np.array_equal(back.sequence.frames, seq.frames)
         assert back.path == str(p)
+
+    @pytest.mark.parametrize("fail", ["fsync", "replace"])
+    def test_interrupted_write_keeps_the_old_file(self, tmp_path, monkeypatch, fail):
+        p = tmp_path / "clip.mqs"
+        write_mqs_file(p, seq_of(np.zeros((2, 2, 3))))
+        old = p.read_bytes()
+        new = seq_of(np.ones((3, 2, 3)))
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, fail, interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            write_mqs_file(p, new)
+        monkeypatch.undo()
+        assert p.read_bytes() == old
+        assert [q.name for q in tmp_path.iterdir()] == [p.name]
+        write_mqs_file(p, new)
+        assert np.array_equal(read_mqs_file(p).sequence.frames, new.frames)
 
     def test_missing_file_is_format_error(self):
         with pytest.raises(FormatError):

@@ -1,5 +1,6 @@
 """MPJPE fixtures, horizon bookkeeping against a brute-force oracle, and
 the three report renderers."""
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -256,3 +257,24 @@ class TestRendering:
         ev.write_report(sample_report(), csv_path, svg_path)
         assert csv_path.read_text().startswith("action,")
         assert svg_path.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("fail", ["fsync", "replace"])
+    def test_interrupted_write_keeps_the_old_files(self, tmp_path, monkeypatch, fail):
+        csv_path = tmp_path / "r.csv"
+        svg_path = tmp_path / "r.svg"
+        ev.write_report(sample_report(), csv_path, svg_path)
+        old = csv_path.read_bytes(), svg_path.read_bytes()
+        other = ev.HorizonReport((80,), {80: 9.5}, {"walk": {80: 9.5}}, 1, {"walk": 1})
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, fail, interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            ev.write_report(other, csv_path, svg_path)
+        monkeypatch.undo()
+        assert (csv_path.read_bytes(), svg_path.read_bytes()) == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.svg"]
+        ev.write_report(other, csv_path, svg_path)
+        assert csv_path.read_text() == ev.report_to_csv(other)
+        assert svg_path.read_text() == ev.svg_chart(other)

@@ -357,6 +357,17 @@ class TestBackbone:
         assert len(inner) == 8
         assert len(seen) == 82
 
+    def test_last_frame_graph_has_the_same_nodes(self):
+        # the trimmed pass keeps one node per sublayer; its pred head adds
+        # the slice, matmul, add, reshape, transpose and gain nodes and
+        # the head's two weights
+        dims = TrainConfig().model_dims(5)
+        params = net.ModelParams.init(dims, seed=0)
+        act = net.forward_backbone(rand_features(dims), None, params, last_frame=True)
+        assert act.shape == (2, 1, 5, dims.d_model)
+        assert reachable_nodes(act) == 82
+        assert reachable_nodes(net.heads(act, params, "pred")["pred"]) == 90
+
     @pytest.mark.parametrize("lowrank", [True, False])
     def test_nograd_forward_keeps_no_intermediates(self, lowrank):
         # under no_grad a sublayer frees each stage's arrays as it goes;
@@ -383,6 +394,80 @@ class TestBackbone:
                                              params), params)
         assert out["pred"].shape == (2, dims.future, 3, 3)
         assert np.isfinite(out["pred"].data).all()
+
+
+def reachable_nodes(root):
+    seen, stack = set(), [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t._parents)
+    return len(seen)
+
+
+# (lowrank, dims overrides): both attention forms at the default depth, with
+# no block, and with a one-token window
+LAST_FRAME_CASES = [(lowrank, over) for lowrank in (True, False)
+                    for over in ({"layers": 2}, {"layers": 0}, {"window": 1})]
+
+
+def last_frame_id(case):
+    lowrank, over = case
+    return "-".join(["lowrank" if lowrank else "full",
+                     *(f"{k}{v}" for k, v in over.items())])
+
+
+class TestLastFrame:
+    """forward_backbone(last_frame=True), the pass behind every prediction,
+    against the full pass's final frame."""
+
+    @staticmethod
+    def pred_and_grads(case, last_frame):
+        lowrank, over = case
+        params = net.ModelParams.init(small_dims(lowrank=lowrank, **over), seed=3)
+        rng = np.random.default_rng(7)
+        params.vec += rng.uniform(-0.2, 0.2, params.n_params)
+        feats = Tensor(rand_features(params.dims), requires_grad=True)
+        names = params.generator_names
+        act = net.forward_backbone(feats, None, params, last_frame=last_frame)
+        pred = net.heads(act, params, "pred")["pred"]
+        w = rng.standard_normal(pred.shape)
+        grads = ad.grad(ad.tsum(ad.mul(pred, w)), [feats] + [params.t(n) for n in names])
+        return pred.data, dict(zip(["features"] + names, (g.data for g in grads)))
+
+    @pytest.mark.parametrize("case", LAST_FRAME_CASES, ids=last_frame_id)
+    def test_pred_matches_full_pass(self, case):
+        want, _ = self.pred_and_grads(case, False)
+        got, _ = self.pred_and_grads(case, True)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("case", LAST_FRAME_CASES, ids=last_frame_id)
+    def test_gradients_match_full_pass(self, case):
+        _, want = self.pred_and_grads(case, False)
+        _, got = self.pred_and_grads(case, True)
+        if case[1].get("layers") != 0:  # with a block, earlier frames matter
+            assert np.abs(want["features"][:, 0]).max() > 1e-3
+        for name, r in want.items():
+            scale = max(np.abs(r).max(), 1e-3)
+            assert np.abs(got[name] - r).max() <= 1e-10 * scale, name
+
+    @pytest.mark.parametrize("lowrank", [True, False])
+    def test_activation_is_the_final_frame(self, lowrank):
+        params = net.ModelParams.init(small_dims(lowrank=lowrank, layers=2), seed=0)
+        feats = rand_features(params.dims)
+        with ad.no_grad():
+            full = net.forward_backbone(feats, None, params).data
+            last = net.forward_backbone(feats, None, params, last_frame=True).data
+        assert last.shape == (2, 1, 3, 8)
+        assert np.allclose(last, full[:, -1:], rtol=1e-12, atol=1e-12)
+
+    def test_reconstruction_heads_need_every_frame(self):
+        params = net.ModelParams.init(small_dims(), seed=0)
+        act = net.forward_backbone(rand_features(params.dims), None, params, last_frame=True)
+        for name in ("mask_recon", "denoise_recon"):
+            with pytest.raises(DimsMismatch):
+                net.heads(act, params, name)
 
 
 # The oracle's nonlinearities, built from primitive Tensor ops only, so that
@@ -585,6 +670,22 @@ class TestHeads:
         params = net.ModelParams.init(small_dims(), seed=0)
         with pytest.raises(DimsMismatch):
             net.heads(np.zeros((2, 4, 3, 9)), params)
+
+    def test_builds_only_the_named_heads(self):
+        params = net.ModelParams.init(small_dims(), seed=0)
+        act = Tensor(rand_act(params.dims), requires_grad=True)
+        every = net.heads(act, params)
+        for name in net.HEAD_NAMES:
+            out = net.heads(act, params, name)
+            assert list(out) == [name]
+            assert np.array_equal(out[name].data, every[name].data)
+            # the head's own nodes and weights, and the activation
+            assert reachable_nodes(out[name]) == (9 if name == "pred" else 6)
+
+    def test_unknown_head_rejected(self):
+        params = net.ModelParams.init(small_dims(), seed=0)
+        with pytest.raises(ValueError, match="unknown head"):
+            net.heads(rand_act(params.dims), params, "recon")
 
 
 class TestCritics:

@@ -3,12 +3,14 @@ and the bitwise determinism / resume contract."""
 import dataclasses
 import gc
 import json
+import os
 import struct
 import warnings
 
 import numpy as np
 import pytest
 
+import mqmotion.autodiff as ad
 import mqmotion.network as net
 import mqmotion.train as tr
 from mqmotion.core import MotionSequence, Skeleton
@@ -374,7 +376,7 @@ class TestCheckpoint:
         def interrupt(*args):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(tr.os, fail, interrupt)
+        monkeypatch.setattr(os, fail, interrupt)
         with pytest.raises(KeyboardInterrupt):
             trainer.save(ckpt)
         monkeypatch.undo()
@@ -388,18 +390,18 @@ class TestCheckpoint:
         ckpt, cfg = self.run_short(tmp_path)
         trainer = tr.Trainer(small_dataset(), cfg, tr.load_checkpoint(ckpt))
         events = []
-        fsync, replace = tr.os.fsync, tr.os.replace
+        fsync, replace = os.fsync, os.replace
 
         def record_fsync(fd):
-            events.append(("fsync", tr.os.fstat(fd).st_ino))
+            events.append(("fsync", os.fstat(fd).st_ino))
             fsync(fd)
 
         def record_replace(src, dst):
             events.append(("replace", None))
             replace(src, dst)
 
-        monkeypatch.setattr(tr.os, "fsync", record_fsync)
-        monkeypatch.setattr(tr.os, "replace", record_replace)
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        monkeypatch.setattr(os, "replace", record_replace)
         trainer.save(ckpt)
         assert events == [("fsync", ckpt.stat().st_ino), ("replace", None),
                           ("fsync", tmp_path.stat().st_ino)]
@@ -526,6 +528,7 @@ class TestPredictor:
         predict = tr.make_predictor(t.params, True, 0.01)
         obs = np.stack([w.observed for w in ds.windows[:2]])
         feats, _ = net.build_features(obs, 0, True, 0.01)
-        want = net.heads(net.forward_backbone(feats, None, t.params),
-                         t.params)["pred"].data
+        with ad.no_grad():
+            act = net.forward_backbone(feats, None, t.params, last_frame=True)
+            want = net.heads(act, t.params, "pred")["pred"].data
         assert np.array_equal(predict(obs), want)

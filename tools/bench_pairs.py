@@ -91,7 +91,8 @@ def main() -> int:
     else:
         doc = {
             "command": f"perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
-            "checkouts": {s: {"commit": git_commit(p)} for s, p in checkouts.items()},
+            "checkouts": {s: {"commit": git_commit(p), "path": str(p)}
+                          for s, p in checkouts.items()},
             "workloads": {},
         }
 
