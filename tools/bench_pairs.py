@@ -5,11 +5,15 @@
 
 Each checkout runs its own perfbench/run.py (with --trace 0, so the numbers
 are the 9 end-to-end metrics) on the same seeds, for the run length that
-BENCHMARK.json declares. Pair i runs seed first_seed + i on both sides, the
-parent first when i is even and the change first when it is odd. Per workload
-the file holds every run, each side's median and quartiles of every metric,
-the pairs the change won, and one --trace 1 run per side at seed 5 (the
-per-layer metrics). It also holds each side's perfbench/sweep.py summary.
+BENCHMARK.json declares. Make both checkouts sibling clones in one
+directory: the same source has measured a few percent apart from a working
+checkout and from a clone, so the file records each side's commit and
+resolved path under "checkouts". Pair i runs seed first_seed + i on both
+sides, the parent first when i is even and the change first when it is odd.
+Per workload the file holds every run, each side's median and quartiles of
+every metric, the pairs the change won, and one --trace 1 run per side at
+seed 5 (the per-layer metrics). It also holds each side's perfbench/sweep.py
+summary.
 The file is rewritten after every run, so an interrupted collection keeps
 what it measured; --append adds pairs to an existing file instead of
 starting over, and skips the traced runs and sweeps it already holds.
