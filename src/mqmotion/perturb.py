@@ -94,30 +94,10 @@ def apply_noise(features: np.ndarray, p_n: float, sigma: float, rng_seed: int):
     return out, CorruptionMask(flags, "noised")
 
 
-def build_batch(
-    features: np.ndarray,
-    p_m: float,
-    p_n: float,
-    sigma: float,
-    rng_seed: int,
-    enabled: bool = True,
-) -> PerturbedBatch:
-    """Produce the (original, masked, noised) triple for one window.
-
-    With the perturbation tasks disabled the masked and noised tensors are
-    bitwise copies of the original and both masks are all-false.
-    """
+def build_batch(features: np.ndarray, p_m: float, p_n: float, sigma: float,
+                rng_seed: int) -> PerturbedBatch:
+    """Produce the (original, masked, noised) triple for one window."""
     arr = np.asarray(features, dtype=np.float64)
-    if not enabled:
-        empty = np.zeros(arr.shape, dtype=np.bool_)
-        return PerturbedBatch(
-            original=arr,
-            masked=arr.copy(),
-            mask=CorruptionMask(empty, "masked"),
-            noised=arr.copy(),
-            noise_mask=CorruptionMask(empty.copy(), "noised"),
-            seed=rng_seed,
-        )
     masked, mask = apply_mask(arr, p_m, rng_seed)
     noised, noise_mask = apply_noise(arr, p_n, sigma, rng_seed)
     return PerturbedBatch(arr, masked, mask, noised, noise_mask, rng_seed)

@@ -1,5 +1,12 @@
 """Training loop: alternating critic/generator Adam updates, checkpoints.
 
+One step per batch: _prepare_batch builds the batch's arrays, the real
+critic rows among them; _prediction runs the clean forward once and builds
+the fake critic rows from it with their graph; critic_steps critic updates
+read the values of those rows, and one generator update back-propagates
+through them and the prediction. Critic updates write only critic weights,
+so the one prediction holds for every update of its batch.
+
 Determinism contract: given the same dataset, config, and seed, every run
 produces bitwise-identical parameters and logs. All randomness is drawn
 from counter-derived Philox streams named by (seed, label, epoch/step/
@@ -217,7 +224,8 @@ class TrainResult:
 
 class Trainer:
     """Owns parameters, optimizer states, and the deterministic schedule:
-    fresh from cfg, or a CheckpointState's params, sigma, Adams and counters."""
+    fresh from cfg, or a CheckpointState's params, sigma, Adams and counters.
+    run takes the steps the module docstring describes."""
 
     def __init__(self, dataset: WindowedDataset, cfg: TrainConfig,
                  state: CheckpointState | None = None):
@@ -276,95 +284,71 @@ class Trainer:
         return [order[i : i + bs] for i in range(0, len(order), bs)]
 
     def _prepare_batch(self, idxs: np.ndarray, epoch: int) -> dict:
+        """The batch's arrays: frames, features, reconstruction targets and
+        real critic rows, plus the masked and noised features and their
+        token mask when the perturbation tasks are on."""
+        cfg = self.cfg
         ws = [self.dataset.windows[int(i)] for i in idxs]
         obs = np.stack([w.observed for w in ws])
         fut = np.stack([w.future for w in ws])
         feats, recon_targets = net.build_features(
-            obs, self.root_index, self.cfg.use_quotient, self.cfg.input_gain
+            obs, self.root_index, cfg.use_quotient, cfg.input_gain
         )
-        masked = np.empty_like(feats)
-        noised = np.empty_like(feats)
-        mask_flags = np.zeros(feats.shape, dtype=np.bool_)
-        for i, w in enumerate(ws):
-            wseed = streams.derive_seed(
-                self.cfg.seed, streams.CORRUPT, epoch, w.seq_index, w.start
-            )
-            pb = perturb.build_batch(
-                feats[i], self.cfg.p_m, self.cfg.p_n, self.sigma, wseed,
-                enabled=self.cfg.use_perturbation,
-            )
-            masked[i] = pb.masked
-            noised[i] = pb.noised
-            mask_flags[i] = pb.mask.flags
-        return {
+        batch = {
             "obs": obs,
             "fut": fut,
             "features": feats,
-            "masked": masked,
-            "noised": noised,
-            "token_mask": mask_flags.any(axis=-1),
             "recon_targets": recon_targets,
+            "real_rows": tuple(r.data for r in self._critic_rows(obs[:, -1], fut)),
         }
+        if cfg.use_perturbation:
+            pbs = [perturb.build_batch(feats[i], cfg.p_m, cfg.p_n, self.sigma,
+                                       streams.derive_seed(cfg.seed, streams.CORRUPT, epoch,
+                                                           w.seq_index, w.start))
+                   for i, w in enumerate(ws)]
+            batch["masked"] = np.stack([pb.masked for pb in pbs])
+            batch["noised"] = np.stack([pb.noised for pb in pbs])
+            batch["token_mask"] = np.stack([pb.mask.flags for pb in pbs]).any(axis=-1)
+        return batch
 
-    def _clean_prediction(self, batch: dict) -> Tensor:
-        """The batch's clean-feature prediction, with its graph, built once.
+    def _critic_rows(self, obs_last, frames) -> tuple[Tensor, Tensor]:
+        """The fidelity and continuity critics' rows for frames (B, T, J, 3).
 
-        Critic steps write only critic tensors, so the critic steps and the
-        generator step of one batch all see the same generator weights. The
-        prediction is kept in the batch under "pred" until generator_update
-        takes it out.
+        Each critic scales by input_gain in its own node. The continuity rows
+        pair consecutive frames of obs_last (B, J, 3), the last observed
+        frame, followed by frames. Rows of a Tensor keep its graph.
         """
-        pred = batch.get("pred")
-        if pred is None:
-            act = net.forward_backbone(batch["features"], None, self.params, last_frame=True)
-            pred = batch["pred"] = net.heads(act, self.params, "pred")["pred"]
-        return pred
+        window = ad.concat([obs_last[:, None], frames], axis=1)
+        return (net.fidelity_inputs(ad.mul(frames, self.cfg.input_gain)),
+                net.continuity_inputs(ad.mul(window, self.cfg.input_gain)))
 
-    # critic side
+    def _prediction(self, batch: dict) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+        """The batch's clean prediction and its fake critic rows, with their graph."""
+        act = net.forward_backbone(batch["features"], None, self.params, last_frame=True)
+        pred = net.heads(act, self.params, "pred")["pred"]
+        return pred, self._critic_rows(batch["obs"][:, -1], pred)
 
-    def _fidelity_rows(self, frames) -> Tensor:
-        scaled = ad.mul(ad.as_tensor(frames), self.cfg.input_gain)
-        return net.fidelity_inputs(scaled)
-
-    def _continuity_rows(self, window) -> Tensor:
-        scaled = ad.mul(ad.as_tensor(window), self.cfg.input_gain)
-        return net.continuity_inputs(scaled)
-
-    def _seam_window(self, obs_last, future) -> Tensor:
-        """Last observed frame concatenated ahead of the future frames."""
-        last = ad.as_tensor(obs_last)
-        last = ad.reshape(last, (last.shape[0], 1) + tuple(last.shape[1:]))
-        return ad.concat([last, ad.as_tensor(future)], axis=1)
-
-    def critic_update(self, batch: dict, substep: int = 0) -> tuple[float, float]:
-        """One critic Adam step; returns (critic loss, summed gp term)."""
+    def critic_update(self, real_rows, fake_rows, substep: int = 0) -> tuple[float, float]:
+        """One critic Adam step on real rows (arrays) against the values of
+        fake rows; returns (critic loss, summed gp term)."""
         cfg = self.cfg
-        fake = self._clean_prediction(batch).data
-        real_fid = self._fidelity_rows(batch["fut"]).data
-        fake_fid = self._fidelity_rows(fake).data
-        real_win = self._seam_window(batch["obs"][:, -1], batch["fut"]).data
-        fake_win = self._seam_window(batch["obs"][:, -1], fake).data
-        real_cont = self._continuity_rows(real_win).data
-        fake_cont = self._continuity_rows(fake_win).data
-
+        (real_fid, real_cont), (fake_fid, fake_cont) = real_rows, fake_rows
         seed_f = streams.derive_seed(cfg.seed, streams.INTERP, self.global_step, substep, 0)
         seed_c = streams.derive_seed(cfg.seed, streams.INTERP, self.global_step, substep, 1)
         closs_f, gp_f, _ = lo.loss_adversarial(net.Critic(self.params, "fidelity"),
-                                               real_fid, fake_fid, cfg.gp_lambda, seed_f)
+                                               real_fid, fake_fid.data, cfg.gp_lambda, seed_f)
         closs_c, gp_c, _ = lo.loss_adversarial(net.Critic(self.params, "continuity"),
-                                               real_cont, fake_cont, cfg.gp_lambda, seed_c)
+                                               real_cont, fake_cont.data, cfg.gp_lambda, seed_c)
         closs = ad.add(closs_f, closs_c)
         grads = net.parameter_gradients(closs, self.params, self.critic_names)
         self.adam_critic.step(self.params.critic, _clip_global_norm(grads, cfg.grad_clip))
         return closs.item(), gp_f.item() + gp_c.item()
 
-    # generator side
-
-    def generator_update(self, batch: dict, gp_term: float) -> LossReport:
-        """One generator Adam step; returns the logged LossReport."""
+    def generator_update(self, batch: dict, pred: Tensor, fake_rows,
+                         gp_term: float) -> LossReport:
+        """One generator Adam step through pred and its fake critic rows, plus
+        the masked and noised passes; returns the logged LossReport."""
         cfg = self.cfg
-        pred = self._clean_prediction(batch)
-        del batch["pred"]  # this step changes the weights it was computed with
         l_pred = lo.prediction_loss(pred, batch["fut"])
         if cfg.use_perturbation:
             act_m = net.forward_backbone(batch["masked"], batch["token_mask"], self.params)
@@ -380,8 +364,7 @@ class Trainer:
             l_denoise = Tensor(0.0)
         composite = lo.loss_composite(l_pred, l_mask, l_denoise, self.weights)
 
-        fake_fid = self._fidelity_rows(pred)
-        fake_cont = self._continuity_rows(self._seam_window(batch["obs"][:, -1], pred))
+        fake_fid, fake_cont = fake_rows
         adv = ad.add(
             ad.neg(ad.tmean(net.discriminate_fidelity(fake_fid, self.params))),
             ad.neg(ad.tmean(net.discriminate_continuity(fake_cont, self.params))),
@@ -409,10 +392,11 @@ class Trainer:
             while self.batch_index < len(batches):
                 idxs = batches[self.batch_index]
                 batch = self._prepare_batch(idxs, self.epoch)
+                pred, fake_rows = self._prediction(batch)
                 gp_term = 0.0
                 for k in range(cfg.critic_steps):
-                    _, gp_term = self.critic_update(batch, k)
-                report = self.generator_update(batch, gp_term)
+                    _, gp_term = self.critic_update(batch["real_rows"], fake_rows, k)
+                report = self.generator_update(batch, pred, fake_rows, gp_term)
                 reports.append((self.global_step, report))
                 self.global_step += 1
                 self.batch_index += 1
@@ -422,8 +406,8 @@ class Trainer:
             if not done:
                 self.epoch += 1
                 self.batch_index = 0
-            if checkpoint_path is not None:
-                self.save(checkpoint_path)
+            if checkpoint_path is not None and self.epoch < cfg.epochs and not done:
+                self.save(checkpoint_path)  # the last state is saved once, below
         if checkpoint_path is not None:
             self.save(checkpoint_path)
         if log_path is not None:  # a run that continues another appends to its log
@@ -537,6 +521,12 @@ def load_checkpoint(path) -> CheckpointState:
         sigma = float(header["sigma"])
     except (KeyError, TypeError, ValueError, DimsMismatch) as exc:
         raise FormatError(f"bad checkpoint header: {type(exc).__name__}: {exc}") from None
+    if not 0 <= counters["root_index"] < dims.joints:
+        raise FormatError(f"checkpoint root_index {counters['root_index']} is not a joint "
+                          f"of its {dims.joints}")
+    for name, value in [*counters.items(), *(("adam t", t) for t in steps.values())]:
+        if value < 0:
+            raise FormatError(f"checkpoint {name} must be >= 0, got {value}")
     need = 16 + hlen + 8 * (counts["total"] + 2 * counts["generator"] + 2 * counts["critic"])
     if len(raw) != need:
         raise FormatError(

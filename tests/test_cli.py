@@ -549,6 +549,40 @@ class TestPredictAndEval:
         assert len(err) == 1
         assert err[0].startswith("mqmotion: code=3 type=FormatError msg=")
 
+    @settings(max_examples=40, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=st.sampled_from(["root_index", "epoch", "batch_index", "global_step",
+                                  "generator", "critic"]),
+           value=st.integers(-2**40, 2**40))
+    def test_header_counters_exit_0_or_3(self, tmp_path, capsys, field, value):
+        src, ckpt = str(tmp_path / "clip.mqs"), tmp_path / "model.mqck"
+        if not ckpt.exists():  # tmp_path is shared by every example
+            self.trained(tmp_path)
+        raw = ckpt.read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16 : 16 + hlen])
+        if field in header["adam"]:
+            header["adam"][field]["t"] = value
+        else:
+            header[field] = value
+        blob = json.dumps(header).encode("utf-8")
+        edited = tmp_path / "edited.mqck"
+        edited.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
+        valid = value >= 0 and (field != "root_index" or value < 3)
+        try:
+            load_checkpoint(edited)
+            assert valid
+        except MotionError:
+            assert not valid
+        capsys.readouterr()
+        rc = cli.main(["eval", src, "--checkpoint", str(edited), "--horizons", "80"])
+        err = capsys.readouterr().err.splitlines()
+        if valid:
+            assert rc == 0 and err == []
+        else:
+            assert rc == 3 and len(err) == 1
+            assert err[0].startswith("mqmotion: code=3 type=FormatError msg=")
+
     def test_eval_reports_table_and_files(self, tmp_path, capsys):
         src, ckpt = self.trained(tmp_path)
         capsys.readouterr()

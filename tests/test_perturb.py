@@ -103,14 +103,6 @@ class TestApplyNoise:
 
 
 class TestBuildBatch:
-    def test_disabled_gives_identical_tensors(self):
-        x = features(500).reshape(100, 5)
-        batch = build_batch(x, 0.5, 0.5, 1.0, 42, enabled=False)
-        assert np.array_equal(batch.masked, batch.original)
-        assert np.array_equal(batch.noised, batch.original)
-        assert not batch.mask.flags.any()
-        assert not batch.noise_mask.flags.any()
-
     def test_streams_are_independent(self):
         x = features(4000)
         batch = build_batch(x, 0.3, 0.3, 1.0, 13)

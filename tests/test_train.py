@@ -200,11 +200,18 @@ class TestUpdates:
         self.trainer = tr.Trainer(self.ds, small_cfg())
         self.batch = self.trainer._prepare_batch(np.array([0, 1, 2, 3]), 0)
 
+    @staticmethod
+    def step(t, batch, gp_term=0.0):
+        """One critic step and one generator step of t on batch, as run takes them."""
+        pred, fake_rows = t._prediction(batch)
+        t.critic_update(batch["real_rows"], fake_rows)
+        return t.generator_update(batch, pred, fake_rows, gp_term)
+
     def test_critic_update_touches_only_critic_params(self):
         t = self.trainer
         gen_before = t.params.flat(t.gen_names).copy()
         critic_before = t.params.flat(t.critic_names).copy()
-        t.critic_update(self.batch)
+        t.critic_update(self.batch["real_rows"], t._prediction(self.batch)[1])
         assert np.array_equal(t.params.flat(t.gen_names), gen_before)
         assert not np.array_equal(t.params.flat(t.critic_names), critic_before)
         assert t.adam_critic.t == 1 and t.adam_gen.t == 0
@@ -213,14 +220,15 @@ class TestUpdates:
         t = self.trainer
         gen_before = t.params.flat(t.gen_names).copy()
         critic_before = t.params.flat(t.critic_names).copy()
-        t.generator_update(self.batch, gp_term=0.0)
+        t.generator_update(self.batch, *t._prediction(self.batch), gp_term=0.0)
         assert not np.array_equal(t.params.flat(t.gen_names), gen_before)
         assert np.array_equal(t.params.flat(t.critic_names), critic_before)
         assert t.adam_gen.t == 1 and t.adam_critic.t == 0
 
     def test_report_identities(self):
-        report = self.trainer.generator_update(self.batch, gp_term=1.5)
-        w = self.trainer.weights
+        t = self.trainer
+        report = t.generator_update(self.batch, *t._prediction(self.batch), gp_term=1.5)
+        w = t.weights
         comp = report.l_pred + w.alpha1 * report.l_mask + \
             w.alpha2 * report.l_denoise
         assert abs(report.l_composite - comp) < 1e-12
@@ -231,9 +239,8 @@ class TestUpdates:
     def test_perturbation_off_zeroes_reconstruction_terms(self):
         t = tr.Trainer(self.ds, small_cfg(use_perturbation=False))
         batch = t._prepare_batch(np.array([0, 1]), 0)
-        assert not batch["token_mask"].any()
-        assert np.array_equal(batch["masked"], batch["features"])
-        report = t.generator_update(batch, gp_term=0.0)
+        assert not {"masked", "noised", "token_mask"} & batch.keys()
+        report = t.generator_update(batch, *t._prediction(batch), gp_term=0.0)
         assert report.l_mask == 0.0 and report.l_denoise == 0.0
         assert report.l_pred > 0.0
 
@@ -241,20 +248,15 @@ class TestUpdates:
         t = tr.Trainer(self.ds, small_cfg(p_m=0.0))
         batch = t._prepare_batch(np.array([0, 1]), 0)
         with pytest.warns(MaskTermSkipped):
-            report = t.generator_update(batch, gp_term=0.0)
+            report = t.generator_update(batch, *t._prediction(batch), gp_term=0.0)
         assert report.l_mask == 0.0
 
     def test_huge_clip_matches_no_clip(self):
         a = tr.Trainer(self.ds, small_cfg(grad_clip=1e12))
         b = tr.Trainer(self.ds, small_cfg(grad_clip=None))
-        ba = a._prepare_batch(np.array([0, 1, 2, 3]), 0)
-        bb = b._prepare_batch(np.array([0, 1, 2, 3]), 0)
-        a.critic_update(ba)
-        b.critic_update(bb)
-        a.generator_update(ba, 0.0)
-        b.generator_update(bb, 0.0)
+        self.step(a, a._prepare_batch(np.array([0, 1, 2, 3]), 0))
+        self.step(b, b._prepare_batch(np.array([0, 1, 2, 3]), 0))
         assert np.array_equal(a.params.flat(), b.params.flat())
-
 
     def test_one_clean_forward_per_step(self, monkeypatch):
         calls = []
@@ -265,22 +267,20 @@ class TestUpdates:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(net, "forward_backbone", counting)
-        tr.Trainer(self.ds, small_cfg(max_steps=1)).run()
-        assert len(calls) == 3  # clean (shared by critic and generator), masked, noised
+        for critic_steps in (1, 2):
+            calls.clear()
+            tr.Trainer(self.ds, small_cfg(max_steps=1, critic_steps=critic_steps)).run()
+            assert len(calls) == 3  # clean (shared by every critic step), masked, noised
 
-    def test_reused_batch_recomputes_prediction(self):
-        idxs = np.array([0, 1, 2, 3])
-        a = tr.Trainer(self.ds, small_cfg())
-        b = tr.Trainer(self.ds, small_cfg())
-        batch = a._prepare_batch(idxs, 0)
-        a.critic_update(batch)
-        a.generator_update(batch, 0.0)
-        reused = a.generator_update(batch, 0.0)
-        b.critic_update(b._prepare_batch(idxs, 0))
-        b.generator_update(b._prepare_batch(idxs, 0), 0.0)
-        fresh = b.generator_update(b._prepare_batch(idxs, 0), 0.0)
-        assert reused == fresh
-        assert np.array_equal(a.params.flat(), b.params.flat())
+    def test_critic_rows_match_the_separate_forms(self):
+        t = self.trainer
+        obs, fut = self.batch["obs"], self.batch["fut"]
+        fid, cont = t._critic_rows(obs[:, -1], fut)
+        gain = t.cfg.input_gain
+        assert np.array_equal(fid.data, net.fidelity_inputs(fut * gain).data)
+        window = np.concatenate([obs[:, -1:], fut], axis=1)
+        assert np.array_equal(cont.data, net.continuity_inputs(window * gain).data)
+        assert all(np.array_equal(r, c.data) for r, c in zip(self.batch["real_rows"], (fid, cont)))
 
 
 class TestRun:
@@ -295,6 +295,23 @@ class TestRun:
         assert state.global_step == 0
         init = net.ModelParams.init(small_cfg().model_dims(3), seed=0)
         assert np.array_equal(state.params.flat(), init.flat())
+
+    @pytest.mark.parametrize("over, saved", [
+        (dict(epochs=2), [(1, 0, 2), (2, 0, 4)]),
+        (dict(epochs=3, max_steps=3), [(1, 0, 2), (1, 1, 3)]),
+        (dict(epochs=0), [(0, 0, 0)]),
+    ], ids=["two_epochs", "max_steps", "zero_epochs"])
+    def test_each_state_is_saved_once(self, tmp_path, monkeypatch, over, saved):
+        states = []
+        save = tr.save_checkpoint
+
+        def recording(path, trainer):
+            states.append((trainer.epoch, trainer.batch_index, trainer.global_step))
+            save(path, trainer)
+
+        monkeypatch.setattr(tr, "save_checkpoint", recording)
+        tr.train(small_dataset(), small_cfg(**over), checkpoint_path=tmp_path / "run.mqck")
+        assert states == saved
 
     def test_step_and_batch_accounting(self):
         result = tr.train(small_dataset(), small_cfg(epochs=2))
@@ -460,6 +477,23 @@ class TestCheckpoint:
             "dims_disagree_with_config", "manifest_names_swapped",
             "manifest_shape_transposed", "counts_disagree_with_dims"])
     def test_header_schema_rejected(self, tmp_path, edit):
+        ckpt, _ = self.run_short(tmp_path)
+        rewrite_header(ckpt, edit)
+        with pytest.raises(FormatError):
+            tr.load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.update(root_index=3),  # the small dataset has 3 joints
+        lambda h: h.update(root_index=-1),
+        lambda h: h.update(epoch=-1),
+        lambda h: h.update(batch_index=-2),
+        lambda h: h.update(global_step=-1),
+        lambda h: h["adam"]["generator"].update(t=-1),
+        lambda h: h["adam"]["critic"].update(t=-1),
+    ], ids=["root_index_past_joints", "root_index_negative", "epoch_negative",
+            "batch_index_negative", "global_step_negative", "generator_t_negative",
+            "critic_t_negative"])
+    def test_out_of_range_counters_rejected(self, tmp_path, edit):
         ckpt, _ = self.run_short(tmp_path)
         rewrite_header(ckpt, edit)
         with pytest.raises(FormatError):
