@@ -201,11 +201,11 @@ class TestUpdates:
         self.batch = self.trainer._prepare_batch(np.array([0, 1, 2, 3]), 0)
 
     @staticmethod
-    def step(t, batch, gp_term=0.0):
+    def step(t, batch):
         """One critic step and one generator step of t on batch, as run takes them."""
         pred, fake_rows = t._prediction(batch)
         t.critic_update(batch["real_rows"], fake_rows)
-        return t.generator_update(batch, pred, fake_rows, gp_term)
+        t.generator_update(batch, pred, fake_rows, 0.0)
 
     def test_critic_update_touches_only_critic_params(self):
         t = self.trainer
