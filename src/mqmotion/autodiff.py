@@ -1,5 +1,14 @@
-"""Minimal first-order reverse-mode automatic differentiation over float64
-numpy arrays.
+"""Minimal first-order reverse-mode automatic differentiation over numpy
+arrays.
+
+A Tensor keeps a float32 array as float32 and makes everything else
+float64: training builds its graphs from float64 and differentiates them in
+float64, and the prediction pass (train.make_predictor) runs float32
+weights and inputs through the same ops and kernels, which follow their
+operands' dtype. Under NumPy 2's promotion rules a Python float constant
+in a kernel keeps a float32 array float32, but a 0-d float64 array or an
+``np.float64`` scalar makes the result float64; so does a Python scalar
+passed to a Tensor op, which becomes a 0-d float64 Tensor.
 
 Every backward rule (VJP) maps the output's gradient, an ndarray, to the
 operand's gradient, an ndarray, in numpy. grad returns plain gradients
@@ -56,12 +65,20 @@ def grad_enabled() -> bool:
 
 
 class Tensor:
-    """A float64 ndarray with an optional backward graph."""
+    """An ndarray with an optional backward graph.
+
+    The dtype follows float32 input (an array or a numpy scalar); everything
+    else, ints, bools, Python scalars and float64 arrays included, becomes
+    float64.
+    """
 
     __slots__ = ("data", "requires_grad", "_parents", "_vjps")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        if getattr(data, "dtype", None) == np.float32:
+            self.data = np.asarray(data)
+        else:
+            self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
         self._vjps: tuple = ()

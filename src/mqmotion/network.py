@@ -37,6 +37,7 @@ that graph is the "activation cache" consumed by parameter_gradients.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ import numpy as np
 from . import autodiff as ad
 from . import streams
 from .autodiff import Tensor
-from .errors import BackwardBeforeForward, DimsMismatch
+from .errors import BackwardBeforeForward, DimsMismatch, NumericalInstability
 from .losses import penalty_of_gradients
 from . import _kernels
 from .core import root_align
@@ -171,21 +172,24 @@ def _param_spec(dims: ModelDims) -> list[tuple[str, tuple, str]]:
 
 
 class ModelParams:
-    """All trainable arrays as named views into one float64 vector.
+    """All trainable arrays as named views into one float64 or float32 vector.
 
     ``vec`` holds every array raveled in ``_param_spec`` order and each
     named tensor's ``.data`` is a reshaped view into it. The spec lists the
     ``critic.*`` arrays last, so ``generator`` and ``critic`` are views of
     the vector's leading and trailing slices: the optimizers step them in
     place and checkpoints store ``vec``. flat() and set_flat() copy a name
-    subset out of and back into the views.
+    subset out of and back into the views. Training, Adam and checkpoints
+    hold float64 vectors; a float32 vector is the prediction pass's cast
+    copy (train.make_predictor), whose tensors keep that dtype.
     """
 
     def __init__(self, dims: ModelDims, vec: np.ndarray):
         spec = _param_spec(dims)
-        sizes = [int(np.prod(shape)) for _, shape, _ in spec]
-        if vec.shape != (sum(sizes),) or vec.dtype != np.float64:
-            raise DimsMismatch(f"need {sum(sizes)} float64 parameters, got {vec.dtype} {vec.shape}")
+        sizes = [math.prod(shape) for _, shape, _ in spec]
+        if vec.shape != (sum(sizes),) or vec.dtype not in (np.float64, np.float32):
+            raise DimsMismatch(f"need {sum(sizes)} float64 or float32 parameters, "
+                               f"got {vec.dtype} {vec.shape}")
         self.dims, self.vec, self.n_params = dims, vec, vec.size
         self.names = [name for name, _, _ in spec]
         self._slices: dict[str, tuple[int, int]] = {}
@@ -389,7 +393,7 @@ def _attention(x: np.ndarray, P: dict, dims: ModelDims, last: bool = False):
         gate = P["gate"][-1:] if last else P["gate"]
         out = gate @ mixed
     else:
-        scale = 1.0 / np.sqrt(dh)
+        scale = 1.0 / math.sqrt(dh)  # a Python float keeps float32 logits float32
         wq, wk = P["wq"], P["wk"]
         qh = split(xq @ wq + P["bq"], dh)
         kh = split(x @ wk, dh)
@@ -457,9 +461,16 @@ def _residual_post_ln(x: np.ndarray, y: np.ndarray, P: dict, branch_backward,
     branch_backward maps the gradient of y to (dx, grads) for the branch
     that computed y from x. With last set, y is the branch output at x's
     final frame only, (B, 1, J, D), and so is the sublayer's output.
+
+    A non-finite std raises NumericalInstability: a sum of squares that
+    overflowed (near 1e19 per entry in a float32 pass, 1e154 in float64)
+    would make std inf and the normalized output silently zero.
     """
     out, normed, std = ad.layer_norm_forward((x[:, -1:] if last else x) + y,
                                              P["ln_g"], P["ln_b"])
+    if not np.isfinite(std).all():
+        raise NumericalInstability(f"a layer norm's sum of squares is not finite "
+                                   f"({x.dtype} activations)")
     if not ad.grad_enabled():
         return out, None
 
@@ -597,7 +608,7 @@ def heads(act, params: ModelParams, *which: str) -> dict[str, Tensor]:
     dims = params.dims
     if act.ndim != 4 or act.shape[-1] != dims.d_model:
         raise DimsMismatch(f"activation must be (B, T, J, {dims.d_model}), got {act.shape}")
-    gain = dims.head_gain
+    gain = np.asarray(dims.head_gain, dtype=act.data.dtype)  # a float32 pass stays float32
     out = {}
     for name in which or HEAD_NAMES:
         if name == "pred":

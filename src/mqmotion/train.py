@@ -258,6 +258,10 @@ class Trainer:
                                  if k not in ("epochs", "max_steps") and v != getattr(cfg, k)):
                 raise FormatError(f"checkpoint config vs this run's: {diff}; a resume "
                                   "may change only epochs and max_steps")
+            n_batches = -(-len(dataset) // cfg.batch_size)
+            if state.batch_index > n_batches:  # == n: max_steps ended the epoch's last batch
+                raise FormatError(f"checkpoint batch_index {state.batch_index} is past "
+                                  f"the {n_batches} batches of an epoch on these clips")
             self.params, self.sigma = state.params, state.sigma
             self.adam_gen, self.adam_critic = state.adam_gen, state.adam_critic
             self.epoch, self.batch_index = state.epoch, state.batch_index
@@ -490,6 +494,13 @@ class CheckpointState:
     adam_critic: Adam
 
 
+def _header_int(name: str, value) -> int:
+    """A header counter, which must be a JSON integer: int() would truncate 0.9."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"checkpoint {name} must be an integer, got {value!r}")
+    return value
+
+
 def load_checkpoint(path) -> CheckpointState:
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
@@ -513,10 +524,11 @@ def load_checkpoint(path) -> CheckpointState:
         dims = net.ModelDims(**header["dims"])
         if cfg.model_dims(dims.joints) != dims:
             raise FormatError("checkpoint dims disagree with the model dims of its config")
-        counts = {k: int(header["counts"][k]) for k in ("total", "generator", "critic")}
+        counts = {k: _header_int(f"counts.{k}", header["counts"][k])
+                  for k in ("total", "generator", "critic")}
         manifest = header["params"]
-        steps = {k: int(header["adam"][k]["t"]) for k in ("generator", "critic")}
-        counters = {k: int(header[k])
+        steps = {k: _header_int("adam t", header["adam"][k]["t"]) for k in ("generator", "critic")}
+        counters = {k: _header_int(k, header[k])
                     for k in ("root_index", "epoch", "batch_index", "global_step")}
         sigma = float(header["sigma"])
     except (KeyError, TypeError, ValueError, DimsMismatch) as exc:
@@ -564,10 +576,16 @@ def make_predictor(params: net.ModelParams, use_quotient: bool, input_gain: floa
     """Wrap params into a pure function: observed window -> predicted frames.
 
     Accepts (n, J, 3) or (B, n, J, 3); returns matching (T_f, J, 3) or
-    (B, T_f, J, 3) arrays in mm. Non-finite output raises NumericalInstability.
-    The backbone runs its final block at the last frame only, the one frame
-    the prediction head reads (forward_backbone's last_frame).
+    (B, T_f, J, 3) float64 arrays in mm. The features are built in float64,
+    then the backbone and the pred head run in float32 on a float32 copy of
+    the weights that is made here, once: the predictor is a snapshot of
+    params as they are at this call, and later updates to params do not
+    reach it. The backbone runs its final block at the last frame only, the
+    one frame the prediction head reads (forward_backbone's last_frame).
+    Non-finite output, or an activation too large for a float32 layer norm,
+    raises NumericalInstability.
     """
+    params32 = net.ModelParams(params.dims, params.vec.astype(np.float32))
 
     def predict(obs: np.ndarray) -> np.ndarray:
         arr = np.asarray(obs, dtype=np.float64)
@@ -576,8 +594,9 @@ def make_predictor(params: net.ModelParams, use_quotient: bool, input_gain: floa
             arr = arr[None]
         feats, _ = net.build_features(arr, root_index, use_quotient, input_gain)
         with ad.no_grad():
-            act = net.forward_backbone(feats, None, params, last_frame=True)
-            out = net.heads(act, params, "pred")["pred"].data
+            act = net.forward_backbone(feats.astype(np.float32), None, params32,
+                                       last_frame=True)
+            out = net.heads(act, params32, "pred")["pred"].data.astype(np.float64)
         if not np.isfinite(out).all():
             raise NumericalInstability("the predictor's forward pass gave non-finite frames")
         return out[0] if single else out

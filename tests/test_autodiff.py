@@ -268,3 +268,24 @@ class TestBackwardMachinery:
         y = ad.tsum(ad.mul(a, b))  # y = 6 x^2, dy/dx = 12 x
         g = ad.grad(y, [x])[0]
         assert np.allclose(g.data, 12.0 * x.data)
+
+
+class TestDtype:
+    @pytest.mark.parametrize("data", [
+        np.arange(3), np.array([True, False]), 1.0, 2, [1, 2], np.ones(2),
+    ], ids=["int_array", "bool_array", "float", "int", "list", "float64_array"])
+    def test_everything_but_float32_becomes_float64(self, data):
+        assert Tensor(data).data.dtype == np.float64
+
+    @pytest.mark.parametrize("data", [np.ones((2, 3), np.float32), np.float32(1.5)],
+                             ids=["array", "scalar"])
+    def test_float32_stays_float32(self, data):
+        t = Tensor(data)
+        assert t.data.dtype == np.float32 and np.array_equal(t.data, data)
+
+    def test_float32_operands_give_float32(self):
+        x = Tensor(np.ones((2, 3), np.float32))
+        y = ad.mul(ad.matmul(x, Tensor(np.ones((3, 2), np.float32))), Tensor(np.float32(2.0)))
+        assert y.data.dtype == np.float32
+        # a Python scalar operand becomes a 0-d float64 Tensor, which promotes
+        assert ad.mul(x, 2.0).data.dtype == np.float64

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import mqmotion.autodiff as ad
 import mqmotion.cli as cli
+import mqmotion.network as net
 import mqmotion.train as tr
-from mqmotion.dataio import parse_mqs, read_mqs_file
+from mqmotion.dataio import parse_mqs, read_mqs_file, write_mqs_file
 from mqmotion.errors import FormatError, MotionError
 from mqmotion.train import TrainConfig, load_checkpoint
 
@@ -43,6 +45,16 @@ def synth_file(tmp_path, name="clip.mqs", joints=3, frames=20, seed=0,
                    "--out", str(out)])
     assert rc == 0
     return str(out)
+
+
+def edit_header(ckpt, edit, out=None):
+    """Write ckpt with edit(header) applied to its JSON header to out (default: ckpt)."""
+    raw = ckpt.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + hlen])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    (out or ckpt).write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
 
 
 class TestConfigFile:
@@ -454,6 +466,48 @@ class TestTrain:
         assert cut.read_bytes() == straight.read_bytes()
         assert cut.with_suffix(".csv").read_text() == straight.with_suffix(".csv").read_text()
 
+    def test_resume_at_the_end_of_an_epoch_runs_on_to_the_straight_run(self, tmp_path):
+        # 33 windows in batches of 4 make 9 per epoch: --max-steps 9 stops after
+        # the epoch's last batch and saves batch_index 9, which a resume accepts
+        src = synth_file(tmp_path, frames=40)
+        cfg = write_config(tmp_path, SMALL_MODEL + "epochs = 2\n")
+        base = ["train", src, "--config", cfg, "--max-steps"]
+        straight, cut = tmp_path / "straight.mqck", tmp_path / "cut.mqck"
+        assert cli.main(base + ["11", "--out", str(straight)]) == 0
+        assert cli.main(base + ["9", "--out", str(cut)]) == 0
+        state = load_checkpoint(cut)
+        assert (state.epoch, state.batch_index) == (0, 9)
+        assert cli.main(base + ["11", "--resume", str(cut), "--out", str(cut)]) == 0
+        assert cut.read_bytes() == straight.read_bytes()
+
+    def resume_edited(self, tmp_path, capsys, field, value):
+        """Resume a 2-step checkpoint whose header has field = value: (rc, stderr lines)."""
+        src = synth_file(tmp_path, frames=40)
+        cfg = write_config(tmp_path, SMALL_MODEL)
+        ckpt = tmp_path / "mid.mqck"
+        assert cli.main(["train", src, "--config", cfg, "--max-steps", "2",
+                         "--out", str(ckpt)]) == 0
+        edit_header(ckpt, lambda h: h.update({field: value}))
+        capsys.readouterr()
+        rc = cli.main(["train", src, "--config", cfg, "--resume", str(ckpt),
+                       "--out", str(tmp_path / "more.mqck")])
+        return rc, capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize("field, value", [("epoch", 0.9), ("batch_index", 1.5),
+                                              ("global_step", "2")])
+    def test_resume_with_a_non_integer_counter_is_data_error(self, tmp_path, capsys,
+                                                             field, value):
+        rc, err = self.resume_edited(tmp_path, capsys, field, value)
+        assert rc == 3 and len(err) == 1
+        assert err[0].startswith("mqmotion: code=3 type=FormatError msg=")
+        assert f"{field} must be an integer" in err[0]
+
+    def test_resume_past_the_epochs_batches_is_data_error(self, tmp_path, capsys):
+        rc, err = self.resume_edited(tmp_path, capsys, "batch_index", 99)
+        assert rc == 3 and len(err) == 1
+        assert err[0].startswith("mqmotion: code=3 type=FormatError msg=")
+        assert "batch_index 99 is past the 9 batches" in err[0]
+
     def test_resume_with_another_lr_is_data_error(self, tmp_path, capsys):
         long = synth_file(tmp_path, "long.mqs", frames=40)
         cfg = write_config(tmp_path, SMALL_MODEL)
@@ -514,6 +568,32 @@ class TestPredictAndEval:
         assert rc == 0
         assert (tmp_path / "clip.pred.mqs").exists()
 
+    @pytest.mark.parametrize("scale, codes", [(1e15, {0}), (1e25, {0, 4}), (1e45, {0, 4})])
+    def test_predict_large_input_agrees_with_float64_or_exits_4(self, tmp_path, capsys,
+                                                               scale, codes):
+        # the float64 pass is scale-invariant through its layer norms; the
+        # float32 pass must give its frames or refuse, never other frames
+        src, ckpt = self.trained(tmp_path)
+        seq = read_mqs_file(src).sequence
+        big, out = tmp_path / "big.mqs", tmp_path / "big.pred.mqs"
+        write_mqs_file(big, seq.with_frames(seq.frames * scale))
+        capsys.readouterr()
+        rc = cli.main(["predict", str(big), "--checkpoint", str(ckpt), "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc in codes
+        if rc == 4:
+            assert len(err) == 1 and not out.exists()
+            assert err[0].startswith("mqmotion: code=4 type=NumericalInstability msg=")
+            return
+        state = load_checkpoint(ckpt)
+        feats, _ = net.build_features(seq.frames[None, -state.cfg.obs_frames:] * scale,
+                                      state.root_index, True, state.cfg.input_gain)
+        with ad.no_grad():
+            act = net.forward_backbone(feats, None, state.params, last_frame=True)
+            want = net.heads(act, state.params, "pred")["pred"].data[0]
+        got = read_mqs_file(out).sequence.frames
+        assert err == [] and np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
     def test_predict_joint_mismatch(self, tmp_path, capsys):
         _, ckpt = self.trained(tmp_path)
         other = synth_file(tmp_path, "wide.mqs", joints=5)
@@ -536,12 +616,7 @@ class TestPredictAndEval:
     ], ids=["no_config", "unknown_config_key", "bad_config_value", "manifest_shape_transposed"])
     def test_predict_bad_checkpoint_header(self, tmp_path, capsys, edit):
         src, ckpt = self.trained(tmp_path)
-        raw = ckpt.read_bytes()
-        (hlen,) = struct.unpack("<Q", raw[8:16])
-        header = json.loads(raw[16 : 16 + hlen])
-        edit(header)
-        blob = json.dumps(header).encode("utf-8")
-        ckpt.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
+        edit_header(ckpt, edit)
         capsys.readouterr()
         rc = cli.main(["predict", src, "--checkpoint", str(ckpt)])
         assert rc == 3
@@ -558,16 +633,9 @@ class TestPredictAndEval:
         src, ckpt = str(tmp_path / "clip.mqs"), tmp_path / "model.mqck"
         if not ckpt.exists():  # tmp_path is shared by every example
             self.trained(tmp_path)
-        raw = ckpt.read_bytes()
-        (hlen,) = struct.unpack("<Q", raw[8:16])
-        header = json.loads(raw[16 : 16 + hlen])
-        if field in header["adam"]:
-            header["adam"][field]["t"] = value
-        else:
-            header[field] = value
-        blob = json.dumps(header).encode("utf-8")
         edited = tmp_path / "edited.mqck"
-        edited.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
+        edit_header(ckpt, lambda h: h["adam"][field].update(t=value) if field in h["adam"]
+                    else h.update({field: value}), edited)
         valid = value >= 0 and (field != "root_index" or value < 3)
         try:
             load_checkpoint(edited)

@@ -284,6 +284,27 @@ class TestUpdates:
 
 
 class TestRun:
+    def test_a_step_stays_float64(self, monkeypatch):
+        dtypes = []
+        init, gradients = ad.Tensor.__init__, net.parameter_gradients
+
+        def counting_init(self, data, requires_grad=False):
+            init(self, data, requires_grad)
+            dtypes.append(self.data.dtype)
+
+        def counting_gradients(*args, **kwargs):
+            g = gradients(*args, **kwargs)
+            dtypes.append(g.dtype)
+            return g
+
+        monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+        monkeypatch.setattr(net, "parameter_gradients", counting_gradients)
+        t = tr.Trainer(small_dataset(), small_cfg(max_steps=1))
+        t.run()
+        adam = (t.adam_gen.m, t.adam_gen.v, t.adam_critic.m, t.adam_critic.v)
+        assert t.global_step == 1 and len(dtypes) > 100
+        assert set(dtypes) | {a.dtype for a in (t.params.vec, *adam)} == {np.dtype(np.float64)}
+
     def test_zero_epochs_writes_initial_checkpoint(self, tmp_path):
         ckpt = tmp_path / "run.mqck"
         log = tmp_path / "run.csv"
@@ -562,7 +583,65 @@ class TestPredictor:
         predict = tr.make_predictor(t.params, True, 0.01)
         obs = np.stack([w.observed for w in ds.windows[:2]])
         feats, _ = net.build_features(obs, 0, True, 0.01)
+        p32 = net.ModelParams(t.params.dims, t.params.vec.astype(np.float32))
         with ad.no_grad():
-            act = net.forward_backbone(feats, None, t.params, last_frame=True)
-            want = net.heads(act, t.params, "pred")["pred"].data
+            act = net.forward_backbone(feats.astype(np.float32), None, p32, last_frame=True)
+            want = net.heads(act, p32, "pred")["pred"].data.astype(np.float64)
         assert np.array_equal(predict(obs), want)
+
+    @pytest.mark.parametrize("joints", [5, 22])
+    @pytest.mark.parametrize("lowrank", [True, False], ids=["lowrank", "full"])
+    def test_float32_pass_is_close_to_float64(self, joints, lowrank):
+        cfg = tr.TrainConfig(use_lowrank=lowrank)
+        params = net.ModelParams.init(cfg.model_dims(joints), seed=1)
+        params.vec += np.random.default_rng(2).normal(scale=0.05, size=params.vec.size)
+        seq = synth_generate("sinusoid", joints=joints, frames=40, fps=25.0, seed=3)
+        ds = make_windows([seq], n_observed=cfg.obs_frames, n_future=cfg.future_frames,
+                          stride=2)
+        obs = np.stack([w.observed for w in ds.windows])
+        feats, _ = net.build_features(obs, 0, True, cfg.input_gain)
+        with ad.no_grad():
+            act = net.forward_backbone(feats, None, params, last_frame=True)
+            want = net.heads(act, params, "pred")["pred"].data
+        got = tr.make_predictor(params, True, cfg.input_gain)(obs)
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+    def test_is_a_snapshot_of_the_weights(self):
+        ds = small_dataset()
+        t = tr.Trainer(ds, small_cfg(epochs=2))
+        predict = tr.make_predictor(t.params, True, 0.01)
+        obs = ds.windows[0].observed
+        before = predict(obs)
+        vec = t.params.vec.copy()
+        t.run()
+        assert not np.array_equal(t.params.vec, vec)
+        assert np.array_equal(predict(obs), before)
+
+    @pytest.mark.parametrize("layers", [1, 0])
+    @pytest.mark.parametrize("lowrank", [True, False], ids=["lowrank", "full"])
+    def test_pass_builds_only_float32(self, monkeypatch, layers, lowrank):
+        ds = small_dataset()
+        params = net.ModelParams.init(small_cfg(layers=layers, use_lowrank=lowrank).model_dims(3), 0)
+        predict = tr.make_predictor(params, True, 0.01)
+        dtypes = []
+        init = ad.Tensor.__init__
+
+        def counting_init(self, data, requires_grad=False):
+            init(self, data, requires_grad)
+            dtypes.append(self.data.dtype)
+
+        def recording(kernel):
+            def run(*args, **kwargs):
+                out = kernel(*args, **kwargs)
+                dtypes.extend(a.dtype for a in (*args, *(out if isinstance(out, tuple) else (out,)))
+                              if isinstance(a, np.ndarray))
+                return out
+            return run
+
+        monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+        for name in ("softmax_forward", "layer_norm_forward", "gelu_forward"):
+            monkeypatch.setattr(ad, name, recording(getattr(ad, name)))
+        out = predict(np.stack([w.observed for w in ds.windows[:2]]))
+        assert out.dtype == np.float64
+        assert len(dtypes) > (10 if layers else 5)
+        assert set(dtypes) == {np.dtype(np.float32)}
