@@ -8,11 +8,48 @@ Shapes below use B = batch, T = frames, J = joints.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import sys
+from pathlib import Path
+
 import numpy as np
 
 # no compiled backend; perfbench/run.py's environment fingerprint reads these
 HAS_NUMBA = False
 USE_NUMBA = False
+
+
+BLAS_SET_THREADS = "scipy_openblas_set_num_threads64_"
+
+
+@functools.cache
+def _blas_set_threads():
+    """numpy's bundled OpenBLAS thread setter, or None (one stderr warning)."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            setter = getattr(ctypes.CDLL(str(lib)), BLAS_SET_THREADS)
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        return setter
+    print(f"mqmotion: warning: no {BLAS_SET_THREADS} in numpy's BLAS; its thread "
+          "count is not pinned, so results may differ between hosts", file=sys.stderr)
+    return None
+
+
+def pin_blas_threads() -> bool:
+    """Run numpy's BLAS on one thread; True if it could be pinned.
+
+    A GEMM's summation order, and so its bits, can depend on the thread
+    count. Unlike OPENBLAS_NUM_THREADS, which acts only before numpy loads,
+    this holds in a process that imported numpy first.
+    """
+    setter = _blas_set_threads()
+    if setter is not None:
+        setter(1)
+    return setter is not None
 
 
 def quotient_channels(frames: np.ndarray, dt: float):

@@ -2,13 +2,14 @@
 arrays.
 
 A Tensor keeps a float32 array as float32 and makes everything else
-float64: training builds its graphs from float64 and differentiates them in
-float64, and the prediction pass (train.make_predictor) runs float32
-weights and inputs through the same ops and kernels, which follow their
-operands' dtype. Under NumPy 2's promotion rules a Python float constant
-in a kernel keeps a float32 array float32, but a 0-d float64 array or an
-``np.float64`` scalar makes the result float64; so does a Python scalar
-passed to a Tensor op, which becomes a 0-d float64 Tensor.
+float64. Training and the prediction pass run float32 weights and inputs
+through the ops and kernels here, which follow their operands' dtype;
+gradient and finite-difference tests feed the same ops float64. A Python
+int or float operand of add, sub, mul or div takes the other operand's
+dtype, so a float32 graph stays float32 and a float64 graph keeps its bits.
+Under NumPy 2's promotion rules a Python float constant in a kernel keeps a
+float32 array float32 too, but a 0-d float64 array or Tensor, or an
+``np.float64`` scalar, makes the result float64.
 
 Every backward rule (VJP) maps the output's gradient, an ndarray, to the
 operand's gradient, an ndarray, in numpy. grad returns plain gradients
@@ -159,6 +160,21 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as Tensors; a Python int or float takes the other's dtype.
+
+    NumPy 2 would keep a float32 array float32 against a Python scalar but
+    not against the 0-d float64 Tensor the scalar would otherwise become.
+    """
+    if type(a) in (int, float):
+        b = as_tensor(b)
+        return Tensor(np.asarray(a, dtype=b.data.dtype)), b
+    a = as_tensor(a)
+    if type(b) in (int, float):
+        return a, Tensor(np.asarray(b, dtype=a.data.dtype))
+    return a, as_tensor(b)
+
+
 def _attach(out: Tensor, parents: tuple, vjps: tuple) -> Tensor:
     if _grad_enabled:
         kept = [(p, f) for p, f in zip(parents, vjps) if p.requires_grad]
@@ -187,7 +203,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # arithmetic primitives
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = Tensor(a.data + b.data)
     return _attach(
         out,
@@ -203,7 +219,7 @@ def neg(a) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = Tensor(a.data - b.data)
     return _attach(
         out,
@@ -213,7 +229,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = Tensor(a.data * b.data)
     return _attach(
         out,
@@ -226,7 +242,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = Tensor(a.data / b.data)
     return _attach(
         out,
@@ -345,7 +361,7 @@ def transpose(a, axes) -> Tensor:
 
 
 def _scattered(g: np.ndarray, idx, shape) -> np.ndarray:
-    data = np.zeros(shape, dtype=np.float64)
+    data = np.zeros(shape, dtype=g.dtype)
     data[idx] = g
     return data
 

@@ -86,9 +86,9 @@ def masked_reconstruction_loss(recon, target, token_mask) -> Tensor:
     count = int(flags.sum())
     if count == 0:
         warnings.warn("no scalar masked this step; mask loss is 0", MaskTermSkipped, stacklevel=2)
-        return Tensor(0.0)
+        return Tensor(np.zeros((), recon.data.dtype))
     err = _squared_joint_error(recon, target)
-    sel = Tensor(flags.astype(np.float64))
+    sel = Tensor(flags.astype(err.data.dtype))
     return ad.div(ad.tsum(ad.mul(err, sel)), float(count))
 
 
@@ -114,15 +114,17 @@ def interpolate_samples(real, fake, rng_seed: int) -> tuple[Tensor, np.ndarray]:
 
     One epsilon ~ U[0,1] per sample row, broadcast across features:
     x_hat = eps * real + (1 - eps) * fake. Returns the interpolates as a
-    leaf tensor requiring grad, plus the epsilons used.
+    leaf tensor requiring grad, plus the epsilons used. The rows are float32
+    when both are, and float64 otherwise; the epsilons are drawn in float64
+    and take the rows' dtype.
     """
-    real_a = real.data if isinstance(real, Tensor) else np.asarray(real, dtype=np.float64)
-    fake_a = fake.data if isinstance(fake, Tensor) else np.asarray(fake, dtype=np.float64)
+    real_a, fake_a = ad.as_tensor(real).data, ad.as_tensor(fake).data
     if real_a.shape != fake_a.shape:
         raise DimsMismatch(f"real {real_a.shape} vs fake {fake_a.shape}")
     if real_a.ndim != 2:
         raise DimsMismatch(f"expected (N, features) rows, got {real_a.shape}")
-    eps = streams.stream(rng_seed, streams.INTERP).random((real_a.shape[0], 1))
+    dtype = np.result_type(real_a, fake_a)
+    eps = streams.stream(rng_seed, streams.INTERP).random((real_a.shape[0], 1)).astype(dtype)
     x_hat = eps * real_a + (1.0 - eps) * fake_a
     return Tensor(x_hat, requires_grad=True), eps
 
@@ -186,7 +188,7 @@ def loss_adversarial(critic, real, fake, gp_lambda: float, rng_seed: int):
         gen_term = ad.neg(score_fake)
     if not np.isfinite(critic_loss.data):
         raise NumericalInstability("non-finite critic loss")
-    return critic_loss, Tensor(gp), gen_term
+    return critic_loss, Tensor(np.asarray(gp, critic_loss.data.dtype)), gen_term
 
 
 def make_report(

@@ -179,9 +179,10 @@ class ModelParams:
     ``critic.*`` arrays last, so ``generator`` and ``critic`` are views of
     the vector's leading and trailing slices: the optimizers step them in
     place and checkpoints store ``vec``. flat() and set_flat() copy a name
-    subset out of and back into the views. Training, Adam and checkpoints
-    hold float64 vectors; a float32 vector is the prediction pass's cast
-    copy (train.make_predictor), whose tensors keep that dtype.
+    subset out of and back into the views. Adam and checkpoints hold
+    float64 vectors, the master weights; a float32 vector is a cast copy
+    that the training passes (train.Trainer's mirror) and the prediction
+    pass (train.make_predictor) compute with, whose tensors keep that dtype.
     """
 
     def __init__(self, dims: ModelDims, vec: np.ndarray):
@@ -302,7 +303,7 @@ def embed(features, token_mask, params: ModelParams) -> Tensor:
         )
     emb = ad.add(ad.matmul(x, params.t("embed.w")), params.t("embed.b"))
     if token_mask is not None and token_mask.any():
-        mf = Tensor(np.asarray(token_mask, dtype=np.float64)[..., None])
+        mf = Tensor(np.asarray(token_mask, dtype=emb.data.dtype)[..., None])
         token = params.t("mask_token")
         emb = ad.add(ad.mul(ad.sub(1.0, mf), emb), ad.mul(mf, token))
     return emb
@@ -406,7 +407,7 @@ def _attention(x: np.ndarray, P: dict, dims: ModelDims, last: bool = False):
         grads = {}
         if dims.lowrank:
             dgate = (dout @ mixed.swapaxes(-1, -2)).reshape(b * g, -1, n).sum(axis=0)
-            grads["gate"] = np.concatenate([np.zeros((n - 1, n)), dgate]) if last else dgate
+            grads["gate"] = np.concatenate([np.zeros((n - 1, n), dgate.dtype), dgate]) if last else dgate
             dmixed = split(gate.T @ dout, dh)
             dctx = aqh.swapaxes(-1, -2) @ dmixed
             dvh = akh @ dctx
@@ -714,7 +715,7 @@ class Critic:
             dw3 = np.sum(du2 * s2[:n], axis=0)[:, None]
             # the scores' slopes over all rows, then the penalty's terms in
             # s2 and s1, through s' = -2 tanh s
-            c = np.zeros(len(x))
+            c = np.zeros(len(x), x.dtype)
             c[n:n + nf] = 1.0 / nf
             c[n + nf:] = -1.0 / nr
             dw3 += h2.T @ c[:, None]

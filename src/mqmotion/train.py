@@ -7,6 +7,14 @@ read the values of those rows, and one generator update back-propagates
 through them and the prediction. Critic updates write only critic weights,
 so the one prediction holds for every update of its batch.
 
+Every pass computes in float32; Adam, gradient clipping and checkpoints
+keep float64 master weights. The Trainer holds one float32 mirror of the
+master vector: the batch's arrays are built in float64 and cast to float32
+once, every forward and backward reads the mirror, and each gradient is
+cast to float64 for clipping and Adam, whose stepped slice is then copied
+back into the mirror. The generator step's critic terms therefore see the
+just-updated critic weights.
+
 Determinism contract: given the same dataset, config, and seed, every run
 produces bitwise-identical parameters and logs. All randomness is drawn
 from counter-derived Philox streams named by (seed, label, epoch/step/
@@ -266,8 +274,10 @@ class Trainer:
             self.adam_gen, self.adam_critic = state.adam_gen, state.adam_critic
             self.epoch, self.batch_index = state.epoch, state.batch_index
             self.global_step = state.global_step
+        self.mirror = net.ModelParams(dims, self.params.vec.astype(np.float32))
         self.gen_names = self.params.generator_names
         self.critic_names = self.params.critic_names
+        _kernels.pin_blas_threads()
 
     def _auto_sigma(self) -> float:
         obs = np.stack([w.observed for w in self.dataset.windows])
@@ -287,23 +297,21 @@ class Trainer:
         bs = self.cfg.batch_size
         return [order[i : i + bs] for i in range(0, len(order), bs)]
 
-    def _prepare_batch(self, idxs: np.ndarray, epoch: int) -> dict:
-        """The batch's arrays: frames, features, reconstruction targets and
-        real critic rows, plus the masked and noised features and their
-        token mask when the perturbation tasks are on."""
+    def _batch_arrays(self, idxs: np.ndarray, epoch: int) -> dict:
+        """The batch's float64 arrays: frames, features and reconstruction
+        targets, plus the masked and noised features and their token mask
+        when the perturbation tasks are on."""
         cfg = self.cfg
         ws = [self.dataset.windows[int(i)] for i in idxs]
         obs = np.stack([w.observed for w in ws])
-        fut = np.stack([w.future for w in ws])
         feats, recon_targets = net.build_features(
             obs, self.root_index, cfg.use_quotient, cfg.input_gain
         )
         batch = {
             "obs": obs,
-            "fut": fut,
+            "fut": np.stack([w.future for w in ws]),
             "features": feats,
             "recon_targets": recon_targets,
-            "real_rows": tuple(r.data for r in self._critic_rows(obs[:, -1], fut)),
         }
         if cfg.use_perturbation:
             pbs = [perturb.build_batch(feats[i], cfg.p_m, cfg.p_n, self.sigma,
@@ -313,6 +321,15 @@ class Trainer:
             batch["masked"] = np.stack([pb.masked for pb in pbs])
             batch["noised"] = np.stack([pb.noised for pb in pbs])
             batch["token_mask"] = np.stack([pb.mask.flags for pb in pbs]).any(axis=-1)
+        return batch
+
+    def _prepare_batch(self, idxs: np.ndarray, epoch: int) -> dict:
+        """_batch_arrays with every float array cast to float32, plus the real
+        critic rows, built from the float32 frames as the fake rows are."""
+        batch = {k: a.astype(np.float32) if a.dtype == np.float64 else a
+                 for k, a in self._batch_arrays(idxs, epoch).items()}
+        batch["real_rows"] = tuple(r.data for r in self._critic_rows(batch["obs"][:, -1],
+                                                                      batch["fut"]))
         return batch
 
     def _critic_rows(self, obs_last, frames) -> tuple[Tensor, Tensor]:
@@ -328,8 +345,8 @@ class Trainer:
 
     def _prediction(self, batch: dict) -> tuple[Tensor, tuple[Tensor, Tensor]]:
         """The batch's clean prediction and its fake critic rows, with their graph."""
-        act = net.forward_backbone(batch["features"], None, self.params, last_frame=True)
-        pred = net.heads(act, self.params, "pred")["pred"]
+        act = net.forward_backbone(batch["features"], None, self.mirror, last_frame=True)
+        pred = net.heads(act, self.mirror, "pred")["pred"]
         return pred, self._critic_rows(batch["obs"][:, -1], pred)
 
     def critic_update(self, real_rows, fake_rows, substep: int = 0) -> tuple[float, float]:
@@ -339,13 +356,15 @@ class Trainer:
         (real_fid, real_cont), (fake_fid, fake_cont) = real_rows, fake_rows
         seed_f = streams.derive_seed(cfg.seed, streams.INTERP, self.global_step, substep, 0)
         seed_c = streams.derive_seed(cfg.seed, streams.INTERP, self.global_step, substep, 1)
-        closs_f, gp_f, _ = lo.loss_adversarial(net.Critic(self.params, "fidelity"),
+        closs_f, gp_f, _ = lo.loss_adversarial(net.Critic(self.mirror, "fidelity"),
                                                real_fid, fake_fid.data, cfg.gp_lambda, seed_f)
-        closs_c, gp_c, _ = lo.loss_adversarial(net.Critic(self.params, "continuity"),
+        closs_c, gp_c, _ = lo.loss_adversarial(net.Critic(self.mirror, "continuity"),
                                                real_cont, fake_cont.data, cfg.gp_lambda, seed_c)
         closs = ad.add(closs_f, closs_c)
-        grads = net.parameter_gradients(closs, self.params, self.critic_names)
-        self.adam_critic.step(self.params.critic, _clip_global_norm(grads, cfg.grad_clip))
+        grads = net.parameter_gradients(closs, self.mirror, self.critic_names)
+        self.adam_critic.step(self.params.critic,
+                              _clip_global_norm(grads.astype(np.float64), cfg.grad_clip))
+        self.mirror.critic[...] = self.params.critic
         return closs.item(), gp_f.item() + gp_c.item()
 
     def generator_update(self, batch: dict, pred: Tensor, fake_rows,
@@ -353,31 +372,33 @@ class Trainer:
         """One generator Adam step through pred and its fake critic rows, plus
         the masked and noised passes; returns the logged LossReport."""
         cfg = self.cfg
+        mirror = self.mirror
         l_pred = lo.prediction_loss(pred, batch["fut"])
         if cfg.use_perturbation:
-            act_m = net.forward_backbone(batch["masked"], batch["token_mask"], self.params)
-            recon_m = net.heads(act_m, self.params, "mask_recon")["mask_recon"]
+            act_m = net.forward_backbone(batch["masked"], batch["token_mask"], mirror)
+            recon_m = net.heads(act_m, mirror, "mask_recon")["mask_recon"]
             l_mask = lo.masked_reconstruction_loss(
                 recon_m, batch["recon_targets"], batch["token_mask"]
             )
-            act_d = net.forward_backbone(batch["noised"], None, self.params)
-            recon_d = net.heads(act_d, self.params, "denoise_recon")["denoise_recon"]
+            act_d = net.forward_backbone(batch["noised"], None, mirror)
+            recon_d = net.heads(act_d, mirror, "denoise_recon")["denoise_recon"]
             l_denoise = lo.denoise_reconstruction_loss(recon_d, batch["recon_targets"])
-        else:
-            l_mask = Tensor(0.0)
-            l_denoise = Tensor(0.0)
+        else:  # zeros of the compute dtype: a float64 term would promote the total
+            l_mask = l_denoise = Tensor(np.zeros((), pred.data.dtype))
         composite = lo.loss_composite(l_pred, l_mask, l_denoise, self.weights)
 
         fake_fid, fake_cont = fake_rows
         adv = ad.add(
-            ad.neg(ad.tmean(net.discriminate_fidelity(fake_fid, self.params))),
-            ad.neg(ad.tmean(net.discriminate_continuity(fake_cont, self.params))),
+            ad.neg(ad.tmean(net.discriminate_fidelity(fake_fid, mirror))),
+            ad.neg(ad.tmean(net.discriminate_continuity(fake_cont, mirror))),
         )
         total = lo.loss_total(composite, adv, self.weights)
         if not np.isfinite(total.data).all():
             raise NumericalInstability(f"non-finite generator loss at step {self.global_step}")
-        grads = net.parameter_gradients(total, self.params, self.gen_names)
-        self.adam_gen.step(self.params.generator, _clip_global_norm(grads, cfg.grad_clip))
+        grads = net.parameter_gradients(total, mirror, self.gen_names)
+        self.adam_gen.step(self.params.generator,
+                           _clip_global_norm(grads.astype(np.float64), cfg.grad_clip))
+        mirror.generator[...] = self.params.generator
         return lo.make_report(
             l_pred.item(), l_mask.item(), l_denoise.item(), adv.item(), gp_term,
             self.weights,
@@ -586,6 +607,7 @@ def make_predictor(params: net.ModelParams, use_quotient: bool, input_gain: floa
     raises NumericalInstability.
     """
     params32 = net.ModelParams(params.dims, params.vec.astype(np.float32))
+    _kernels.pin_blas_threads()
 
     def predict(obs: np.ndarray) -> np.ndarray:
         arr = np.asarray(obs, dtype=np.float64)

@@ -287,5 +287,26 @@ class TestDtype:
         x = Tensor(np.ones((2, 3), np.float32))
         y = ad.mul(ad.matmul(x, Tensor(np.ones((3, 2), np.float32))), Tensor(np.float32(2.0)))
         assert y.data.dtype == np.float32
-        # a Python scalar operand becomes a 0-d float64 Tensor, which promotes
-        assert ad.mul(x, 2.0).data.dtype == np.float64
+        # a Python scalar operand takes the other operand's dtype
+        assert ad.mul(x, 2.0).data.dtype == np.float32
+
+    def test_python_scalars_follow_the_tensor(self):
+        x32 = Tensor(np.array([0.1, 0.7, 3.0], np.float32), requires_grad=True)
+        x64 = Tensor(np.array([0.1, 0.7, 3.0]), requires_grad=True)
+        n = x32.size
+        for op, want in ((lambda x: ad.sub(1.0, x), lambda a: 1.0 - a),
+                         (lambda x: ad.div(x, float(n)), lambda a: a / float(n)),
+                         (lambda x: ad.mul(2, x), lambda a: 2 * a),
+                         (lambda x: ad.add(x, 0.25), lambda a: a + 0.25)):
+            for x in (x32, x64):
+                y = op(x)
+                assert y.data.dtype == x.data.dtype
+                assert np.array_equal(y.data, want(x.data))  # numpy's weak-scalar bits
+                assert ad.grad(ad.tsum(y), [x])[0].data.dtype == x.data.dtype
+
+    @pytest.mark.parametrize("other", [Tensor(np.float64(2.0)), np.array(2.0), np.float64(2.0)],
+                             ids=["tensor", "array", "numpy_scalar"])
+    def test_a_float64_0d_operand_promotes(self, other):
+        x = Tensor(np.ones((2, 3), np.float32))
+        assert ad.mul(x, other).data.dtype == np.float64
+        assert ad.sub(other, x).data.dtype == np.float64

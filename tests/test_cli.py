@@ -1,7 +1,10 @@
 """End-to-end command-line pipelines, config precedence, and exit codes."""
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -441,6 +444,46 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("mqmotion: code=4 ")
+
+    @pytest.mark.parametrize("scale, codes", [(1e15, {0}), (1e25, {0, 4}), (1e45, {0, 4})])
+    def test_large_input_trains_or_exits_4(self, tmp_path, capsys, scale, codes):
+        # a float32 layer norm overflows near 3e18 per entry: a run on larger
+        # clips must train to a finite checkpoint or refuse, never crash
+        clip = tmp_path / "big.mqs"
+        seq = read_mqs_file(synth_file(tmp_path)).sequence
+        write_mqs_file(clip, seq.with_frames(seq.frames * scale))
+        ckpt, log = tmp_path / "x.mqck", tmp_path / "x.csv"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a floating-point warning would reach stderr too
+            rc = cli.main(["train", str(clip), "--config", write_config(tmp_path, SMALL_MODEL),
+                           "--out", str(ckpt)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc in codes
+        if rc == 4:
+            assert len(err) == 1 and not ckpt.exists() and not log.exists()
+            assert err[0].startswith("mqmotion: code=4 type=NumericalInstability msg=")
+            return
+        state = load_checkpoint(ckpt)
+        assert err == [] and state.global_step > 0 and np.isfinite(state.params.vec).all()
+        assert len(log.read_text().splitlines()) == 1 + state.global_step  # header and steps
+
+    def test_checkpoint_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # each count in a fresh process, where OPENBLAS_NUM_THREADS takes effect;
+        # at 22 joints the GEMMs are large enough for OpenBLAS to split them
+        clip = synth_file(tmp_path, joints=22, frames=60)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        outs = []
+        for threads in ("2", "1"):
+            out = tmp_path / f"threads{threads}.mqck"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run([sys.executable, "-m", "mqmotion.cli", "train", clip,
+                                   "--max-steps", "4", "--out", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def resume(self, tmp_path, capsys, clip, with_config):
         """Train 2 steps on a 3-joint clip, then resume on `clip`: (rc, stderr lines)."""

@@ -284,7 +284,11 @@ class TestUpdates:
 
 
 class TestRun:
-    def test_a_step_stays_float64(self, monkeypatch):
+    @pytest.mark.parametrize("over", [{}, dict(use_perturbation=False), dict(use_quotient=False),
+                                      dict(use_lowrank=False)],
+                             ids=["default", "no_perturbation", "no_quotient", "full_rank"])
+    def test_a_step_builds_only_float32(self, tmp_path, monkeypatch, over):
+        t = tr.Trainer(small_dataset(), small_cfg(max_steps=1, **over))
         dtypes = []
         init, gradients = ad.Tensor.__init__, net.parameter_gradients
 
@@ -297,13 +301,63 @@ class TestRun:
             dtypes.append(g.dtype)
             return g
 
+        def recording(kernel):
+            def run(*args, **kwargs):
+                out = kernel(*args, **kwargs)
+                dtypes.extend(a.dtype for a in (*args, *(out if isinstance(out, tuple) else (out,)))
+                              if isinstance(a, np.ndarray))
+                return out
+            return run
+
         monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
         monkeypatch.setattr(net, "parameter_gradients", counting_gradients)
-        t = tr.Trainer(small_dataset(), small_cfg(max_steps=1))
-        t.run()
-        adam = (t.adam_gen.m, t.adam_gen.v, t.adam_critic.m, t.adam_critic.v)
+        for name in ("softmax", "layer_norm", "gelu"):
+            for kernel in (f"{name}_forward", f"{name}_backward"):
+                monkeypatch.setattr(ad, kernel, recording(getattr(ad, kernel)))
+        vec = t.params.vec.copy()
+        t.run(checkpoint_path=tmp_path / "run.mqck")
         assert t.global_step == 1 and len(dtypes) > 100
-        assert set(dtypes) | {a.dtype for a in (t.params.vec, *adam)} == {np.dtype(np.float64)}
+        assert set(dtypes) == {np.dtype(np.float32)}
+        # the master weights, Adam's moments and the checkpoint stay float64
+        adam = (t.adam_gen.m, t.adam_gen.v, t.adam_critic.m, t.adam_critic.v)
+        assert {a.dtype for a in (t.params.vec, *adam)} == {np.dtype(np.float64)}
+        assert not np.array_equal(t.params.vec, vec)
+        assert not np.array_equal(t.params.vec, t.params.vec.astype(np.float32))
+        assert np.array_equal(t.mirror.vec, t.params.vec.astype(np.float32))
+        state = tr.load_checkpoint(tmp_path / "run.mqck")
+        assert np.array_equal(state.params.vec, t.params.vec)
+        assert all(np.array_equal(a, b) for a, b in zip(
+            (state.adam_gen.m, state.adam_gen.v, state.adam_critic.m, state.adam_critic.v), adam))
+
+    @pytest.mark.parametrize("joints", [5, 22])
+    @pytest.mark.parametrize("lowrank", [True, False], ids=["lowrank", "full"])
+    def test_float32_gradients_match_float64(self, monkeypatch, joints, lowrank):
+        # one step's gradients at the same weights: the trainer's float32
+        # mirror and batch against its float64 master and float64 arrays
+        cfg = tr.TrainConfig(use_lowrank=lowrank, batch_size=8)
+        seqs = [synth_generate("sinusoid", joints=joints, frames=50, fps=25.0, seed=s)
+                for s in range(2)]
+        ds = make_windows(seqs, n_observed=cfg.obs_frames, n_future=cfg.future_frames,
+                          stride=2)
+        t = tr.Trainer(ds, cfg)
+        t.params.vec += np.random.default_rng(2).normal(scale=0.05, size=t.params.vec.size)
+        t.mirror.vec[...] = t.params.vec
+        grads = []
+        monkeypatch.setattr(tr.Adam, "step", lambda adam, p, g: grads.append(g))
+        idxs = np.arange(cfg.batch_size)
+        batch64 = t._batch_arrays(idxs, 0)
+        batch64["real_rows"] = tuple(r.data for r in t._critic_rows(batch64["obs"][:, -1],
+                                                                     batch64["fut"]))
+        for mirror, batch in ((t.mirror, t._prepare_batch(idxs, 0)), (t.params, batch64)):
+            t.mirror = mirror
+            pred, fake_rows = t._prediction(batch)
+            t.critic_update(batch["real_rows"], fake_rows)
+            t.generator_update(batch, pred, fake_rows, 0.0)
+        assert t.mirror is t.params and t.mirror.vec.dtype == np.float64
+        (critic32, gen32, critic64, gen64) = grads
+        for got, want in ((critic32, critic64), (gen32, gen64)):
+            assert got.dtype == want.dtype == np.float64 and not np.array_equal(got, want)
+            assert np.abs(got - want).max() <= 1e-4 * np.abs(want).max()
 
     def test_zero_epochs_writes_initial_checkpoint(self, tmp_path):
         ckpt = tmp_path / "run.mqck"
