@@ -39,8 +39,8 @@ def _blas_set_threads():
     return None
 
 
-def pin_blas_threads() -> bool:
-    """Run numpy's BLAS on one thread; True if it could be pinned.
+def pin_blas_threads() -> None:
+    """Run numpy's bundled OpenBLAS on one thread, where it is found.
 
     A GEMM's summation order, and so its bits, can depend on the thread
     count. Unlike OPENBLAS_NUM_THREADS, which acts only before numpy loads,
@@ -49,7 +49,6 @@ def pin_blas_threads() -> bool:
     setter = _blas_set_threads()
     if setter is not None:
         setter(1)
-    return setter is not None
 
 
 def quotient_channels(frames: np.ndarray, dt: float):
