@@ -25,9 +25,19 @@ BLAS_SET_THREADS = "scipy_openblas_set_num_threads64_"
 
 @functools.cache
 def _blas_set_threads():
-    """numpy's bundled OpenBLAS thread setter, or None (one stderr warning)."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("libscipy_openblas*")):
+    """numpy's OpenBLAS thread setter, or None (one stderr warning).
+
+    dlsym on numpy's own extension module also searches the libraries it
+    links, so the setter is found wherever the build put its OpenBLAS; the
+    wheels' bundled-library directories are only a fallback.
+    """
+    pkg = Path(np.__file__).resolve().parent
+    umath = [m.__file__ for m in map(sys.modules.get, ("numpy._core._multiarray_umath",
+                                                       "numpy.core._multiarray_umath"))
+             if m is not None and getattr(m, "__file__", None)]
+    bundled = (sorted(pkg.parent.glob("numpy.libs/libscipy_openblas*"))
+               + sorted(pkg.glob(".dylibs/libscipy_openblas*")))
+    for lib in [*umath, *bundled]:
         try:
             setter = getattr(ctypes.CDLL(str(lib)), BLAS_SET_THREADS)
         except (OSError, AttributeError):

@@ -11,8 +11,10 @@ Every pass computes in float32; Adam, gradient clipping and checkpoints
 keep float64 master weights. The Trainer holds one float32 mirror of the
 master vector: the batch's arrays are built in float64 and cast to float32
 once, every forward and backward reads the mirror, and each gradient is
-cast to float64 for clipping and Adam, whose stepped slice is then copied
-back into the mirror. The generator step's critic terms therefore see the
+cast to float64 for clipping and Adam. _prediction, where each step
+starts, refreshes the whole mirror from the master, so an edit of
+``params`` between steps reaches the next step; each critic update also
+copies its stepped slice in, so the generator step's critic terms see the
 just-updated critic weights.
 
 Determinism contract: given the same dataset, config, and seed, every run
@@ -344,7 +346,9 @@ class Trainer:
                 net.continuity_inputs(ad.mul(window, self.cfg.input_gain)))
 
     def _prediction(self, batch: dict) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        """The batch's clean prediction and its fake critic rows, with their graph."""
+        """The batch's clean prediction and its fake critic rows, with their
+        graph; first refreshes the float32 mirror from the master weights."""
+        self.mirror.vec[...] = self.params.vec
         act = net.forward_backbone(batch["features"], None, self.mirror, last_frame=True)
         pred = net.heads(act, self.mirror, "pred")["pred"]
         return pred, self._critic_rows(batch["obs"][:, -1], pred)
@@ -398,7 +402,6 @@ class Trainer:
         grads = net.parameter_gradients(total, mirror, self.gen_names)
         self.adam_gen.step(self.params.generator,
                            _clip_global_norm(grads.astype(np.float64), cfg.grad_clip))
-        mirror.generator[...] = self.params.generator
         return lo.make_report(
             l_pred.item(), l_mask.item(), l_denoise.item(), adv.item(), gp_term,
             self.weights,

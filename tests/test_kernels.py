@@ -61,3 +61,36 @@ class TestBackendSelection:
     def test_dispatch_names_exist(self):
         for name in ("quotient_channels", "integrate", "mpjpe_mean", "adam_update"):
             assert callable(getattr(K, name))
+
+
+class TestBlasThreads:
+    def lookup(self, monkeypatch, cdll):
+        """_blas_set_threads with ctypes.CDLL replaced: (setter, paths opened)."""
+        opened = []
+
+        def spy(path, *args, **kwargs):
+            opened.append(str(path))
+            return cdll(path, *args, **kwargs)
+
+        monkeypatch.setattr(K.ctypes, "CDLL", spy)
+        K._blas_set_threads.cache_clear()
+        try:
+            return K._blas_set_threads(), opened
+        finally:
+            K._blas_set_threads.cache_clear()
+
+    def test_setter_is_found_through_numpys_extension_module(self, monkeypatch, capsys):
+        # no dependence on where a wheel bundles its OpenBLAS
+        setter, opened = self.lookup(monkeypatch, K.ctypes.CDLL)
+        assert setter is not None and len(opened) == 1
+        assert "_multiarray_umath" in opened[0]
+        assert capsys.readouterr().err == ""
+
+    def test_no_setter_warns_once_and_pins_nothing(self, monkeypatch, capsys):
+        def no_library(path, *args, **kwargs):
+            raise OSError(path)
+
+        setter, opened = self.lookup(monkeypatch, no_library)
+        assert setter is None and opened
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and K.BLAS_SET_THREADS in err[0]

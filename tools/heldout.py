@@ -1,32 +1,31 @@
 """On-demand held-out yardstick: the full model against its three ablations.
 
-    python3 tools/heldout.py [--steps 150] [--seeds 5] > heldout.json
+    python3 tools/heldout.py > heldout.json
 
 Trains the full model and the --ablate-d (no quotient encoding), --ablate-e
 (no mask and noise side tasks) and --ablate-l (full-rank attention)
-variants, each for --steps steps at the default config, once per training
-seed. Training seed s seeds the model and draws its 5-joint sinusoid
-clips from seeds CLIPS * s .. CLIPS * s + CLIPS - 1. Each trained model is
-then evaluated at the default horizons on two held-out sets: sinusoid clips
-from a disjoint seed range (other offsets, phases and direction weights)
-and random_walk clips. Prints one JSON document: per variant, set and
-horizon, the median and quartiles of the per-seed MPJPE in mm, and each
-ablation's relative change of the median against the full model's.
+variants, each for STEPS steps at the default config, once per training
+seed 0 .. SEEDS - 1. Training seed s seeds the model and draws its 5-joint
+sinusoid clips from seeds CLIPS * s .. CLIPS * s + CLIPS - 1. Each trained
+model is then evaluated at the default horizons on two held-out sets:
+sinusoid clips from a disjoint seed range (other offsets, phases and
+direction weights) and random_walk clips. Prints one JSON document: per
+variant, set and horizon, the median and quartiles of the per-seed MPJPE in
+mm, and each ablation's relative change of the median against the full
+model's. STEPS and SEEDS are fixed, so every recorded output is comparable
+with every other.
 
 Not a Tier-1 test and not a benchmark workload: it takes several minutes
-(--seeds x 4 x --steps training steps). Run it from a checkout's root or
-from anywhere; it imports the mqmotion beside it.
+(SEEDS x 4 x STEPS training steps). Run it from a checkout's root or from
+anywhere; it imports the mqmotion beside it. Trainer and make_predictor pin
+numpy's OpenBLAS to one thread, so the output does not depend on the host's
+core count.
 """
-import argparse
 import json
-import os
 import statistics
 import sys
 import time
 from pathlib import Path
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -35,6 +34,8 @@ from mqmotion.core import DEFAULT_HORIZONS_MS  # noqa: E402
 from mqmotion.dataio import make_windows, synth_generate  # noqa: E402
 from mqmotion.evaluate import evaluate  # noqa: E402
 
+STEPS = 150
+SEEDS = 5
 JOINTS = 5
 FRAMES = 60
 FPS = 25.0
@@ -56,9 +57,9 @@ def windows(kind: str, seeds, cfg: tr.TrainConfig, stride: int):
                         stride=stride)
 
 
-def heldout_mpjpe(variant: dict, seed: int, steps: int) -> dict:
+def heldout_mpjpe(variant: dict, seed: int) -> dict:
     """{set: {horizon ms: MPJPE}} of one variant trained with one seed."""
-    cfg = tr.TrainConfig(epochs=10**6, max_steps=steps, seed=seed, **variant)
+    cfg = tr.TrainConfig(epochs=10**6, max_steps=STEPS, seed=seed, **variant)
     trainer = tr.Trainer(windows("sinusoid", range(CLIPS * seed, CLIPS * (seed + 1)), cfg, 1),
                          cfg)
     trainer.run()
@@ -74,18 +75,11 @@ def spread(xs: list[float]) -> dict:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--steps", type=int, default=150)
-    ap.add_argument("--seeds", type=int, default=5)
-    args = ap.parse_args()
-    if args.seeds < 2 or args.steps < 1:
-        ap.error("need --seeds >= 2 (for quartiles) and --steps >= 1")
-
     t0 = time.perf_counter()
     per_seed = {name: [] for name in VARIANTS}
-    for seed in range(args.seeds):
+    for seed in range(SEEDS):
         for name, variant in VARIANTS.items():
-            per_seed[name].append(heldout_mpjpe(variant, seed, args.steps))
+            per_seed[name].append(heldout_mpjpe(variant, seed))
             print(f"seed {seed} {name} done at {time.perf_counter() - t0:.0f}s",
                   file=sys.stderr)
     summary = {name: {kind: {str(ms): spread([run[kind][ms] for run in runs])
@@ -98,7 +92,7 @@ def main() -> None:
                        for kind, by_ms in summary[name].items()}
                 for name in VARIANTS if name != "full"}
     print(json.dumps({
-        "steps": args.steps, "seeds": args.seeds, "joints": JOINTS,
+        "steps": STEPS, "seeds": SEEDS, "joints": JOINTS,
         "train_clip_seeds": f"{CLIPS} per seed s: {CLIPS}s .. {CLIPS}s+{CLIPS - 1}",
         "heldout_clip_seeds": {k: [r.start, r.stop - 1] for k, r in HELDOUT.items()},
         "mpjpe_mm": summary, "relative_change_of_median": relative,
