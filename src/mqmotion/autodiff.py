@@ -18,9 +18,10 @@ it needs and never holds a Tensor of its own node, so no graph holds a
 reference cycle and a graph is freed as soon as the last reference to its
 output goes.
 
-Only what the model needs is implemented: broadcasting arithmetic, matmul
-with batched leading dims, reductions, shape ops, basic slicing, and the
-smooth nonlinearities (exp, log, tanh, sqrt).
+Model code builds its graphs from add, sub, mul, div, neg, matmul, tsum,
+tmean, reshape, transpose, concat, basic slicing and fused nodes; power,
+sqrt, exp, log, tanh, swapaxes and finite_difference serve the tests'
+oracles.
 
 ``fused`` makes one graph node over any number of parents from a numpy
 forward result and one closed-form numpy backward that returns every
@@ -32,10 +33,10 @@ are built on the numpy kernels here (``softmax_forward``/
 ``gelu_forward``/``gelu_backward``). The Tensor ops ``softmax``,
 ``layer_norm`` and ``gelu`` wrap those kernels as fused nodes of their own;
 no model code calls them, and they serve to test the kernels against finite
-differences. Each critic's WGAN-GP loss, whose gradient penalty is a
-function of the critic's input gradient, is one such node too
-(``network.Critic.wgan_gp``), with the second derivative written out in its
-backward.
+differences. So are a critic's scores (``network.discriminate_*``) and its
+WGAN-GP loss, whose gradient penalty is a function of the critic's input
+gradient (``network.Critic.wgan_gp``), with the second derivative written
+out in its backward.
 """
 from __future__ import annotations
 

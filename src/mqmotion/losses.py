@@ -5,7 +5,9 @@ the future window, masked reconstruction over exactly the joint-frames
 that contained a masked scalar, and denoising reconstruction over every
 in-window token. The adversarial part is a WGAN with gradient penalty,
 evaluated by two critics (single-frame fidelity and consecutive-pair
-continuity) whose losses are summed.
+continuity) whose losses are summed: loss_adversarial gives a critic's
+loss as one closed-form node (network.Critic), and gradient_penalty, which
+training does not call, is the oracle for its penalty.
 
 All loss functions return engine Tensors so they are differentiable; use
 LossReport / make_report for plain-float bookkeeping.
@@ -152,7 +154,8 @@ def gradient_penalty(critic_fn, x_hat: Tensor, gp_lambda: float) -> Tensor:
     and x_hat a leaf Tensor that requires grad. The result carries no
     graph: a penalty's gradient in a critic's weights needs the critic's
     second derivatives, which the first-order engine does not build. The
-    model's critics have them in closed form (network.Critic.wgan_gp).
+    model's critics have them in closed form (network.Critic.wgan_gp), which
+    the tests check against this function.
     """
     scores = critic_fn(x_hat)
     if scores.ndim != 1:
@@ -162,33 +165,18 @@ def gradient_penalty(critic_fn, x_hat: Tensor, gp_lambda: float) -> Tensor:
 
 
 def loss_adversarial(critic, real, fake, gp_lambda: float, rng_seed: int):
-    """WGAN-GP terms for one critic.
+    """WGAN-GP terms for one critic, a network.Critic: (critic_loss, gp_term).
 
-    Returns (critic_loss, gp_term, gen_term):
-      critic_loss = E[D(fake)] - E[D(real)] + gp_term   (critic minimizes)
-      gen_term    = -E[D(fake)]                         (generator minimizes)
-    critic is one of the model's critics as a network.Critic, or any
-    Tensor function of rows to scores. For a network.Critic, critic_loss is
-    one graph node over the critic's weights, from Critic.wgan_gp, and the
-    other two terms are values. For a Tensor function, critic_loss is a
-    value too (see gradient_penalty), and gen_term keeps its graph back
-    into the critic and into fake.
+    critic_loss = E[D(fake)] - E[D(real)] + gp_term, which the critic
+    minimizes, is one graph node over its weights (Critic.wgan_gp), and
+    gp_term, taken at interpolate_samples' rows for rng_seed, is a value.
     """
-    real_t, fake_t = ad.as_tensor(real), ad.as_tensor(fake)
-    x_hat, _ = interpolate_samples(real_t, fake_t, rng_seed)
-    if hasattr(critic, "wgan_gp"):
-        critic_loss, gp, score_fake = critic.wgan_gp(x_hat.data, fake_t.data, real_t.data,
-                                                     gp_lambda)
-        gen_term = Tensor(-score_fake)
-    else:
-        gp = gradient_penalty(critic, x_hat, gp_lambda).item()
-        score_fake = ad.tmean(critic(fake_t))
-        score_real = ad.tmean(critic(real_t))
-        critic_loss = Tensor(score_fake.data - score_real.data + gp)
-        gen_term = ad.neg(score_fake)
+    real_a, fake_a = ad.as_tensor(real).data, ad.as_tensor(fake).data
+    x_hat, _ = interpolate_samples(real_a, fake_a, rng_seed)
+    critic_loss, gp = critic.wgan_gp(x_hat.data, fake_a, real_a, gp_lambda)
     if not np.isfinite(critic_loss.data):
         raise NumericalInstability("non-finite critic loss")
-    return critic_loss, Tensor(np.asarray(gp, critic_loss.data.dtype)), gen_term
+    return critic_loss, Tensor(np.asarray(gp, critic_loss.data.dtype))
 
 
 def make_report(

@@ -631,20 +631,36 @@ def heads(act, params: ModelParams, *which: str) -> dict[str, Tensor]:
     return out
 
 
-def _check_critic_rows(x, w1, which: str) -> None:
+_CRITIC = ("w1", "b1", "w2", "b2", "w3")
+
+
+def _critic_forward(params: ModelParams, which: str, x: np.ndarray):
+    """D(x) = tanh(tanh(x W1 + b1) W2 + b2) w3 on rows x: the critic's five
+    weight tensors, h1, h2 and the (N,) scores."""
+    tensors = tuple(params.t(f"critic.{which}.{s}") for s in _CRITIC)
+    w1, b1, w2, b2, w3 = (t.data for t in tensors)
     if x.ndim != 2 or x.shape[1] != w1.shape[0]:
-        raise DimsMismatch(
-            f"{which} critic expects (N, {w1.shape[0]}), got {tuple(x.shape)}"
-        )
+        raise DimsMismatch(f"{which} critic expects (N, {w1.shape[0]}), got {tuple(x.shape)}")
+    h1 = np.tanh(x @ w1 + b1)
+    h2 = np.tanh(h1 @ w2 + b2)
+    return tensors, h1, h2, (h2 @ w3)[:, 0]
 
 
-def _critic_mlp(x: Tensor, params: ModelParams, which: str) -> Tensor:
-    p = f"critic.{which}"
-    w1 = params.t(f"{p}.w1")
-    _check_critic_rows(x, w1, which)
-    h = ad.tanh(ad.add(ad.matmul(x, w1), params.t(f"{p}.b1")))
-    h = ad.tanh(ad.add(ad.matmul(h, params.t(f"{p}.w2")), params.t(f"{p}.b2")))
-    return ad.reshape(ad.matmul(h, params.t(f"{p}.w3")), (x.shape[0],))
+def _discriminate(x: Tensor, params: ModelParams, which: str) -> Tensor:
+    """The critic's scores of rows x, one node over (x, w1, b1, w2, b2, w3);
+    its backward uses the expressions of the equivalent matmul/add/tanh chain,
+    so the two give the same bits."""
+    tensors, h1, h2, scores = _critic_forward(params, which, x.data)
+    w1, _, w2, _, w3 = (t.data for t in tensors)
+
+    def backward(g):
+        g = g.reshape(-1, 1)
+        da2 = (g @ w3.T) * (1.0 - h2 * h2)
+        da1 = (da2 @ w2.T) * (1.0 - h1 * h1)
+        return (da1 @ w1.T, x.data.T @ da1, da1.sum(axis=0), h1.T @ da2, da2.sum(axis=0),
+                h2.T @ g)
+
+    return ad.fused(scores, (x, *tensors), backward)
 
 
 def discriminate_fidelity(frames, params: ModelParams) -> Tensor:
@@ -652,7 +668,7 @@ def discriminate_fidelity(frames, params: ModelParams) -> Tensor:
     x = ad.as_tensor(frames)
     if x.ndim == 3:
         x = ad.reshape(x, (x.shape[0], x.shape[1] * x.shape[2]))
-    return _critic_mlp(x, params, "fidelity")
+    return _discriminate(x, params, "fidelity")
 
 
 def discriminate_continuity(pairs, params: ModelParams) -> Tensor:
@@ -661,11 +677,7 @@ def discriminate_continuity(pairs, params: ModelParams) -> Tensor:
     The expected input layout is [frame_t, frame_{t+1} - frame_t], see
     continuity_inputs.
     """
-    x = ad.as_tensor(pairs)
-    return _critic_mlp(x, params, "continuity")
-
-
-_CRITIC = ("w1", "b1", "w2", "b2", "w3")
+    return _discriminate(ad.as_tensor(pairs), params, "continuity")
 
 
 @dataclass(frozen=True)
@@ -677,33 +689,27 @@ class Critic:
     which: str
 
     def wgan_gp(self, x_hat: np.ndarray, fake: np.ndarray, real: np.ndarray,
-                gp_lambda: float) -> tuple[Tensor, float, float]:
+                gp_lambda: float) -> tuple[Tensor, float]:
         """E[D(fake)] - E[D(real)] + gp, as one node over the five weights.
 
         gp is the penalty of losses.penalty_of_gradients at the rows x_hat.
-        The critic is D(x) = tanh(tanh(x W1 + b1) W2 + b2) w3, and one
-        forward scores the stacked [x_hat; fake; real] rows. With
-        s = 1 - tanh^2, the input gradient is W1 (s1 * W2 (s2 * w3)), and
-        the node's backward takes the penalty through it by the chain rule,
-        with tanh' = s and s' = -2 tanh s. The rows are constants of the
-        node. Returns (loss, gp, E[D(fake)]).
+        One forward of the critic D (_critic_forward) scores the stacked
+        [x_hat; fake; real] rows. With s = 1 - tanh^2, the input gradient is
+        W1 (s1 * W2 (s2 * w3)), and the node's backward takes the penalty
+        through it by the chain rule, with tanh' = s and s' = -2 tanh s. The
+        rows are constants of the node. Returns (loss, gp).
         """
-        tensors = tuple(self.params.t(f"critic.{self.which}.{s}") for s in _CRITIC)
-        w1, b1, w2, b2, w3 = (t.data for t in tensors)
         x = np.concatenate([x_hat, fake, real])
-        _check_critic_rows(x, w1, self.which)
+        tensors, h1, h2, scores = _critic_forward(self.params, self.which, x)
+        w1, _, w2, _, w3 = (t.data for t in tensors)
         n, nf, nr = len(x_hat), len(fake), len(real)
-        h1 = np.tanh(x @ w1 + b1)
-        h2 = np.tanh(h1 @ w2 + b2)
-        scores = (h2 @ w3)[:, 0]
         s1, s2 = 1.0 - h1 * h1, 1.0 - h2 * h2
         # the input gradient at the interpolates, the first n rows
         u2 = s2[:n] * w3[:, 0]
         v1 = u2 @ w2.T
         u1 = s1[:n] * v1
         gp, slope = penalty_of_gradients(u1 @ w1.T, gp_lambda)
-        score_fake = np.sum(scores[n:n + nf]) / float(nf)
-        loss = score_fake - np.sum(scores[n + nf:]) / float(nr) + gp
+        loss = np.sum(scores[n:n + nf]) / float(nf) - np.sum(scores[n + nf:]) / float(nr) + gp
 
         def backward(g):
             # the penalty through the input gradient, interpolate rows only
@@ -727,7 +733,7 @@ class Critic:
             dw1 += x.T @ da1
             return tuple(g * d for d in (dw1, da1.sum(axis=0), dw2, da2.sum(axis=0), dw3))
 
-        return ad.fused(np.array(loss), tensors, backward), gp, score_fake
+        return ad.fused(np.array(loss), tensors, backward), gp
 
 
 def continuity_inputs(window) -> Tensor:

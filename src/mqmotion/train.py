@@ -360,10 +360,10 @@ class Trainer:
         (real_fid, real_cont), (fake_fid, fake_cont) = real_rows, fake_rows
         seed_f = streams.derive_seed(cfg.seed, streams.INTERP, self.global_step, substep, 0)
         seed_c = streams.derive_seed(cfg.seed, streams.INTERP, self.global_step, substep, 1)
-        closs_f, gp_f, _ = lo.loss_adversarial(net.Critic(self.mirror, "fidelity"),
-                                               real_fid, fake_fid.data, cfg.gp_lambda, seed_f)
-        closs_c, gp_c, _ = lo.loss_adversarial(net.Critic(self.mirror, "continuity"),
-                                               real_cont, fake_cont.data, cfg.gp_lambda, seed_c)
+        closs_f, gp_f = lo.loss_adversarial(net.Critic(self.mirror, "fidelity"),
+                                            real_fid, fake_fid.data, cfg.gp_lambda, seed_f)
+        closs_c, gp_c = lo.loss_adversarial(net.Critic(self.mirror, "continuity"),
+                                            real_cont, fake_cont.data, cfg.gp_lambda, seed_c)
         closs = ad.add(closs_f, closs_c)
         grads = net.parameter_gradients(closs, self.mirror, self.critic_names)
         self.adam_critic.step(self.params.critic,

@@ -490,6 +490,17 @@ def ref_gelu(x):
     return ad.mul(ad.mul(x, 0.5), ad.add(ad.tanh(inner), 1.0))
 
 
+def ref_critic(x, params, which):
+    """The critic D(x) = tanh(tanh(x W1 + b1) W2 + b2) w3 as matmul, add and
+    tanh ops, reshaped to (N,) scores: the oracle for the fused critic node."""
+    def t(s):
+        return params.t(f"critic.{which}.{s}")
+
+    h = ad.tanh(ad.add(ad.matmul(x, t("w1")), t("b1")))
+    h = ad.tanh(ad.add(ad.matmul(h, t("w2")), t("b2")))
+    return ad.reshape(ad.matmul(h, t("w3")), (x.shape[0],))
+
+
 def reference_sublayer(h, params, kind, key_bias=None):
     """Layer 0's sublayer `kind` as a chain of primitive Tensor ops: the
     oracle for the fused sublayer node's forward and backward.
@@ -764,6 +775,30 @@ class TestCritics:
         fd = ad.finite_difference(f, x0.ravel(), step=1e-6).reshape(4, 9)
         assert np.allclose(g.data, fd, rtol=1e-6, atol=1e-8)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("which", ["fidelity", "continuity"])
+    def test_one_node_matches_primitive_chain(self, which, dtype):
+        # the same bits as the matmul/add/tanh chain, forward and backward,
+        # in the rows and all five weights, in both compute dtypes
+        master = net.ModelParams.init(small_dims(), seed=4)
+        rng = np.random.default_rng(14)
+        master.vec += rng.uniform(-0.5, 0.5, master.n_params)
+        params = net.ModelParams(master.dims, master.vec.astype(dtype))
+        discriminate = {"fidelity": net.discriminate_fidelity,
+                        "continuity": net.discriminate_continuity}[which]
+        x = Tensor(rng.standard_normal((7, 9 if which == "fidelity" else 18)).astype(dtype),
+                   requires_grad=True)
+        w = Tensor(rng.standard_normal(7).astype(dtype))
+        weights = [params.t(f"critic.{which}.{s}") for s in net._CRITIC]
+        scores = discriminate(x, params)
+        assert [id(p) for p in scores._parents] == [id(x)] + [id(t) for t in weights]
+        ref = ref_critic(x, params, which)
+        assert scores.data.dtype == dtype and np.array_equal(scores.data, ref.data)
+        grads = ad.grad(ad.tsum(ad.mul(scores, w)), [x, *weights])
+        ref_grads = ad.grad(ad.tsum(ad.mul(ref, w)), [x, *weights])
+        for name, g, r in zip(["rows", *net._CRITIC], grads, ref_grads):
+            assert g.data.dtype == dtype and np.array_equal(g.data, r.data), name
+
 
 class TestParameterGradients:
     @pytest.mark.parametrize("lowrank", [True, False])
@@ -794,7 +829,7 @@ class TestParameterGradients:
         critic_loss = Tensor(0.0)
         for which, width in (("fidelity", 15), ("continuity", 30)):
             x_hat, fake, real = rng.standard_normal((3, 8, width))
-            loss, _, _ = net.Critic(params, which).wgan_gp(x_hat, fake, real, 10.0)
+            loss, _ = net.Critic(params, which).wgan_gp(x_hat, fake, real, 10.0)
             critic_loss = ad.add(critic_loss, loss)
 
         dead = []

@@ -9,13 +9,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mqmotion.autodiff as ad
 import mqmotion.network as net
 import mqmotion.train as tr
 from mqmotion.core import MotionSequence, Skeleton
 from mqmotion.dataio import make_windows, synth_generate
-from mqmotion.errors import AbortStep, DimsMismatch, FormatError, MaskTermSkipped
+from mqmotion.errors import AbortStep, DimsMismatch, FormatError, MaskTermSkipped, MotionError
 
 EPS = 1e-8
 
@@ -378,6 +380,29 @@ class TestRun:
         assert np.array_equal(t.mirror.critic, t.params.critic.astype(np.float32))
         assert not np.array_equal(t.mirror.critic, cast.critic)
 
+    def test_graph_sizes_per_step(self, monkeypatch):
+        # every tensor reachable from the losses handed to
+        # parameter_gradients in one default step at J=5, parameters included
+        seq = synth_generate("sinusoid", joints=5, frames=40, fps=25.0, seed=0)
+        t = tr.Trainer(make_windows([seq], n_observed=10, n_future=25, stride=2),
+                       tr.TrainConfig(max_steps=1))
+        nodes = {}
+        gradients = net.parameter_gradients
+
+        def counting(loss, params, names=None):
+            seen, stack = {id(loss)}, [loss]
+            while stack:
+                for p in stack.pop()._parents:
+                    if id(p) not in seen:
+                        seen.add(id(p))
+                        stack.append(p)
+            nodes["critic" if names == t.critic_names else "generator"] = len(seen)
+            return gradients(loss, params, names)
+
+        monkeypatch.setattr(net, "parameter_gradients", counting)
+        t.run()
+        assert nodes == {"generator": 172, "critic": 13}
+
     def test_zero_epochs_writes_initial_checkpoint(self, tmp_path):
         ckpt = tmp_path / "run.mqck"
         log = tmp_path / "run.csv"
@@ -455,6 +480,14 @@ class TestRun:
         c = tr.train(small_dataset(), small_cfg(epochs=1, seed=1))
         assert np.array_equal(a.params.flat(), b.params.flat())
         assert not np.array_equal(a.params.flat(), c.params.flat())
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """The bytes of one small checkpoint, and a path to write variants to."""
+    path = tmp_path_factory.mktemp("tiny") / "tiny.mqck"
+    tr.train(small_dataset(), small_cfg(epochs=0), checkpoint_path=path)
+    return path.read_bytes(), path.with_name("damaged.mqck")
 
 
 class TestCheckpoint:
@@ -548,6 +581,28 @@ class TestCheckpoint:
         ckpt.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             tr.load_checkpoint(ckpt)
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(data=st.data())
+    def test_damaged_bytes_load_or_raise_motion_error(self, tiny_checkpoint, data):
+        # truncation anywhere, or one flipped bit or replaced byte in the
+        # magic, version, header length or JSON header
+        raw, path = tiny_checkpoint
+        head = 16 + struct.unpack("<Q", raw[8:16])[0]
+        kind = data.draw(st.sampled_from(["truncate", "flip", "replace"]))
+        if kind == "truncate":
+            damaged = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        else:
+            i = data.draw(st.integers(0, head - 1))
+            byte = (raw[i] ^ 1 << data.draw(st.integers(0, 7)) if kind == "flip"
+                    else data.draw(st.integers(0, 255)))
+            damaged = raw[:i] + bytes([byte]) + raw[i + 1:]
+        path.write_bytes(damaged)
+        try:
+            tr.load_checkpoint(path)
+        except MotionError:
+            return
+        assert kind != "truncate"
 
     @pytest.mark.parametrize("edit", [
         lambda h: h.pop("config"),
