@@ -11,28 +11,30 @@ Under NumPy 2's promotion rules a Python float constant in a kernel keeps a
 float32 array float32 too, but a 0-d float64 array or Tensor, or an
 ``np.float64`` scalar, makes the result float64.
 
-Every backward rule (VJP) maps the output's gradient, an ndarray, to the
-operand's gradient, an ndarray, in numpy. grad returns plain gradients
-without a graph, so nothing is differentiated twice. A VJP reads the arrays
-it needs and never holds a Tensor of its own node, so no graph holds a
-reference cycle and a graph is freed as soon as the last reference to its
+Every graph node has one shape: ``fused(data, parents, backward)`` makes a
+node from a numpy forward result and one numpy backward that maps the
+output's gradient, an ndarray, to one gradient per parent. The node lists
+only the parents that require grad, and grad calls each node's backward
+once and keeps those parents' gradients. grad returns plain gradients
+without a graph, so nothing is differentiated twice. A backward reads the
+arrays it needs and never holds a Tensor of its own node, so no graph holds
+a reference cycle and a graph is freed as soon as the last reference to its
 output goes.
 
 Model code builds its graphs from add, sub, mul, div, neg, matmul, tsum,
-tmean, reshape, transpose, concat, basic slicing and fused nodes; power,
-sqrt, exp, log, tanh, swapaxes and finite_difference serve the tests'
-oracles.
+tmean, reshape, transpose, concat, basic slicing (``Tensor.__getitem__``)
+and nodes of its own; power, sqrt, exp, tanh, swapaxes, softmax,
+layer_norm, gelu and finite_difference serve the tests' oracles and
+reference chains.
 
-``fused`` makes one graph node over any number of parents from a numpy
-forward result and one closed-form numpy backward that returns every
-parent's gradient. The backbone's sublayers in ``network`` are such nodes:
+The backbone's sublayers in ``network`` are fused nodes of their own:
 spatial attention and temporal attention, each with its feed-forward, and
 the position-wise FFN, each node including its residual and post-LN. They
 are built on the numpy kernels here (``softmax_forward``/
 ``softmax_backward``, ``layer_norm_forward``/``layer_norm_backward``,
 ``gelu_forward``/``gelu_backward``). The Tensor ops ``softmax``,
-``layer_norm`` and ``gelu`` wrap those kernels as fused nodes of their own;
-no model code calls them, and they serve to test the kernels against finite
+``layer_norm`` and ``gelu`` wrap those kernels as nodes of their own; no
+model code calls them, and they serve to test the kernels against finite
 differences. So are a critic's scores (``network.discriminate_*``) and its
 WGAN-GP loss, whose gradient penalty is a function of the critic's input
 gradient (``network.Critic.wgan_gp``), with the second derivative written
@@ -74,7 +76,7 @@ class Tensor:
     float64.
     """
 
-    __slots__ = ("data", "requires_grad", "_parents", "_vjps")
+    __slots__ = ("data", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         if getattr(data, "dtype", None) == np.float32:
@@ -83,7 +85,7 @@ class Tensor:
             self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
-        self._vjps: tuple = ()
+        self._backward = None
 
     # introspection
 
@@ -102,59 +104,12 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    # operator sugar
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __pow__(self, c):
-        return power(self, c)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return take(self, idx)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
 
 def as_tensor(x) -> Tensor:
@@ -176,16 +131,6 @@ def _operands(a, b) -> tuple[Tensor, Tensor]:
     return a, as_tensor(b)
 
 
-def _attach(out: Tensor, parents: tuple, vjps: tuple) -> Tensor:
-    if _grad_enabled:
-        kept = [(p, f) for p, f in zip(parents, vjps) if p.requires_grad]
-        if kept:
-            out.requires_grad = True
-            out._parents = tuple(p for p, _ in kept)
-            out._vjps = tuple(f for _, f in kept)
-    return out
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to the operand's shape."""
     if g.shape == shape:
@@ -201,94 +146,97 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+# the one node constructor
+
+def fused(data: np.ndarray, parents: tuple, backward) -> Tensor:
+    """One graph node over parents, with a numpy backward.
+
+    backward maps the output's gradient to a sequence of gradients, one per
+    parent in order; grad calls it once per gradient reaching the node. The
+    node lists only the parents that require grad, and their gradients are
+    the only ones kept.
+    """
+    out = Tensor(data)
+    if not _grad_enabled:
+        return out
+    kept = [i for i, p in enumerate(parents) if p.requires_grad]
+    if kept:
+        out.requires_grad = True
+        out._parents = tuple(parents[i] for i in kept)
+        if len(kept) == len(parents):
+            out._backward = backward
+        else:
+            out._backward = lambda g: [pg for i, pg in enumerate(backward(g)) if i in kept]
+    return out
+
+
 # arithmetic primitives
 
 def add(a, b) -> Tensor:
     a, b = _operands(a, b)
-    out = Tensor(a.data + b.data)
-    return _attach(
-        out,
-        (a, b),
-        (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape)),
-    )
+    return fused(a.data + b.data, (a, b),
+                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(-a.data)
-    return _attach(out, (a,), (lambda g: -g,))
+    return fused(-a.data, (a,), lambda g: (-g,))
 
 
 def sub(a, b) -> Tensor:
     a, b = _operands(a, b)
-    out = Tensor(a.data - b.data)
-    return _attach(
-        out,
-        (a, b),
-        (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(-g, b.shape)),
-    )
+    return fused(a.data - b.data, (a, b),
+                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
 
 def mul(a, b) -> Tensor:
     a, b = _operands(a, b)
-    out = Tensor(a.data * b.data)
-    return _attach(
-        out,
+    return fused(
+        a.data * b.data,
         (a, b),
-        (
-            lambda g: _unbroadcast(g * b.data, a.shape),
-            lambda g: _unbroadcast(g * a.data, b.shape),
-        ),
+        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
     )
 
 
 def div(a, b) -> Tensor:
     a, b = _operands(a, b)
-    out = Tensor(a.data / b.data)
-    return _attach(
-        out,
-        (a, b),
-        (
-            lambda g: _unbroadcast(g / b.data, a.shape),
-            lambda g: _unbroadcast(-((g * a.data) / (b.data * b.data)), b.shape),
-        ),
-    )
+
+    def backward(g):
+        return (
+            _unbroadcast(g / b.data, a.shape),
+            _unbroadcast(-((g * a.data) / (b.data * b.data)), b.shape),
+        )
+
+    return fused(a.data / b.data, (a, b), backward)
 
 
 def power(a, c) -> Tensor:
     """Elementwise a**c for a constant real exponent."""
     a = as_tensor(a)
     c = float(c)
-    out = Tensor(a.data ** c)
-    return _attach(out, (a,), (lambda g: (g * c) * a.data ** (c - 1.0),))
+    return fused(a.data ** c, (a,), lambda g: ((g * c) * a.data ** (c - 1.0),))
 
 
-# The VJPs below read the output's array, never the output Tensor: a VJP
-# that held its own node would make every graph through it a reference
-# cycle, freed only by the cyclic garbage collector.
+# The backwards below read the output's array, never the output Tensor: a
+# backward that held its own node would make every graph through it a
+# reference cycle, freed only by the cyclic garbage collector.
 
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     y = np.sqrt(a.data)
-    return _attach(Tensor(y), (a,), (lambda g: g / (y * 2.0),))
+    return fused(y, (a,), lambda g: (g / (y * 2.0),))
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
     y = np.exp(a.data)
-    return _attach(Tensor(y), (a,), (lambda g: g * y,))
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.log(a.data))
-    return _attach(out, (a,), (lambda g: g / a.data,))
+    return fused(y, (a,), lambda g: (g * y,))
 
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     y = np.tanh(a.data)
-    return _attach(Tensor(y), (a,), (lambda g: g * (1.0 - y * y),))
+    return fused(y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
 # linear algebra
@@ -297,26 +245,24 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must have ndim >= 2")
-    out = Tensor(np.matmul(a.data, b.data))
-    return _attach(
-        out,
-        (a, b),
-        (
-            lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape),
-            lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape),
-        ),
-    )
+
+    def backward(g):
+        return (
+            _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape),
+            _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape),
+        )
+
+    return fused(np.matmul(a.data, b.data), (a, b), backward)
 
 
 # reductions and shape ops
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.sum(a.data, axis=axis, keepdims=keepdims))
 
-    def vjp(g):
+    def backward(g):
         if axis is None:
-            return np.broadcast_to(g.reshape((1,) * a.ndim), a.shape).copy()
+            return (np.broadcast_to(g.reshape((1,) * a.ndim), a.shape).copy(),)
         axes = axis if isinstance(axis, tuple) else (axis,)
         axes = tuple(ax % a.ndim for ax in axes)
         if not keepdims:
@@ -324,9 +270,9 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
             for ax in sorted(axes):
                 kept.insert(ax, 1)
             g = g.reshape(tuple(kept))
-        return np.broadcast_to(g, a.shape).copy()
+        return (np.broadcast_to(g, a.shape).copy(),)
 
-    return _attach(out, (a,), (vjp,))
+    return fused(np.sum(a.data, axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def tmean(a, axis=None, keepdims=False) -> Tensor:
@@ -343,22 +289,19 @@ def tmean(a, axis=None, keepdims=False) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.reshape(shape))
-    return _attach(out, (a,), (lambda g: g.reshape(a.shape),))
+    return fused(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
 def swapaxes(a, ax1, ax2) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.swapaxes(a.data, ax1, ax2))
-    return _attach(out, (a,), (lambda g: np.swapaxes(g, ax1, ax2),))
+    return fused(np.swapaxes(a.data, ax1, ax2), (a,), lambda g: (np.swapaxes(g, ax1, ax2),))
 
 
 def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
     axes = tuple(axes)
-    out = Tensor(np.transpose(a.data, axes))
     inv = tuple(int(i) for i in np.argsort(axes))
-    return _attach(out, (a,), (lambda g: np.transpose(g, inv),))
+    return fused(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inv),))
 
 
 def _scattered(g: np.ndarray, idx, shape) -> np.ndarray:
@@ -370,52 +313,20 @@ def _scattered(g: np.ndarray, idx, shape) -> np.ndarray:
 def take(a, idx) -> Tensor:
     """Basic slicing/indexing; gradient scatters back into zeros."""
     a = as_tensor(a)
-    out = Tensor(np.array(a.data[idx]))
-    return _attach(out, (a,), (lambda g: _scattered(g, idx, a.shape),))
+    return fused(np.array(a.data[idx]), (a,), lambda g: (_scattered(g, idx, a.shape),))
 
 
 def concat(tensors, axis=0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    ax = axis % out.ndim
-    vjps = []
+    tensors = tuple(as_tensor(t) for t in tensors)
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    ax = axis % data.ndim
+    sls = []
     offset = 0
     for t in tensors:
         n = t.shape[ax]
-        sl = (slice(None),) * ax + (slice(offset, offset + n),)
-        vjps.append(lambda g, sl=sl: np.array(g[sl]))
+        sls.append((slice(None),) * ax + (slice(offset, offset + n),))
         offset += n
-    return _attach(out, tuple(tensors), tuple(vjps))
-
-
-# fused nodes
-
-def fused(data: np.ndarray, parents: tuple, backward) -> Tensor:
-    """One graph node over several parents, with a numpy backward.
-
-    backward maps the output's gradient to a sequence of gradients, one per
-    parent in order. It runs once per gradient reaching the node: the first
-    parent's VJP calls it, and the results are handed out to the parents in
-    the order grad visits them.
-    """
-    out = Tensor(data)
-    if not _grad_enabled:
-        return out
-    last = max((i for i, p in enumerate(parents) if p.requires_grad), default=-1)
-    memo: list = [None, None]  # (gradient seen, backward's results for it)
-
-    def vjp(i):
-        def parent_grad(g: np.ndarray) -> np.ndarray:
-            if memo[0] is not g:
-                memo[0], memo[1] = g, backward(g)
-            pg = memo[1][i]
-            if i == last:
-                memo[0] = memo[1] = None
-            return pg
-
-        return parent_grad
-
-    return _attach(out, parents, tuple(vjp(i) for i in range(len(parents))))
+    return fused(data, tensors, lambda g: tuple(np.array(g[sl]) for sl in sls))
 
 
 # np.max over the short axes the softmaxes reduce (rank 8, a few tokens) is
@@ -585,10 +496,10 @@ def grad(output: Tensor, inputs: list[Tensor]) -> list[Tensor]:
         g = grads.get(id(node))
         if g is None:
             continue
-        for parent, vjp in zip(node._parents, node._vjps):
-            pg = vjp(g)
-            prev = grads.get(id(parent))
-            grads[id(parent)] = pg if prev is None else prev + pg
+        if node._parents:
+            for parent, pg in zip(node._parents, node._backward(g)):
+                prev = grads.get(id(parent))
+                grads[id(parent)] = pg if prev is None else prev + pg
         if id(node) not in input_ids:
             del grads[id(node)]
 

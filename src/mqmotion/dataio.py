@@ -23,7 +23,7 @@ import numpy as np
 
 from . import streams
 from .core import MotionSequence, Skeleton
-from .errors import FormatError, SequenceTooShort, SkeletonMismatch
+from .errors import FormatError, ResampleUnsupported, SequenceTooShort, SkeletonMismatch
 from .quotient import QuotientRepresentation
 
 SYNTH_KINDS = ("sinusoid", "random_walk", "constant")
@@ -240,6 +240,7 @@ def make_windows(
     A sequence of length T yields floor((T - n_observed - n_future) / stride) + 1
     windows when that is positive; shorter sequences contribute none and
     trigger a warning rather than an error so mixed corpora still load.
+    Every sequence must share the first one's joint count and frame rate.
     """
     if not sequences:
         raise SequenceTooShort("no sequences given")
@@ -257,6 +258,11 @@ def make_windows(
             raise SkeletonMismatch(
                 f"sequence {si} has {seq.skeleton.joint_count} joints, expected "
                 f"{skeleton.joint_count}"
+            )
+        if seq.fps != fps:
+            raise ResampleUnsupported(
+                f"sequence {si} is at {seq.fps} fps, sequence 0 at {fps} fps; "
+                f"bring them to one rate with core.downsample"
             )
         if seq.n_frames < span:
             warnings.warn(

@@ -595,8 +595,8 @@ def forward_backbone(features, token_mask, params: ModelParams,
 HEAD_NAMES = ("pred", "mask_recon", "denoise_recon")
 
 
-def heads(act, params: ModelParams, *which: str) -> dict[str, Tensor]:
-    """The linear output heads named in which (all three by default).
+def heads(act, params: ModelParams, name: str) -> Tensor:
+    """The linear output head name, one of HEAD_NAMES.
 
     pred reads the final-token features per joint and emits all future
     frames at once, (B, T_f, J, 3); the two reconstruction heads map every
@@ -610,25 +610,19 @@ def heads(act, params: ModelParams, *which: str) -> dict[str, Tensor]:
     if act.ndim != 4 or act.shape[-1] != dims.d_model:
         raise DimsMismatch(f"activation must be (B, T, J, {dims.d_model}), got {act.shape}")
     gain = np.asarray(dims.head_gain, dtype=act.data.dtype)  # a float32 pass stays float32
-    out = {}
-    for name in which or HEAD_NAMES:
-        if name == "pred":
-            last = act[:, -1]  # (B, J, D)
-            pred = ad.add(ad.matmul(last, params.t("heads.pred_w")), params.t("heads.pred_b"))
-            pred = ad.reshape(pred, (act.shape[0], dims.joints, dims.future, 3))
-            out[name] = ad.mul(ad.transpose(pred, (0, 2, 1, 3)), gain)
-        elif name in HEAD_NAMES:
-            if act.shape[1] != dims.window:
-                raise DimsMismatch(
-                    f"{name} needs the {dims.window}-frame activation, got {act.shape[1]} frames"
-                )
-            p = f"heads.{name.split('_')[0]}"
-            out[name] = ad.mul(
-                ad.add(ad.matmul(act, params.t(f"{p}_w")), params.t(f"{p}_b")), gain
-            )
-        else:
-            raise ValueError(f"unknown head {name!r}; heads are {HEAD_NAMES}")
-    return out
+    if name == "pred":
+        last = act[:, -1]  # (B, J, D)
+        pred = ad.add(ad.matmul(last, params.t("heads.pred_w")), params.t("heads.pred_b"))
+        pred = ad.reshape(pred, (act.shape[0], dims.joints, dims.future, 3))
+        return ad.mul(ad.transpose(pred, (0, 2, 1, 3)), gain)
+    if name not in HEAD_NAMES:
+        raise ValueError(f"unknown head {name!r}; heads are {HEAD_NAMES}")
+    if act.shape[1] != dims.window:
+        raise DimsMismatch(
+            f"{name} needs the {dims.window}-frame activation, got {act.shape[1]} frames"
+        )
+    p = f"heads.{name.split('_')[0]}"
+    return ad.mul(ad.add(ad.matmul(act, params.t(f"{p}_w")), params.t(f"{p}_b")), gain)
 
 
 _CRITIC = ("w1", "b1", "w2", "b2", "w3")
@@ -664,11 +658,9 @@ def _discriminate(x: Tensor, params: ModelParams, which: str) -> Tensor:
 
 
 def discriminate_fidelity(frames, params: ModelParams) -> Tensor:
-    """Score single-frame realism: (N, J, 3) or (N, J*3) -> (N,) scores."""
-    x = ad.as_tensor(frames)
-    if x.ndim == 3:
-        x = ad.reshape(x, (x.shape[0], x.shape[1] * x.shape[2]))
-    return _discriminate(x, params, "fidelity")
+    """Score single-frame realism: (N, J*3) -> (N,) scores, see
+    fidelity_inputs."""
+    return _discriminate(ad.as_tensor(frames), params, "fidelity")
 
 
 def discriminate_continuity(pairs, params: ModelParams) -> Tensor:

@@ -188,15 +188,14 @@ def default_sigma(values: np.ndarray) -> float:
     return 0.05 * std if std > 0 else 1e-8
 
 
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Bias-corrected Adam over a flat vector; state is (m, v, t)."""
 
-    def __init__(self, n: int, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, n: int, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros(n)
         self.v = np.zeros(n)
         self.t = 0
@@ -210,8 +209,8 @@ class Adam:
                 f"(first at flat index {int(np.argmax(bad))}); step aborted"
             )
         self.t += 1
-        _kernels.adam_update(p, g, self.m, self.v, self.t, self.lr, self.beta1,
-                             self.beta2, self.eps)
+        _kernels.adam_update(p, g, self.m, self.v, self.t, self.lr, _ADAM_BETA1,
+                             _ADAM_BETA2, _ADAM_EPS)
         return p
 
 
@@ -350,7 +349,7 @@ class Trainer:
         graph; first refreshes the float32 mirror from the master weights."""
         self.mirror.vec[...] = self.params.vec
         act = net.forward_backbone(batch["features"], None, self.mirror, last_frame=True)
-        pred = net.heads(act, self.mirror, "pred")["pred"]
+        pred = net.heads(act, self.mirror, "pred")
         return pred, self._critic_rows(batch["obs"][:, -1], pred)
 
     def critic_update(self, real_rows, fake_rows, substep: int = 0) -> tuple[float, float]:
@@ -380,12 +379,12 @@ class Trainer:
         l_pred = lo.prediction_loss(pred, batch["fut"])
         if cfg.use_perturbation:
             act_m = net.forward_backbone(batch["masked"], batch["token_mask"], mirror)
-            recon_m = net.heads(act_m, mirror, "mask_recon")["mask_recon"]
+            recon_m = net.heads(act_m, mirror, "mask_recon")
             l_mask = lo.masked_reconstruction_loss(
                 recon_m, batch["recon_targets"], batch["token_mask"]
             )
             act_d = net.forward_backbone(batch["noised"], None, mirror)
-            recon_d = net.heads(act_d, mirror, "denoise_recon")["denoise_recon"]
+            recon_d = net.heads(act_d, mirror, "denoise_recon")
             l_denoise = lo.denoise_reconstruction_loss(recon_d, batch["recon_targets"])
         else:  # zeros of the compute dtype: a float64 term would promote the total
             l_mask = l_denoise = Tensor(np.zeros((), pred.data.dtype))
@@ -621,7 +620,7 @@ def make_predictor(params: net.ModelParams, use_quotient: bool, input_gain: floa
         with ad.no_grad():
             act = net.forward_backbone(feats.astype(np.float32), None, params32,
                                        last_frame=True)
-            out = net.heads(act, params32, "pred")["pred"].data.astype(np.float64)
+            out = net.heads(act, params32, "pred").data.astype(np.float64)
         if not np.isfinite(out).all():
             raise NumericalInstability("the predictor's forward pass gave non-finite frames")
         return out[0] if single else out

@@ -110,7 +110,7 @@ def test_03_gradient_check_full_model():
 
     def loss_fn():
         act = net.forward_backbone(feats, token_mask, params)
-        out = net.heads(act, params)
+        out = {name: net.heads(act, params, name) for name in net.HEAD_NAMES}
         l_pred = lo.prediction_loss(out["pred"], fut)
         l_mask = lo.masked_reconstruction_loss(out["mask_recon"], recon_t,
                                                token_mask)

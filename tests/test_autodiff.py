@@ -54,19 +54,10 @@ class TestArithmetic:
     def test_power_half(self):
         check_grads(lambda a: ad.tsum(ad.power(a, 0.5)), [(6,)], positive=True)
 
-    def test_sqrt_exp_log_tanh(self):
+    def test_sqrt_exp_tanh(self):
         check_grads(
-            lambda a: ad.tsum(ad.add(ad.sqrt(a), ad.add(ad.exp(ad.neg(a)),
-                      ad.add(ad.log(a), ad.tanh(a))))),
+            lambda a: ad.tsum(ad.add(ad.sqrt(a), ad.add(ad.exp(ad.neg(a)), ad.tanh(a)))),
             [(8,)], positive=True)
-
-    def test_operator_sugar(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        b = Tensor([3.0, 4.0], requires_grad=True)
-        y = ((a + b) * (a - b) / 2.0 + 5.0 - a).sum()
-        ga, gb = ad.grad(y, [a, b])
-        assert np.allclose(ga.data, a.data - 1.0)
-        assert np.allclose(gb.data, -b.data)
 
 
 class TestLinalg:
@@ -208,9 +199,37 @@ class TestFusedNodes:
         assert all(id(p) in leaves for p in out._parents)
         assert len(out._parents) == (3 if name == "layer_norm" else 1)
 
+    def test_mixed_parents(self):
+        # constants and parents that require grad interleaved: the node lists
+        # the latter in order, each gets its own gradient, and backward runs
+        # once per grad call
+        c0, c1 = Tensor(np.ones(2)), Tensor(np.full(2, 2.0))
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        calls = []
+
+        def backward(g):
+            calls.append(g)
+            return g * 10.0, g * 1.0, g * 20.0, g * 2.0  # c0, a, c1, b
+
+        out = ad.fused(c0.data + a.data + c1.data + b.data, (c0, a, c1, b), backward)
+        assert out.requires_grad and len(out._parents) == 2
+        assert out._parents[0] is a and out._parents[1] is b
+        for n in (1, 2):
+            ga, gb, gc = ad.grad(ad.tsum(out), [a, b, c1])
+            assert len(calls) == n
+            assert np.array_equal(ga.data, [1.0, 1.0])
+            assert np.array_equal(gb.data, [2.0, 2.0])
+            assert np.array_equal(gc.data, [0.0, 0.0])
+
+
+def mul_concat(x):
+    """Two-parent nodes, over x twice and over x and a constant."""
+    return ad.concat([ad.mul(x, x), ad.mul(x, Tensor(np.ones(3)))])
+
 
 class TestBackwardMachinery:
-    @pytest.mark.parametrize("op", [ad.exp, ad.sqrt, ad.tanh, ad.log])
+    @pytest.mark.parametrize("op", [ad.exp, ad.sqrt, ad.tanh, mul_concat])
     def test_graph_holds_no_reference_cycle(self, op):
         x = Tensor(np.full(3, 0.5), requires_grad=True)
         gc.collect()
@@ -248,12 +267,6 @@ class TestBackwardMachinery:
         with ad.no_grad():
             y = ad.tsum(ad.mul(x, x))
         assert not y.requires_grad
-
-    def test_detach_cuts_graph(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        y = ad.tsum(ad.mul(x.detach(), x))
-        g = ad.grad(y, [x])[0]
-        assert np.allclose(g.data, np.ones(3))  # only the attached factor
 
     def test_reuse_accumulates(self):
         x = Tensor(np.array([2.0]), requires_grad=True)

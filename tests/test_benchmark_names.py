@@ -1,13 +1,16 @@
 """The names the benchmark reaches into must exist.
 
-perfbench/tracing.py wraps every (owner, attribute) of its _TARGETS, and
-perfbench/run.py records the kernel backend flags, so a renamed or moved
-function breaks the benchmark, not just its trace.
+perfbench/tracing.py wraps every (owner, attribute) of its _TARGETS and
+reads autodiff's grad flag and its nodes' parents, and perfbench/run.py
+records the kernel backend flags, so a renamed or moved name breaks the
+benchmark, not just its trace.
 """
 import importlib.util
 from pathlib import Path
 
-from mqmotion import _kernels
+import numpy as np
+
+from mqmotion import _kernels, autodiff
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -23,3 +26,10 @@ def test_every_traced_target_resolves():
 
 def test_kernel_backend_flags_exist():
     assert isinstance(_kernels.HAS_NUMBA, bool) and isinstance(_kernels.USE_NUMBA, bool)
+
+
+def test_graph_attributes_the_tracer_reads_exist():
+    assert isinstance(autodiff._grad_enabled, bool)
+    x = autodiff.Tensor(np.ones(2), requires_grad=True)
+    out = autodiff.mul(x, x)
+    assert isinstance(out._parents, tuple) and out._parents[0] is x

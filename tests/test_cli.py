@@ -412,6 +412,20 @@ class TestTrain:
         assert len(err) == 1
         assert err[0].startswith("mqmotion: code=3 type=SequenceTooShort msg=")
 
+    def test_clips_at_two_frame_rates_is_data_error(self, tmp_path, capsys):
+        clips = []
+        for fps in ("25", "50"):
+            clips.append(str(tmp_path / f"{fps}.mqs"))
+            assert cli.main(["synth", "--joints", "3", "--frames", "60", "--fps", fps,
+                             "--out", clips[-1]]) == 0
+        capsys.readouterr()
+        rc = cli.main(["train", *clips, "--out", str(tmp_path / "x.mqck")])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("mqmotion: code=3 type=ResampleUnsupported msg=")
+        assert not (tmp_path / "x.mqck").exists()
+
     def test_bad_config_value_is_data_error(self, tmp_path, capsys):
         src = synth_file(tmp_path)
         cfg = write_config(tmp_path, "epochs = minus_one\n")
@@ -634,7 +648,7 @@ class TestPredictAndEval:
                                       state.root_index, True, state.cfg.input_gain)
         with ad.no_grad():
             act = net.forward_backbone(feats, None, state.params, last_frame=True)
-            want = net.heads(act, state.params, "pred")["pred"].data[0]
+            want = net.heads(act, state.params, "pred").data[0]
         got = read_mqs_file(out).sequence.frames
         assert err == [] and np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 

@@ -14,7 +14,7 @@ from mqmotion.dataio import (
     write_mqs,
     write_mqs_file,
 )
-from mqmotion.errors import FormatError, SequenceTooShort, SkeletonMismatch
+from mqmotion.errors import FormatError, ResampleUnsupported, SequenceTooShort, SkeletonMismatch
 from mqmotion.quotient import encode_quotient, tangent_velocities
 
 
@@ -194,6 +194,11 @@ class TestMakeWindows:
     def test_mixed_joint_counts_rejected(self):
         seqs = [seq_of(np.zeros((40, 2, 3))), seq_of(np.zeros((40, 3, 3)))]
         with pytest.raises(SkeletonMismatch):
+            make_windows(seqs, 10, 25, 1)
+
+    def test_mixed_frame_rates_rejected(self):
+        seqs = [seq_of(np.zeros((40, 2, 3)), fps=25.0), seq_of(np.zeros((40, 2, 3)), fps=50.0)]
+        with pytest.raises(ResampleUnsupported, match="50.0 fps.*25.0 fps.*downsample"):
             make_windows(seqs, 10, 25, 1)
 
     def test_empty_input_rejected(self):

@@ -31,6 +31,11 @@ def rand_features(dims, b=2, seed=2):
     return rng.standard_normal((b, dims.window, dims.joints, dims.in_channels))
 
 
+def all_heads(act, params):
+    """Every output head over act, by name."""
+    return {name: net.heads(act, params, name) for name in net.HEAD_NAMES}
+
+
 def attention_heads(act, params, kind):
     """Layer 0's concatenated attention heads over act, before the attention
     feed-forward: joints mixed (spatial) or frames mixed (temporal)."""
@@ -203,7 +208,7 @@ class TestEmbed:
 
     @staticmethod
     def _all_outputs(feats, mask, params):
-        out = net.heads(net.forward_backbone(feats, mask, params), params)
+        out = all_heads(net.forward_backbone(feats, mask, params), params)
         return [out[k].data for k in ("pred", "mask_recon", "denoise_recon")]
 
     def test_channel_mismatch_rejected(self):
@@ -302,7 +307,7 @@ class TestBackbone:
         act = net.forward_backbone(rand_features(dims), None, params)
         assert act.shape == (2, 10, 5, 8)
         assert np.isfinite(act.data).all()
-        out = net.heads(act, params)
+        out = all_heads(act, params)
         assert out["pred"].shape == (2, 25, 5, 3)
         assert out["mask_recon"].shape == (2, 10, 5, 3)
         assert out["denoise_recon"].shape == (2, 10, 5, 3)
@@ -335,8 +340,8 @@ class TestBackbone:
         feats = rand_features(params.dims)
         bumped = feats.copy()
         bumped[0, 0, 0, 0] += 1.0
-        a = net.heads(net.forward_backbone(feats, None, params), params)
-        b = net.heads(net.forward_backbone(bumped, None, params), params)
+        a = all_heads(net.forward_backbone(feats, None, params), params)
+        b = all_heads(net.forward_backbone(bumped, None, params), params)
         assert not np.array_equal(a["pred"].data, b["pred"].data)
 
     def test_graph_is_one_node_per_sublayer(self):
@@ -366,7 +371,7 @@ class TestBackbone:
         act = net.forward_backbone(rand_features(dims), None, params, last_frame=True)
         assert act.shape == (2, 1, 5, dims.d_model)
         assert reachable_nodes(act) == 82
-        assert reachable_nodes(net.heads(act, params, "pred")["pred"]) == 90
+        assert reachable_nodes(net.heads(act, params, "pred")) == 90
 
     @pytest.mark.parametrize("lowrank", [True, False])
     def test_nograd_forward_keeps_no_intermediates(self, lowrank):
@@ -390,7 +395,7 @@ class TestBackbone:
     def test_fullrank_forward_runs(self):
         dims = small_dims(lowrank=False)
         params = net.ModelParams.init(dims, seed=0)
-        out = net.heads(net.forward_backbone(rand_features(dims), None,
+        out = all_heads(net.forward_backbone(rand_features(dims), None,
                                              params), params)
         assert out["pred"].shape == (2, dims.future, 3, 3)
         assert np.isfinite(out["pred"].data).all()
@@ -431,7 +436,7 @@ class TestLastFrame:
         feats = Tensor(rand_features(params.dims), requires_grad=True)
         names = params.generator_names
         act = net.forward_backbone(feats, None, params, last_frame=last_frame)
-        pred = net.heads(act, params, "pred")["pred"]
+        pred = net.heads(act, params, "pred")
         w = rng.standard_normal(pred.shape)
         grads = ad.grad(ad.tsum(ad.mul(pred, w)), [feats] + [params.t(n) for n in names])
         return pred.data, dict(zip(["features"] + names, (g.data for g in grads)))
@@ -664,7 +669,7 @@ class TestHeads:
         for n in params.names:
             if n.startswith("heads."):
                 params.t(n).data[...] = 0.0
-        out = net.heads(rand_act(params.dims), params)
+        out = all_heads(rand_act(params.dims), params)
         assert all(np.all(out[k].data == 0.0) for k in out)
 
     def test_pred_reads_only_final_frame_token(self):
@@ -672,26 +677,32 @@ class TestHeads:
         act = rand_act(params.dims)
         other = act.copy()
         other[:, :-1] += 1.0
-        a = net.heads(act, params)
-        b = net.heads(other, params)
+        a = all_heads(act, params)
+        b = all_heads(other, params)
         assert np.array_equal(a["pred"].data, b["pred"].data)
         assert not np.array_equal(a["mask_recon"].data, b["mask_recon"].data)
 
     def test_wrong_width_rejected(self):
         params = net.ModelParams.init(small_dims(), seed=0)
         with pytest.raises(DimsMismatch):
-            net.heads(np.zeros((2, 4, 3, 9)), params)
+            net.heads(np.zeros((2, 4, 3, 9)), params, "pred")
 
     def test_builds_only_the_named_heads(self):
         params = net.ModelParams.init(small_dims(), seed=0)
         act = Tensor(rand_act(params.dims), requires_grad=True)
-        every = net.heads(act, params)
+        dims, t = params.dims, lambda n: params.t(n).data
+        b = act.shape[0]
+        pred = (act.data[:, -1] @ t("heads.pred_w") + t("heads.pred_b"))
+        want = {"pred": pred.reshape(b, dims.joints, dims.future, 3).transpose(0, 2, 1, 3)}
+        for name in ("mask_recon", "denoise_recon"):
+            p = f"heads.{name.split('_')[0]}"
+            want[name] = act.data @ t(f"{p}_w") + t(f"{p}_b")
         for name in net.HEAD_NAMES:
             out = net.heads(act, params, name)
-            assert list(out) == [name]
-            assert np.array_equal(out[name].data, every[name].data)
+            assert isinstance(out, Tensor)
+            assert np.array_equal(out.data, want[name] * dims.head_gain)
             # the head's own nodes and weights, and the activation
-            assert reachable_nodes(out[name]) == (9 if name == "pred" else 6)
+            assert reachable_nodes(out) == (9 if name == "pred" else 6)
 
     def test_unknown_head_rejected(self):
         params = net.ModelParams.init(small_dims(), seed=0)
@@ -711,14 +722,6 @@ class TestCritics:
         got = net.discriminate_fidelity(x, params)
         assert got.shape == (6,)
         assert np.array_equal(got.data, want)
-
-    def test_fidelity_accepts_frames_or_rows(self):
-        params = net.ModelParams.init(small_dims(), seed=0)
-        rng = np.random.default_rng(10)
-        frames = rng.standard_normal((4, 3, 3))
-        a = net.discriminate_fidelity(frames, params)
-        b = net.discriminate_fidelity(frames.reshape(4, 9), params)
-        assert np.array_equal(a.data, b.data)
 
     def test_zero_weights_score_zero(self):
         params = net.ModelParams.init(small_dims(), seed=0)
@@ -760,6 +763,8 @@ class TestCritics:
         params = net.ModelParams.init(small_dims(), seed=0)
         with pytest.raises(DimsMismatch):
             net.discriminate_fidelity(np.zeros((3, 7)), params)
+        with pytest.raises(DimsMismatch):  # frames, not rows
+            net.discriminate_fidelity(np.zeros((3, 3, 3)), params)
 
     def test_input_gradient_matches_finite_difference(self):
         params = net.ModelParams.init(small_dims(), seed=0)
@@ -816,7 +821,7 @@ class TestParameterGradients:
         recon_t = rng.standard_normal((2, dims.window, dims.joints, 3))
         w = lo.LossWeights(1.0, 1.0, 0.9, 0.1, 10.0)
 
-        out = net.heads(net.forward_backbone(feats, token_mask, params), params)
+        out = all_heads(net.forward_backbone(feats, token_mask, params), params)
         comp = lo.loss_composite(
             lo.prediction_loss(out["pred"], fut),
             lo.masked_reconstruction_loss(out["mask_recon"], recon_t, token_mask),
@@ -853,7 +858,7 @@ class TestParameterGradients:
 
     def test_untouched_parameters_get_zero_gradients(self):
         params = net.ModelParams.init(small_dims(), seed=0)
-        out = net.heads(net.forward_backbone(rand_features(params.dims),
+        out = all_heads(net.forward_backbone(rand_features(params.dims),
                                              None, params), params)
         loss = ad.tmean(ad.mul(out["pred"], out["pred"]))
         g = net.parameter_gradients(loss, params)
@@ -876,7 +881,7 @@ class TestParameterGradients:
                  "layer0.ffn.ln_g", "heads.pred_w"]
 
         def loss_value(params):
-            out = net.heads(net.forward_backbone(feats, None, params), params)
+            out = all_heads(net.forward_backbone(feats, None, params), params)
             return ad.add(ad.tmean(ad.mul(out["pred"], out["pred"])),
                           ad.tmean(ad.mul(out["mask_recon"],
                                           out["mask_recon"])))

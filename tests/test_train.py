@@ -373,7 +373,7 @@ class TestRun:
         cast = net.ModelParams(t.params.dims, edited.astype(np.float32))
         assert np.array_equal(t.mirror.vec, cast.vec)
         act = net.forward_backbone(batch["features"], None, cast, last_frame=True)
-        assert np.array_equal(pred.data, net.heads(act, cast, "pred")["pred"].data)
+        assert np.array_equal(pred.data, net.heads(act, cast, "pred").data)
         # the critic update, then the generator step's critic terms, read the
         # edited critic as Adam stepped it
         t.critic_update(batch["real_rows"], fake_rows)
@@ -714,7 +714,7 @@ class TestPredictor:
         p32 = net.ModelParams(t.params.dims, t.params.vec.astype(np.float32))
         with ad.no_grad():
             act = net.forward_backbone(feats.astype(np.float32), None, p32, last_frame=True)
-            want = net.heads(act, p32, "pred")["pred"].data.astype(np.float64)
+            want = net.heads(act, p32, "pred").data.astype(np.float64)
         assert np.array_equal(predict(obs), want)
 
     @pytest.mark.parametrize("joints", [5, 22])
@@ -730,7 +730,7 @@ class TestPredictor:
         feats, _ = net.build_features(obs, 0, True, cfg.input_gain)
         with ad.no_grad():
             act = net.forward_backbone(feats, None, params, last_frame=True)
-            want = net.heads(act, params, "pred")["pred"].data
+            want = net.heads(act, params, "pred").data
         got = tr.make_predictor(params, True, cfg.input_gain)(obs)
         assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
