@@ -152,9 +152,9 @@ def fused(data: np.ndarray, parents: tuple, backward) -> Tensor:
     """One graph node over parents, with a numpy backward.
 
     backward maps the output's gradient to a sequence of gradients, one per
-    parent in order; grad calls it once per gradient reaching the node. The
-    node lists only the parents that require grad, and their gradients are
-    the only ones kept.
+    parent in order; grad calls it once, with the node's summed gradient.
+    The node lists only the parents that require grad, and their gradients
+    are the only ones kept.
     """
     out = Tensor(data)
     if not _grad_enabled:
