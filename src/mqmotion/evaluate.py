@@ -12,6 +12,7 @@ from .dataio import WindowedDataset, write_atomically
 from .errors import DimsMismatch, NumericalInstability, WindowTooShort
 
 UNLABELED = "unlabeled"
+SVG_WIDTH, SVG_HEIGHT = 640, 400  # svg_chart's size in px
 
 
 def mpjpe(pred: np.ndarray, truth: np.ndarray, root_index: int = 0) -> float:
@@ -123,10 +124,10 @@ def report_to_csv(report: HorizonReport) -> str:
     return "\n".join(rows) + "\n"
 
 
-def svg_chart(report: HorizonReport, width: int = 640, height: int = 400) -> str:
+def svg_chart(report: HorizonReport) -> str:
     """Self-contained SVG line chart of mean error versus horizon."""
     ml, mr, mt, mb = 60, 20, 20, 45
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = SVG_WIDTH - ml - mr, SVG_HEIGHT - mt - mb
     xs = list(report.horizons_ms)
     ys = report.row()
     ymax = max(max(ys), 1e-12) * 1.1
@@ -140,9 +141,9 @@ def svg_chart(report: HorizonReport, width: int = 640, height: int = 400) -> str
 
     pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+        f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
         f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="black"/>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>',
         f'<polyline points="{pts}" fill="none" stroke="#1f6fb2" stroke-width="2"/>',
@@ -160,7 +161,7 @@ def svg_chart(report: HorizonReport, width: int = 640, height: int = 400) -> str
             f'text-anchor="end" dominant-baseline="middle">{v:.1f}</text>'
         )
     parts.append(
-        f'<text x="{ml + pw / 2:.0f}" y="{height - 8}" font-size="12" '
+        f'<text x="{ml + pw / 2:.0f}" y="{SVG_HEIGHT - 8}" font-size="12" '
         f'text-anchor="middle">horizon (ms)</text>'
     )
     parts.append(

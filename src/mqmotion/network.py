@@ -179,10 +179,10 @@ class ModelParams:
     ``critic.*`` arrays last, so ``generator`` and ``critic`` are views of
     the vector's leading and trailing slices: the optimizers step them in
     place and checkpoints store ``vec``. flat() and set_flat() copy a name
-    subset out of and back into the views. Adam and checkpoints hold
-    float64 vectors, the master weights; a float32 vector is a cast copy
-    that the training passes (train.Trainer's mirror) and the prediction
-    pass (train.make_predictor) compute with, whose tensors keep that dtype.
+    subset out of and back into the views. Tensors keep the vector's dtype.
+    init draws float64; training holds one float32 vector (train.Trainer's
+    params: the cast of init, or a checkpoint's values), and the prediction
+    pass (train.make_predictor) computes on a float32 copy.
     """
 
     def __init__(self, dims: ModelDims, vec: np.ndarray):

@@ -7,15 +7,11 @@ read the values of those rows, and one generator update back-propagates
 through them and the prediction. Critic updates write only critic weights,
 so the one prediction holds for every update of its batch.
 
-Every pass computes in float32; Adam, gradient clipping and checkpoints
-keep float64 master weights. The Trainer holds one float32 mirror of the
-master vector: the batch's arrays are built in float64 and cast to float32
-once, every forward and backward reads the mirror, and each gradient is
-cast to float64 for clipping and Adam. _prediction, where each step
-starts, refreshes the whole mirror from the master, so an edit of
-``params`` between steps reaches the next step; each critic update also
-copies its stepped slice in, so the generator step's critic terms see the
-just-updated critic weights.
+Training holds one float32 parameter vector, ``Trainer.params``: every
+forward, backward, gradient clip and Adam step reads and writes it, and
+Adam's moments are float32 too. The batch's arrays are built in float64
+and cast to float32 once. The generator step's critic terms read the
+critic weights its batch's critic updates just wrote.
 
 Determinism contract: given the same dataset, config, and seed, every run
 produces bitwise-identical parameters and logs. All randomness is drawn
@@ -44,6 +40,8 @@ Checkpoint container (little-endian):
     then five raw float64 blobs, in order:
         full flat parameter vector (N), generator Adam m (n), v (n),
         critic Adam m (m), v (m)
+    Training writes float32 values, which float64 holds exactly; the loader
+    casts every blob to float32.
 
 The flat layout is network.ModelParams's and follows from dims alone: the
 loader checks the params manifest and the counts against it, and dims
@@ -192,12 +190,13 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Bias-corrected Adam over a flat vector; state is (m, v, t)."""
+    """Bias-corrected Adam over a flat vector; state is (m, v, t), the
+    moments in dtype, the parameters' (the Trainer's are float32)."""
 
-    def __init__(self, n: int, lr: float):
+    def __init__(self, n: int, lr: float, dtype=np.float64):
         self.lr = lr
-        self.m = np.zeros(n)
-        self.v = np.zeros(n)
+        self.m = np.zeros(n, dtype)
+        self.v = np.zeros(n, dtype)
         self.t = 0
 
     def step(self, p: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -215,9 +214,11 @@ class Adam:
 
 
 def _clip_global_norm(g: np.ndarray, clip: float | None) -> np.ndarray:
+    """g scaled to norm clip if it is longer. The squares are summed in
+    float64: in float32 the sum overflows once it passes ~3.4e38."""
     if clip is None:
         return g
-    norm = float(np.sqrt(g @ g))
+    norm = float(np.sqrt(np.square(g, dtype=np.float64).sum()))
     if norm > clip:
         g = g * (clip / norm)
     return g
@@ -251,9 +252,10 @@ class Trainer:
         self.weights = cfg.weights()
         dims = cfg.model_dims(dataset.skeleton.joint_count)
         if state is None:
-            self.params = net.ModelParams.init(dims, cfg.seed)
-            self.adam_gen = Adam(self.params.generator.size, cfg.lr)
-            self.adam_critic = Adam(self.params.critic.size, cfg.lr)
+            init = net.ModelParams.init(dims, cfg.seed)
+            self.params = net.ModelParams(dims, init.vec.astype(np.float32))
+            self.adam_gen = Adam(self.params.generator.size, cfg.lr, np.float32)
+            self.adam_critic = Adam(self.params.critic.size, cfg.lr, np.float32)
             self.sigma = cfg.sigma if cfg.sigma is not None else self._auto_sigma()
             self.epoch = self.batch_index = self.global_step = 0
         else:
@@ -275,7 +277,6 @@ class Trainer:
             self.adam_gen, self.adam_critic = state.adam_gen, state.adam_critic
             self.epoch, self.batch_index = state.epoch, state.batch_index
             self.global_step = state.global_step
-        self.mirror = net.ModelParams(dims, self.params.vec.astype(np.float32))
         self.gen_names = self.params.generator_names
         self.critic_names = self.params.critic_names
         _kernels.pin_blas_threads()
@@ -345,11 +346,9 @@ class Trainer:
                 net.continuity_inputs(ad.mul(window, self.cfg.input_gain)))
 
     def _prediction(self, batch: dict) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        """The batch's clean prediction and its fake critic rows, with their
-        graph; first refreshes the float32 mirror from the master weights."""
-        self.mirror.vec[...] = self.params.vec
-        act = net.forward_backbone(batch["features"], None, self.mirror, last_frame=True)
-        pred = net.heads(act, self.mirror, "pred")
+        """The batch's clean prediction and its fake critic rows, with their graph."""
+        act = net.forward_backbone(batch["features"], None, self.params, last_frame=True)
+        pred = net.heads(act, self.params, "pred")
         return pred, self._critic_rows(batch["obs"][:, -1], pred)
 
     def critic_update(self, real_rows, fake_rows, substep: int = 0) -> tuple[float, float]:
@@ -359,15 +358,13 @@ class Trainer:
         (real_fid, real_cont), (fake_fid, fake_cont) = real_rows, fake_rows
         seed_f = streams.derive_seed(cfg.seed, streams.INTERP, self.global_step, substep, 0)
         seed_c = streams.derive_seed(cfg.seed, streams.INTERP, self.global_step, substep, 1)
-        closs_f, gp_f = lo.loss_adversarial(net.Critic(self.mirror, "fidelity"),
+        closs_f, gp_f = lo.loss_adversarial(net.Critic(self.params, "fidelity"),
                                             real_fid, fake_fid.data, cfg.gp_lambda, seed_f)
-        closs_c, gp_c = lo.loss_adversarial(net.Critic(self.mirror, "continuity"),
+        closs_c, gp_c = lo.loss_adversarial(net.Critic(self.params, "continuity"),
                                             real_cont, fake_cont.data, cfg.gp_lambda, seed_c)
         closs = ad.add(closs_f, closs_c)
-        grads = net.parameter_gradients(closs, self.mirror, self.critic_names)
-        self.adam_critic.step(self.params.critic,
-                              _clip_global_norm(grads.astype(np.float64), cfg.grad_clip))
-        self.mirror.critic[...] = self.params.critic
+        grads = net.parameter_gradients(closs, self.params, self.critic_names)
+        self.adam_critic.step(self.params.critic, _clip_global_norm(grads, cfg.grad_clip))
         return closs.item(), gp_f.item() + gp_c.item()
 
     def generator_update(self, batch: dict, pred: Tensor, fake_rows,
@@ -375,16 +372,16 @@ class Trainer:
         """One generator Adam step through pred and its fake critic rows, plus
         the masked and noised passes; returns the logged LossReport."""
         cfg = self.cfg
-        mirror = self.mirror
+        params = self.params
         l_pred = lo.prediction_loss(pred, batch["fut"])
         if cfg.use_perturbation:
-            act_m = net.forward_backbone(batch["masked"], batch["token_mask"], mirror)
-            recon_m = net.heads(act_m, mirror, "mask_recon")
+            act_m = net.forward_backbone(batch["masked"], batch["token_mask"], params)
+            recon_m = net.heads(act_m, params, "mask_recon")
             l_mask = lo.masked_reconstruction_loss(
                 recon_m, batch["recon_targets"], batch["token_mask"]
             )
-            act_d = net.forward_backbone(batch["noised"], None, mirror)
-            recon_d = net.heads(act_d, mirror, "denoise_recon")
+            act_d = net.forward_backbone(batch["noised"], None, params)
+            recon_d = net.heads(act_d, params, "denoise_recon")
             l_denoise = lo.denoise_reconstruction_loss(recon_d, batch["recon_targets"])
         else:  # zeros of the compute dtype: a float64 term would promote the total
             l_mask = l_denoise = Tensor(np.zeros((), pred.data.dtype))
@@ -392,15 +389,14 @@ class Trainer:
 
         fake_fid, fake_cont = fake_rows
         adv = ad.add(
-            ad.neg(ad.tmean(net.discriminate_fidelity(fake_fid, mirror))),
-            ad.neg(ad.tmean(net.discriminate_continuity(fake_cont, mirror))),
+            ad.neg(ad.tmean(net.discriminate_fidelity(fake_fid, params))),
+            ad.neg(ad.tmean(net.discriminate_continuity(fake_cont, params))),
         )
         total = lo.loss_total(composite, adv, self.weights)
         if not np.isfinite(total.data).all():
             raise NumericalInstability(f"non-finite generator loss at step {self.global_step}")
-        grads = net.parameter_gradients(total, mirror, self.gen_names)
-        self.adam_gen.step(self.params.generator,
-                           _clip_global_norm(grads.astype(np.float64), cfg.grad_clip))
+        grads = net.parameter_gradients(total, params, self.gen_names)
+        self.adam_gen.step(params.generator, _clip_global_norm(grads, cfg.grad_clip))
         return lo.make_report(
             l_pred.item(), l_mask.item(), l_denoise.item(), adv.item(), gp_term,
             self.weights,
@@ -553,9 +549,11 @@ def load_checkpoint(path) -> CheckpointState:
         steps = {k: _header_int("adam t", header["adam"][k]["t"]) for k in ("generator", "critic")}
         counters = {k: _header_int(k, header[k])
                     for k in ("root_index", "epoch", "batch_index", "global_step")}
-        sigma = float(header["sigma"])
+        sigma = header["sigma"]
     except (KeyError, TypeError, ValueError, DimsMismatch) as exc:
         raise FormatError(f"bad checkpoint header: {type(exc).__name__}: {exc}") from None
+    if isinstance(sigma, bool) or not isinstance(sigma, (int, float)) or not 0 < sigma < math.inf:
+        raise FormatError(f"checkpoint sigma must be a positive finite number, got {sigma!r}")
     if not 0 <= counters["root_index"] < dims.joints:
         raise FormatError(f"checkpoint root_index {counters['root_index']} is not a joint "
                           f"of its {dims.joints}")
@@ -571,7 +569,7 @@ def load_checkpoint(path) -> CheckpointState:
 
     def pull(n):
         nonlocal off
-        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=off).copy()
+        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=off).astype(np.float32)
         off += 8 * n
         return arr
 
@@ -589,7 +587,7 @@ def load_checkpoint(path) -> CheckpointState:
         adams[k].v = pull(counts[k])
         adams[k].t = steps[k]
     return CheckpointState(
-        params=params, cfg=cfg, sigma=sigma, adam_gen=adams["generator"],
+        params=params, cfg=cfg, sigma=float(sigma), adam_gen=adams["generator"],
         adam_critic=adams["critic"], **counters,
     )
 

@@ -1,16 +1,19 @@
 """The names the benchmark reaches into must exist.
 
 perfbench/tracing.py wraps every (owner, attribute) of its _TARGETS and
-reads autodiff's grad flag and its nodes' parents, and perfbench/run.py
-records the kernel backend flags, so a renamed or moved name breaks the
-benchmark, not just its trace.
+reads autodiff's grad flag and its nodes' parents, perfbench/run.py
+records the kernel backend flags, and perfbench/workloads.py drives a
+Trainer one step per run() and predicts from its checkpoint, so a renamed
+or moved name breaks the benchmark, not just its trace.
 """
+import dataclasses
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 
-from mqmotion import _kernels, autodiff
+from mqmotion import _kernels, autodiff, dataio, train
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -33,3 +36,28 @@ def test_graph_attributes_the_tracer_reads_exist():
     x = autodiff.Tensor(np.ones(2), requires_grad=True)
     out = autodiff.mul(x, x)
     assert isinstance(out._parents, tuple) and out._parents[0] is x
+
+
+def test_trainer_surface_the_workloads_drive(tmp_path):
+    # a training cycle: one Trainer, cfg replaced before each run() to raise
+    # max_steps by one, each run's one report, then finite params and save;
+    # inference: make_predictor on the loaded checkpoint, by position
+    seq = dataio.synth_generate("sinusoid", joints=3, frames=20, fps=25.0, seed=0)
+    data = dataio.make_windows([seq], n_observed=4, n_future=3, stride=2)
+    cfg = train.TrainConfig(batch_size=4, d_model=8, rank=2, heads=2, layers=1,
+                            obs_frames=4, future_frames=3, critic_width=8)
+    trainer = train.Trainer(data, cfg)
+    for i in range(2):
+        trainer.cfg = dataclasses.replace(trainer.cfg, max_steps=i + 1)
+        result = trainer.run()
+        assert [step for step, _ in result.reports] == [i]
+        report = result.reports[-1][1]
+        assert all(math.isfinite(getattr(report, f)) for f in report.FIELDS)
+    assert np.isfinite(trainer.params.flat()).all()
+    trainer.save(tmp_path / "run.mqck")
+    state = train.load_checkpoint(tmp_path / "run.mqck")
+    assert state.global_step == 2
+    predictor = train.make_predictor(state.params, state.cfg.use_quotient,
+                                     state.cfg.input_gain, state.root_index)
+    out = predictor(data.windows[0].observed)
+    assert out.shape == (3, 3, 3) and np.isfinite(out).all()

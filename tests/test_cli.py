@@ -426,6 +426,17 @@ class TestTrain:
         assert err[0].startswith("mqmotion: code=3 type=ResampleUnsupported msg=")
         assert not (tmp_path / "x.mqck").exists()
 
+    def test_huge_declared_joint_count_is_data_error(self, tmp_path, capsys):
+        # the body's 3 values are checked against J before a (T, J, 3) buffer
+        # of 24 TB is asked for
+        src = tmp_path / "huge.mqs"
+        src.write_text(f"MQS1 J={10**12} T=1 fps=25\n0 0 0\n")
+        rc = cli.main(["train", str(src), "--out", str(tmp_path / "x.mqck")])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("mqmotion: code=3 type=FormatError msg=")
+
     def test_bad_config_value_is_data_error(self, tmp_path, capsys):
         src = synth_file(tmp_path)
         cfg = write_config(tmp_path, "epochs = minus_one\n")

@@ -1,8 +1,11 @@
 """MQS/MQQ formats, synthetic generators, window extraction."""
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mqmotion.core import MotionSequence, Skeleton
 from mqmotion.dataio import (
@@ -14,7 +17,13 @@ from mqmotion.dataio import (
     write_mqs,
     write_mqs_file,
 )
-from mqmotion.errors import FormatError, ResampleUnsupported, SequenceTooShort, SkeletonMismatch
+from mqmotion.errors import (
+    FormatError,
+    MotionError,
+    ResampleUnsupported,
+    SequenceTooShort,
+    SkeletonMismatch,
+)
 from mqmotion.quotient import encode_quotient, tangent_velocities
 
 
@@ -113,6 +122,48 @@ class TestMqsFormat:
     def test_missing_file_is_format_error(self):
         with pytest.raises(FormatError):
             read_mqs_file("/nonexistent/clip.mqs")
+
+
+VALID_MQS = "MQS1 J=2 T=3 fps=25.0 action=walk\n" + "".join(
+    " ".join(repr(1.5 * (6 * t + k)) for k in range(6)) + "\n" for t in range(3))
+
+HEADER_VALUES = st.one_of(
+    st.integers(-10**40, 10**40).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", "x", "1e400", "-1e400", "nan", "inf", "0x10", "1_0", "2.0", "\u0661"]),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def mutated_mqs(draw):
+    """VALID_MQS truncated, with one byte flipped, or with one of its header
+    J/T/fps values replaced."""
+    kind = draw(st.sampled_from(["truncate", "flip", "header"]))
+    if kind == "truncate":
+        return VALID_MQS[:draw(st.integers(0, len(VALID_MQS) - 1))]
+    if kind == "flip":
+        raw = bytearray(VALID_MQS.encode())
+        raw[draw(st.integers(0, len(raw) - 1))] ^= draw(st.integers(1, 255))
+        return raw.decode("utf-8", errors="replace")
+    key, value = draw(st.sampled_from(["J", "T", "fps"])), draw(HEADER_VALUES)
+    return re.sub(rf"\b{key}=\S*", lambda _: f"{key}={value}", VALID_MQS, count=1)
+
+
+class TestMqsMutations:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(text=mutated_mqs())
+    def test_parses_or_raises_motion_error(self, text):
+        try:
+            parsed = parse_mqs(text)
+        except MotionError:
+            return
+        assert isinstance(parsed.sequence, MotionSequence)
+
+    def test_huge_declared_size_rejected_before_allocating(self):
+        # a (T, J, 3) buffer for this header would need 24 TB
+        with pytest.raises(FormatError, match="expected 3000000000000 values"):
+            parse_mqs(f"MQS1 J={10**12} T=1 fps=25\n0 0 0\n")
 
 
 class TestMqqFormat:

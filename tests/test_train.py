@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mqmotion._kernels as _kernels
 import mqmotion.autodiff as ad
 import mqmotion.network as net
 import mqmotion.train as tr
@@ -156,6 +157,14 @@ class TestAdam:
         clipped = tr._clip_global_norm(g, 1.0)
         assert abs(np.linalg.norm(clipped) - 1.0) < 1e-12
         assert np.allclose(clipped, g / 5.0, rtol=1e-12)
+
+    def test_clip_of_a_huge_float32_gradient(self):
+        # its squared norm, 4e40, overflows float32: the step must be
+        # clipped, not zeroed
+        g = np.full(4, 1e20, np.float32)
+        clipped = tr._clip_global_norm(g, 10.0)
+        assert clipped.dtype == np.float32
+        assert np.isclose(np.linalg.norm(clipped), 10.0, rtol=1e-6)
 
 
 class TestTrainerSetup:
@@ -316,51 +325,56 @@ class TestRun:
         for name in ("softmax", "layer_norm", "gelu"):
             for kernel in (f"{name}_forward", f"{name}_backward"):
                 monkeypatch.setattr(ad, kernel, recording(getattr(ad, kernel)))
+        monkeypatch.setattr(_kernels, "adam_update", recording(_kernels.adam_update))
         vec = t.params.vec.copy()
         t.run(checkpoint_path=tmp_path / "run.mqck")
         assert t.global_step == 1 and len(dtypes) > 100
         assert set(dtypes) == {np.dtype(np.float32)}
-        # the master weights, Adam's moments and the checkpoint stay float64
+        # the one parameter vector and Adam's moments are float32, and the
+        # checkpoint gives them back exactly
         adam = (t.adam_gen.m, t.adam_gen.v, t.adam_critic.m, t.adam_critic.v)
-        assert {a.dtype for a in (t.params.vec, *adam)} == {np.dtype(np.float64)}
+        assert {a.dtype for a in (t.params.vec, *adam)} == {np.dtype(np.float32)}
         assert not np.array_equal(t.params.vec, vec)
-        assert not np.array_equal(t.params.vec, t.params.vec.astype(np.float32))
         state = tr.load_checkpoint(tmp_path / "run.mqck")
+        assert state.params.vec.dtype == np.float32
         assert np.array_equal(state.params.vec, t.params.vec)
-        assert all(np.array_equal(a, b) for a, b in zip(
+        assert all(a.dtype == np.float32 and np.array_equal(a, b) for a, b in zip(
             (state.adam_gen.m, state.adam_gen.v, state.adam_critic.m, state.adam_critic.v), adam))
 
     @pytest.mark.parametrize("joints", [5, 22])
     @pytest.mark.parametrize("lowrank", [True, False], ids=["lowrank", "full"])
     def test_float32_gradients_match_float64(self, monkeypatch, joints, lowrank):
         # one step's gradients at the same weights: the trainer's float32
-        # mirror and batch against its float64 master and float64 arrays
+        # params and batch against a float64 copy and float64 arrays
         cfg = tr.TrainConfig(use_lowrank=lowrank, batch_size=8, grad_clip=None)
         seqs = [synth_generate("sinusoid", joints=joints, frames=50, fps=25.0, seed=s)
                 for s in range(2)]
         ds = make_windows(seqs, n_observed=cfg.obs_frames, n_future=cfg.future_frames,
                           stride=2)
         t = tr.Trainer(ds, cfg)
-        t.params.vec += np.random.default_rng(2).normal(scale=0.05, size=t.params.vec.size)
+        params64 = net.ModelParams(t.params.dims, t.params.vec + np.random.default_rng(2).normal(
+            scale=0.05, size=t.params.vec.size))
+        params32 = net.ModelParams(t.params.dims, params64.vec.astype(np.float32))
         grads = []
         monkeypatch.setattr(tr.Adam, "step", lambda adam, p, g: grads.append(g))
         idxs = np.arange(cfg.batch_size)
         batch64 = t._batch_arrays(idxs, 0)
         batch64["real_rows"] = tuple(r.data for r in t._critic_rows(batch64["obs"][:, -1],
                                                                      batch64["fut"]))
-        for mirror, batch in ((t.mirror, t._prepare_batch(idxs, 0)), (t.params, batch64)):
-            t.mirror = mirror
+        for params, batch in ((params32, t._prepare_batch(idxs, 0)), (params64, batch64)):
+            t.params = params
             pred, fake_rows = t._prediction(batch)
             t.critic_update(batch["real_rows"], fake_rows)
             t.generator_update(batch, pred, fake_rows, 0.0)
         critic32, gen32, critic64, gen64 = grads
         for got, want in ((critic32, critic64), (gen32, gen64)):
-            assert got.dtype == want.dtype == np.float64 and not np.array_equal(got, want)
+            assert got.dtype == np.float32 and want.dtype == np.float64
+            assert not np.array_equal(got, want)
             assert np.abs(got - want).max() <= 1e-4 * np.abs(want).max()
 
     @pytest.mark.parametrize("edit", ["set_flat", "vec"])
     def test_a_step_trains_on_edited_params(self, edit):
-        # an in-place edit of the master between steps reaches the float32 mirror
+        # an in-place edit of params between steps is what the next step reads
         t = tr.Trainer(small_dataset(), small_cfg())
         batch = t._prepare_batch(np.array([0, 1, 2, 3]), 0)
         TestUpdates.step(t, batch)
@@ -371,14 +385,14 @@ class TestRun:
             t.params.vec[...] = edited
         pred, fake_rows = t._prediction(batch)
         cast = net.ModelParams(t.params.dims, edited.astype(np.float32))
-        assert np.array_equal(t.mirror.vec, cast.vec)
+        assert np.array_equal(t.params.vec, cast.vec)
         act = net.forward_backbone(batch["features"], None, cast, last_frame=True)
         assert np.array_equal(pred.data, net.heads(act, cast, "pred").data)
-        # the critic update, then the generator step's critic terms, read the
-        # edited critic as Adam stepped it
+        # the critic update steps the edited critic in place, where the
+        # generator step's critic terms read it, and leaves the generator
         t.critic_update(batch["real_rows"], fake_rows)
-        assert np.array_equal(t.mirror.critic, t.params.critic.astype(np.float32))
-        assert not np.array_equal(t.mirror.critic, cast.critic)
+        assert not np.array_equal(t.params.critic, cast.critic)
+        assert np.array_equal(t.params.generator, cast.generator)
 
     def test_graph_sizes_per_step(self, monkeypatch):
         # every tensor reachable from the losses handed to
@@ -413,7 +427,7 @@ class TestRun:
         state = tr.load_checkpoint(ckpt)
         assert state.global_step == 0
         init = net.ModelParams.init(small_cfg().model_dims(3), seed=0)
-        assert np.array_equal(state.params.flat(), init.flat())
+        assert np.array_equal(state.params.flat(), init.flat().astype(np.float32))
 
     @pytest.mark.parametrize("over, saved", [
         (dict(epochs=2), [(1, 0, 2), (2, 0, 4)]),
@@ -620,11 +634,17 @@ class TestCheckpoint:
         lambda h: h["params"][0][1].reverse(),  # embed.w's shape transposed
         lambda h: h["counts"].update(generator=h["counts"]["generator"] + 1,
                                      critic=h["counts"]["critic"] - 1),
+        lambda h: h.update(sigma=-1),
+        lambda h: h.update(sigma=0),
+        lambda h: h.update(sigma=float("nan")),
+        lambda h: h.update(sigma=True),
+        lambda h: h.update(sigma="0.5"),
     ], ids=["no_config", "config_not_object", "no_dims", "no_counts",
             "no_critic_count", "unknown_config_key", "bad_config_value",
             "bad_config_type", "bad_dims_value", "no_sigma",
             "dims_disagree_with_config", "manifest_names_swapped",
-            "manifest_shape_transposed", "counts_disagree_with_dims"])
+            "manifest_shape_transposed", "counts_disagree_with_dims",
+            "sigma_negative", "sigma_zero", "sigma_nan", "sigma_bool", "sigma_string"])
     def test_header_schema_rejected(self, tmp_path, edit):
         ckpt, _ = self.run_short(tmp_path)
         rewrite_header(ckpt, edit)
