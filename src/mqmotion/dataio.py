@@ -81,7 +81,7 @@ def parse_mqs(text: str, path: str | None = None) -> MqsFile:
             f"header declares T={frames_n} frames but body has {len(body)} data lines",
             line=len(lines),
         )
-    for i, parts in enumerate(body):  # before allocating: J and T are the file's word
+    for i, parts in enumerate(body):  # first, so J and T cannot size the buffer alone
         if len(parts) != 3 * joints:
             raise FormatError(
                 f"expected {3 * joints} values, got {len(parts)}", line=i + 2
