@@ -190,8 +190,8 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Bias-corrected Adam over a flat vector; state is (m, v, t), the
-    moments in dtype, the parameters' (the Trainer's are float32)."""
+    """Bias-corrected Adam over a flat vector; state is (m, v, t). The
+    moments are held in dtype, the stepped vector's (float32 in training)."""
 
     def __init__(self, n: int, lr: float, dtype=np.float64):
         self.lr = lr
