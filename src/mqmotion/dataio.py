@@ -75,19 +75,22 @@ def parse_mqs(text: str, path: str | None = None) -> MqsFile:
         raise FormatError(f"J and T must be positive, got J={joints} T={frames_n}", line=1)
     action = fields.get("action")
 
-    body = [ln.split() for ln in lines[1:] if ln.strip()]
+    body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != frames_n:
         raise FormatError(
             f"header declares T={frames_n} frames but body has {len(body)} data lines",
             line=len(lines),
         )
-    for i, parts in enumerate(body):  # first, so J and T cannot size the buffer alone
+    if 3 * joints * frames_n > len(text):  # a value takes a character at least
+        raise FormatError(f"J={joints} T={frames_n} declares more values than the "
+                          f"text's {len(text)} characters", line=1)
+    data = np.empty((frames_n, joints, 3), dtype=np.float64)
+    for i, ln in enumerate(body):
+        parts = ln.split()
         if len(parts) != 3 * joints:
             raise FormatError(
                 f"expected {3 * joints} values, got {len(parts)}", line=i + 2
             )
-    data = np.empty((frames_n, joints, 3), dtype=np.float64)
-    for i, parts in enumerate(body):
         for k, tok in enumerate(parts):
             try:
                 data[i, k // 3, k % 3] = float(tok)

@@ -37,11 +37,9 @@ Checkpoint container (little-endian):
         adam         {"generator": {"t": int}, "critic": {"t": int}}
         params       [[name, [shape...]], ...] in flat-index order
         counts       {"total": N, "generator": n, "critic": m}
-    then five raw float64 blobs, in order:
+    then five raw float64 blobs of float32 values, loaded as float32, in order:
         full flat parameter vector (N), generator Adam m (n), v (n),
         critic Adam m (m), v (m)
-    Training writes float32 values, which float64 holds exactly; the loader
-    casts every blob to float32.
 
 The flat layout is network.ModelParams's and follows from dims alone: the
 loader checks the params manifest and the counts against it, and dims
@@ -189,23 +187,25 @@ def default_sigma(values: np.ndarray) -> float:
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
+@dataclass
 class Adam:
-    """Bias-corrected Adam over a flat vector; state is (m, v, t). The
-    moments are held in dtype, the stepped vector's (float32 in training)."""
+    """Bias-corrected Adam over a flat vector p: moments m, v of p's shape
+    and dtype (float32 in training; zeros for a fresh state), step count t."""
 
-    def __init__(self, n: int, lr: float, dtype=np.float64):
-        self.lr = lr
-        self.m = np.zeros(n, dtype)
-        self.v = np.zeros(n, dtype)
-        self.t = 0
+    lr: float
+    m: np.ndarray
+    v: np.ndarray
+    t: int = 0
 
     def step(self, p: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """One in-place update of p; raises AbortStep on non-finite grads."""
-        bad = ~np.isfinite(g)
+        """One in-place update of p; AbortStep where g*g is not finite in v's
+        dtype, since an inf in v would freeze its weight for good."""
+        with np.errstate(over="ignore"):
+            bad = ~np.isfinite(np.square(g, dtype=self.v.dtype))
         if bad.any():
             raise AbortStep(
-                f"{int(bad.sum())} non-finite gradient entries "
-                f"(first at flat index {int(np.argmax(bad))}); step aborted"
+                f"{int(bad.sum())} gradient entries with a non-finite square in "
+                f"{self.v.dtype} (first at flat index {int(np.argmax(bad))}); step aborted"
             )
         self.t += 1
         _kernels.adam_update(p, g, self.m, self.v, self.t, self.lr, _ADAM_BETA1,
@@ -214,8 +214,7 @@ class Adam:
 
 
 def _clip_global_norm(g: np.ndarray, clip: float | None) -> np.ndarray:
-    """g scaled to norm clip if it is longer. The squares are summed in
-    float64: in float32 the sum overflows once it passes ~3.4e38."""
+    """g scaled to norm clip if longer; the squares sum in float64, past float32's range."""
     if clip is None:
         return g
     norm = float(np.sqrt(np.square(g, dtype=np.float64).sum()))
@@ -254,8 +253,9 @@ class Trainer:
         if state is None:
             init = net.ModelParams.init(dims, cfg.seed)
             self.params = net.ModelParams(dims, init.vec.astype(np.float32))
-            self.adam_gen = Adam(self.params.generator.size, cfg.lr, np.float32)
-            self.adam_critic = Adam(self.params.critic.size, cfg.lr, np.float32)
+            self.adam_gen, self.adam_critic = (
+                Adam(cfg.lr, np.zeros_like(p), np.zeros_like(p))
+                for p in (self.params.generator, self.params.critic))
             self.sigma = cfg.sigma if cfg.sigma is not None else self._auto_sigma()
             self.epoch = self.batch_index = self.global_step = 0
         else:
@@ -549,11 +549,11 @@ def load_checkpoint(path) -> CheckpointState:
         steps = {k: _header_int("adam t", header["adam"][k]["t"]) for k in ("generator", "critic")}
         counters = {k: _header_int(k, header[k])
                     for k in ("root_index", "epoch", "batch_index", "global_step")}
-        sigma = header["sigma"]
-    except (KeyError, TypeError, ValueError, DimsMismatch) as exc:
+        sigma = header["sigma"]  # float() would take a bool or a numeric string
+        if isinstance(sigma, (bool, str)) or not 0 < float(sigma) < math.inf:
+            raise FormatError(f"checkpoint sigma must be a positive finite number, got {sigma!r}")
+    except (KeyError, TypeError, ValueError, OverflowError, DimsMismatch) as exc:
         raise FormatError(f"bad checkpoint header: {type(exc).__name__}: {exc}") from None
-    if isinstance(sigma, bool) or not isinstance(sigma, (int, float)) or not 0 < sigma < math.inf:
-        raise FormatError(f"checkpoint sigma must be a positive finite number, got {sigma!r}")
     if not 0 <= counters["root_index"] < dims.joints:
         raise FormatError(f"checkpoint root_index {counters['root_index']} is not a joint "
                           f"of its {dims.joints}")
@@ -580,12 +580,8 @@ def load_checkpoint(path) -> CheckpointState:
     if {"params": manifest, "counts": counts} != _layout(params):
         raise FormatError("checkpoint parameter manifest or counts disagree with its dims")
 
-    adams = {}
-    for k in ("generator", "critic"):
-        adams[k] = Adam(counts[k], cfg.lr)
-        adams[k].m = pull(counts[k])
-        adams[k].v = pull(counts[k])
-        adams[k].t = steps[k]
+    adams = {k: Adam(cfg.lr, pull(counts[k]), pull(counts[k]), steps[k])
+             for k in ("generator", "critic")}
     return CheckpointState(
         params=params, cfg=cfg, sigma=float(sigma), adam_gen=adams["generator"],
         adam_critic=adams["critic"], **counters,

@@ -427,8 +427,8 @@ class TestTrain:
         assert not (tmp_path / "x.mqck").exists()
 
     def test_huge_declared_joint_count_is_data_error(self, tmp_path, capsys):
-        # the body's 3 values are checked against J before a (T, J, 3) buffer
-        # of 24 TB is asked for
+        # J and T are checked against the text's length before a (T, J, 3)
+        # buffer of 24 TB is asked for
         src = tmp_path / "huge.mqs"
         src.write_text(f"MQS1 J={10**12} T=1 fps=25\n0 0 0\n")
         rc = cli.main(["train", str(src), "--out", str(tmp_path / "x.mqck")])

@@ -120,7 +120,7 @@ class TestAdam:
     def test_first_step_closed_form(self):
         g = np.array([1.0, -2.0, 0.5])
         p = np.zeros(3)
-        state = tr.Adam(3, lr=0.1)
+        state = tr.Adam(0.1, np.zeros(3), np.zeros(3))
         state.step(p, g)
         want = -0.1 * g / (np.abs(g) + EPS)
         assert np.allclose(p, want, rtol=1e-12)
@@ -128,12 +128,12 @@ class TestAdam:
 
     def test_updates_in_place(self):
         p = np.zeros(2)
-        out = tr.Adam(2, lr=0.1).step(p, np.ones(2))
+        out = tr.Adam(0.1, np.zeros(2), np.zeros(2)).step(p, np.ones(2))
         assert out is p
         assert np.all(p != 0.0)
 
     def test_aborts_on_nonfinite_gradient(self):
-        state = tr.Adam(3, lr=0.1)
+        state = tr.Adam(0.1, np.zeros(3), np.zeros(3))
         p = np.ones(3)
         before = p.copy()
         with pytest.raises(AbortStep):
@@ -144,7 +144,8 @@ class TestAdam:
     def test_step_on_critic_view_writes_only_critic_tensors(self):
         params = net.ModelParams.init(small_cfg().model_dims(3), seed=0)
         before = {n: params.t(n).data.copy() for n in params.names}
-        tr.Adam(params.critic.size, lr=0.1).step(params.critic, np.ones(params.critic.size))
+        size = params.critic.size
+        tr.Adam(0.1, np.zeros(size), np.zeros(size)).step(params.critic, np.ones(size))
         assert not np.array_equal(params.t("critic.fidelity.w1").data,
                                   before["critic.fidelity.w1"])
         for n in params.generator_names:
@@ -157,6 +158,18 @@ class TestAdam:
         clipped = tr._clip_global_norm(g, 1.0)
         assert abs(np.linalg.norm(clipped) - 1.0) < 1e-12
         assert np.allclose(clipped, g / 5.0, rtol=1e-12)
+
+    def test_aborts_when_a_float32_square_overflows(self):
+        # unclipped, 1e20 is a finite float32 gradient whose square is not:
+        # v would turn inf and stop the weight for good
+        p = np.ones(3, np.float32)
+        state = tr.Adam(0.1, np.zeros(3, np.float32), np.zeros(3, np.float32))
+        before = p.copy()
+        with pytest.raises(AbortStep):
+            state.step(p, np.array([1.0, 1e20, 2.0], np.float32))
+        assert state.t == 0
+        assert np.array_equal(p, before)
+        assert not state.m.any() and not state.v.any()
 
     def test_clip_of_a_huge_float32_gradient(self):
         # its squared norm, 4e40, overflows float32: the step must be
@@ -639,12 +652,14 @@ class TestCheckpoint:
         lambda h: h.update(sigma=float("nan")),
         lambda h: h.update(sigma=True),
         lambda h: h.update(sigma="0.5"),
+        lambda h: h.update(sigma=10**400),
     ], ids=["no_config", "config_not_object", "no_dims", "no_counts",
             "no_critic_count", "unknown_config_key", "bad_config_value",
             "bad_config_type", "bad_dims_value", "no_sigma",
             "dims_disagree_with_config", "manifest_names_swapped",
             "manifest_shape_transposed", "counts_disagree_with_dims",
-            "sigma_negative", "sigma_zero", "sigma_nan", "sigma_bool", "sigma_string"])
+            "sigma_negative", "sigma_zero", "sigma_nan", "sigma_bool", "sigma_string",
+            "sigma_huge_int"])
     def test_header_schema_rejected(self, tmp_path, edit):
         ckpt, _ = self.run_short(tmp_path)
         rewrite_header(ckpt, edit)
