@@ -39,6 +39,14 @@ differences. So are a critic's scores (``network.discriminate_*``) and its
 WGAN-GP loss, whose gradient penalty is a function of the critic's input
 gradient (``network.Critic.wgan_gp``), with the second derivative written
 out in its backward.
+
+The softmax kernels reduce many short last-axis rows (a query's 8 rank
+features over a batch) as whole slabs: chunks of rows go into a buffer with
+the reduced axis first, so each step of a max or a sum is one elementwise op
+over contiguous slabs instead of one numpy loop per row. The sums add in
+numpy's own pairwise order for a contiguous last axis, so the kernels' bits
+equal np.sum's and the plain formula's; few rows, longer rows and other
+axes take numpy's reductions directly.
 """
 from __future__ import annotations
 
@@ -329,32 +337,104 @@ def concat(tensors, axis=0) -> Tensor:
     return fused(data, tensors, lambda g: tuple(np.array(g[sl]) for sl in sls))
 
 
-# np.max over the short axes the softmaxes reduce (rank 8, a few tokens) is
-# several times slower than elementwise maxima over halves of the axis.
+# The softmax kernels. np.sum and np.max over a short last axis, such as a
+# query's 8 rank features, run numpy's reduction loop once per row, and a
+# (..., 1) keepdims operand splits each elementwise op into one loop per row
+# too; past a few hundred rows that overhead costs several times the
+# arithmetic. So a C-contiguous array with a last axis of at most 8 entries
+# and at least _SLAB_ROWS rows is reduced as whole slabs: chunks of rows are
+# copied into a buffer the kernel owns, reduced axis first, where each step
+# is one elementwise op over contiguous slabs, and the last op writes the
+# output's rows. The slab sums add in the order np.sum takes over a
+# contiguous last axis, numpy's pairwise summation, which for 8 entries is
+# the tree ((x0 + x1) + (x2 + x3)) + ((x4 + x5) + (x6 + x7)) and below 8 one
+# running sum, both added to the reduction's 0.0 identity. So the output has
+# the plain formula's bits, signed zeros included. The max is exact in any
+# order and halves its axis. Longer rows (numpy's loop per row then does
+# more work per call; the full-rank form's key rows), few rows and other
+# axes take numpy's reductions directly; on the keys' token axis those
+# already loop over a whole H * r slab per row, and moved to the front they
+# measured no faster.
 
-def _max_keepdims(a: np.ndarray, axis: int) -> np.ndarray:
+_SLAB_ROWS = 512  # fewer rows: numpy's per-row loops cost less than the slab ops
+_SLAB_CHUNK = 1 << 16  # entries per buffered chunk: few ops per chunk, held in cache
+
+
+def _halving_max(a: np.ndarray, axis: int) -> np.ndarray:
     """np.max(a, axis, keepdims=True) by halving the axis; exact."""
-    axis %= a.ndim
+    lead = (slice(None),) * axis
     while a.shape[axis] > 1:
         n = a.shape[axis]
         half = (n + 1) // 2  # an odd length overlaps the middle entry
-        lead = (slice(None),) * axis
         a = np.maximum(a[lead + (slice(0, half),)], a[lead + (slice(n - half, n),)])
     return a
 
 
+def _slab_sum(t: np.ndarray) -> np.ndarray:
+    """np.sum's sum over the (at most 8) slabs of t, in numpy's order."""
+    if len(t) == 8:
+        r = t[0::2] + t[1::2]
+        r = r[0::2] + r[1::2]
+        s = r[0] + r[1]
+    else:
+        s = t[0].copy()
+        for x in t[1:]:
+            s += x
+    s += 0.0  # the identity: a sum of -0.0 entries is +0.0
+    return s
+
+
+def _slab_rows(a: np.ndarray, axis: int):
+    """a as (rows, n) and the rows per chunk, or None for numpy's path."""
+    n = a.shape[axis]
+    if axis != a.ndim - 1 or not 0 < n <= 8 or a.size < _SLAB_ROWS * n \
+            or not a.flags.c_contiguous:
+        return None
+    rows = a.reshape(-1, n)
+    return rows, min(len(rows), _SLAB_CHUNK // n)
+
+
 def softmax_forward(a: np.ndarray, axis: int) -> np.ndarray:
     """Shift-stabilized softmax; the shift is a constant, which is exact."""
-    e = a - _max_keepdims(a, axis)
-    np.exp(e, out=e)
-    e /= np.sum(e, axis=axis, keepdims=True)
-    return e
+    axis %= a.ndim
+    slabs = _slab_rows(a, axis)
+    if slabs is None:
+        e = a - _halving_max(a, axis)
+        np.exp(e, out=e)
+        e /= np.sum(e, axis=axis, keepdims=True)
+        return e
+    rows, k = slabs
+    y = np.empty_like(a)
+    out = y.reshape(rows.shape)
+    buf = np.empty((rows.shape[1], k), a.dtype)
+    for r in range(0, len(rows), k):
+        t = buf[:, :len(rows) - r]  # the last chunk may be short
+        np.copyto(t, rows[r:r + k].T)
+        t -= _halving_max(t, 0)
+        np.exp(t, out=t)
+        np.divide(t, _slab_sum(t), out=out[r:r + k].T)
+    return y
 
 
 def softmax_backward(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
-    """y * (g - sum(g * y)), computed in one scratch array."""
+    """y * (g - sum(g * y)); the sum is np.sum's over the product's layout."""
+    axis %= y.ndim
     d = g * y
-    np.subtract(g, np.sum(d, axis=axis, keepdims=True), out=d)
+    slabs = _slab_rows(y, axis)
+    if slabs is None or d.shape != y.shape or not g.flags.c_contiguous:
+        np.subtract(g, np.sum(d, axis=axis, keepdims=True), out=d)
+        d *= y
+        return d
+    rows, k = slabs
+    n = rows.shape[1]
+    grows, drows = g.reshape(rows.shape), d.reshape(rows.shape)
+    buf = np.empty((n, k), d.dtype)
+    for r in range(0, len(rows), k):
+        t = buf[:, :len(rows) - r]
+        np.copyto(t, drows[r:r + k].T)
+        # each row's sum repeated along the row: a contiguous operand
+        np.subtract(grows[r:r + k], np.repeat(_slab_sum(t), n).reshape(-1, n),
+                    out=drows[r:r + k])
     d *= y
     return d
 

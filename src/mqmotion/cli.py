@@ -376,7 +376,8 @@ def main(argv=None) -> int:
             return args.run(args, cfg)
     except SystemExit as exc:  # argparse: a usage error or --help
         return int(exc.code or 0)
-    except (MotionError, OSError, UnicodeDecodeError) as exc:
+    # MemoryError is the last resort for a size no check caught: one line too
+    except (MotionError, OSError, UnicodeDecodeError, MemoryError) as exc:
         code = 4 if isinstance(exc, (BackwardBeforeForward, NumericalInstability, AbortStep)) else 3
         print(f"mqmotion: code={code} type={type(exc).__name__} msg={str(exc)!r}",
               file=sys.stderr)

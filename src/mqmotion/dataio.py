@@ -75,7 +75,8 @@ def parse_mqs(text: str, path: str | None = None) -> MqsFile:
         raise FormatError(f"J and T must be positive, got J={joints} T={frames_n}", line=1)
     action = fields.get("action")
 
-    body = [ln for ln in lines[1:] if ln.strip()]
+    # (the file's line number, text) of each non-blank body line
+    body = [(no, ln) for no, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != frames_n:
         raise FormatError(
             f"header declares T={frames_n} frames but body has {len(body)} data lines",
@@ -85,19 +86,19 @@ def parse_mqs(text: str, path: str | None = None) -> MqsFile:
         raise FormatError(f"J={joints} T={frames_n} declares more values than the "
                           f"text's {len(text)} characters", line=1)
     data = np.empty((frames_n, joints, 3), dtype=np.float64)
-    for i, ln in enumerate(body):
+    for i, (no, ln) in enumerate(body):
         parts = ln.split()
         if len(parts) != 3 * joints:
-            raise FormatError(
-                f"expected {3 * joints} values, got {len(parts)}", line=i + 2
-            )
+            raise FormatError(f"expected {3 * joints} values, got {len(parts)}", line=no)
         for k, tok in enumerate(parts):
             try:
                 data[i, k // 3, k % 3] = float(tok)
             except ValueError:
-                raise FormatError(f"bad float {tok!r}", line=i + 2, column=k + 1) from None
-    if not np.isfinite(data).all():
-        raise FormatError("non-finite coordinate in body", line=2)
+                raise FormatError(f"bad float {tok!r}", line=no, column=k + 1) from None
+    finite = np.isfinite(data.reshape(frames_n, -1))
+    if not finite.all():
+        i, k = np.argwhere(~finite)[0]
+        raise FormatError("non-finite coordinate in body", line=body[i][0], column=int(k) + 1)
     seq = MotionSequence(data, fps, Skeleton(joints), action=action)
     return MqsFile(seq, path)
 

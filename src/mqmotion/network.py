@@ -411,8 +411,12 @@ def _attention(x: np.ndarray, P: dict, dims: ModelDims, last: bool = False):
             dmixed = split(gate.T @ dout, dh)
             dctx = aqh.swapaxes(-1, -2) @ dmixed
             dvh = akh @ dctx
-            dq = ad.softmax_backward(aq, (dmixed @ ctx.swapaxes(-1, -2)).transpose(0, 1, 3, 2, 4), -1)
-            dk = ad.softmax_backward(ak, (vh @ dctx.swapaxes(-1, -2)).transpose(0, 1, 3, 2, 4), 2)
+            # the softmax gradients land in aq's (B, G, N, H, r) layout, so
+            # the kernels read them contiguously
+            gq, gk = np.empty_like(aq), np.empty_like(ak)
+            np.matmul(dmixed, ctx.swapaxes(-1, -2), out=gq.transpose(0, 1, 3, 2, 4))
+            np.matmul(vh, dctx.swapaxes(-1, -2), out=gk.transpose(0, 1, 3, 2, 4))
+            dq, dk = ad.softmax_backward(aq, gq, -1), ad.softmax_backward(ak, gk, 2)
             dq, dk = dq.reshape(b, g, n, -1), dk.reshape(b, g, n, -1)
         else:
             douth = split(dout, dh)

@@ -176,6 +176,80 @@ class TestComposites:
                     scale=2.0)
 
 
+def bits(x):
+    """The raw bits of a float array: signed zeros and NaN payloads count."""
+    return x.view(np.uint32 if x.dtype == np.float32 else np.uint64)
+
+
+def plain_softmax(a, axis):
+    e = np.exp(a - a.max(axis, keepdims=True))
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def plain_softmax_grad(y, g, axis):
+    return y * (g - np.sum(g * y, axis=axis, keepdims=True))
+
+
+# (shape for a reduced length n, axis): the last axis over enough rows for
+# the slab kernels (n <= 8), the last axis over a few rows, the token axis,
+# axis 0
+SOFTMAX_LAYOUTS = [
+    (lambda n: (4, 4, 4, 9, n), -1),
+    (lambda n: (2, 3, 1, 2, n), -1),
+    (lambda n: (3, 4, n, 2, 3), 2),
+    (lambda n: (n, 3, 2, 2, 3), 0),
+]
+
+
+class TestSoftmaxKernelBits:
+    """The softmax kernels against the plain formula, bit for bit.
+
+    The slab kernels add in numpy's own order, so the bits hold only while
+    numpy's np.sum keeps that order; a numpy whose summation changes fails
+    here first, not in a checkpoint diff.
+    """
+
+    @staticmethod
+    def inputs(shape, axis, dtype, seed):
+        rng = np.random.default_rng(seed)
+        # magnitudes over six decades, so any other summation order shows
+        def draw():
+            return (rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)).astype(dtype)
+        a, g = draw(), draw()
+        rows = np.moveaxis(a, axis, -1).reshape(-1, shape[axis])
+        grows = np.moveaxis(g, axis, -1).reshape(-1, shape[axis])
+        grows[::3, ::2] = -0.0
+        grows[1] = -0.0  # a row of negative zeros sums to +0.0
+        rows[2, 0], rows[3, -1], grows[4, 0] = np.inf, -np.inf, -np.inf
+        back = lambda r: np.moveaxis(r.reshape(np.moveaxis(a, axis, -1).shape), -1, axis)
+        return back(rows).copy(), back(grows).copy()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n,chunk", [(n, None) for n in list(range(1, 18)) + [22, 33, 130]]
+                             + [(n, 40) for n in range(1, 9)])
+    def test_equal_to_plain_formula(self, dtype, n, chunk, monkeypatch):
+        if chunk is not None:  # chunks of 40 rows, the last one shorter
+            monkeypatch.setattr(ad, "_SLAB_CHUNK", chunk * n)
+        for i, (shape_of, axis) in enumerate(SOFTMAX_LAYOUTS):
+            shape = shape_of(n)
+            a, g = self.inputs(shape, axis, dtype, seed=n * 10 + i)
+            # the real gradient is a transposed view: axes 2 and 3 swapped
+            g_t = np.ascontiguousarray(g.swapaxes(2, 3)).swapaxes(2, 3)
+            if i == 0:  # slabs for rows of at most 8, numpy's path beyond
+                assert (ad._slab_rows(a, axis % a.ndim) is not None) == (n <= 8)
+            a0, g0 = a.copy(), g.copy()
+            with np.errstate(invalid="ignore"):  # the rows holding +inf
+                y = ad.softmax_forward(a, axis)
+                assert y.dtype == dtype
+                assert np.array_equal(bits(y), bits(plain_softmax(a, axis))), (shape, axis)
+                want = plain_softmax_grad(y, g, axis)
+                for grad_in in (g, g_t):
+                    d = ad.softmax_backward(y, grad_in, axis)
+                    assert np.array_equal(bits(d), bits(want)), (shape, axis, grad_in.strides)
+            assert np.array_equal(bits(a), bits(a0)) and np.array_equal(bits(g), bits(g0))
+            assert np.array_equal(bits(g_t), bits(g0))
+
+
 FUSED = {
     "softmax_rank": lambda x, g, b: ad.softmax(x, axis=-1),
     "softmax_token": lambda x, g, b: ad.softmax(x, axis=-2),

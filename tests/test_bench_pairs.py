@@ -1,0 +1,52 @@
+"""tools/bench_pairs.py: the per-kind samples lines it keeps from run.py."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+# stdout of `perfbench/run.py --workload infer_h36m --seed 1 --seconds 3
+# --scale tiny`, cut after the first metric lines
+RUN_STDOUT = """\
+env {"numpy": "2.4.6"}
+samples cli          n=   4 wall median   244.053 ms  reference median   395.323 ms
+samples cycle        n=   3 wall median   306.938 ms  reference median   430.906 ms
+samples eval         n=  13 wall median    84.453 ms  reference median   111.614 ms
+samples predict      n= 260 wall median     1.799 ms  reference median     2.612 ms
+samples save         n=   3 wall median     3.789 ms  reference median     5.320 ms
+samples step         n=   4 wall median   151.630 ms  reference median   212.871 ms
+samples step_warmup  n=   2 wall median   165.328 ms  reference median   240.389 ms
+samples trainer_init n=   3 wall median     3.564 ms  reference median     5.401 ms
+error_rate=0.0 failed=0 attempted=285
+setup_s                              0.69038 s
+eval_windows_per_s                   573.404 windows/s
+"""
+
+
+def test_parse_samples_reads_every_kind():
+    got = bench_pairs.parse_samples(RUN_STDOUT)
+    assert sorted(got) == ["cli", "cycle", "eval", "predict", "save", "step",
+                           "step_warmup", "trainer_init"]
+    assert got["eval"] == {"n": 13, "wall_ms": 84.453, "reference_ms": 111.614}
+    assert got["predict"] == {"n": 260, "wall_ms": 1.799, "reference_ms": 2.612}
+
+
+def test_parse_samples_ignores_other_lines():
+    assert bench_pairs.parse_samples("setup_s 0.69 s\nsamples of nothing\n") == {}
+
+
+def test_summarize_samples_per_side():
+    def run(wall, ref):
+        return {"samples": {"eval": {"n": 13, "wall_ms": wall, "reference_ms": ref}}}
+
+    runs = {"parent": [run(94.0, 120.0), run(96.0, 122.0)],
+            "change": [run(87.0, 101.0), run(89.0, 103.0), {"error": ["no output"]}]}
+    got = bench_pairs.summarize_samples(runs)
+    assert list(got) == ["eval"]
+    assert got["eval"]["parent"]["wall_ms"]["median"] == pytest.approx(95.0)
+    assert got["eval"]["change"]["reference_ms"]["median"] == pytest.approx(102.0)
+    assert got["eval"]["change"]["wall_ms"]["n"] == 2

@@ -221,6 +221,17 @@ class TestOptionValidation:
 
 
 class TestSynth:
+    def test_memory_error_is_one_line(self, tmp_path, monkeypatch, capsys):
+        def too_big(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, "synth_generate", too_big)
+        rc = cli.main(["synth", "--frames", "4", "--out", str(tmp_path / "a.mqs")])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["mqmotion: code=3 type=MemoryError "
+                       "msg='Unable to allocate 7.28 TiB for an array'"]
+
     def test_overflowing_period_is_accepted(self, tmp_path):
         # fps * base_period = inf makes every angle 0: a static sinusoid pose
         out = tmp_path / "still.mqs"

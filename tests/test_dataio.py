@@ -59,6 +59,19 @@ class TestMqsFormat:
             parse_mqs(text)
         assert "line 3" in str(exc.value)
 
+    def test_line_numbers_count_blank_lines(self):
+        text = "MQS1 J=1 T=2 fps=25\n\n0 0 0\n0 0\n"
+        with pytest.raises(FormatError) as exc:
+            parse_mqs(text)
+        assert exc.value.line == 4 and "(line 4)" in str(exc.value)
+
+    def test_non_finite_coordinate_names_its_line(self):
+        text = "MQS1 J=2 T=3 fps=25\n0 0 0 0 0 0\n\n0 0 0 0 0 0\n0 0 0 0 inf 0\n"
+        with pytest.raises(FormatError) as exc:
+            parse_mqs(text)
+        assert (exc.value.line, exc.value.column) == (5, 5)
+        assert "non-finite" in str(exc.value)
+
     def test_bad_float_names_column(self):
         text = "MQS1 J=1 T=1 fps=25.0\n0.0 oops 0.0\n"
         with pytest.raises(FormatError) as exc:

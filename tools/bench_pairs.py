@@ -14,12 +14,19 @@ Per workload the file holds every run, each side's median and quartiles of
 every metric, the pairs the change won, and one --trace 1 run per side at
 seed 5 (the per-layer metrics). It also holds each side's perfbench/sweep.py
 summary.
+Every run also keeps run.py's per-kind "samples" lines (count, wall median and
+reference median in ms), and each workload's "samples" summary gives each
+side's quartiles of both medians per kind. The reported metrics are in
+reference seconds, scaled by a probe timed in the same process; when the
+probe itself runs slower on one side, the reference medians move more than
+the wall medians, and this summary shows it.
 The file is rewritten after every run, so an interrupted collection keeps
 what it measured; --append adds pairs to an existing file instead of
 starting over, and skips the traced runs and sweeps it already holds.
 """
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -28,6 +35,19 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 TRACED_SEED = 5
+SAMPLES_LINE = re.compile(r"samples (\S+)\s+n=\s*(\d+) wall median\s+(\S+) ms"
+                          r"\s+reference median\s+(\S+) ms")
+
+
+def parse_samples(stdout: str) -> dict:
+    """run.py's per-kind samples lines: {kind: {n, wall_ms, reference_ms}}."""
+    out = {}
+    for line in stdout.splitlines():
+        m = SAMPLES_LINE.fullmatch(line.strip())
+        if m:
+            kind, n, wall, ref = m.groups()
+            out[kind] = {"n": int(n), "wall_ms": float(wall), "reference_ms": float(ref)}
+    return out
 
 
 def run_json(checkout: Path, args: list[str], timeout: float) -> dict:
@@ -39,6 +59,8 @@ def run_json(checkout: Path, args: list[str], timeout: float) -> dict:
         out = json.loads(lines[-1]) if args[0].endswith("run.py") else json.loads(proc.stdout)
     except (IndexError, json.JSONDecodeError):
         out = {"error": proc.stderr.strip().splitlines()[-1:] or ["no output"]}
+    if args[0].endswith("run.py"):
+        out["samples"] = parse_samples(proc.stdout)
     out["exit_code"] = proc.returncode
     return out
 
@@ -72,6 +94,16 @@ def summarize(runs: dict, better: dict) -> dict:
         entry["pairs"] = len(pairs)
         out[name] = entry
     return out
+
+
+def summarize_samples(runs: dict) -> dict:
+    """Per sample kind: each side's quartiles of the runs' wall and reference medians."""
+    kinds = sorted({k for s in SIDES for r in runs[s] for k in r.get("samples", {})})
+    return {k: {s: {field: quartiles([r["samples"][k][field] for r in runs[s]
+                                      if k in r.get("samples", {})])
+                    for field in ("wall_ms", "reference_ms")}
+                for s in SIDES}
+            for k in kinds}
 
 
 def main() -> int:
@@ -120,6 +152,7 @@ def main() -> int:
                 print(f"{wl} seed {seed} {side}: correct={res.get('correct')} "
                       f"steps/s={steps}", file=sys.stderr, flush=True)
                 entry["summary"] = summarize(entry["runs"], better)
+                entry["samples"] = summarize_samples(entry["runs"])
                 save()
         traced = entry.setdefault("traced", {"seed": TRACED_SEED})
         for side in SIDES:
