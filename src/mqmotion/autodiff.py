@@ -342,22 +342,24 @@ def concat(tensors, axis=0) -> Tensor:
 # (..., 1) keepdims operand splits each elementwise op into one loop per row
 # too; past a few hundred rows that overhead costs several times the
 # arithmetic. So a C-contiguous array with a last axis of at most 8 entries
-# and at least _SLAB_ROWS rows is reduced as whole slabs: chunks of rows are
-# copied into a buffer the kernel owns, reduced axis first, where each step
-# is one elementwise op over contiguous slabs, and the last op writes the
-# output's rows. The slab sums add in the order np.sum takes over a
-# contiguous last axis, numpy's pairwise summation, which for 8 entries is
-# the tree ((x0 + x1) + (x2 + x3)) + ((x4 + x5) + (x6 + x7)) and below 8 one
-# running sum, both added to the reduction's 0.0 identity. So the output has
-# the plain formula's bits, signed zeros included. The max is exact in any
-# order and halves its axis. Longer rows (numpy's loop per row then does
-# more work per call; the full-rank form's key rows), few rows and other
-# axes take numpy's reductions directly; on the keys' token axis those
-# already loop over a whole H * r slab per row, and moved to the front they
-# measured no faster.
+# and at least _SLAB_ROWS rows is reduced as whole slabs, one chunk of rows
+# at a time: each step of a max or a sum is one elementwise op over the
+# chunk's column slabs. The forward copies a chunk into a buffer it owns,
+# reduced axis first, and its last op writes the output's rows; the
+# backward sums the columns of its product in place and writes each row's
+# sum along the row. The slab sums add in the order np.sum takes over a
+# contiguous last axis, numpy's pairwise summation: for 8 entries the tree
+#     ((x0 + x1) + (x2 + x3)) + ((x4 + x5) + (x6 + x7)),
+# below 8 one running sum, both added to the reduction's 0.0 identity. So
+# the output has the plain formula's bits, signed zeros included. The max
+# is exact in any order and halves its axis. Longer rows (the full-rank
+# form's key rows), few rows and other axes take numpy's reductions
+# directly: numpy's loop per row then does more work per call, and on the
+# keys' token axis it already runs over a whole H * r slab per row; moved
+# to the front, that axis measured no faster.
 
 _SLAB_ROWS = 512  # fewer rows: numpy's per-row loops cost less than the slab ops
-_SLAB_CHUNK = 1 << 16  # entries per buffered chunk: few ops per chunk, held in cache
+_SLAB_CHUNK = 1 << 16  # entries per chunk: few ops per chunk, its scratch held in cache
 
 
 def _halving_max(a: np.ndarray, axis: int) -> np.ndarray:
@@ -371,9 +373,13 @@ def _halving_max(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _slab_sum(t: np.ndarray) -> np.ndarray:
-    """np.sum's sum over the (at most 8) slabs of t, in numpy's order."""
+    """np.sum's sum over the (at most 8) slabs of t, in numpy's order.
+
+    t may be a strided view, such as the transpose of a chunk of rows: the
+    first sums run slab by slab (order="C") into contiguous slabs.
+    """
     if len(t) == 8:
-        r = t[0::2] + t[1::2]
+        r = np.add(t[0::2], t[1::2], order="C")
         r = r[0::2] + r[1::2]
         s = r[0] + r[1]
     else:
@@ -421,20 +427,17 @@ def softmax_backward(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     axis %= y.ndim
     d = g * y
     slabs = _slab_rows(y, axis)
-    if slabs is None or d.shape != y.shape or not g.flags.c_contiguous:
+    if slabs is None or g.shape != y.shape or not g.flags.c_contiguous:
         np.subtract(g, np.sum(d, axis=axis, keepdims=True), out=d)
         d *= y
         return d
     rows, k = slabs
-    n = rows.shape[1]
     grows, drows = g.reshape(rows.shape), d.reshape(rows.shape)
-    buf = np.empty((n, k), d.dtype)
     for r in range(0, len(rows), k):
-        t = buf[:, :len(rows) - r]
-        np.copyto(t, drows[r:r + k].T)
-        # each row's sum repeated along the row: a contiguous operand
-        np.subtract(grows[r:r + k], np.repeat(_slab_sum(t), n).reshape(-1, n),
-                    out=drows[r:r + k])
+        dr = drows[r:r + k]
+        # each row's sum written along the row, then a contiguous subtract
+        np.copyto(dr.T, _slab_sum(dr.T))
+        np.subtract(grows[r:r + k], dr, out=dr)
     d *= y
     return d
 

@@ -242,9 +242,10 @@ class TestSoftmaxKernelBits:
                 y = ad.softmax_forward(a, axis)
                 assert y.dtype == dtype
                 assert np.array_equal(bits(y), bits(plain_softmax(a, axis))), (shape, axis)
-                want = plain_softmax_grad(y, g, axis)
-                for grad_in in (g, g_t):
+                # contiguous, transposed, and broadcast along the first axis
+                for grad_in in (g, g_t, g[:1]):
                     d = ad.softmax_backward(y, grad_in, axis)
+                    want = plain_softmax_grad(y, grad_in, axis)
                     assert np.array_equal(bits(d), bits(want)), (shape, axis, grad_in.strides)
             assert np.array_equal(bits(a), bits(a0)) and np.array_equal(bits(g), bits(g0))
             assert np.array_equal(bits(g_t), bits(g0))
