@@ -354,6 +354,15 @@ def _unfold_grads(dw_f, w, p, heads: int):
     return (dw3 @ p.swapaxes(-1, -2)).transpose(1, 0, 2).reshape(d, -1), w3.swapaxes(-1, -2) @ dw3
 
 
+def _softmax_grad(y: np.ndarray, a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
+    """Backward of a (B, G, N, H, r) softmax y, given its gradient a @ b in
+    (B, G, H, N, r) order. The product is written straight into y's layout,
+    so the kernel reads it contiguously."""
+    grad = np.empty_like(y)
+    np.matmul(a, b, out=grad.transpose(0, 1, 3, 2, 4))
+    return ad.softmax_backward(y, grad, axis)
+
+
 def _attention(x: np.ndarray, P: dict, dims: ModelDims, last: bool = False):
     """Attention heads over the second-to-last axis of x (B, G, N, D).
 
@@ -411,13 +420,8 @@ def _attention(x: np.ndarray, P: dict, dims: ModelDims, last: bool = False):
             dmixed = split(gate.T @ dout, dh)
             dctx = aqh.swapaxes(-1, -2) @ dmixed
             dvh = akh @ dctx
-            # the softmax gradients land in aq's (B, G, N, H, r) layout, so
-            # the kernels read them contiguously
-            gq, gk = np.empty_like(aq), np.empty_like(ak)
-            np.matmul(dmixed, ctx.swapaxes(-1, -2), out=gq.transpose(0, 1, 3, 2, 4))
-            np.matmul(vh, dctx.swapaxes(-1, -2), out=gk.transpose(0, 1, 3, 2, 4))
-            dq, dk = ad.softmax_backward(aq, gq, -1), ad.softmax_backward(ak, gk, 2)
-            dq, dk = dq.reshape(b, g, n, -1), dk.reshape(b, g, n, -1)
+            dq = _softmax_grad(aq, dmixed, ctx.swapaxes(-1, -2), -1).reshape(b, g, n, -1)
+            dk = _softmax_grad(ak, vh, dctx.swapaxes(-1, -2), 2).reshape(b, g, n, -1)
         else:
             douth = split(dout, dh)
             dvh = att.swapaxes(-1, -2) @ douth

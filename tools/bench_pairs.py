@@ -17,9 +17,9 @@ summary.
 Every run also keeps run.py's per-kind "samples" lines (count, wall median and
 reference median in ms), and each workload's "samples" summary gives each
 side's quartiles of both medians per kind. The reported metrics are in
-reference seconds, scaled by a probe timed in the same process; when the
-probe itself runs slower on one side, the reference medians move more than
-the wall medians, and this summary shows it.
+reference seconds, scaled by a probe timed in the same process, so a probe
+that runs slower in one side's processes makes that side's reference
+medians read lower against its wall medians; this summary shows it.
 The file is rewritten after every run, so an interrupted collection keeps
 what it measured; --append adds pairs to an existing file instead of
 starting over, and skips the traced runs and sweeps it already holds.
