@@ -358,7 +358,7 @@ def concat(tensors, axis=0) -> Tensor:
 # keys' token axis it already runs over a whole H * r slab per row; moved
 # to the front, that axis measured no faster.
 
-_SLAB_ROWS = 512  # fewer rows: numpy's per-row loops cost less than the slab ops
+_SLAB_ROWS = 512  # fewer rows take numpy's path; the backward's slabs pay from ~300 rows
 _SLAB_CHUNK = 1 << 16  # entries per chunk: few ops per chunk, its scratch held in cache
 
 
