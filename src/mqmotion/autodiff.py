@@ -40,12 +40,12 @@ WGAN-GP loss, whose gradient penalty is a function of the critic's input
 gradient (``network.Critic.wgan_gp``), with the second derivative written
 out in its backward.
 
-The softmax kernels reduce many short last-axis rows (a query's 8 rank
-features over a batch) as whole slabs: chunks of rows go into a buffer with
-the reduced axis first, so each step of a max or a sum is one elementwise op
-over contiguous slabs instead of one numpy loop per row. The sums add in
+The softmax kernels reduce many last-axis rows of 8 entries (a query's 8
+rank features over a batch) as whole slabs: chunks of rows go into a buffer
+with the reduced axis first, so each step of a max or a sum is one
+elementwise op over contiguous slabs instead of one numpy loop per row. The sums add in
 numpy's own pairwise order for a contiguous last axis, so the kernels' bits
-equal np.sum's and the plain formula's; few rows, longer rows and other
+equal np.sum's and the plain formula's; few rows, other lengths and other
 axes take numpy's reductions directly.
 """
 from __future__ import annotations
@@ -341,24 +341,24 @@ def concat(tensors, axis=0) -> Tensor:
 # query's 8 rank features, run numpy's reduction loop once per row, and a
 # (..., 1) keepdims operand splits each elementwise op into one loop per row
 # too; past a few hundred rows that overhead costs several times the
-# arithmetic. So a C-contiguous array with a last axis of at most 8 entries
-# and at least _SLAB_ROWS rows is reduced as whole slabs, one chunk of rows
-# at a time: each step of a max or a sum is one elementwise op over the
-# chunk's column slabs. The forward copies a chunk into a buffer it owns,
-# reduced axis first, and its last op writes the output's rows; the
+# arithmetic. So a C-contiguous array with a last axis of 8 entries (the
+# rank softmax) and at least _SLAB_ROWS rows is reduced as whole slabs, one
+# chunk of rows at a time: each step of a max or a sum is one elementwise op
+# over the chunk's column slabs. The forward copies a chunk into a buffer it
+# owns, reduced axis first, and its last op writes the output's rows; the
 # backward sums the columns of its product in place and writes each row's
 # sum along the row. The slab sums add in the order np.sum takes over a
-# contiguous last axis, numpy's pairwise summation: for 8 entries the tree
+# contiguous last axis of 8 entries, numpy's pairwise summation, the tree
 #     ((x0 + x1) + (x2 + x3)) + ((x4 + x5) + (x6 + x7)),
-# below 8 one running sum, both added to the reduction's 0.0 identity. So
-# the output has the plain formula's bits, signed zeros included. The max
-# is exact in any order and halves its axis. Longer rows (the full-rank
-# form's key rows), few rows and other axes take numpy's reductions
-# directly: numpy's loop per row then does more work per call, and on the
-# keys' token axis it already runs over a whole H * r slab per row; moved
-# to the front, that axis measured no faster.
+# added to the reduction's 0.0 identity. So the output has the plain
+# formula's bits, signed zeros included. The max is exact in any order and
+# halves its axis. Other lengths, few rows and other axes take numpy's
+# reductions directly: only 8 entries were timed against numpy's path;
+# longer rows (the full-rank form's key rows) get more work per numpy call;
+# and on the keys' token axis numpy's loop already runs over a whole H * r
+# slab per row, which moved to the front measured no faster.
 
-_SLAB_ROWS = 512  # fewer rows take numpy's path; the backward's slabs pay from ~300 rows
+_SLAB_ROWS = 512  # fewer rows take numpy's path; at 8 entries the backward's slabs pay from ~300 rows
 _SLAB_CHUNK = 1 << 16  # entries per chunk: few ops per chunk, its scratch held in cache
 
 
@@ -373,19 +373,14 @@ def _halving_max(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _slab_sum(t: np.ndarray) -> np.ndarray:
-    """np.sum's sum over the (at most 8) slabs of t, in numpy's order.
+    """np.sum's sum over the 8 slabs of t, in numpy's pairwise order.
 
     t may be a strided view, such as the transpose of a chunk of rows: the
     first sums run slab by slab (order="C") into contiguous slabs.
     """
-    if len(t) == 8:
-        r = np.add(t[0::2], t[1::2], order="C")
-        r = r[0::2] + r[1::2]
-        s = r[0] + r[1]
-    else:
-        s = t[0].copy()
-        for x in t[1:]:
-            s += x
+    r = np.add(t[0::2], t[1::2], order="C")
+    r = r[0::2] + r[1::2]
+    s = r[0] + r[1]
     s += 0.0  # the identity: a sum of -0.0 entries is +0.0
     return s
 
@@ -393,7 +388,7 @@ def _slab_sum(t: np.ndarray) -> np.ndarray:
 def _slab_rows(a: np.ndarray, axis: int):
     """a as (rows, n) and the rows per chunk, or None for numpy's path."""
     n = a.shape[axis]
-    if axis != a.ndim - 1 or not 0 < n <= 8 or a.size < _SLAB_ROWS * n \
+    if axis != a.ndim - 1 or n != 8 or a.size < _SLAB_ROWS * n \
             or not a.flags.c_contiguous:
         return None
     rows = a.reshape(-1, n)

@@ -191,7 +191,7 @@ def plain_softmax_grad(y, g, axis):
 
 
 # (shape for a reduced length n, axis): the last axis over enough rows for
-# the slab kernels (n <= 8), the last axis over a few rows, the token axis,
+# the slab kernels (n == 8), the last axis over a few rows, the token axis,
 # axis 0
 SOFTMAX_LAYOUTS = [
     (lambda n: (4, 4, 4, 9, n), -1),
@@ -226,7 +226,7 @@ class TestSoftmaxKernelBits:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n,chunk", [(n, None) for n in list(range(1, 18)) + [22, 33, 130]]
-                             + [(n, 40) for n in range(1, 9)])
+                             + [(8, 40)])
     def test_equal_to_plain_formula(self, dtype, n, chunk, monkeypatch):
         if chunk is not None:  # chunks of 40 rows, the last one shorter
             monkeypatch.setattr(ad, "_SLAB_CHUNK", chunk * n)
@@ -235,8 +235,8 @@ class TestSoftmaxKernelBits:
             a, g = self.inputs(shape, axis, dtype, seed=n * 10 + i)
             # the real gradient is a transposed view: axes 2 and 3 swapped
             g_t = np.ascontiguousarray(g.swapaxes(2, 3)).swapaxes(2, 3)
-            if i == 0:  # slabs for rows of at most 8, numpy's path beyond
-                assert (ad._slab_rows(a, axis % a.ndim) is not None) == (n <= 8)
+            if i == 0:  # slabs for rows of 8, numpy's path for other lengths
+                assert (ad._slab_rows(a, axis % a.ndim) is not None) == (n == 8)
             a0, g0 = a.copy(), g.copy()
             with np.errstate(invalid="ignore"):  # the rows holding +inf
                 y = ad.softmax_forward(a, axis)
