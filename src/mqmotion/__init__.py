@@ -30,7 +30,7 @@ from .dataio import (
     write_mqs,
     write_mqs_file,
 )
-from .perturb import PerturbedBatch, apply_mask, apply_noise, build_batch
+from .perturb import apply_mask, apply_noise, build_batch
 from .network import ModelDims, ModelParams
 from .losses import LossReport, LossWeights
 from .train import TrainConfig, Trainer, load_checkpoint, make_predictor
@@ -66,7 +66,6 @@ __all__ = [
     "write_mqq",
     "write_mqs",
     "write_mqs_file",
-    "PerturbedBatch",
     "apply_mask",
     "apply_noise",
     "build_batch",

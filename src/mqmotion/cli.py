@@ -36,6 +36,7 @@ from .train import CONFIG_TYPES, TrainConfig, default_sigma, load_checkpoint, \
 
 _SYNTH_DEFAULTS = {name: param.default
                    for name, param in inspect.signature(synth_generate).parameters.items()}
+_SYNTH_MAX_COORDS = 10**7  # frames x joints x count x 3 that one synth may write
 
 
 def load_config(path: str | Path) -> dict:
@@ -227,6 +228,10 @@ def build_parser(file_values: dict | None = None) -> argparse.ArgumentParser:
 def _cmd_synth(args, cfg) -> int:
     _require(args, "joints", "frames", "fps", "count", "base_period")
     _require(args, "amplitude", "offset_scale", zero_ok=True)
+    coords = args.frames * args.joints * args.count * 3
+    if coords > _SYNTH_MAX_COORDS:
+        raise FormatError(f"bad values for 'frames', 'joints' and 'count': they make {coords} "
+                          f"coordinates, over the limit of {_SYNTH_MAX_COORDS}")
     if args.kind == "sinusoid":
         _require_sinusoid_angle(args)
     out = Path(args.out)
@@ -273,11 +278,11 @@ def _cmd_perturb(args, cfg) -> int:
         seq = read_mqs_file(src).sequence
         sigma = cfg.sigma if cfg.sigma is not None else default_sigma(seq.frames)
         fseed = streams.derive_seed(cfg.seed, streams.CORRUPT, i)
-        masked, mask = pt.apply_mask(seq.frames, cfg.p_m, fseed)
-        noised, nmask = pt.apply_noise(seq.frames, cfg.p_n, sigma, fseed)
+        masked, mask_flags = pt.apply_mask(seq.frames, cfg.p_m, fseed)
+        noised, noise_flags = pt.apply_noise(seq.frames, cfg.p_n, sigma, fseed)
         stem = Path(src).stem
-        for tag, data, flags in (("masked", masked, mask.flags),
-                                 ("noised", noised, nmask.flags)):
+        for tag, data, flags in (("masked", masked, mask_flags),
+                                 ("noised", noised, noise_flags)):
             path = out / f"{stem}.{tag}.mqs"
             write_mqs_file(path, seq.with_frames(data))
             write_atomically(out / f"{stem}.{tag}.mask.txt", _sidecar(flags))

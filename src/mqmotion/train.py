@@ -7,6 +7,11 @@ read the values of those rows, and one generator update back-propagates
 through them and the prediction. Critic updates write only critic weights,
 so the one prediction holds for every update of its batch.
 
+The generator update also runs the noised pass and the masked pass. The
+masked pass reads the clean features: the embedding's learned mask token
+replaces every joint-frame of the batch's token mask, so it does the
+masking and no masked copy of the features is made.
+
 Training holds one float32 parameter vector, ``Trainer.params``: every
 forward, backward, gradient clip and Adam step reads and writes it, and
 Adam's moments are float32 too. The batch's arrays are built in float64
@@ -299,10 +304,12 @@ class Trainer:
         bs = self.cfg.batch_size
         return [order[i : i + bs] for i in range(0, len(order), bs)]
 
-    def _batch_arrays(self, idxs: np.ndarray, epoch: int) -> dict:
-        """The batch's float64 arrays: frames, features and reconstruction
-        targets, plus the masked and noised features and their token mask
-        when the perturbation tasks are on."""
+    def _prepare_batch(self, idxs: np.ndarray, epoch: int) -> dict:
+        """The batch's float32 arrays: frames, features and reconstruction
+        targets, the noised features and the token mask when the perturbation
+        tasks are on, and the real critic rows, built from the float32 frames
+        as the fake rows are. Features and noise are drawn in float64 and
+        cast once."""
         cfg = self.cfg
         ws = [self.dataset.windows[int(i)] for i in idxs]
         obs = np.stack([w.observed for w in ws])
@@ -316,20 +323,13 @@ class Trainer:
             "recon_targets": recon_targets,
         }
         if cfg.use_perturbation:
-            pbs = [perturb.build_batch(feats[i], cfg.p_m, cfg.p_n, self.sigma,
-                                       streams.derive_seed(cfg.seed, streams.CORRUPT, epoch,
-                                                           w.seq_index, w.start))
-                   for i, w in enumerate(ws)]
-            batch["masked"] = np.stack([pb.masked for pb in pbs])
-            batch["noised"] = np.stack([pb.noised for pb in pbs])
-            batch["token_mask"] = np.stack([pb.mask.flags for pb in pbs]).any(axis=-1)
-        return batch
-
-    def _prepare_batch(self, idxs: np.ndarray, epoch: int) -> dict:
-        """_batch_arrays with every float array cast to float32, plus the real
-        critic rows, built from the float32 frames as the fake rows are."""
+            seeds = [streams.derive_seed(cfg.seed, streams.CORRUPT, epoch, w.seq_index, w.start)
+                     for w in ws]
+            flags, batch["noised"] = perturb.build_batch(feats, cfg.p_m, cfg.p_n, self.sigma,
+                                                         seeds)
+            batch["token_mask"] = flags.any(axis=-1)
         batch = {k: a.astype(np.float32) if a.dtype == np.float64 else a
-                 for k, a in self._batch_arrays(idxs, epoch).items()}
+                 for k, a in batch.items()}
         batch["real_rows"] = tuple(r.data for r in self._critic_rows(batch["obs"][:, -1],
                                                                       batch["fut"]))
         return batch
@@ -370,12 +370,13 @@ class Trainer:
     def generator_update(self, batch: dict, pred: Tensor, fake_rows,
                          gp_term: float) -> LossReport:
         """One generator Adam step through pred and its fake critic rows, plus
-        the masked and noised passes; returns the logged LossReport."""
+        the masked pass (the clean features under the token mask) and the
+        noised pass; returns the logged LossReport."""
         cfg = self.cfg
         params = self.params
         l_pred = lo.prediction_loss(pred, batch["fut"])
         if cfg.use_perturbation:
-            act_m = net.forward_backbone(batch["masked"], batch["token_mask"], params)
+            act_m = net.forward_backbone(batch["features"], batch["token_mask"], params)
             recon_m = net.heads(act_m, params, "mask_recon")
             l_mask = lo.masked_reconstruction_loss(
                 recon_m, batch["recon_targets"], batch["token_mask"]

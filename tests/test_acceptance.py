@@ -216,22 +216,22 @@ def test_06_corruption_statistics():
     feats = rng.uniform(-100.0, 100.0, size=100000)
     n = feats.size
 
-    masked, m_mask = perturb.apply_mask(feats, 0.1, rng_seed=61)
-    m_frac = m_mask.count / n
+    masked, m_flags = perturb.apply_mask(feats, 0.1, rng_seed=61)
+    m_frac = m_flags.sum() / n
     m_hw = Z999 * np.sqrt(0.1 * 0.9 / n)
     m_ok = abs(m_frac - 0.1) < m_hw
-    m_clean = bool((masked[~m_mask.flags] == feats[~m_mask.flags]).all())
+    m_clean = bool((masked[~m_flags] == feats[~m_flags]).all())
 
-    noised, n_mask = perturb.apply_noise(feats, 0.3, sigma=10.0, rng_seed=62)
-    n_frac = n_mask.count / n
+    noised, n_flags = perturb.apply_noise(feats, 0.3, sigma=10.0, rng_seed=62)
+    n_frac = n_flags.sum() / n
     n_hw = Z999 * np.sqrt(0.3 * 0.7 / n)
     n_ok = abs(n_frac - 0.3) < n_hw
-    n_clean = bool((noised[~n_mask.flags] == feats[~n_mask.flags]).all())
+    n_clean = bool((noised[~n_flags] == feats[~n_flags]).all())
 
-    dense, d_mask = perturb.apply_noise(feats, 1.0, sigma=10.0, rng_seed=63)
+    dense, d_flags = perturb.apply_noise(feats, 1.0, sigma=10.0, rng_seed=63)
     diffs = dense - feats
     mean_hw = Z999 * 10.0 / np.sqrt(n)
-    mean_ok = d_mask.count == n and abs(diffs.mean()) < mean_hw
+    mean_ok = d_flags.sum() == n and abs(diffs.mean()) < mean_hw
     std = diffs.std()
     std_ok = 9.8 < std < 10.2
 

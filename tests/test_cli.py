@@ -232,6 +232,19 @@ class TestSynth:
         assert err == ["mqmotion: code=3 type=MemoryError "
                        "msg='Unable to allocate 7.28 TiB for an array'"]
 
+    @pytest.mark.parametrize("flag, value", [("--frames", 10**12), ("--joints", 10**9),
+                                             ("--count", 10**7)])
+    def test_size_over_limit_is_one_line(self, tmp_path, capsys, flag, value):
+        # checked before anything is generated, allocated or written
+        out = tmp_path / "corpus"
+        assert cli.main(["synth", flag, str(value), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        [line] = captured.err.splitlines()
+        assert line.startswith("mqmotion: code=3 type=FormatError ")
+        assert all(f"'{name}'" in line for name in ("frames", "joints", "count"))
+        assert str(cli._SYNTH_MAX_COORDS) in line
+
     def test_overflowing_period_is_accepted(self, tmp_path):
         # fps * base_period = inf makes every angle 0: a static sinusoid pose
         out = tmp_path / "still.mqs"

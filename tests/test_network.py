@@ -11,6 +11,7 @@ import mqmotion.network as net
 from mqmotion.autodiff import Tensor
 from mqmotion.core import root_align
 from mqmotion.errors import BackwardBeforeForward, DimsMismatch
+from mqmotion.perturb import apply_mask
 from mqmotion.train import TrainConfig
 
 
@@ -205,6 +206,34 @@ class TestEmbed:
         for a, b in zip(self._all_outputs(feats, mask, params),
                         self._all_outputs(junk, mask, params)):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lowrank", [True, False], ids=["lowrank", "full"])
+    @pytest.mark.parametrize("quotient", [True, False], ids=["quotient", "raw"])
+    def test_masked_pass_ignores_masked_values(self, dtype, lowrank, quotient):
+        # the masked pass, forward and backward, gives the same bits on the
+        # clean features as on the copy apply_mask zeroes: training feeds the
+        # clean ones and lets the mask token do the masking
+        cfg = TrainConfig(use_lowrank=lowrank, use_quotient=quotient)
+        init = net.ModelParams.init(cfg.model_dims(5), seed=1)
+        rng = np.random.default_rng(4)  # off the init point, where the mask token is 0
+        params = net.ModelParams(init.dims, (init.vec + rng.uniform(
+            -0.2, 0.2, init.n_params)).astype(dtype))
+        obs = rng.normal(scale=100.0, size=(4, cfg.obs_frames, 5, 3))
+        feats, targets = net.build_features(obs, 0, quotient, cfg.input_gain)
+        zeroed, flags = apply_mask(feats, cfg.p_m, rng_seed=5)
+        token_mask = flags.any(axis=-1)
+        assert token_mask.any() and not token_mask.all()
+        assert not np.array_equal(zeroed, feats)
+        bits = []
+        for x in (feats, zeroed):
+            act = net.forward_backbone(x.astype(dtype), token_mask, params)
+            recon = net.heads(act, params, "mask_recon")
+            loss = lo.masked_reconstruction_loss(recon, targets.astype(dtype), token_mask)
+            grads = net.parameter_gradients(loss, params)
+            assert loss.data.dtype == grads.dtype == dtype
+            bits.append((loss.data.tobytes(), grads.tobytes()))
+        assert bits[0] == bits[1]
 
     @staticmethod
     def _all_outputs(feats, mask, params):

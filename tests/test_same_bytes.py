@@ -1,0 +1,51 @@
+"""tools/same_bytes.py on a tiny matrix: this checkout against itself, and
+against a copy of its src/ whose Adam epsilon is one float32 ulp larger."""
+import importlib
+import shutil
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+CLIP = "clips/sinusoid_000.mqs"
+TINY = [
+    ["synth", "--joints", "5", "--frames", "40", "--out", "clips"],
+    ["train", CLIP, "--epochs", "1", "--out", "train/a.mqck"],
+    ["predict", CLIP, "--checkpoint", "train/a.mqck", "--out", "infer/a.pred.mqs"],
+]
+FILES = ["clips/sinusoid_000.mqs", "critic2.cfg", "infer/a.pred.mqs", "stdout/00_synth",
+         "stdout/01_train", "stdout/02_predict", "train/a.csv", "train/a.mqck"]
+
+
+@pytest.fixture
+def same_bytes(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    return importlib.import_module("same_bytes")
+
+
+def test_tiny_matrix_against_itself_and_one_ulp(same_bytes, tmp_path):
+    report = same_bytes.compare({"parent": ROOT, "change": ROOT}, TINY, tmp_path / "self")
+    assert report["verdict"] == "identical" and not report["failures"]
+    assert sorted(report["files"]) == FILES
+    for path, h in report["files"].items():
+        assert h["parent"] == h["change"] and len(set(h["parent"])) == 1, path
+    assert {p for p, h in report["files"].items() if "cross" in h} == {
+        "infer/a.pred.mqs", "stdout/02_predict"}
+
+    # Adam computes in float32, where a float64 ulp of its epsilon rounds away
+    ulp = tmp_path / "ulp"
+    shutil.copytree(ROOT / "src", ulp / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    train_py = ulp / "src" / "mqmotion" / "train.py"
+    text = train_py.read_text()
+    eps = float(np.nextafter(np.float32(1e-8), np.float32(1.0)))
+    edited = text.replace("_ADAM_EPS = 0.9, 0.999, 1e-8", f"_ADAM_EPS = 0.9, 0.999, {eps!r}")
+    assert edited != text
+    train_py.write_text(edited)
+    report = same_bytes.compare({"parent": ROOT, "change": ulp}, TINY, tmp_path / "edited")
+    assert report["verdict"] == "different" and not report["failures"]
+    assert report["reproducible"] == {"parent": True, "change": True}
+    assert report["differing"] == ["infer/a.pred.mqs", "train/a.mqck"]
+    # the edited code predicts the parent's bytes from the parent's checkpoint
+    pred = report["files"]["infer/a.pred.mqs"]
+    assert pred["cross"] == pred["parent"][0] != pred["change"][0]

@@ -358,7 +358,8 @@ class TestRun:
     @pytest.mark.parametrize("lowrank", [True, False], ids=["lowrank", "full"])
     def test_float32_gradients_match_float64(self, monkeypatch, joints, lowrank):
         # one step's gradients at the same weights: the trainer's float32
-        # params and batch against a float64 copy and float64 arrays
+        # params and batch against a float64 copy and the float64 arrays the
+        # batch is cast from, so the bound covers the cast of the inputs too
         cfg = tr.TrainConfig(use_lowrank=lowrank, batch_size=8, grad_clip=None)
         seqs = [synth_generate("sinusoid", joints=joints, frames=50, fps=25.0, seed=s)
                 for s in range(2)]
@@ -368,13 +369,31 @@ class TestRun:
         params64 = net.ModelParams(t.params.dims, t.params.vec + np.random.default_rng(2).normal(
             scale=0.05, size=t.params.vec.size))
         params32 = net.ModelParams(t.params.dims, params64.vec.astype(np.float32))
-        grads = []
-        monkeypatch.setattr(tr.Adam, "step", lambda adam, p, g: grads.append(g))
-        idxs = np.arange(cfg.batch_size)
-        batch64 = t._batch_arrays(idxs, 0)
+        built = {}
+
+        def capture(name, fn):
+            def run(*args, **kwargs):
+                built[name] = out = fn(*args, **kwargs)
+                return out
+            return run
+
+        monkeypatch.setattr(tr.net, "build_features", capture("features", net.build_features))
+        monkeypatch.setattr(tr.perturb, "build_batch", capture("perturb", tr.perturb.build_batch))
+        batch32 = t._prepare_batch(np.arange(cfg.batch_size), 0)
+        ws = ds.windows[:cfg.batch_size]
+        feats, recon_targets = built["features"]
+        flags, noised = built["perturb"]
+        batch64 = {"obs": np.stack([w.observed for w in ws]),
+                   "fut": np.stack([w.future for w in ws]),
+                   "features": feats, "recon_targets": recon_targets,
+                   "noised": noised, "token_mask": flags.any(axis=-1)}
+        assert {a.dtype for a in batch64.values()} == {np.dtype(np.float64), np.dtype(bool)}
+        assert batch64.keys() == batch32.keys() - {"real_rows"}
         batch64["real_rows"] = tuple(r.data for r in t._critic_rows(batch64["obs"][:, -1],
                                                                      batch64["fut"]))
-        for params, batch in ((params32, t._prepare_batch(idxs, 0)), (params64, batch64)):
+        grads = []
+        monkeypatch.setattr(tr.Adam, "step", lambda adam, p, g: grads.append(g))
+        for params, batch in ((params32, batch32), (params64, batch64)):
             t.params = params
             pred, fake_rows = t._prediction(batch)
             t.critic_update(batch["real_rows"], fake_rows)

@@ -12,8 +12,7 @@ resolved path under "checkouts". Pair i runs seed first_seed + i on both
 sides, the parent first when i is even and the change first when it is odd.
 Per workload the file holds every run, each side's median and quartiles of
 every metric, the pairs the change won, and one --trace 1 run per side at
-seed 5 (the per-layer metrics). It also holds each side's perfbench/sweep.py
-summary.
+seed 5 (the per-layer metrics).
 Every run also keeps run.py's per-kind "samples" lines (count, wall median and
 reference median in ms), and each workload's "samples" summary gives each
 side's quartiles of both medians per kind. The reported metrics are in
@@ -22,7 +21,7 @@ that runs slower in one side's processes makes that side's reference
 medians read lower against its wall medians; this summary shows it.
 The file is rewritten after every run, so an interrupted collection keeps
 what it measured; --append adds pairs to an existing file instead of
-starting over, and skips the traced runs and sweeps it already holds.
+starting over, and skips the traced runs it already holds.
 """
 import argparse
 import json
@@ -69,6 +68,11 @@ def git_commit(checkout: Path) -> str | None:
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
                           text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def describe_checkouts(checkouts: dict[str, Path]) -> dict:
+    """Each side's commit and resolved path, as a collection records them."""
+    return {s: {"commit": git_commit(p), "path": str(p)} for s, p in checkouts.items()}
 
 
 def quartiles(xs: list[float]) -> dict:
@@ -127,8 +131,7 @@ def main() -> int:
     else:
         doc = {
             "command": f"perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
-            "checkouts": {s: {"commit": git_commit(p), "path": str(p)}
-                          for s, p in checkouts.items()},
+            "checkouts": describe_checkouts(checkouts),
             "workloads": {},
         }
 
@@ -161,11 +164,6 @@ def main() -> int:
                                                           "--seed", str(TRACED_SEED), "--seconds",
                                                           seconds, "--trace", "1"], timeout)
                 save()
-    sweep = doc.setdefault("sweep", {})
-    for side in SIDES:
-        if side not in sweep:
-            sweep[side] = run_json(checkouts[side], ["perfbench/sweep.py"], 3600)
-            save()
     return 0
 
 
