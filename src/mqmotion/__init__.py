@@ -32,7 +32,7 @@ from .dataio import (
 )
 from .perturb import apply_mask, apply_noise, build_batch
 from .network import ModelDims, ModelParams
-from .losses import LossReport, LossWeights
+from .losses import LossReport
 from .train import TrainConfig, Trainer, load_checkpoint, make_predictor
 from .evaluate import HorizonReport, format_table, mpjpe
 # train.train and evaluate.evaluate are reached through their modules;
@@ -72,7 +72,6 @@ __all__ = [
     "ModelDims",
     "ModelParams",
     "LossReport",
-    "LossWeights",
     "TrainConfig",
     "Trainer",
     "load_checkpoint",

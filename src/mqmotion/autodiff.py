@@ -269,15 +269,8 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
 
     def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g.reshape((1,) * a.ndim), a.shape).copy(),)
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        axes = tuple(ax % a.ndim for ax in axes)
-        if not keepdims:
-            kept = list(g.shape)
-            for ax in sorted(axes):
-                kept.insert(ax, 1)
-            g = g.reshape(tuple(kept))
+        if not keepdims:  # put the summed axes back as 1s
+            g = np.expand_dims(g, tuple(range(a.ndim)) if axis is None else axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 
     return fused(np.sum(a.data, axis=axis, keepdims=keepdims), (a,), backward)

@@ -236,8 +236,7 @@ def _cmd_synth(args, cfg) -> int:
         _require_sinusoid_angle(args)
     out = Path(args.out)
     single_file = args.count == 1 and out.suffix == ".mqs"
-    if not single_file:
-        out.mkdir(parents=True, exist_ok=True)
+    (out.parent if single_file else out).mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
         seq = synth_generate(
             args.kind, args.joints, args.frames, args.fps,
@@ -253,8 +252,7 @@ def _cmd_synth(args, cfg) -> int:
 def _cmd_transform(args, _cfg) -> int:
     out = Path(args.out)
     single_file = len(args.inputs) == 1 and out.suffix == ".mqq"
-    if not single_file:
-        out.mkdir(parents=True, exist_ok=True)
+    (out.parent if single_file else out).mkdir(parents=True, exist_ok=True)
     for src in args.inputs:
         seq = read_mqs_file(src).sequence
         q = encode_quotient(seq)

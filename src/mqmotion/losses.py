@@ -10,7 +10,8 @@ loss as one closed-form node (network.Critic), and gradient_penalty, which
 training does not call, is the oracle for its penalty.
 
 All loss functions return engine Tensors so they are differentiable; use
-LossReport / make_report for plain-float bookkeeping.
+LossReport / make_report for plain-float bookkeeping. The weights (alpha1,
+alpha2, beta1, beta2, gp_lambda) are read from the train.TrainConfig given.
 """
 from __future__ import annotations
 
@@ -23,23 +24,6 @@ from . import autodiff as ad
 from . import streams
 from .autodiff import Tensor
 from .errors import DimsMismatch, MaskTermSkipped, NumericalInstability
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Scalar weights: mask/denoise alphas, composite/adversarial betas, gp lambda."""
-
-    alpha1: float = 1.0
-    alpha2: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.1
-    gp_lambda: float = 10.0
-
-    def __post_init__(self):
-        for name in ("alpha1", "alpha2", "beta1", "beta2", "gp_lambda"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be a finite non-negative real, got {v}")
 
 
 @dataclass(frozen=True)
@@ -63,12 +47,13 @@ def _squared_joint_error(a: Tensor, b: Tensor) -> Tensor:
     return ad.tsum(ad.mul(d, d), axis=-1)
 
 
-def prediction_loss(pred, target) -> Tensor:
-    """Mean squared joint error over the future window (and batch)."""
-    pred, target = ad.as_tensor(pred), ad.as_tensor(target)
-    if pred.shape != target.shape:
-        raise DimsMismatch(f"pred {pred.shape} vs target {target.shape}")
-    return ad.tmean(_squared_joint_error(pred, target))
+def mean_joint_error(out, target) -> Tensor:
+    """Mean squared joint error over every token (and batch): the prediction
+    loss over the future window, and the denoising loss over the window."""
+    out, target = ad.as_tensor(out), ad.as_tensor(target)
+    if out.shape != target.shape:
+        raise DimsMismatch(f"out {out.shape} vs target {target.shape}")
+    return ad.tmean(_squared_joint_error(out, target))
 
 
 def masked_reconstruction_loss(recon, target, token_mask) -> Tensor:
@@ -94,21 +79,14 @@ def masked_reconstruction_loss(recon, target, token_mask) -> Tensor:
     return ad.div(ad.tsum(ad.mul(err, sel)), float(count))
 
 
-def denoise_reconstruction_loss(recon, target) -> Tensor:
-    """Mean squared joint error over every in-window token."""
-    recon, target = ad.as_tensor(recon), ad.as_tensor(target)
-    if recon.shape != target.shape:
-        raise DimsMismatch(f"recon {recon.shape} vs target {target.shape}")
-    return ad.tmean(_squared_joint_error(recon, target))
+def loss_composite(l_pred: Tensor, l_mask: Tensor, l_denoise: Tensor, cfg) -> Tensor:
+    """pred + alpha1 * mask + alpha2 * denoise, weighted by cfg, a TrainConfig."""
+    return ad.add(l_pred, ad.add(ad.mul(cfg.alpha1, l_mask), ad.mul(cfg.alpha2, l_denoise)))
 
 
-def loss_composite(l_pred: Tensor, l_mask: Tensor, l_denoise: Tensor, w: LossWeights) -> Tensor:
-    return ad.add(l_pred, ad.add(ad.mul(w.alpha1, l_mask), ad.mul(w.alpha2, l_denoise)))
-
-
-def loss_total(l_composite: Tensor, l_adv: Tensor, w: LossWeights) -> Tensor:
-    """Generator objective: beta1 * composite + beta2 * adversarial."""
-    return ad.add(ad.mul(w.beta1, l_composite), ad.mul(w.beta2, l_adv))
+def loss_total(l_composite: Tensor, l_adv: Tensor, cfg) -> Tensor:
+    """Generator objective: beta1 * composite + beta2 * adversarial, from cfg."""
+    return ad.add(ad.mul(cfg.beta1, l_composite), ad.mul(cfg.beta2, l_adv))
 
 
 def interpolate_samples(real, fake, rng_seed: int) -> tuple[Tensor, np.ndarray]:
@@ -169,14 +147,14 @@ def loss_adversarial(critic, real, fake, gp_lambda: float, rng_seed: int):
 
     critic_loss = E[D(fake)] - E[D(real)] + gp_term, which the critic
     minimizes, is one graph node over its weights (Critic.wgan_gp), and
-    gp_term, taken at interpolate_samples' rows for rng_seed, is a value.
+    gp_term, taken at interpolate_samples' rows for rng_seed, is a float.
     """
     real_a, fake_a = ad.as_tensor(real).data, ad.as_tensor(fake).data
     x_hat, _ = interpolate_samples(real_a, fake_a, rng_seed)
     critic_loss, gp = critic.wgan_gp(x_hat.data, fake_a, real_a, gp_lambda)
     if not np.isfinite(critic_loss.data):
         raise NumericalInstability("non-finite critic loss")
-    return critic_loss, Tensor(np.asarray(gp, critic_loss.data.dtype))
+    return critic_loss, gp
 
 
 def make_report(
@@ -185,11 +163,11 @@ def make_report(
     l_denoise: float,
     l_adv: float,
     gp_term: float,
-    w: LossWeights,
+    cfg,
 ) -> LossReport:
-    """Assemble a LossReport; composite/total follow from the parts exactly."""
-    l_composite = l_pred + w.alpha1 * l_mask + w.alpha2 * l_denoise
-    l_total = w.beta1 * l_composite + w.beta2 * l_adv
+    """Assemble a LossReport; composite/total follow from the parts and cfg's weights exactly."""
+    l_composite = l_pred + cfg.alpha1 * l_mask + cfg.alpha2 * l_denoise
+    l_total = cfg.beta1 * l_composite + cfg.beta2 * l_adv
     return LossReport(
         l_pred=l_pred,
         l_mask=l_mask,

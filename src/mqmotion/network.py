@@ -38,7 +38,8 @@ that graph is the "activation cache" consumed by parameter_gradients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,7 +75,7 @@ class ModelDims:
     lowrank: bool = True
 
     def __post_init__(self):
-        pos = {
+        sizes = {
             "joints": self.joints,
             "window": self.window,
             "future": self.future,
@@ -84,12 +85,12 @@ class ModelDims:
             "heads": self.heads,
             "critic_width": self.critic_width,
             "ffn_mult": self.ffn_mult,
+            "layers": self.layers,
         }
-        for name, v in pos.items():
-            if v < 1:
-                raise DimsMismatch(f"{name} must be >= 1, got {v}")
-        if self.layers < 0:
-            raise DimsMismatch(f"layers must be >= 0, got {self.layers}")
+        for name, v in sizes.items():  # a float size would reach numpy's shapes and slices
+            low = 0 if name == "layers" else 1
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
+                raise DimsMismatch(f"{name} must be an integer >= {low}, got {v!r}")
         if self.d_model % self.heads != 0:
             raise DimsMismatch(
                 f"d_model {self.d_model} not divisible by heads {self.heads}"
@@ -171,6 +172,14 @@ def _param_spec(dims: ModelDims) -> list[tuple[str, tuple, str]]:
     return spec
 
 
+def _param_count(dims: ModelDims) -> int:
+    """The length of dims' parameter vector, from _param_spec at 0 and 1
+    layers: every layer adds the same arrays, so no layer past one is listed."""
+    base, one = (sum(math.prod(shape) for _, shape, _ in _param_spec(replace(dims, layers=n)))
+                 for n in (0, 1))
+    return base + dims.layers * (one - base)
+
+
 class ModelParams:
     """All trainable arrays as named views into one float64 or float32 vector.
 
@@ -186,11 +195,12 @@ class ModelParams:
     """
 
     def __init__(self, dims: ModelDims, vec: np.ndarray):
+        n = _param_count(dims)  # checked before the spec lists every layer
+        if vec.shape != (n,) or vec.dtype not in (np.float64, np.float32):
+            raise DimsMismatch(f"need {n} float64 or float32 parameters, "
+                               f"got {vec.dtype} {vec.shape}")
         spec = _param_spec(dims)
         sizes = [math.prod(shape) for _, shape, _ in spec]
-        if vec.shape != (sum(sizes),) or vec.dtype not in (np.float64, np.float32):
-            raise DimsMismatch(f"need {sum(sizes)} float64 or float32 parameters, "
-                               f"got {vec.dtype} {vec.shape}")
         self.dims, self.vec, self.n_params = dims, vec, vec.size
         self.names = [name for name, _, _ in spec]
         self._slices: dict[str, tuple[int, int]] = {}

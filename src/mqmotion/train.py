@@ -70,10 +70,16 @@ from . import streams
 from .autodiff import Tensor
 from .dataio import WindowedDataset, write_atomically
 from .errors import AbortStep, DimsMismatch, FormatError, NumericalInstability
-from .losses import LossReport, LossWeights
+from .losses import LossReport
 
 CHECKPOINT_MAGIC = b"MQCK"
 CHECKPOINT_VERSION = 2
+
+# parameters a fresh run may allocate; it bounds the weights, not the
+# activations, which grow with layers and batch (README, model size)
+_MAX_PARAMS = 10**7
+_SIZE_FIELDS = ("d_model", "heads", "rank", "layers", "ffn_mult", "critic_width",
+                "obs_frames", "future_frames")
 
 LOG_COLUMNS = ("step", "l_pred", "l_mask", "l_denoise", "l_adv", "gp_term", "l_total")
 
@@ -125,13 +131,9 @@ class TrainConfig:
                 if value is not None and not ok(value):
                     raise FormatError(f"bad configuration: {name} must be {rule}, got {value!r}")
         try:
-            self.weights()
             self.model_dims(1)
-        except (ValueError, DimsMismatch) as exc:
+        except DimsMismatch as exc:
             raise FormatError(f"bad configuration: {exc}") from None
-
-    def weights(self) -> LossWeights:
-        return LossWeights(self.alpha1, self.alpha2, self.beta1, self.beta2, self.gp_lambda)
 
     def model_dims(self, joints: int) -> net.ModelDims:
         return net.ModelDims(
@@ -180,6 +182,8 @@ _BOUNDS = (  # (fields, rule, test); a None passes where the annotation allows i
     (("lr", "head_gain", "input_gain", "sigma", "grad_clip"), "positive and finite",
      lambda v: 0 < v < math.inf),
     (("p_m", "p_n"), "in [0, 1]", lambda v: 0 <= v <= 1),
+    (("alpha1", "alpha2", "beta1", "beta2", "gp_lambda"), ">= 0 and finite",
+     lambda v: 0 <= v < math.inf),
 )
 
 
@@ -253,9 +257,12 @@ class Trainer:
         self.dataset = dataset
         self.cfg = cfg
         self.root_index = dataset.skeleton.root_index
-        self.weights = cfg.weights()
         dims = cfg.model_dims(dataset.skeleton.joint_count)
         if state is None:
+            if (n := net._param_count(dims)) > _MAX_PARAMS:
+                sizes = ", ".join(f"{k} {getattr(cfg, k)}" for k in _SIZE_FIELDS)
+                raise FormatError(f"bad configuration: joints {dims.joints}, {sizes} make "
+                                  f"{n} parameters, over the limit of {_MAX_PARAMS}")
             init = net.ModelParams.init(dims, cfg.seed)
             self.params = net.ModelParams(dims, init.vec.astype(np.float32))
             self.adam_gen, self.adam_critic = (
@@ -365,7 +372,7 @@ class Trainer:
         closs = ad.add(closs_f, closs_c)
         grads = net.parameter_gradients(closs, self.params, self.critic_names)
         self.adam_critic.step(self.params.critic, _clip_global_norm(grads, cfg.grad_clip))
-        return closs.item(), gp_f.item() + gp_c.item()
+        return closs.item(), gp_f + gp_c
 
     def generator_update(self, batch: dict, pred: Tensor, fake_rows,
                          gp_term: float) -> LossReport:
@@ -374,7 +381,7 @@ class Trainer:
         noised pass; returns the logged LossReport."""
         cfg = self.cfg
         params = self.params
-        l_pred = lo.prediction_loss(pred, batch["fut"])
+        l_pred = lo.mean_joint_error(pred, batch["fut"])
         if cfg.use_perturbation:
             act_m = net.forward_backbone(batch["features"], batch["token_mask"], params)
             recon_m = net.heads(act_m, params, "mask_recon")
@@ -383,25 +390,23 @@ class Trainer:
             )
             act_d = net.forward_backbone(batch["noised"], None, params)
             recon_d = net.heads(act_d, params, "denoise_recon")
-            l_denoise = lo.denoise_reconstruction_loss(recon_d, batch["recon_targets"])
+            l_denoise = lo.mean_joint_error(recon_d, batch["recon_targets"])
         else:  # zeros of the compute dtype: a float64 term would promote the total
             l_mask = l_denoise = Tensor(np.zeros((), pred.data.dtype))
-        composite = lo.loss_composite(l_pred, l_mask, l_denoise, self.weights)
+        composite = lo.loss_composite(l_pred, l_mask, l_denoise, cfg)
 
         fake_fid, fake_cont = fake_rows
         adv = ad.add(
             ad.neg(ad.tmean(net.discriminate_fidelity(fake_fid, params))),
             ad.neg(ad.tmean(net.discriminate_continuity(fake_cont, params))),
         )
-        total = lo.loss_total(composite, adv, self.weights)
+        total = lo.loss_total(composite, adv, cfg)
         if not np.isfinite(total.data).all():
             raise NumericalInstability(f"non-finite generator loss at step {self.global_step}")
         grads = net.parameter_gradients(total, params, self.gen_names)
         self.adam_gen.step(params.generator, _clip_global_norm(grads, cfg.grad_clip))
-        return lo.make_report(
-            l_pred.item(), l_mask.item(), l_denoise.item(), adv.item(), gp_term,
-            self.weights,
-        )
+        return lo.make_report(l_pred.item(), l_mask.item(), l_denoise.item(), adv.item(),
+                              gp_term, cfg)
 
     # loop
 

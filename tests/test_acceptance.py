@@ -106,15 +106,15 @@ def test_03_gradient_check_full_model():
     token_mask = rng.random((2, 6, 4)) < 0.3
     fut = rng.standard_normal((2, 2, 4, 3))
     recon_t = rng.standard_normal((2, 6, 4, 3))
-    w = lo.LossWeights(1.0, 1.0, 0.9, 0.1, 10.0)
+    w = tr.TrainConfig()  # the default weights: 1, 1, 0.9, 0.1 and 10
 
     def loss_fn():
         act = net.forward_backbone(feats, token_mask, params)
         out = {name: net.heads(act, params, name) for name in net.HEAD_NAMES}
-        l_pred = lo.prediction_loss(out["pred"], fut)
+        l_pred = lo.mean_joint_error(out["pred"], fut)
         l_mask = lo.masked_reconstruction_loss(out["mask_recon"], recon_t,
                                                token_mask)
-        l_den = lo.denoise_reconstruction_loss(out["denoise_recon"], recon_t)
+        l_den = lo.mean_joint_error(out["denoise_recon"], recon_t)
         comp = lo.loss_composite(l_pred, l_mask, l_den, w)
         adv = ad.add(
             ad.neg(ad.tmean(net.discriminate_fidelity(
@@ -185,7 +185,8 @@ def test_05_loss_assembly():
     worst = 0.0
     for _ in range(50):
         parts = rng.uniform(0.1, 3.0, size=5)
-        w = lo.LossWeights(*rng.uniform(0.1, 2.0, size=4), gp_lambda=10.0)
+        a1, a2, b1, b2 = rng.uniform(0.1, 2.0, size=4)
+        w = tr.TrainConfig(alpha1=a1, alpha2=a2, beta1=b1, beta2=b2, gp_lambda=10.0)
         rep = lo.make_report(*parts, w)
         comp = rep.l_pred + w.alpha1 * rep.l_mask + w.alpha2 * rep.l_denoise
         total = w.beta1 * rep.l_composite + w.beta2 * rep.l_adv

@@ -1,10 +1,12 @@
 """End-to-end command-line pipelines, config precedence, and exit codes."""
+import dataclasses
 import json
 import os
 import re
 import struct
 import subprocess
 import sys
+import time
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -301,6 +303,13 @@ class TestSynth:
         assert seq.n_frames == 8
         assert seq.n_joints == 2
 
+    def test_single_file_makes_its_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["synth", "--joints", "5", "--frames", "40",
+                         "--out", "clips/a.mqs"]) == 0
+        assert capsys.readouterr().err == ""
+        assert read_mqs_file(tmp_path / "clips" / "a.mqs").sequence.n_frames == 40
+
     def test_bad_count_is_data_error(self, tmp_path, capsys):
         rc = cli.main(["synth", "--count", "0", "--out", str(tmp_path / "x")])
         assert rc == 3
@@ -316,6 +325,13 @@ class TestTransform:
         lines = out.read_text().splitlines()
         assert lines[0] == "MQQ v1 J=2 T=3"
         assert all(line == "0.0 0.0 0.0 0.0 0" for line in lines[1:])
+
+    def test_single_file_makes_its_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        synth_file(tmp_path, "a.mqs", joints=2, frames=4)
+        assert cli.main(["transform", "a.mqs", "--out", "q/a.mqq"]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "q" / "a.mqq").read_text().startswith("MQQ v1 J=2 T=3")
 
     def test_many_inputs_fill_directory(self, tmp_path):
         srcs = [synth_file(tmp_path, f"s{i}.mqs", seed=i) for i in range(2)]
@@ -460,6 +476,35 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("mqmotion: code=3 type=FormatError msg=")
+
+    @pytest.mark.parametrize("sizes", ["layers = 1000000000", "critic_width = 100000000",
+                                       "d_model = 4096\nheads = 1"],
+                             ids=["layers", "critic_width", "d_model"])
+    def test_model_over_size_limit_is_one_line(self, tmp_path, capsys, sizes):
+        # refused from the parameter count, before any parameter is drawn
+        src = synth_file(tmp_path)
+        cfg = write_config(tmp_path, SMALL_MODEL + sizes + "\n")
+        ckpt = tmp_path / "x.mqck"
+        capsys.readouterr()
+        t0 = time.perf_counter()
+        rc = cli.main(["train", src, "--config", cfg, "--out", str(ckpt)])
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 3 and not ckpt.exists()
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("mqmotion: code=3 type=FormatError msg=")
+        assert "joints 3" in line and str(tr._MAX_PARAMS) in line
+        assert all(f"{name} " in line for name in ("d_model", "heads", "layers", "critic_width"))
+
+    def test_size_limit_is_inclusive(self, tmp_path, monkeypatch, capsys):
+        src = synth_file(tmp_path)
+        cfg = write_config(tmp_path, SMALL_MODEL)
+        n = net._param_count(cli.build_train_config(cli.parse_args(
+            ["train", src, "--config", cfg])).model_dims(3))
+        for limit, code in ((n, 0), (n - 1, 3)):
+            monkeypatch.setattr(tr, "_MAX_PARAMS", limit)
+            assert cli.main(["train", src, "--config", cfg, "--epochs", "0",
+                             "--out", str(tmp_path / f"{limit}.mqck")]) == code
+        assert f"make {n} parameters, over the limit of {n - 1}" in capsys.readouterr().err
 
     def test_bad_config_value_is_data_error(self, tmp_path, capsys):
         src = synth_file(tmp_path)
@@ -706,13 +751,19 @@ class TestPredictAndEval:
         lambda h: h["config"].update(warp_speed=9),
         lambda h: h["config"].update(batch_size=0),
         lambda h: h["params"][0][1].reverse(),  # embed.w's shape transposed
-    ], ids=["no_config", "unknown_config_key", "bad_config_value", "manifest_shape_transposed"])
+        lambda h: h["dims"].update(joints=3.0),  # equal to the config's 3, but no shape
+        # dims and config agree on 10**9 layers, but the blob holds one: its
+        # length is checked against the count before any layer is listed
+        lambda h: (h["config"].update(layers=10**9), h["dims"].update(layers=10**9)),
+    ], ids=["no_config", "unknown_config_key", "bad_config_value", "manifest_shape_transposed",
+            "dims_joints_float", "huge_layers"])
     def test_predict_bad_checkpoint_header(self, tmp_path, capsys, edit):
         src, ckpt = self.trained(tmp_path)
         edit_header(ckpt, edit)
         capsys.readouterr()
+        t0 = time.perf_counter()
         rc = cli.main(["predict", src, "--checkpoint", str(ckpt)])
-        assert rc == 3
+        assert rc == 3 and time.perf_counter() - t0 < 1.0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("mqmotion: code=3 type=FormatError msg=")
@@ -819,6 +870,73 @@ class TestPredictAndEval:
                        "--horizons", "85"])
         assert rc == 3
         assert "type=HorizonMisaligned" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """A clip and a 0-epoch checkpoint trained on it, shared by the module."""
+    root = tmp_path_factory.mktemp("tiny")
+    src = synth_file(root)
+    ckpt = root / "model.mqck"
+    assert cli.main(["train", src, "--config", write_config(root, SMALL_MODEL),
+                     "--epochs", "0", "--out", str(ckpt)]) == 0
+    return src, ckpt
+
+
+_REMOVE, _AS_FLOAT = object(), object()
+_COUNTERS = ("root_index", "epoch", "batch_index", "global_step", "adam.generator",
+             "adam.critic")
+_DIMS_FIELDS = [f.name for f in dataclasses.fields(net.ModelDims)]
+# a field and its section; "both" sets a field dims and config share in each
+_HEADER_FIELDS = st.one_of(
+    st.tuples(st.just("dims"), st.sampled_from(_DIMS_FIELDS)),
+    st.tuples(st.just("config"), st.sampled_from(sorted(tr.CONFIG_TYPES))),
+    st.tuples(st.just("counts"), st.sampled_from(["total", "generator", "critic"])),
+    st.tuples(st.just("counters"), st.sampled_from(_COUNTERS)),
+    st.tuples(st.just("both"), st.sampled_from(sorted(set(_DIMS_FIELDS) & set(tr.CONFIG_TYPES)))),
+)
+_HEADER_VALUES = st.one_of(
+    st.integers(-10**12, 10**12), st.integers(10**9, 10**12), st.just(0),
+    st.integers(-3, 40).map(float), st.floats(), st.text(max_size=4), st.booleans(),
+    st.none(), st.just(_REMOVE), st.just(_AS_FLOAT),
+)
+
+
+def _mutate(header, section, key, value):
+    if section == "counters":
+        owner, key = (header["adam"][key[5:]], "t") if key.startswith("adam.") else (header, key)
+        targets = [owner]
+    else:
+        targets = [header[s] for s in (("dims", "config") if section == "both" else (section,))]
+    for owner in targets:
+        if value is _REMOVE:
+            owner.pop(key, None)
+        else:  # _AS_FLOAT: the field's own value, as a float (a 3 becomes 3.0)
+            owner[key] = float(owner.get(key) or 0) if value is _AS_FLOAT else value
+
+
+class TestCheckpointHeaderFuzz:
+    @settings(max_examples=150, deadline=1000, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=_HEADER_FIELDS, value=_HEADER_VALUES)
+    def test_load_returns_or_raises_motion_error(self, tiny_checkpoint, tmp_path, capsys,
+                                                 field, value):
+        # a size field up to 10**12 must be refused before anything that large is built
+        src, ckpt = tiny_checkpoint
+        edited = tmp_path / "edited.mqck"
+        edit_header(ckpt, lambda h: _mutate(h, *field, value), edited)
+        try:
+            load_checkpoint(edited)
+            loaded = True
+        except MotionError:
+            loaded = False
+        capsys.readouterr()
+        rc = cli.main(["predict", src, "--checkpoint", str(edited),
+                       "--out", str(tmp_path / "p.mqs")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc in ((0, 4) if loaded else (3,))
+        assert len(err) == (rc != 0)
+        assert all(re.match(rf"mqmotion: code={rc} type=\w+ msg=", line) for line in err)
 
 
 class TestUsageErrors:

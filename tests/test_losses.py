@@ -7,7 +7,8 @@ import mqmotion.autodiff as ad
 import mqmotion.losses as losses
 import mqmotion.network as net
 from mqmotion.autodiff import Tensor
-from mqmotion.errors import DimsMismatch, MaskTermSkipped, NumericalInstability
+from mqmotion.errors import DimsMismatch, FormatError, MaskTermSkipped, NumericalInstability
+from mqmotion.train import TrainConfig
 from test_network import ref_critic
 
 
@@ -22,22 +23,22 @@ class TestTaskLosses:
     def test_prediction_loss_hand_value(self):
         pred = np.array([3.0, 4.0, 0.0]).reshape(1, 1, 1, 3)
         target = np.zeros((1, 1, 1, 3))
-        assert losses.prediction_loss(pred, target).item() == 25.0
+        assert losses.mean_joint_error(pred, target).item() == 25.0
 
     def test_prediction_loss_averages_joints(self):
         pred = np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 2.0]]).reshape(1, 1, 2, 3)
         target = np.zeros((1, 1, 2, 3))
-        assert losses.prediction_loss(pred, target).item() == 14.5
+        assert losses.mean_joint_error(pred, target).item() == 14.5
 
     def test_prediction_loss_shape_mismatch(self):
         with pytest.raises(DimsMismatch):
-            losses.prediction_loss(np.zeros((1, 2, 1, 3)), np.zeros((1, 1, 1, 3)))
+            losses.mean_joint_error(np.zeros((1, 2, 1, 3)), np.zeros((1, 1, 1, 3)))
 
     def test_denoise_loss_counts_all_tokens(self):
         recon = np.zeros((1, 2, 1, 3))
         target = recon.copy()
         target[0, 0, 0] = (1.0, 2.0, 2.0)
-        assert losses.denoise_reconstruction_loss(recon, target).item() == 4.5
+        assert losses.mean_joint_error(recon, target).item() == 4.5
 
     def test_mask_loss_counts_masked_tokens_only(self):
         recon = np.zeros((1, 2, 2, 3))
@@ -80,13 +81,14 @@ class TestTaskLosses:
 
 class TestWeightsAndReport:
     def test_weights_validated(self):
-        with pytest.raises(ValueError):
-            losses.LossWeights(alpha1=-0.1)
-        with pytest.raises(ValueError):
-            losses.LossWeights(gp_lambda=float("nan"))
+        for name in ("alpha1", "alpha2", "beta1", "beta2", "gp_lambda"):
+            for bad in (-0.1, float("nan"), float("inf")):
+                with pytest.raises(FormatError, match=name):
+                    TrainConfig(**{name: bad})
+            assert getattr(TrainConfig(**{name: 0.0}), name) == 0.0  # zero drops a term
 
     def test_report_identities(self):
-        w = losses.LossWeights(alpha1=0.5, alpha2=2.0, beta1=0.9, beta2=0.1)
+        w = TrainConfig(alpha1=0.5, alpha2=2.0, beta1=0.9, beta2=0.1)
         r = losses.make_report(3.0, 1.0, 0.25, 7.0, 2.5, w)
         assert abs(r.l_composite - (3.0 + 0.5 * 1.0 + 2.0 * 0.25)) < 1e-12
         assert abs(r.l_total - (0.9 * r.l_composite + 0.1 * 7.0)) < 1e-12
@@ -94,17 +96,17 @@ class TestWeightsAndReport:
         assert (r.l_adv, r.gp_term) == (7.0, 2.5)
 
     def test_zero_alphas_drop_reconstruction_terms(self):
-        w = losses.LossWeights(alpha1=0.0, alpha2=0.0)
+        w = TrainConfig(alpha1=0.0, alpha2=0.0)
         comp = losses.loss_composite(Tensor(3.0), Tensor(50.0), Tensor(9.0), w)
         assert comp.item() == 3.0
 
     def test_zero_beta2_drops_adversarial_term(self):
-        w = losses.LossWeights(beta1=1.0, beta2=0.0)
+        w = TrainConfig(beta1=1.0, beta2=0.0)
         total = losses.loss_total(Tensor(4.0), Tensor(1e6), w)
         assert total.item() == 4.0
 
     def test_composite_tensor_matches_report(self):
-        w = losses.LossWeights(alpha1=0.3, alpha2=0.7)
+        w = TrainConfig(alpha1=0.3, alpha2=0.7)
         comp = losses.loss_composite(Tensor(1.5), Tensor(2.5), Tensor(4.0), w)
         r = losses.make_report(1.5, 2.5, 4.0, 0.0, 0.0, w)
         assert abs(comp.item() - r.l_composite) < 1e-12
@@ -248,21 +250,21 @@ class TestAdversarial:
         # the generator's adversarial term, as the training step forms it
         gen = ad.neg(ad.tmean(net.discriminate_fidelity(self.fake, self.params)))
         assert abs(gen.item() + score_fake) < 1e-12
-        assert abs(closs.item() - (score_fake - score_real + gp.item())) < 1e-12
+        assert abs(closs.item() - (score_fake - score_real + gp)) < 1e-12
 
     def test_penalty_term_matches_direct_computation(self):
         _, gp = losses.loss_adversarial(
             self.critic, self.real, self.fake, 10.0, rng_seed=22)
         x_hat, _ = losses.interpolate_samples(self.real, self.fake, rng_seed=22)
         direct = losses.gradient_penalty(self.ref, x_hat, 10.0)
-        assert gp.item() == direct.item()
+        assert gp == direct.item()
 
     def test_deterministic_in_seed(self):
         a = losses.loss_adversarial(self.critic, self.real, self.fake, 10.0, 23)
         b = losses.loss_adversarial(self.critic, self.real, self.fake, 10.0, 23)
         c = losses.loss_adversarial(self.critic, self.real, self.fake, 10.0, 24)
         assert a[0].item() == b[0].item()
-        assert a[1].item() != c[1].item()
+        assert a[1] != c[1]
 
     @pytest.mark.parametrize("which", ["fidelity", "continuity"])
     def test_closed_form_matches_tensor_critic(self, which):
@@ -278,8 +280,8 @@ class TestAdversarial:
         gp = losses.gradient_penalty(ref, x_hat, 10.0).item()
         score_fake = ad.tmean(ref(fake)).item()
         score_real = ad.tmean(ref(real)).item()
-        for a, b in zip(closed, (score_fake - score_real + gp, gp)):
-            assert abs(a.item() - b) <= 1e-12 * abs(b)
+        for a, b in zip((closed[0].item(), closed[1]), (score_fake - score_real + gp, gp)):
+            assert abs(a - b) <= 1e-12 * abs(b)
 
     @pytest.mark.parametrize("which", ["fidelity", "continuity"])
     def test_closed_form_gradients_match_fd(self, which):

@@ -848,13 +848,13 @@ class TestParameterGradients:
         token_mask = rng.random(feats.shape[:3]) < 0.3
         fut = rng.standard_normal((2, dims.future, dims.joints, 3))
         recon_t = rng.standard_normal((2, dims.window, dims.joints, 3))
-        w = lo.LossWeights(1.0, 1.0, 0.9, 0.1, 10.0)
+        w = TrainConfig()  # the default weights: 1, 1, 0.9, 0.1 and 10
 
         out = all_heads(net.forward_backbone(feats, token_mask, params), params)
         comp = lo.loss_composite(
-            lo.prediction_loss(out["pred"], fut),
+            lo.mean_joint_error(out["pred"], fut),
             lo.masked_reconstruction_loss(out["mask_recon"], recon_t, token_mask),
-            lo.denoise_reconstruction_loss(out["denoise_recon"], recon_t), w)
+            lo.mean_joint_error(out["denoise_recon"], recon_t), w)
         adv = ad.add(
             ad.neg(ad.tmean(net.discriminate_fidelity(
                 net.fidelity_inputs(out["pred"]), params))),

@@ -77,13 +77,6 @@ class TestTrainConfig:
         with pytest.raises(FormatError, match=name if name != "heads" else "divisible"):
             small_cfg(**bad)
 
-    def test_weights_mapping(self):
-        cfg = small_cfg(alpha1=0.5, alpha2=2.0, beta1=0.8, beta2=0.2,
-                        gp_lambda=5.0)
-        w = cfg.weights()
-        assert (w.alpha1, w.alpha2, w.beta1, w.beta2, w.gp_lambda) == \
-            (0.5, 2.0, 0.8, 0.2, 5.0)
-
     def test_model_dims_quotient(self):
         dims = small_cfg().model_dims(5)
         assert (dims.joints, dims.window, dims.future) == (5, 3, 3)
@@ -252,7 +245,7 @@ class TestUpdates:
     def test_report_identities(self):
         t = self.trainer
         report = t.generator_update(self.batch, *t._prediction(self.batch), gp_term=1.5)
-        w = t.weights
+        w = t.cfg
         comp = report.l_pred + w.alpha1 * report.l_mask + \
             w.alpha2 * report.l_denoise
         assert abs(report.l_composite - comp) < 1e-12

@@ -50,16 +50,14 @@ def parse_samples(stdout: str) -> dict:
 
 
 def run_json(checkout: Path, args: list[str], timeout: float) -> dict:
-    """Run a perfbench script in checkout; its last stdout line is JSON."""
-    proc = subprocess.run([sys.executable, *args], cwd=checkout, capture_output=True,
-                          text=True, timeout=timeout)
-    lines = proc.stdout.strip().splitlines()
+    """Run perfbench/run.py with args in checkout; its last stdout line is JSON."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", *args], cwd=checkout,
+                          capture_output=True, text=True, timeout=timeout)
     try:
-        out = json.loads(lines[-1]) if args[0].endswith("run.py") else json.loads(proc.stdout)
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
     except (IndexError, json.JSONDecodeError):
         out = {"error": proc.stderr.strip().splitlines()[-1:] or ["no output"]}
-    if args[0].endswith("run.py"):
-        out["samples"] = parse_samples(proc.stdout)
+    out["samples"] = parse_samples(proc.stdout)
     out["exit_code"] = proc.returncode
     return out
 
@@ -146,9 +144,9 @@ def main() -> int:
             order = SIDES if (seed - args.first_seed) % 2 == 0 else SIDES[::-1]
             for side in order:
                 t0 = time.monotonic()
-                res = run_json(checkouts[side], ["perfbench/run.py", "--workload", wl,
-                                                 "--seed", str(seed), "--seconds",
-                                                 seconds, "--trace", "0"], timeout)
+                res = run_json(checkouts[side], ["--workload", wl, "--seed", str(seed),
+                                                 "--seconds", seconds, "--trace", "0"],
+                               timeout)
                 res.update(seed=seed, first=order[0], wall_s=time.monotonic() - t0)
                 entry["runs"][side].append(res)
                 steps = res.get("metrics", {}).get("train_steps_per_s", {}).get("value")
@@ -160,8 +158,8 @@ def main() -> int:
         traced = entry.setdefault("traced", {"seed": TRACED_SEED})
         for side in SIDES:
             if side not in traced:
-                traced[side] = run_json(checkouts[side], ["perfbench/run.py", "--workload", wl,
-                                                          "--seed", str(TRACED_SEED), "--seconds",
+                traced[side] = run_json(checkouts[side], ["--workload", wl, "--seed",
+                                                          str(TRACED_SEED), "--seconds",
                                                           seconds, "--trace", "1"], timeout)
                 save()
     return 0
