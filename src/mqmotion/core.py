@@ -119,11 +119,17 @@ def horizon_to_frame(ms: float, fps: float) -> int:
     otherwise HorizonMisaligned is raised: silently rounding 330 ms to a
     frame would misreport which instant an error was measured at.
     """
-    if not (np.isfinite(ms) and ms > 0):
+    try:  # an int past float's range would raise in np.isfinite or the product
+        ms_f = float(ms)
+    except OverflowError:
+        ms_f = np.inf
+    if not (np.isfinite(ms_f) and ms_f > 0):
         raise HorizonMisaligned(f"horizon must be positive and finite, got {ms}")
     if not (np.isfinite(fps) and fps > 0):
         raise HorizonMisaligned(f"fps must be positive and finite, got {fps}")
-    exact = ms * fps / 1000.0
+    exact = ms_f * fps / 1000.0
+    if not np.isfinite(exact):
+        raise HorizonMisaligned(f"horizon {ms} ms at {fps} fps is past every frame")
     frame = round(exact)
     if abs(exact - frame) > 1e-9 or frame < 1:
         raise HorizonMisaligned(

@@ -32,6 +32,12 @@ attention queries that frame only, and its feed-forward, post-LN and the
 block's FFN run there only. The masked and noised passes, whose
 reconstruction heads read every token, run the whole window.
 
+Every op works within one window: attention mixes the tokens of one
+window only, the FFN, layer norm and softmax work per token or per row,
+and numpy's matmul runs one GEMM per stacked (tokens x d_model) matrix.
+So a window's outputs have the same bytes whatever batch it runs in, and
+train.make_predictor runs a large batch as cache-sized slices of windows.
+
 The Tensor returned by the forward functions carries the backward graph;
 that graph is the "activation cache" consumed by parameter_gradients.
 """

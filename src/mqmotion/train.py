@@ -75,11 +75,24 @@ from .losses import LossReport
 CHECKPOINT_MAGIC = b"MQCK"
 CHECKPOINT_VERSION = 2
 
-# parameters a fresh run may allocate; it bounds the weights, not the
-# activations, which grow with layers and batch (README, model size)
+# parameters a fresh run may allocate (README, model size)
 _MAX_PARAMS = 10**7
+# bytes one training step's activations may take, estimated before anything
+# is allocated (README, model size), and the estimate's bytes per layer and
+# per entry of a (batch, window, joints, d_model) activation: a + b *
+# ffn_mult, fitted from one J=22 step's peak RSS at batch 16 (2 and 12
+# layers, ffn_mult 2 and 10: ~34 MB per layer at the defaults)
+_MAX_STEP_BYTES = 2 * 10**9
+_STEP_BYTES_PER_ENTRY = (280, 37)
+_ACTIVATION_FIELDS = ("batch_size", "obs_frames", "d_model", "layers", "ffn_mult")
 _SIZE_FIELDS = ("d_model", "heads", "rank", "layers", "ffn_mult", "critic_width",
                 "obs_frames", "future_frames")
+
+# entries of one float32 (windows, window, joints, d_model) activation in a
+# predictor pass (512 KiB); a larger batch runs as consecutive slices of
+# windows. Over 64 J=22 windows, slices of 16-20 windows ran fastest
+# (median 39 ms against 53 ms unsliced, 44 ms at 4 and 32 windows; README)
+_SLICE_ENTRIES = 2**17
 
 LOG_COLUMNS = ("step", "l_pred", "l_mask", "l_denoise", "l_adv", "gp_term", "l_total")
 
@@ -263,6 +276,14 @@ class Trainer:
                 sizes = ", ".join(f"{k} {getattr(cfg, k)}" for k in _SIZE_FIELDS)
                 raise FormatError(f"bad configuration: joints {dims.joints}, {sizes} make "
                                   f"{n} parameters, over the limit of {_MAX_PARAMS}")
+            a, b = _STEP_BYTES_PER_ENTRY
+            batch = min(cfg.batch_size, len(dataset))
+            if (m := batch * dims.window * dims.joints * dims.d_model * dims.layers
+                    * (a + b * dims.ffn_mult)) > _MAX_STEP_BYTES:
+                sizes = ", ".join(f"{k} {getattr(cfg, k)}" for k in _ACTIVATION_FIELDS)
+                raise FormatError(f"bad configuration: joints {dims.joints}, {sizes} make about "
+                                  f"{m} bytes of activations per training step on {batch} "
+                                  f"windows, over the limit of {_MAX_STEP_BYTES}")
             init = net.ModelParams.init(dims, cfg.seed)
             self.params = net.ModelParams(dims, init.vec.astype(np.float32))
             self.adam_gen, self.adam_critic = (
@@ -605,11 +626,24 @@ def make_predictor(params: net.ModelParams, use_quotient: bool, input_gain: floa
     params as they are at this call, and later updates to params do not
     reach it. The backbone runs its final block at the last frame only, the
     one frame the prediction head reads (forward_backbone's last_frame).
-    Non-finite output, or an activation too large for a float32 layer norm,
-    raises NumericalInstability.
+
+    A batch runs in consecutive slices of at most _SLICE_ENTRIES //
+    (window x joints x d_model) windows, at least one, whose frames fill
+    one preallocated output: 20 windows at the default J=22 and 91 at J=5.
+    Every backbone op works within one window, so the frames have the bytes
+    of one pass over the whole batch, while the activations stay
+    cache-sized and the memory of a call stays bounded. A batch that fits
+    one slice runs as one pass. Non-finite output, or an activation too
+    large for a float32 layer norm, raises NumericalInstability.
     """
-    params32 = net.ModelParams(params.dims, params.vec.astype(np.float32))
+    dims = params.dims
+    params32 = net.ModelParams(dims, params.vec.astype(np.float32))
+    per_slice = max(1, _SLICE_ENTRIES // (dims.window * dims.joints * dims.d_model))
     _kernels.pin_blas_threads()
+
+    def forward(feats32: np.ndarray) -> np.ndarray:
+        act = net.forward_backbone(feats32, None, params32, last_frame=True)
+        return net.heads(act, params32, "pred").data
 
     def predict(obs: np.ndarray) -> np.ndarray:
         arr = np.asarray(obs, dtype=np.float64)
@@ -617,10 +651,14 @@ def make_predictor(params: net.ModelParams, use_quotient: bool, input_gain: floa
         if single:
             arr = arr[None]
         feats, _ = net.build_features(arr, root_index, use_quotient, input_gain)
+        feats32 = feats.astype(np.float32)
         with ad.no_grad():
-            act = net.forward_backbone(feats.astype(np.float32), None, params32,
-                                       last_frame=True)
-            out = net.heads(act, params32, "pred").data.astype(np.float64)
+            if len(feats32) <= per_slice:
+                out = forward(feats32).astype(np.float64)
+            else:
+                out = np.empty((len(feats32), dims.future, dims.joints, 3))
+                for lo in range(0, len(feats32), per_slice):
+                    out[lo : lo + per_slice] = forward(feats32[lo : lo + per_slice])
         if not np.isfinite(out).all():
             raise NumericalInstability("the predictor's forward pass gave non-finite frames")
         return out[0] if single else out

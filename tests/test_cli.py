@@ -506,6 +506,41 @@ class TestTrain:
                              "--out", str(tmp_path / f"{limit}.mqck")]) == code
         assert f"make {n} parameters, over the limit of {n - 1}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("frames, sizes, windows", [
+        (60, "layers = 603", 16),  # 9,993,608 parameters; one step would take ~21 GB
+        (60, SMALL_MODEL + "ffn_mult = 70000", 4),  # 9,550,000 parameters
+        (400, SMALL_MODEL + "batch_size = 1000000000000\nlayers = 30", 393),
+    ], ids=["layers", "ffn_mult", "batch_size"])
+    def test_activations_over_limit_are_one_line(self, tmp_path, capsys, frames, sizes,
+                                                windows):
+        # refused from the estimate, under the parameter limit and before
+        # any parameter is drawn; a batch counts at most the corpus's windows
+        src = synth_file(tmp_path, joints=22, frames=frames)
+        ckpt = tmp_path / "x.mqck"
+        capsys.readouterr()
+        t0 = time.perf_counter()
+        rc = cli.main(["train", src, "--config", write_config(tmp_path, sizes + "\n"),
+                       "--out", str(ckpt)])
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 3 and not ckpt.exists()
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("mqmotion: code=3 type=FormatError msg=")
+        assert f"on {windows} windows, over the limit of {tr._MAX_STEP_BYTES}" in line
+        assert all(f"{name} " in line for name in ("joints", "batch_size", "obs_frames",
+                                                  "d_model", "layers", "ffn_mult"))
+
+    def test_activation_limit_is_inclusive(self, tmp_path, monkeypatch, capsys):
+        # the benchmark's J=22 config (the defaults, batch 16) has 20x headroom
+        src = synth_file(tmp_path, joints=22, frames=60)
+        argv = ["train", src, "--epochs", "0", "--out", str(tmp_path / "x.mqck")]
+        monkeypatch.setattr(tr, "_MAX_STEP_BYTES", 0)
+        assert cli.main(argv) == 3
+        need = int(re.search(r"make about (\d+) bytes", capsys.readouterr().err)[1])
+        assert 0 < 20 * need < 2 * 10**9
+        for limit, code in ((need, 0), (need - 1, 3)):
+            monkeypatch.setattr(tr, "_MAX_STEP_BYTES", limit)
+            assert cli.main(argv) == code
+
     def test_bad_config_value_is_data_error(self, tmp_path, capsys):
         src = synth_file(tmp_path)
         cfg = write_config(tmp_path, "epochs = minus_one\n")
@@ -937,6 +972,61 @@ class TestCheckpointHeaderFuzz:
         assert rc in ((0, 4) if loaded else (3,))
         assert len(err) == (rc != 0)
         assert all(re.match(rf"mqmotion: code={rc} type=\w+ msg=", line) for line in err)
+
+
+# huge (at least 10**12), zero, negative, not finite, not a number, and small
+# valid values; none just under a size limit, where a legal run takes seconds
+_OPTION_VALUES = st.sampled_from([
+    "1000000000000", "1e12", "-1e12", "10000000000000000000000", "0", "0.0", "-1", "nan",
+    "inf", "-inf", "abc", "", "1", "2", "3", "0.5"])
+_SYNTH_OPTIONS = ["joints", "frames", "fps", "count", "amplitude", "base_period",
+                  "offset_scale", "seed"]
+_FUZZED = {  # command: (options, config-file-only keys)
+    "synth": (_SYNTH_OPTIONS, []),
+    "train": (["seed", "p_m", "p_n", "sigma", "alpha1", "alpha2", "beta1", "beta2",
+               "gp_lambda", "lr", "epochs", "batch_size", "stride"],
+              # not critic_steps: a huge one is a legal run of that many updates
+              ["d_model", "rank", "heads", "layers", "critic_width", "ffn_mult", "head_gain",
+               "input_gain", "grad_clip", "obs_frames", "future_frames"]),
+    "eval": (["stride", "horizons"], ["d_model", "layers", "obs_frames", "future_frames"]),
+}
+_FLAG = {**{k: "--" + k.replace("_", "-") for k in [*_SYNTH_OPTIONS, "stride", "horizons"]},
+         **FLAG_OF}
+_OPTION_DRAWS = st.sampled_from(sorted(_FUZZED)).flatmap(lambda command: st.tuples(
+    st.just(command),
+    st.lists(st.tuples(st.sampled_from(_FUZZED[command][0] + _FUZZED[command][1]),
+                       _OPTION_VALUES, st.booleans()), max_size=3)))
+
+
+class TestOptionFuzz:
+    """synth, train --max-steps 1 and eval under fuzzed option values, given
+    as flags or in --config: exit 0, 2, 3 or 4, and never a traceback."""
+
+    @settings(max_examples=60, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(draw=_OPTION_DRAWS)
+    def test_exit_code_and_no_traceback(self, tiny_checkpoint, tmp_path, monkeypatch, capsys,
+                                        draw):
+        command, options = draw
+        src, ckpt = tiny_checkpoint
+        monkeypatch.chdir(tmp_path)
+        flags, lines = [], []
+        for name, value, in_file in options:
+            if in_file or name in _FUZZED[command][1]:
+                lines.append(f"{name} = {value}")
+            else:
+                flags += [f"{_FLAG[name]}={value}"]
+        argv = {"synth": ["synth", "--out", "clips"],
+                "train": ["train", src, "--max-steps", "1", "--out", "model.mqck"],
+                "eval": ["eval", src, "--checkpoint", str(ckpt)]}[command]
+        # the tiny checkpoint predicts 4 frames (160 ms); a later line wins
+        config = {"synth": "", "train": SMALL_MODEL, "eval": "horizons = 40,80\n"}[command]
+        argv += [*flags, "--config", write_config(tmp_path, config + "\n".join(lines))]
+        capsys.readouterr()
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc in (0, 2, 3, 4), (argv, lines, err)
+        assert "Traceback" not in err
 
 
 class TestUsageErrors:

@@ -102,6 +102,14 @@ class TestHorizonToFrame:
             horizon_to_frame(100, 25.0)
         assert "100" in str(exc.value) and "25" in str(exc.value)
 
+    def test_huge_horizons(self):
+        # past int64 (np.isfinite raised TypeError), past float, and a
+        # float horizon whose frame overflows
+        assert horizon_to_frame(10**22, 25.0) == 25 * 10**19
+        for ms in (10**400, 10**308):
+            with pytest.raises(HorizonMisaligned):
+                horizon_to_frame(ms, 25.0)
+
     def test_sub_frame_horizon_rejected(self):
         with pytest.raises(HorizonMisaligned):
             horizon_to_frame(20, 25.0)

@@ -49,3 +49,28 @@ def test_tiny_matrix_against_itself_and_one_ulp(same_bytes, tmp_path):
     # the edited code predicts the parent's bytes from the parent's checkpoint
     pred = report["files"]["infer/a.pred.mqs"]
     assert pred["cross"] == pred["parent"][0] != pred["change"][0]
+    # one logged step precedes the first Adam update, so the log keeps its bytes
+    diffs = report["differences"]
+    assert 0 < diffs["change"]["infer/a.pred.mqs"]["max_abs_mm"] < 1e-3
+    assert diffs["cross"] == {"infer/a.pred.mqs": {"max_abs_mm": 0.0}}
+
+
+def test_differences_per_log_column_and_predicted_file(same_bytes, tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    texts = {
+        "train/a.csv": ("step,l_pred,l_total\n0,2.0,4.0\n1,1.0,-3.0\n",
+                        "step,l_pred,l_total\n0,2.0,4.0\n1,1.5,-3.0\n"),
+        "train/b.csv": ("step,l_pred\n0,2.0\n", "step,l_pred\n0,2.0\n1,1.0\n"),
+        "infer/a.pred.mqs": ("MQS1 J=1 T=2 fps=25\n1.0 2.0 3.0\n4.0 5.0 6.0\n",
+                             "MQS1 J=1 T=2 fps=25\n1.0 2.25 3.0\n4.0 5.0 5.5\n"),
+        "train/a.mqck": ("x", "y"),
+    }
+    for side, i in ((parent, 0), (change, 1)):
+        for path, pair in texts.items():
+            (side / path).parent.mkdir(parents=True, exist_ok=True)
+            (side / path).write_text(pair[i])
+    assert same_bytes.differences(parent, change, [*texts, "infer/gone.csv"]) == {
+        "train/a.csv": {"max_relative": {"l_pred": 0.5 / 1.5, "l_total": 0.0}},
+        "train/b.csv": "columns or rows differ",
+        "infer/a.pred.mqs": {"max_abs_mm": 0.5},
+    }

@@ -5,6 +5,7 @@ import gc
 import json
 import os
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -791,6 +792,99 @@ class TestPredictor:
         t.run()
         assert not np.array_equal(t.params.vec, vec)
         assert np.array_equal(predict(obs), before)
+
+    @staticmethod
+    def _model_and_windows(joints, count, lowrank=True, quotient=True):
+        """Default-size weights moved off the init point, and count J-joint windows."""
+        cfg = tr.TrainConfig(use_lowrank=lowrank, use_quotient=quotient)
+        params = net.ModelParams.init(cfg.model_dims(joints), seed=1)
+        params.vec += np.random.default_rng(2).normal(scale=0.05, size=params.vec.size)
+        span = cfg.obs_frames + cfg.future_frames
+        seq = synth_generate("sinusoid", joints=joints, frames=span + count - 1, fps=25.0,
+                             seed=3)
+        ds = make_windows([seq], n_observed=cfg.obs_frames, n_future=cfg.future_frames,
+                          stride=1)
+        return cfg, params, np.stack([w.observed for w in ds.windows])
+
+    @staticmethod
+    def _one_pass(params, obs, cfg):
+        feats, _ = net.build_features(obs, 0, cfg.use_quotient, cfg.input_gain)
+        p32 = net.ModelParams(params.dims, params.vec.astype(np.float32))
+        with ad.no_grad():
+            act = net.forward_backbone(feats.astype(np.float32), None, p32, last_frame=True)
+            return net.heads(act, p32, "pred").data.astype(np.float64)
+
+    @staticmethod
+    def _slice_lengths(monkeypatch):
+        """The window counts of every backbone pass from here on."""
+        lengths = []
+        forward = net.forward_backbone
+
+        def recording(features, *args, **kwargs):
+            lengths.append(len(features))
+            return forward(features, *args, **kwargs)
+
+        monkeypatch.setattr(net, "forward_backbone", recording)
+        return lengths
+
+    @pytest.mark.parametrize("joints", [5, 22])
+    @pytest.mark.parametrize("lowrank", [True, False], ids=["lowrank", "full"])
+    @pytest.mark.parametrize("quotient", [True, False], ids=["quotient", "raw"])
+    def test_slices_give_the_one_pass_bytes(self, monkeypatch, joints, lowrank, quotient):
+        """Several slices and a remainder at the real budget: the bytes of one
+        unsliced pass, and of each window predicted alone at the slices' edges."""
+        cfg, params, _ = self._model_and_windows(joints, 1, lowrank, quotient)
+        dims = params.dims
+        per = max(1, tr._SLICE_ENTRIES // (dims.window * dims.joints * dims.d_model))
+        cfg, params, obs = self._model_and_windows(joints, 2 * per + 3, lowrank, quotient)
+        predict = tr.make_predictor(params, quotient, cfg.input_gain)
+        lengths = self._slice_lengths(monkeypatch)
+        got = predict(obs)
+        assert lengths == [per, per, 3]
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == self._one_pass(params, obs, cfg).tobytes()
+        for i in (0, per - 1, per, 2 * per, len(obs) - 1):
+            assert predict(obs[i]).tobytes() == got[i].tobytes(), i
+
+    @pytest.mark.parametrize("count, lengths", [
+        (1, [1]), (4, [4]), (5, [4, 1]), (14, [4, 4, 4, 2])])
+    def test_batch_sizes_around_a_slice(self, monkeypatch, count, lengths):
+        """A batch that fits one slice runs as one pass; a larger one in order."""
+        cfg, params, obs = self._model_and_windows(22, count)
+        dims = params.dims
+        per_window = dims.window * dims.joints * dims.d_model
+        monkeypatch.setattr(tr, "_SLICE_ENTRIES", 4 * per_window + 7)
+        predict = tr.make_predictor(params, True, cfg.input_gain)
+        seen = self._slice_lengths(monkeypatch)
+        got = predict(obs)
+        assert seen == lengths
+        assert got.tobytes() == self._one_pass(params, obs, cfg).tobytes()
+
+    def test_a_window_over_the_budget_runs_alone(self, monkeypatch):
+        cfg, params, obs = self._model_and_windows(5, 3)
+        monkeypatch.setattr(tr, "_SLICE_ENTRIES", 1)
+        predict = tr.make_predictor(params, True, cfg.input_gain)
+        seen = self._slice_lengths(monkeypatch)
+        got = predict(obs)
+        assert seen == [1, 1, 1]
+        assert got.tobytes() == self._one_pass(params, obs, cfg).tobytes()
+
+    def test_memory_is_bounded_by_the_slice(self):
+        """A 256-window J=22 call peaks near one slice's activations, plus the
+        features and the output, not near the whole batch's activations (119
+        slice activations at the default budget before the slicing)."""
+        cfg, params, obs = self._model_and_windows(22, 256)
+        predict = tr.make_predictor(params, True, cfg.input_gain)
+        predict(obs[:1])
+        tracemalloc.start()
+        try:
+            out = predict(obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the float64 features and targets and the float32 features take
+        # about 3.3 obs-sizes; a pass holds about 9 slice activations at once
+        assert peak <= out.nbytes + 4 * obs.nbytes + 16 * 4 * tr._SLICE_ENTRIES
 
     @pytest.mark.parametrize("layers", [1, 0])
     @pytest.mark.parametrize("lowrank", [True, False], ids=["lowrank", "full"])

@@ -16,7 +16,12 @@ The JSON holds each file's hashes per side and per run, the cross run's
 hashes of the predict and eval outputs, and one verdict: "identical" when
 every hash of the change and of the cross run equals the parent's,
 "different" when some do not, "not reproducible" when a side's two runs
-differ, and "failed" when a command exits nonzero. The exit status is 0 for
+differ, and "failed" when a command exits nonzero. With "different", the
+JSON also holds the sizes of the differences under "differences", for the
+change's first run and for the cross run, each against the parent's first
+run: per differing CSV (the loss logs and the eval reports), the largest
+relative difference per column; per differing predicted .mqs file, the
+largest absolute coordinate difference in mm. The exit status is 0 for
 "identical" and "different", 1 otherwise. Make the checkouts sibling clones,
 as for tools/bench_pairs.py; only their src/ is used.
 """
@@ -129,6 +134,45 @@ def _run_commands(checkout: Path, commands: list[list[str]], work: Path,
     return hashes, failures
 
 
+def _csv_columns(path: Path) -> dict[str, list[str]]:
+    """A CSV's columns by header name, the first (row label) column left out."""
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    return {name: [row[i] for row in rows] for i, name in enumerate(header) if i > 0}
+
+
+def _mqs_values(path: Path) -> list[float]:
+    """Every coordinate of an .mqs file, frame by frame (its header line left out)."""
+    return [float(x) for line in path.read_text().splitlines()[1:] for x in line.split()]
+
+
+def _relative(a: float, b: float) -> float:
+    return abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+
+
+def _difference(parent: Path, other: Path) -> dict | str:
+    """How far other's copy of a CSV or predicted .mqs file is from parent's;
+    a string when the two hold different shapes."""
+    if parent.suffix == ".csv":
+        cols, other_cols = _csv_columns(parent), _csv_columns(other)
+        if {k: len(v) for k, v in cols.items()} != {k: len(v) for k, v in other_cols.items()}:
+            return "columns or rows differ"
+        return {"max_relative": {name: max((_relative(float(a), float(b))
+                                            for a, b in zip(col, other_cols[name])), default=0.0)
+                                 for name, col in cols.items()}}
+    values, other_values = _mqs_values(parent), _mqs_values(other)
+    if len(values) != len(other_values):
+        return "frame counts differ"
+    return {"max_abs_mm": max((abs(a - b) for a, b in zip(values, other_values)), default=0.0)}
+
+
+def differences(parent: Path, other: Path, paths: list[str]) -> dict:
+    """_difference for each of paths, relative to the work directories parent
+    and other, that is a CSV or a predicted .mqs file in both."""
+    return {path: _difference(parent / path, other / path) for path in paths
+            if path.endswith((".csv", ".pred.mqs"))
+            and (parent / path).is_file() and (other / path).is_file()}
+
+
 def compare(checkouts: dict[str, Path], commands: list[list[str]], workroot: Path) -> dict:
     """Run commands RUNS times per side and once across; the report main writes."""
     for checkout in checkouts.values():
@@ -176,9 +220,17 @@ def compare(checkouts: dict[str, Path], commands: list[list[str]], workroot: Pat
         verdict = "not reproducible"
     else:
         verdict = "different" if differing else "identical"
-    return {"checkouts": describe_checkouts(checkouts), "commands": commands,
-            "files_compared": len(files), "verdict": verdict, "reproducible": reproducible,
-            "differing": differing, "failures": failures, "files": files}
+    report = {"checkouts": describe_checkouts(checkouts), "commands": commands,
+              "files_compared": len(files), "verdict": verdict, "reproducible": reproducible,
+              "differing": differing, "failures": failures, "files": files}
+    if verdict == "different":
+        parent = workroot / "parent-1"
+        report["differences"] = {
+            "change": differences(parent, workroot / "change-1", differing),
+            "cross": differences(parent, cross_work,
+                                 [p for p in differing if p.startswith(f"{INFER_DIR}/")]),
+        }
+    return report
 
 
 def main() -> int:
