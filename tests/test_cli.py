@@ -507,7 +507,7 @@ class TestTrain:
         assert f"make {n} parameters, over the limit of {n - 1}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("frames, sizes, windows", [
-        (60, "layers = 603", 16),  # 9,993,608 parameters; one step would take ~21 GB
+        (60, "layers = 603", 16),  # 9,993,608 parameters; one step would take ~22 GB
         (60, SMALL_MODEL + "ffn_mult = 70000", 4),  # 9,550,000 parameters
         (400, SMALL_MODEL + "batch_size = 1000000000000\nlayers = 30", 393),
     ], ids=["layers", "ffn_mult", "batch_size"])
@@ -1015,7 +1015,7 @@ class TestOptionFuzz:
             if in_file or name in _FUZZED[command][1]:
                 lines.append(f"{name} = {value}")
             else:
-                flags += [f"{_FLAG[name]}={value}"]
+                flags.append(f"{_FLAG[name]}={value}")
         argv = {"synth": ["synth", "--out", "clips"],
                 "train": ["train", src, "--max-steps", "1", "--out", "model.mqck"],
                 "eval": ["eval", src, "--checkpoint", str(ckpt)]}[command]

@@ -833,8 +833,7 @@ class TestPredictor:
     def test_slices_give_the_one_pass_bytes(self, monkeypatch, joints, lowrank, quotient):
         """Several slices and a remainder at the real budget: the bytes of one
         unsliced pass, and of each window predicted alone at the slices' edges."""
-        cfg, params, _ = self._model_and_windows(joints, 1, lowrank, quotient)
-        dims = params.dims
+        dims = tr.TrainConfig(use_lowrank=lowrank, use_quotient=quotient).model_dims(joints)
         per = max(1, tr._SLICE_ENTRIES // (dims.window * dims.joints * dims.d_model))
         cfg, params, obs = self._model_and_windows(joints, 2 * per + 3, lowrank, quotient)
         predict = tr.make_predictor(params, quotient, cfg.input_gain)
