@@ -271,19 +271,20 @@ class Trainer:
         self.cfg = cfg
         self.root_index = dataset.skeleton.root_index
         dims = cfg.model_dims(dataset.skeleton.joint_count)
+        if state is None and (n := net._param_count(dims)) > _MAX_PARAMS:
+            sizes = ", ".join(f"{k} {getattr(cfg, k)}" for k in _SIZE_FIELDS)
+            raise FormatError(f"bad configuration: joints {dims.joints}, {sizes} make "
+                              f"{n} parameters, over the limit of {_MAX_PARAMS}")
+        # a resume too: its checkpoint fixes the sizes, but not the corpus
+        a, b = _STEP_BYTES_PER_ENTRY
+        batch = min(cfg.batch_size, len(dataset))
+        if (m := batch * dims.window * dims.joints * dims.d_model * dims.layers
+                * (a + b * dims.ffn_mult)) > _MAX_STEP_BYTES:
+            sizes = ", ".join(f"{k} {getattr(cfg, k)}" for k in _ACTIVATION_FIELDS)
+            raise FormatError(f"bad configuration: joints {dims.joints}, {sizes} make about "
+                              f"{m} bytes of activations per training step on {batch} "
+                              f"windows, over the limit of {_MAX_STEP_BYTES}")
         if state is None:
-            if (n := net._param_count(dims)) > _MAX_PARAMS:
-                sizes = ", ".join(f"{k} {getattr(cfg, k)}" for k in _SIZE_FIELDS)
-                raise FormatError(f"bad configuration: joints {dims.joints}, {sizes} make "
-                                  f"{n} parameters, over the limit of {_MAX_PARAMS}")
-            a, b = _STEP_BYTES_PER_ENTRY
-            batch = min(cfg.batch_size, len(dataset))
-            if (m := batch * dims.window * dims.joints * dims.d_model * dims.layers
-                    * (a + b * dims.ffn_mult)) > _MAX_STEP_BYTES:
-                sizes = ", ".join(f"{k} {getattr(cfg, k)}" for k in _ACTIVATION_FIELDS)
-                raise FormatError(f"bad configuration: joints {dims.joints}, {sizes} make about "
-                                  f"{m} bytes of activations per training step on {batch} "
-                                  f"windows, over the limit of {_MAX_STEP_BYTES}")
             init = net.ModelParams.init(dims, cfg.seed)
             self.params = net.ModelParams(dims, init.vec.astype(np.float32))
             self.adam_gen, self.adam_critic = (
@@ -652,13 +653,10 @@ def make_predictor(params: net.ModelParams, use_quotient: bool, input_gain: floa
             arr = arr[None]
         feats, _ = net.build_features(arr, root_index, use_quotient, input_gain)
         feats32 = feats.astype(np.float32)
+        out = np.empty((len(feats32), dims.future, dims.joints, 3))
         with ad.no_grad():
-            if len(feats32) <= per_slice:
-                out = forward(feats32).astype(np.float64)
-            else:
-                out = np.empty((len(feats32), dims.future, dims.joints, 3))
-                for lo in range(0, len(feats32), per_slice):
-                    out[lo : lo + per_slice] = forward(feats32[lo : lo + per_slice])
+            for lo in range(0, len(feats32), per_slice):
+                out[lo : lo + per_slice] = forward(feats32[lo : lo + per_slice])
         if not np.isfinite(out).all():
             raise NumericalInstability("the predictor's forward pass gave non-finite frames")
         return out[0] if single else out

@@ -541,6 +541,28 @@ class TestTrain:
             monkeypatch.setattr(tr, "_MAX_STEP_BYTES", limit)
             assert cli.main(argv) == code
 
+    def test_resume_on_a_larger_corpus_checks_the_activations(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # a checkpoint fixes batch_size and the model, not the corpus: one
+        # trained on 1 window is refused on a corpus that fills its batch of 4
+        cfg = write_config(tmp_path, SMALL_MODEL)
+        one = synth_file(tmp_path, "one.mqs", frames=8)
+        ckpt, more = tmp_path / "mid.mqck", tmp_path / "more.mqck"
+        monkeypatch.setattr(tr, "_MAX_STEP_BYTES", 0)
+        assert cli.main(["train", one, "--config", cfg, "--out", str(ckpt)]) == 3
+        need = int(re.search(r"make about (\d+) bytes", capsys.readouterr().err)[1])
+        monkeypatch.setattr(tr, "_MAX_STEP_BYTES", need)
+        assert cli.main(["train", one, "--config", cfg, "--max-steps", "2",
+                         "--out", str(ckpt)]) == 0
+        capsys.readouterr()
+        rc = cli.main(["train", synth_file(tmp_path, frames=40), "--config", cfg,
+                       "--resume", str(ckpt), "--out", str(more)])
+        assert rc == 3 and not more.exists()
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("mqmotion: code=3 type=FormatError msg=")
+        assert f"make about {4 * need} bytes" in line
+        assert f"on 4 windows, over the limit of {need}" in line
+
     def test_bad_config_value_is_data_error(self, tmp_path, capsys):
         src = synth_file(tmp_path)
         cfg = write_config(tmp_path, "epochs = minus_one\n")
