@@ -1,16 +1,24 @@
 """Training loop: alternating critic/generator Adam updates, checkpoints.
 
 One step per batch: _prepare_batch builds the batch's arrays, the real
-critic rows among them; _prediction runs the clean forward once and builds
-the fake critic rows from it with their graph; critic_steps critic updates
-read the values of those rows, and one generator update back-propagates
-through them and the prediction. Critic updates write only critic weights,
-so the one prediction holds for every update of its batch.
+critic rows among them. Then the generator's gradient is taken one pass at
+a time, each pass back-propagated as soon as its loss exists and its graph
+released before the next pass is built: the masked pass (the clean
+features under the token mask: the embedding's learned mask token replaces
+every joint-frame of the batch's token mask, so no masked copy of the
+features is made), then the noised pass (_restorative_passes). Last,
+_prediction runs the clean forward and builds the fake critic rows from it
+with their graph; critic_steps critic updates read the values of those
+rows, and generator_update back-propagates the clean and adversarial terms
+through them and the prediction, adds that gradient to the other two as
+(masked + noised) + clean, and takes the one clip and Adam step. Critic
+updates write only critic weights, so the one prediction holds for every
+update of its batch.
 
-The generator update also runs the noised pass and the masked pass. The
-masked pass reads the clean features: the embedding's learned mask token
-replaces every joint-frame of the batch's token mask, so it does the
-masking and no masked copy of the features is made.
+Each pass differentiates the step's whole objective, loss_total of
+loss_composite, with the other passes' terms as constant 0-d Tensors: the
+passes' gradients add to the bytes of one backward over all three graphs,
+while at most one pass's activations are alive at a time.
 
 Training holds one float32 parameter vector, ``Trainer.params``: every
 forward, backward, gradient clip and Adam step reads and writes it, and
@@ -85,6 +93,9 @@ _MAX_PARAMS = 10**7
 _MAX_STEP_BYTES = 2 * 10**9
 _STEP_BYTES_PER_ENTRY = (280, 37)
 _ACTIVATION_FIELDS = ("batch_size", "obs_frames", "d_model", "layers", "ffn_mult")
+# critic updates per step (README): each reads the step's one prediction, so
+# more add only critic work, and a huge count would run silently for ever
+_MAX_CRITIC_STEPS = 100
 _SIZE_FIELDS = ("d_model", "heads", "rank", "layers", "ffn_mult", "critic_width",
                 "obs_frames", "future_frames")
 
@@ -190,7 +201,8 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
 
 _BOUNDS = (  # (fields, rule, test); a None passes where the annotation allows it
     (("epochs", "seed", "max_steps"), ">= 0", lambda v: v >= 0),
-    (("batch_size", "critic_steps", "future_frames"), ">= 1", lambda v: v >= 1),
+    (("batch_size", "future_frames"), ">= 1", lambda v: v >= 1),
+    (("critic_steps",), f"in [1, {_MAX_CRITIC_STEPS}]", lambda v: 1 <= v <= _MAX_CRITIC_STEPS),
     (("obs_frames",), ">= 2", lambda v: v >= 2),
     (("lr", "head_gain", "input_gain", "sigma", "grad_clip"), "positive and finite",
      lambda v: 0 < v < math.inf),
@@ -198,6 +210,14 @@ _BOUNDS = (  # (fields, rule, test); a None passes where the annotation allows i
     (("alpha1", "alpha2", "beta1", "beta2", "gp_lambda"), ">= 0 and finite",
      lambda v: 0 <= v < math.inf),
 )
+
+
+def step_activation_bytes(dims: net.ModelDims, batch: int) -> int:
+    """The activation bytes one training step on batch windows is estimated
+    to take (README, model size)."""
+    a, b = _STEP_BYTES_PER_ENTRY
+    return (batch * dims.window * dims.joints * dims.d_model * dims.layers
+            * (a + b * dims.ffn_mult))
 
 
 def default_sigma(values: np.ndarray) -> float:
@@ -276,10 +296,8 @@ class Trainer:
             raise FormatError(f"bad configuration: joints {dims.joints}, {sizes} make "
                               f"{n} parameters, over the limit of {_MAX_PARAMS}")
         # a resume too: its checkpoint fixes the sizes, but not the corpus
-        a, b = _STEP_BYTES_PER_ENTRY
         batch = min(cfg.batch_size, len(dataset))
-        if (m := batch * dims.window * dims.joints * dims.d_model * dims.layers
-                * (a + b * dims.ffn_mult)) > _MAX_STEP_BYTES:
+        if (m := step_activation_bytes(dims, batch)) > _MAX_STEP_BYTES:
             sizes = ", ".join(f"{k} {getattr(cfg, k)}" for k in _ACTIVATION_FIELDS)
             raise FormatError(f"bad configuration: joints {dims.joints}, {sizes} make about "
                               f"{m} bytes of activations per training step on {batch} "
@@ -396,27 +414,53 @@ class Trainer:
         self.adam_critic.step(self.params.critic, _clip_global_norm(grads, cfg.grad_clip))
         return closs.item(), gp_f + gp_c
 
-    def generator_update(self, batch: dict, pred: Tensor, fake_rows,
-                         gp_term: float) -> LossReport:
-        """One generator Adam step through pred and its fake critic rows, plus
-        the masked pass (the clean features under the token mask) and the
-        noised pass; returns the logged LossReport."""
+    def _restorative_passes(self, batch: dict) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+        """The masked pass, then the noised pass, each built, back-propagated
+        and released before the next: (their generator gradient, masked +
+        noised, or None when no pass has a graph; l_mask; l_denoise), the
+        losses as 0-d arrays of the compute dtype, zeros when the
+        perturbation tasks are off."""
+        if not self.cfg.use_perturbation:  # a float64 zero would promote the total
+            zero = np.zeros((), batch["features"].dtype)
+            return None, zero, zero
+        g_mask, l_mask = self._restorative_pass(batch, "mask_recon")
+        g_denoise, l_denoise = self._restorative_pass(batch, "denoise_recon")
+        grads = g_denoise if g_mask is None else g_mask + g_denoise
+        return grads, l_mask, l_denoise
+
+    def _restorative_pass(self, batch: dict, head: str) -> tuple[np.ndarray | None, np.ndarray]:
+        """One restorative pass, "mask_recon" or "denoise_recon": its
+        generator gradient of the step's objective with the other terms 0,
+        or None when its loss has no graph (MaskTermSkipped), and the loss.
+        Its graph goes when this returns."""
+        params = self.params
+        if head == "mask_recon":
+            act = net.forward_backbone(batch["features"], batch["token_mask"], params)
+            loss = lo.masked_reconstruction_loss(net.heads(act, params, head),
+                                                 batch["recon_targets"], batch["token_mask"])
+        else:
+            act = net.forward_backbone(batch["noised"], None, params)
+            loss = lo.mean_joint_error(net.heads(act, params, head), batch["recon_targets"])
+        zero = Tensor(np.zeros((), loss.data.dtype))
+        terms = (zero, loss, zero) if head == "mask_recon" else (zero, zero, loss)
+        total = lo.loss_total(lo.loss_composite(*terms, self.cfg), zero, self.cfg)
+        if not np.isfinite(total.data).all():
+            raise NumericalInstability(f"non-finite generator loss at step {self.global_step}")
+        if not loss.requires_grad:
+            return None, loss.data
+        return net.parameter_gradients(total, params, self.gen_names), loss.data
+
+    def generator_update(self, batch: dict, pred: Tensor, fake_rows, gp_term: float,
+                         restorative: tuple[np.ndarray | None, np.ndarray, np.ndarray]
+                         ) -> LossReport:
+        """One generator Adam step: the gradient through pred and its fake
+        critic rows, added to restorative's (what _restorative_passes gave
+        for this batch at these weights); returns the logged LossReport."""
         cfg = self.cfg
         params = self.params
+        grads_r, l_mask, l_denoise = restorative
         l_pred = lo.mean_joint_error(pred, batch["fut"])
-        if cfg.use_perturbation:
-            act_m = net.forward_backbone(batch["features"], batch["token_mask"], params)
-            recon_m = net.heads(act_m, params, "mask_recon")
-            l_mask = lo.masked_reconstruction_loss(
-                recon_m, batch["recon_targets"], batch["token_mask"]
-            )
-            act_d = net.forward_backbone(batch["noised"], None, params)
-            recon_d = net.heads(act_d, params, "denoise_recon")
-            l_denoise = lo.mean_joint_error(recon_d, batch["recon_targets"])
-        else:  # zeros of the compute dtype: a float64 term would promote the total
-            l_mask = l_denoise = Tensor(np.zeros((), pred.data.dtype))
-        composite = lo.loss_composite(l_pred, l_mask, l_denoise, cfg)
-
+        composite = lo.loss_composite(l_pred, Tensor(l_mask), Tensor(l_denoise), cfg)
         fake_fid, fake_cont = fake_rows
         adv = ad.add(
             ad.neg(ad.tmean(net.discriminate_fidelity(fake_fid, params))),
@@ -426,6 +470,8 @@ class Trainer:
         if not np.isfinite(total.data).all():
             raise NumericalInstability(f"non-finite generator loss at step {self.global_step}")
         grads = net.parameter_gradients(total, params, self.gen_names)
+        if grads_r is not None:
+            grads = grads_r + grads
         self.adam_gen.step(params.generator, _clip_global_norm(grads, cfg.grad_clip))
         return lo.make_report(l_pred.item(), l_mask.item(), l_denoise.item(), adv.item(),
                               gp_term, cfg)
@@ -434,6 +480,16 @@ class Trainer:
 
     def run(self, log_path: str | Path | None = None,
             checkpoint_path: str | Path | None = None) -> TrainResult:
+        """Train to cfg's epochs or max_steps, saving each finished epoch.
+
+        Each step takes, in order: the batch; the masked pass and the noised
+        pass, each forward and backward before the next is built; the clean
+        pass with its fake critic rows; critic_steps critic updates; and the
+        generator update, whose clean and adversarial backward joins the
+        passes' gradient before the one clip and Adam step. A non-finite
+        loss raises NumericalInstability before its backward, so a step that
+        fails in a restorative pass stops before its critic updates.
+        """
         cfg = self.cfg
         reports: list[tuple[int, LossReport]] = []
         append = self.global_step > 0 and log_path is not None and Path(log_path).exists()
@@ -443,11 +499,12 @@ class Trainer:
             while self.batch_index < len(batches):
                 idxs = batches[self.batch_index]
                 batch = self._prepare_batch(idxs, self.epoch)
+                restorative = self._restorative_passes(batch)
                 pred, fake_rows = self._prediction(batch)
                 gp_term = 0.0
                 for k in range(cfg.critic_steps):
                     _, gp_term = self.critic_update(batch["real_rows"], fake_rows, k)
-                report = self.generator_update(batch, pred, fake_rows, gp_term)
+                report = self.generator_update(batch, pred, fake_rows, gp_term, restorative)
                 reports.append((self.global_step, report))
                 self.global_step += 1
                 self.batch_index += 1

@@ -495,6 +495,20 @@ class TestTrain:
         assert "joints 3" in line and str(tr._MAX_PARAMS) in line
         assert all(f"{name} " in line for name in ("d_model", "heads", "layers", "critic_width"))
 
+    def test_critic_steps_over_limit_is_one_line(self, tmp_path, capsys):
+        # under the limit, each of these would be a critic update of the one step
+        src = synth_file(tmp_path)
+        cfg = write_config(tmp_path, SMALL_MODEL + "critic_steps = 1000000000000\n")
+        ckpt = tmp_path / "x.mqck"
+        capsys.readouterr()
+        t0 = time.perf_counter()
+        rc = cli.main(["train", src, "--config", cfg, "--max-steps", "1", "--out", str(ckpt)])
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 3 and not ckpt.exists()
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("mqmotion: code=3 type=FormatError msg=")
+        assert "critic_steps" in line and str(tr._MAX_CRITIC_STEPS) in line
+
     def test_size_limit_is_inclusive(self, tmp_path, monkeypatch, capsys):
         src = synth_file(tmp_path)
         cfg = write_config(tmp_path, SMALL_MODEL)
@@ -1007,8 +1021,7 @@ _FUZZED = {  # command: (options, config-file-only keys)
     "synth": (_SYNTH_OPTIONS, []),
     "train": (["seed", "p_m", "p_n", "sigma", "alpha1", "alpha2", "beta1", "beta2",
                "gp_lambda", "lr", "epochs", "batch_size", "stride"],
-              # not critic_steps: a huge one is a legal run of that many updates
-              ["d_model", "rank", "heads", "layers", "critic_width", "ffn_mult", "head_gain",
+              ["critic_steps", "d_model", "rank", "heads", "layers", "critic_width", "ffn_mult", "head_gain",
                "input_gain", "grad_clip", "obs_frames", "future_frames"]),
     "eval": (["stride", "horizons"], ["d_model", "layers", "obs_frames", "future_frames"]),
 }

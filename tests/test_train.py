@@ -15,11 +15,13 @@ from hypothesis import strategies as st
 
 import mqmotion._kernels as _kernels
 import mqmotion.autodiff as ad
+import mqmotion.losses as lo
 import mqmotion.network as net
 import mqmotion.train as tr
 from mqmotion.core import MotionSequence, Skeleton
 from mqmotion.dataio import make_windows, synth_generate
-from mqmotion.errors import AbortStep, DimsMismatch, FormatError, MaskTermSkipped, MotionError
+from mqmotion.errors import (AbortStep, DimsMismatch, FormatError, MaskTermSkipped, MotionError,
+                             NumericalInstability)
 
 EPS = 1e-8
 
@@ -71,12 +73,15 @@ class TestTrainConfig:
         dict(max_steps=-1), dict(input_gain=float("nan")), dict(head_gain=0.0),
         dict(p_m=2.0), dict(p_n=-0.1), dict(sigma=0.0), dict(grad_clip=float("inf")),
         dict(lr="fast"), dict(epochs=1.5), dict(use_quotient=1), dict(seed=True),
-        dict(heads=3),
+        dict(heads=3), dict(critic_steps=tr._MAX_CRITIC_STEPS + 1), dict(critic_steps=10**12),
     ])
     def test_validation(self, bad):
         (name,) = bad
         with pytest.raises(FormatError, match=name if name != "heads" else "divisible"):
             small_cfg(**bad)
+
+    def test_critic_steps_limit_is_inclusive(self):
+        assert small_cfg(critic_steps=tr._MAX_CRITIC_STEPS).critic_steps == 100
 
     def test_model_dims_quotient(self):
         dims = small_cfg().model_dims(5)
@@ -221,9 +226,16 @@ class TestUpdates:
     @staticmethod
     def step(t, batch):
         """One critic step and one generator step of t on batch, as run takes them."""
+        restorative = t._restorative_passes(batch)
         pred, fake_rows = t._prediction(batch)
         t.critic_update(batch["real_rows"], fake_rows)
-        t.generator_update(batch, pred, fake_rows, 0.0)
+        t.generator_update(batch, pred, fake_rows, 0.0, restorative)
+
+    @staticmethod
+    def generator_step(t, batch, gp_term):
+        """The generator's side of a step of t on batch, with no critic update."""
+        restorative = t._restorative_passes(batch)
+        return t.generator_update(batch, *t._prediction(batch), gp_term, restorative)
 
     def test_critic_update_touches_only_critic_params(self):
         t = self.trainer
@@ -238,14 +250,14 @@ class TestUpdates:
         t = self.trainer
         gen_before = t.params.flat(t.gen_names).copy()
         critic_before = t.params.flat(t.critic_names).copy()
-        t.generator_update(self.batch, *t._prediction(self.batch), gp_term=0.0)
+        self.generator_step(t, self.batch, gp_term=0.0)
         assert not np.array_equal(t.params.flat(t.gen_names), gen_before)
         assert np.array_equal(t.params.flat(t.critic_names), critic_before)
         assert t.adam_gen.t == 1 and t.adam_critic.t == 0
 
     def test_report_identities(self):
         t = self.trainer
-        report = t.generator_update(self.batch, *t._prediction(self.batch), gp_term=1.5)
+        report = self.generator_step(t, self.batch, gp_term=1.5)
         w = t.cfg
         comp = report.l_pred + w.alpha1 * report.l_mask + \
             w.alpha2 * report.l_denoise
@@ -258,7 +270,7 @@ class TestUpdates:
         t = tr.Trainer(self.ds, small_cfg(use_perturbation=False))
         batch = t._prepare_batch(np.array([0, 1]), 0)
         assert not {"masked", "noised", "token_mask"} & batch.keys()
-        report = t.generator_update(batch, *t._prediction(batch), gp_term=0.0)
+        report = self.generator_step(t, batch, gp_term=0.0)
         assert report.l_mask == 0.0 and report.l_denoise == 0.0
         assert report.l_pred > 0.0
 
@@ -266,8 +278,25 @@ class TestUpdates:
         t = tr.Trainer(self.ds, small_cfg(p_m=0.0))
         batch = t._prepare_batch(np.array([0, 1]), 0)
         with pytest.warns(MaskTermSkipped):
-            report = t.generator_update(batch, *t._prediction(batch), gp_term=0.0)
+            report = self.generator_step(t, batch, gp_term=0.0)
         assert report.l_mask == 0.0
+
+    @pytest.mark.parametrize("bad", ["mask_recon", "denoise_recon"])
+    def test_a_non_finite_pass_stops_before_its_backward(self, monkeypatch, bad):
+        # before the critic update too, and with no weight written
+        t = self.trainer
+        heads, gradients, backwards = net.heads, net.parameter_gradients, []
+        monkeypatch.setattr(net, "heads", lambda act, params, name: (
+            ad.add(heads(act, params, name), np.inf) if name == bad else heads(act, params, name)))
+        monkeypatch.setattr(net, "parameter_gradients",
+                            lambda *args: backwards.append(1) or gradients(*args))
+        vec = t.params.vec.copy()
+        with pytest.raises(NumericalInstability, match="non-finite generator loss at step 0"), \
+                np.errstate(invalid="ignore"):  # inf x 0 off the token mask
+            self.step(t, self.batch)
+        assert len(backwards) == (bad == "denoise_recon")  # the masked pass's own
+        assert np.array_equal(t.params.vec, vec)
+        assert t.adam_gen.t == t.adam_critic.t == 0
 
     def test_huge_clip_matches_no_clip(self):
         a = tr.Trainer(self.ds, small_cfg(grad_clip=1e12))
@@ -389,14 +418,91 @@ class TestRun:
         monkeypatch.setattr(tr.Adam, "step", lambda adam, p, g: grads.append(g))
         for params, batch in ((params32, batch32), (params64, batch64)):
             t.params = params
-            pred, fake_rows = t._prediction(batch)
-            t.critic_update(batch["real_rows"], fake_rows)
-            t.generator_update(batch, pred, fake_rows, 0.0)
+            TestUpdates.step(t, batch)
         critic32, gen32, critic64, gen64 = grads
         for got, want in ((critic32, critic64), (gen32, gen64)):
             assert got.dtype == np.float32 and want.dtype == np.float64
             assert not np.array_equal(got, want)
             assert np.abs(got - want).max() <= 1e-4 * np.abs(want).max()
+
+    @staticmethod
+    def _one_graph_gradient(t, batch, pred, fake_rows):
+        """The generator gradient of one backward over all three passes'
+        graphs, the objective built as one expression."""
+        cfg, params = t.cfg, t.params
+        l_pred = lo.mean_joint_error(pred, batch["fut"])
+        if cfg.use_perturbation:
+            act_m = net.forward_backbone(batch["features"], batch["token_mask"], params)
+            l_mask = lo.masked_reconstruction_loss(net.heads(act_m, params, "mask_recon"),
+                                                   batch["recon_targets"], batch["token_mask"])
+            act_d = net.forward_backbone(batch["noised"], None, params)
+            l_denoise = lo.mean_joint_error(net.heads(act_d, params, "denoise_recon"),
+                                            batch["recon_targets"])
+        else:
+            l_mask = l_denoise = ad.Tensor(np.zeros((), pred.data.dtype))
+        fake_fid, fake_cont = fake_rows
+        adv = ad.add(ad.neg(ad.tmean(net.discriminate_fidelity(fake_fid, params))),
+                     ad.neg(ad.tmean(net.discriminate_continuity(fake_cont, params))))
+        total = lo.loss_total(lo.loss_composite(l_pred, l_mask, l_denoise, cfg), adv, cfg)
+        return net.parameter_gradients(total, params, t.gen_names)
+
+    @pytest.mark.parametrize("joints", [5, 22])
+    @pytest.mark.parametrize("over", [
+        {}, dict(use_perturbation=False), dict(p_m=0.0), dict(use_lowrank=False),
+        dict(use_quotient=False), dict(critic_steps=2), dict(alpha1=0.0), dict(beta2=0.0),
+    ], ids=["default", "no_perturbation", "nothing_masked", "full_rank", "no_quotient",
+            "two_critic_steps", "no_mask_weight", "no_adversarial_weight"])
+    def test_pass_gradients_add_to_one_graphs_bytes(self, monkeypatch, joints, over):
+        # the gradient a step hands to Adam, (masked + noised) + clean, one
+        # backward per pass, against one backward over the three graphs
+        cfg = tr.TrainConfig(max_steps=1, **over)
+        seqs = [synth_generate("sinusoid", joints=joints, frames=60, fps=25.0, seed=s)
+                for s in range(2)]
+        ds = make_windows(seqs, n_observed=cfg.obs_frames, n_future=cfg.future_frames,
+                          stride=2)
+        t, oracle = tr.Trainer(ds, cfg), tr.Trainer(ds, cfg)
+        handed = []
+        step = tr.Adam.step
+
+        def recording(adam, p, g):
+            if adam is t.adam_gen:
+                handed.append(g.copy())
+            return step(adam, p, g)
+
+        monkeypatch.setattr(tr.Adam, "step", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MaskTermSkipped)
+            t.run()
+            batch = oracle._prepare_batch(oracle._batches(0)[0], 0)
+            pred, fake_rows = oracle._prediction(batch)
+            for k in range(cfg.critic_steps):
+                oracle.critic_update(batch["real_rows"], fake_rows, k)
+            want = tr._clip_global_norm(self._one_graph_gradient(oracle, batch, pred, fake_rows),
+                                        cfg.grad_clip)
+        [got] = handed
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_step_holds_one_pass_at_a_time(self):
+        """A default J=22 step on 16 windows peaks under 0.6 of the activation
+        estimate the Trainer checks, which was fitted to the step when it held
+        all three passes' graphs until one backward (traced peaks: 78.7 MB
+        then, 110% of the estimate; 31.8 MB, 44%, one pass at a time)."""
+        cfg = tr.TrainConfig(max_steps=1)
+        seqs = [synth_generate("sinusoid", joints=22, frames=60, fps=25.0, seed=s)
+                for s in range(2)]
+        ds = make_windows(seqs, n_observed=cfg.obs_frames, n_future=cfg.future_frames,
+                          stride=2)
+        t = tr.Trainer(ds, cfg)
+        assert len(ds) >= cfg.batch_size == 16
+        tracemalloc.start()
+        try:
+            t.run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.global_step == 1
+        assert peak <= 0.6 * tr.step_activation_bytes(t.params.dims, cfg.batch_size)
 
     @pytest.mark.parametrize("edit", ["set_flat", "vec"])
     def test_a_step_trains_on_edited_params(self, edit):
@@ -421,8 +527,9 @@ class TestRun:
         assert np.array_equal(t.params.generator, cast.generator)
 
     def test_graph_sizes_per_step(self, monkeypatch):
-        # every tensor reachable from the losses handed to
-        # parameter_gradients in one default step at J=5, parameters included
+        # every tensor reachable from each loss handed to parameter_gradients
+        # in one default step at J=5, parameters included: the masked, the
+        # noised and the clean pass's generator graphs, then the critic's
         seq = synth_generate("sinusoid", joints=5, frames=40, fps=25.0, seed=0)
         t = tr.Trainer(make_windows([seq], n_observed=10, n_future=25, stride=2),
                        tr.TrainConfig(max_steps=1))
@@ -436,12 +543,13 @@ class TestRun:
                     if id(p) not in seen:
                         seen.add(id(p))
                         stack.append(p)
-            nodes["critic" if names == t.critic_names else "generator"] = len(seen)
+            nodes.setdefault("critic" if names == t.critic_names else "generator",
+                             []).append(len(seen))
             return gradients(loss, params, names)
 
         monkeypatch.setattr(net, "parameter_gradients", counting)
         t.run()
-        assert nodes == {"generator": 172, "critic": 13}
+        assert nodes == {"generator": [102, 97, 128], "critic": [13]}
 
     def test_zero_epochs_writes_initial_checkpoint(self, tmp_path):
         ckpt = tmp_path / "run.mqck"
@@ -666,13 +774,14 @@ class TestCheckpoint:
         lambda h: h.update(sigma=True),
         lambda h: h.update(sigma="0.5"),
         lambda h: h.update(sigma=10**400),
+        lambda h: h["config"].update(critic_steps=10**12),
     ], ids=["no_config", "config_not_object", "no_dims", "no_counts",
             "no_critic_count", "unknown_config_key", "bad_config_value",
             "bad_config_type", "bad_dims_value", "no_sigma",
             "dims_disagree_with_config", "manifest_names_swapped",
             "manifest_shape_transposed", "counts_disagree_with_dims",
             "sigma_negative", "sigma_zero", "sigma_nan", "sigma_bool", "sigma_string",
-            "sigma_huge_int"])
+            "sigma_huge_int", "critic_steps_over_limit"])
     def test_header_schema_rejected(self, tmp_path, edit):
         ckpt, _ = self.run_short(tmp_path)
         rewrite_header(ckpt, edit)
