@@ -441,13 +441,13 @@ class Trainer:
         else:
             act = net.forward_backbone(batch["noised"], None, params)
             loss = lo.mean_joint_error(net.heads(act, params, head), batch["recon_targets"])
+        if not loss.requires_grad:
+            return None, loss.data
         zero = Tensor(np.zeros((), loss.data.dtype))
         terms = (zero, loss, zero) if head == "mask_recon" else (zero, zero, loss)
         total = lo.loss_total(lo.loss_composite(*terms, self.cfg), zero, self.cfg)
         if not np.isfinite(total.data).all():
             raise NumericalInstability(f"non-finite generator loss at step {self.global_step}")
-        if not loss.requires_grad:
-            return None, loss.data
         return net.parameter_gradients(total, params, self.gen_names), loss.data
 
     def generator_update(self, batch: dict, pred: Tensor, fake_rows, gp_term: float,

@@ -1021,8 +1021,8 @@ _FUZZED = {  # command: (options, config-file-only keys)
     "synth": (_SYNTH_OPTIONS, []),
     "train": (["seed", "p_m", "p_n", "sigma", "alpha1", "alpha2", "beta1", "beta2",
                "gp_lambda", "lr", "epochs", "batch_size", "stride"],
-              ["critic_steps", "d_model", "rank", "heads", "layers", "critic_width", "ffn_mult", "head_gain",
-               "input_gain", "grad_clip", "obs_frames", "future_frames"]),
+              ["critic_steps", "d_model", "rank", "heads", "layers", "critic_width", "ffn_mult",
+               "head_gain", "input_gain", "grad_clip", "obs_frames", "future_frames"]),
     "eval": (["stride", "horizons"], ["d_model", "layers", "obs_frames", "future_frames"]),
 }
 _FLAG = {**{k: "--" + k.replace("_", "-") for k in [*_SYNTH_OPTIONS, "stride", "horizons"]},
