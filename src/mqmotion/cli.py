@@ -8,8 +8,8 @@ frames, fps, count, amplitude, base_period, offset_scale, stride and horizons
 (typed and defaulted by their flags). synth, perturb and train take --seed;
 those and eval take --config. Every value is validated before any input file
 is read. Exit codes: 0 success, 2 usage, 3 data error or bad option value,
-4 numeric failure. Errors print one machine-readable line to stderr:
-``mqmotion: code=<n> type=<ExceptionName> msg=<repr>``.
+4 numeric failure, 130 interrupted (SIGINT). Errors print one machine-readable
+line to stderr: ``mqmotion: code=<n> type=<ExceptionName> msg=<repr>``.
 """
 from __future__ import annotations
 
@@ -385,6 +385,9 @@ def main(argv=None) -> int:
         print(f"mqmotion: code={code} type={type(exc).__name__} msg={str(exc)!r}",
               file=sys.stderr)
         return code
+    except KeyboardInterrupt:  # SIGINT: the last checkpoint saved is kept
+        print("mqmotion: code=130 type=KeyboardInterrupt msg='interrupted'", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

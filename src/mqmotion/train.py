@@ -1,24 +1,8 @@
 """Training loop: alternating critic/generator Adam updates, checkpoints.
 
-One step per batch: _prepare_batch builds the batch's arrays, the real
-critic rows among them. Then the generator's gradient is taken one pass at
-a time, each pass back-propagated as soon as its loss exists and its graph
-released before the next pass is built: the masked pass (the clean
-features under the token mask: the embedding's learned mask token replaces
-every joint-frame of the batch's token mask, so no masked copy of the
-features is made), then the noised pass (_restorative_passes). Last,
-_prediction runs the clean forward and builds the fake critic rows from it
-with their graph; critic_steps critic updates read the values of those
-rows, and generator_update back-propagates the clean and adversarial terms
-through them and the prediction, adds that gradient to the other two as
-(masked + noised) + clean, and takes the one clip and Adam step. Critic
-updates write only critic weights, so the one prediction holds for every
-update of its batch.
-
-Each pass differentiates the step's whole objective, loss_total of
-loss_composite, with the other passes' terms as constant 0-d Tensors: the
-passes' gradients add to the bytes of one backward over all three graphs,
-while at most one pass's activations are alive at a time.
+Trainer.step takes one step on one batch, in the order its docstring
+gives; Trainer.run is the loop of epochs and batches around it, with the
+max_steps stop and the checkpoints.
 
 Training holds one float32 parameter vector, ``Trainer.params``: every
 forward, backward, gradient clip and Adam step reads and writes it, and
@@ -276,7 +260,7 @@ class TrainResult:
 class Trainer:
     """Owns parameters, optimizer states, and the deterministic schedule:
     fresh from cfg, or a CheckpointState's params, sigma, Adams and counters.
-    run takes the steps the module docstring describes."""
+    step takes one training step; run loops it over the epochs' batches."""
 
     def __init__(self, dataset: WindowedDataset, cfg: TrainConfig,
                  state: CheckpointState | None = None):
@@ -414,19 +398,16 @@ class Trainer:
         self.adam_critic.step(self.params.critic, _clip_global_norm(grads, cfg.grad_clip))
         return closs.item(), gp_f + gp_c
 
-    def _restorative_passes(self, batch: dict) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-        """The masked pass, then the noised pass, each built, back-propagated
-        and released before the next: (their generator gradient, masked +
-        noised, or None when no pass has a graph; l_mask; l_denoise), the
-        losses as 0-d arrays of the compute dtype, zeros when the
-        perturbation tasks are off."""
-        if not self.cfg.use_perturbation:  # a float64 zero would promote the total
-            zero = np.zeros((), batch["features"].dtype)
-            return None, zero, zero
-        g_mask, l_mask = self._restorative_pass(batch, "mask_recon")
-        g_denoise, l_denoise = self._restorative_pass(batch, "denoise_recon")
-        grads = g_denoise if g_mask is None else g_mask + g_denoise
-        return grads, l_mask, l_denoise
+    def _objective_gradient(self, l_pred: Tensor, l_mask: Tensor, l_denoise: Tensor,
+                            adv: Tensor) -> np.ndarray:
+        """The generator gradient of the step's objective, loss_total of
+        loss_composite of these terms; NumericalInstability before the
+        backward when the total is not finite."""
+        total = lo.loss_total(lo.loss_composite(l_pred, l_mask, l_denoise, self.cfg), adv,
+                              self.cfg)
+        if not np.isfinite(total.data).all():
+            raise NumericalInstability(f"non-finite generator loss at step {self.global_step}")
+        return net.parameter_gradients(total, self.params, self.gen_names)
 
     def _restorative_pass(self, batch: dict, head: str) -> tuple[np.ndarray | None, np.ndarray]:
         """One restorative pass, "mask_recon" or "denoise_recon": its
@@ -444,52 +425,71 @@ class Trainer:
         if not loss.requires_grad:
             return None, loss.data
         zero = Tensor(np.zeros((), loss.data.dtype))
-        terms = (zero, loss, zero) if head == "mask_recon" else (zero, zero, loss)
-        total = lo.loss_total(lo.loss_composite(*terms, self.cfg), zero, self.cfg)
-        if not np.isfinite(total.data).all():
-            raise NumericalInstability(f"non-finite generator loss at step {self.global_step}")
-        return net.parameter_gradients(total, params, self.gen_names), loss.data
+        terms = (loss, zero) if head == "mask_recon" else (zero, loss)
+        return self._objective_gradient(zero, *terms, zero), loss.data
 
     def generator_update(self, batch: dict, pred: Tensor, fake_rows, gp_term: float,
-                         restorative: tuple[np.ndarray | None, np.ndarray, np.ndarray]
+                         grads: np.ndarray | None, l_mask: np.ndarray, l_denoise: np.ndarray
                          ) -> LossReport:
         """One generator Adam step: the gradient through pred and its fake
-        critic rows, added to restorative's (what _restorative_passes gave
-        for this batch at these weights); returns the logged LossReport."""
-        cfg = self.cfg
+        critic rows, added to grads, the restorative passes' gradient at
+        these weights (None when they have none), with their losses l_mask
+        and l_denoise as constants; returns the logged LossReport."""
         params = self.params
-        grads_r, l_mask, l_denoise = restorative
         l_pred = lo.mean_joint_error(pred, batch["fut"])
-        composite = lo.loss_composite(l_pred, Tensor(l_mask), Tensor(l_denoise), cfg)
         fake_fid, fake_cont = fake_rows
         adv = ad.add(
             ad.neg(ad.tmean(net.discriminate_fidelity(fake_fid, params))),
             ad.neg(ad.tmean(net.discriminate_continuity(fake_cont, params))),
         )
-        total = lo.loss_total(composite, adv, cfg)
-        if not np.isfinite(total.data).all():
-            raise NumericalInstability(f"non-finite generator loss at step {self.global_step}")
-        grads = net.parameter_gradients(total, params, self.gen_names)
-        if grads_r is not None:
-            grads = grads_r + grads
-        self.adam_gen.step(params.generator, _clip_global_norm(grads, cfg.grad_clip))
+        g = self._objective_gradient(l_pred, Tensor(l_mask), Tensor(l_denoise), adv)
+        if grads is not None:
+            g = grads + g
+        self.adam_gen.step(params.generator, _clip_global_norm(g, self.cfg.grad_clip))
         return lo.make_report(l_pred.item(), l_mask.item(), l_denoise.item(), adv.item(),
-                              gp_term, cfg)
+                              gp_term, self.cfg)
+
+    def step(self, idxs: np.ndarray, epoch: int) -> LossReport:
+        """One training step on the windows idxs, drawn as in epoch; it
+        advances global_step and leaves epoch and batch_index to run.
+
+        In order: the batch (_prepare_batch); the masked pass, then the
+        noised pass (_restorative_pass), each forward and backward before
+        the next is built, so at most one pass's activations are alive at a
+        time; the clean pass with its fake critic rows (_prediction);
+        critic_steps critic updates, which read the values of those rows and
+        write only critic weights; and the generator update, whose clean and
+        adversarial backward joins the passes' gradient as (masked + noised)
+        + clean before the one clip and Adam step. Each backward
+        differentiates the step's whole objective with the other passes'
+        terms as constant 0-d Tensors, so the sum has the bytes of one
+        backward over all three graphs. A non-finite objective raises
+        NumericalInstability before its backward, so a step that fails in a
+        restorative pass stops before its critic updates.
+        """
+        batch = self._prepare_batch(idxs, epoch)
+        zero = np.zeros((), batch["features"].dtype)  # a float64 zero would promote the total
+        grads, l_mask, l_denoise = None, zero, zero
+        if self.cfg.use_perturbation:
+            g_mask, l_mask = self._restorative_pass(batch, "mask_recon")
+            grads, l_denoise = self._restorative_pass(batch, "denoise_recon")
+            if g_mask is not None:
+                grads = g_mask + grads
+        pred, fake_rows = self._prediction(batch)
+        gp_term = 0.0
+        for k in range(self.cfg.critic_steps):
+            _, gp_term = self.critic_update(batch["real_rows"], fake_rows, k)
+        report = self.generator_update(batch, pred, fake_rows, gp_term, grads, l_mask, l_denoise)
+        self.global_step += 1
+        return report
 
     # loop
 
     def run(self, log_path: str | Path | None = None,
             checkpoint_path: str | Path | None = None) -> TrainResult:
-        """Train to cfg's epochs or max_steps, saving each finished epoch.
-
-        Each step takes, in order: the batch; the masked pass and the noised
-        pass, each forward and backward before the next is built; the clean
-        pass with its fake critic rows; critic_steps critic updates; and the
-        generator update, whose clean and adversarial backward joins the
-        passes' gradient before the one clip and Adam step. A non-finite
-        loss raises NumericalInstability before its backward, so a step that
-        fails in a restorative pass stops before its critic updates.
-        """
+        """Train to cfg's epochs or max_steps, one step per batch (see step),
+        saving each finished epoch; the epoch and batch_index counters
+        advance here."""
         cfg = self.cfg
         reports: list[tuple[int, LossReport]] = []
         append = self.global_step > 0 and log_path is not None and Path(log_path).exists()
@@ -497,16 +497,8 @@ class Trainer:
         while self.epoch < cfg.epochs and not done:
             batches = self._batches(self.epoch)
             while self.batch_index < len(batches):
-                idxs = batches[self.batch_index]
-                batch = self._prepare_batch(idxs, self.epoch)
-                restorative = self._restorative_passes(batch)
-                pred, fake_rows = self._prediction(batch)
-                gp_term = 0.0
-                for k in range(cfg.critic_steps):
-                    _, gp_term = self.critic_update(batch["real_rows"], fake_rows, k)
-                report = self.generator_update(batch, pred, fake_rows, gp_term, restorative)
-                reports.append((self.global_step, report))
-                self.global_step += 1
+                step = self.global_step
+                reports.append((step, self.step(batches[self.batch_index], self.epoch)))
                 self.batch_index += 1
                 if cfg.max_steps is not None and self.global_step >= cfg.max_steps:
                     done = True

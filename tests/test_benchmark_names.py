@@ -18,10 +18,15 @@ from mqmotion import _kernels, autodiff, dataio, train
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_every_traced_target_resolves():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_target_resolves():
+    tracing = _load_tracing()
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, _ in tracing._TARGETS if not callable(getattr(owner, attr, None))]
     assert tracing._TARGETS and missing == []
@@ -61,3 +66,30 @@ def test_trainer_surface_the_workloads_drive(tmp_path):
                                      state.cfg.input_gain, state.root_index)
     out = predictor(data.windows[0].observed)
     assert out.shape == (3, 3, 3) and np.isfinite(out).all()
+
+
+def test_traced_step_spans_nest_as_the_per_layer_metrics_read_them():
+    # one default J=5 step with two critic updates: the restorative passes'
+    # backwards run under run, outside both updates; the clean pass's and
+    # the generator's Adam step inside generator_update; the critic's inside
+    # critic_update
+    tracing = _load_tracing()
+    seq = dataio.synth_generate("sinusoid", joints=5, frames=60, fps=25.0, seed=0)
+    data = dataio.make_windows([seq], n_observed=10, n_future=25, stride=2)
+    trainer = train.Trainer(data, train.TrainConfig(critic_steps=2, max_steps=1))
+    tracer = tracing.Tracer()
+    with tracer.installed(), tracer.in_phase("train"):
+        trainer.run()
+    metrics = tracing.layer_metrics(tracer, windows_per_eval=1)
+    assert (metrics["autodiff.gen_graph_nodes"], metrics["autodiff.critic_graph_nodes"],
+            metrics["autodiff.grad_calls_per_step"]) == (128, 13, 5)
+    spans = tracer.spans
+
+    def parents(name):
+        return sorted(spans[s[tracing.PARENT]][tracing.NAME] for s in spans
+                      if s[tracing.NAME] == name)
+
+    assert parents("autodiff.grad") == ["train.Trainer.critic_update"] * 2 + [
+        "train.Trainer.generator_update"] + ["train.Trainer.run"] * 2
+    assert parents("train.Adam.step") == ["train.Trainer.critic_update"] * 2 + [
+        "train.Trainer.generator_update"]

@@ -509,6 +509,27 @@ class TestTrain:
         assert line.startswith("mqmotion: code=3 type=FormatError msg=")
         assert "critic_steps" in line and str(tr._MAX_CRITIC_STEPS) in line
 
+    def test_interrupt_is_one_line(self, tmp_path, monkeypatch, capsys):
+        # SIGINT reaches the program as a KeyboardInterrupt, here from the second step
+        src = synth_file(tmp_path)
+        cfg = write_config(tmp_path, SMALL_MODEL)
+        step, calls = tr.Trainer.step, []
+
+        def interrupted(self, *args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return step(self, *args)
+
+        monkeypatch.setattr(tr.Trainer, "step", interrupted)
+        capsys.readouterr()
+        rc = cli.main(["train", src, "--config", cfg, "--out", str(tmp_path / "x.mqck")])
+        captured = capsys.readouterr()
+        assert rc == 130 and len(calls) == 2
+        assert captured.err.splitlines() == [
+            "mqmotion: code=130 type=KeyboardInterrupt msg='interrupted'"]
+        assert "Traceback" not in captured.out + captured.err
+
     def test_size_limit_is_inclusive(self, tmp_path, monkeypatch, capsys):
         src = synth_file(tmp_path)
         cfg = write_config(tmp_path, SMALL_MODEL)
