@@ -303,6 +303,23 @@ def _load_windows(paths, cfg, stride):
     return make_windows(sequences, cfg.obs_frames, cfg.future_frames, stride)
 
 
+def _require_distinct(outputs, inputs, allowed=()) -> None:
+    """FormatError naming both options when an output shares a path with
+    another output or with an input, unless the (output, input) pair of
+    names is allowed. outputs and inputs are (option, path) pairs; a None
+    path is skipped, and inputs may share a path with each other."""
+    written: dict[Path, str] = {}
+    for i, (name, path) in enumerate(outputs + inputs):
+        if path is None:
+            continue
+        key = Path(path).resolve()
+        if key in written and (written[key], name) not in allowed:
+            raise FormatError(f"{written[key]} and {name} are one path, {path}: a command "
+                              f"writes neither over its input nor two outputs to one path")
+        if i < len(outputs):
+            written[key] = name
+
+
 def _parented(path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -311,9 +328,14 @@ def _parented(path) -> Path:
 
 def _cmd_train(args, cfg) -> int:
     _require(args, "stride")
+    out = Path(args.out)
+    log_path = Path(args.log) if args.log else out.with_suffix(".csv")
+    _require_distinct([("--out", out), ("--log" if args.log else "the default --log", log_path)],
+                      [("--resume", args.resume)] + [("a clip", p) for p in args.inputs],
+                      allowed={("--out", "--resume")})
     dataset = _load_windows(args.inputs, cfg, args.stride)
-    out = _parented(args.out)
-    log_path = _parented(args.log) if args.log else out.with_suffix(".csv")
+    _parented(out)
+    _parented(log_path)
     result = train(dataset, cfg, log_path=log_path, checkpoint_path=out,
                    resume_from=args.resume)
     steps = result.reports[-1][0] + 1 if result.reports else 0
@@ -323,6 +345,9 @@ def _cmd_train(args, cfg) -> int:
 
 
 def _cmd_predict(args, _cfg) -> int:
+    out = Path(args.out) if args.out else Path(args.input).with_suffix(".pred.mqs")
+    _require_distinct([("--out", out)],
+                      [("the input", args.input), ("--checkpoint", args.checkpoint)])
     state = load_checkpoint(args.checkpoint)
     cfg = state.cfg
     mqs = read_mqs_file(args.input)
@@ -339,8 +364,7 @@ def _cmd_predict(args, _cfg) -> int:
     predictor = make_predictor(state.params, cfg.use_quotient, cfg.input_gain,
                                state.root_index)
     pred = predictor(seq.frames[-cfg.obs_frames :])
-    out = _parented(args.out) if args.out else Path(args.input).with_suffix(".pred.mqs")
-    write_mqs_file(out, seq.with_frames(pred))
+    write_mqs_file(_parented(out), seq.with_frames(pred))
     print(out)
     return 0
 
@@ -356,6 +380,8 @@ def _parse_horizons(text: str) -> tuple[int, ...]:
 def _cmd_eval(args, _cfg) -> int:
     _require(args, "stride")
     horizons = _parse_horizons(args.horizons) if args.horizons else DEFAULT_HORIZONS_MS
+    _require_distinct([("--out", args.out), ("--svg", args.svg)],
+                      [("--checkpoint", args.checkpoint)] + [("a clip", p) for p in args.inputs])
     state = load_checkpoint(args.checkpoint)
     cfg = state.cfg
     dataset = _load_windows(args.inputs, cfg, args.stride)

@@ -26,7 +26,6 @@ class Skeleton:
 
     joint_count: int
     root_index: int = 0
-    joint_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.joint_count < 1:
@@ -35,8 +34,6 @@ class Skeleton:
             raise SkeletonMismatch(
                 f"root_index {self.root_index} out of range for {self.joint_count} joints"
             )
-        if self.joint_names is not None and len(self.joint_names) != self.joint_count:
-            raise SkeletonMismatch("joint_names length disagrees with joint_count")
 
 
 def as_pose(coords, skeleton: Skeleton | None = None) -> np.ndarray:
@@ -107,9 +104,6 @@ class HorizonSpec:
         if any(b <= a for a, b in zip(ms, ms[1:])):
             raise HorizonMisaligned(f"horizons must be strictly increasing, got {ms}")
         object.__setattr__(self, "milliseconds", ms)
-
-    def frames(self, fps: float) -> tuple[int, ...]:
-        return tuple(horizon_to_frame(m, fps) for m in self.milliseconds)
 
 
 def horizon_to_frame(ms: float, fps: float) -> int:

@@ -31,10 +31,9 @@ SYNTH_KINDS = ("sinusoid", "random_walk", "constant")
 
 @dataclass(frozen=True)
 class MqsFile:
-    """Parsed MQS file: the sequence plus its header fields."""
+    """Parsed MQS file: the sequence its header and body describe."""
 
     sequence: MotionSequence
-    path: str | None = None
 
 
 def _fmt(x: float) -> str:
@@ -53,7 +52,7 @@ def _parse_header_fields(parts: list[str], line: int) -> dict[str, str]:
     return fields
 
 
-def parse_mqs(text: str, path: str | None = None) -> MqsFile:
+def parse_mqs(text: str) -> MqsFile:
     """Parse MQS text into a MotionSequence; errors carry line positions."""
     lines = text.splitlines()
     if not lines:
@@ -100,7 +99,7 @@ def parse_mqs(text: str, path: str | None = None) -> MqsFile:
         i, k = np.argwhere(~finite)[0]
         raise FormatError("non-finite coordinate in body", line=body[i][0], column=int(k) + 1)
     seq = MotionSequence(data, fps, Skeleton(joints), action=action)
-    return MqsFile(seq, path)
+    return MqsFile(seq)
 
 
 def write_mqs(seq: MotionSequence) -> str:
@@ -121,7 +120,7 @@ def read_mqs_file(path: str | Path) -> MqsFile:
         text = Path(path).read_text()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
-    return parse_mqs(text, path=str(path))
+    return parse_mqs(text)
 
 
 def write_atomically(path: str | Path, data: bytes | str) -> None:
@@ -227,7 +226,6 @@ class WindowedDataset:
     fps: float
     n_observed: int
     n_future: int
-    stride: int
 
     def __len__(self) -> int:
         return len(self.windows)
@@ -286,4 +284,4 @@ def make_windows(
                     start=s,
                 )
             )
-    return WindowedDataset(tuple(windows), skeleton, fps, n_observed, n_future, stride)
+    return WindowedDataset(tuple(windows), skeleton, fps, n_observed, n_future)

@@ -13,6 +13,7 @@ from .errors import DimsMismatch, NumericalInstability, WindowTooShort
 
 UNLABELED = "unlabeled"
 SVG_WIDTH, SVG_HEIGHT = 640, 400  # svg_chart's size in px
+_CHUNK_WINDOWS = 64  # windows per predictor call in evaluate
 
 
 def mpjpe(pred: np.ndarray, truth: np.ndarray, root_index: int = 0) -> float:
@@ -39,7 +40,6 @@ class HorizonReport:
     overall: dict[int, float]
     per_action: dict[str, dict[int, float]]
     n_windows: int
-    action_counts: dict[str, int]
 
     def row(self, action: str | None = None) -> list[float]:
         source = self.overall if action is None else self.per_action[action]
@@ -48,7 +48,7 @@ class HorizonReport:
 
 def evaluate(predictor, dataset: WindowedDataset,
              horizons_ms: tuple[int, ...] = DEFAULT_HORIZONS_MS,
-             root_index: int | None = None, batch_size: int = 64) -> HorizonReport:
+             root_index: int | None = None) -> HorizonReport:
     """Run the predictor over every window and average single-frame errors.
 
     `predictor` maps observed frames (B, n, J, 3) to predictions
@@ -69,8 +69,8 @@ def evaluate(predictor, dataset: WindowedDataset,
 
     idx = np.array([frames_1b[ms] - 1 for ms in horizons_ms])
     errs = []
-    for lo in range(0, len(windows), batch_size):
-        chunk = windows[lo : lo + batch_size]
+    for lo in range(0, len(windows), _CHUNK_WINDOWS):
+        chunk = windows[lo : lo + _CHUNK_WINDOWS]
         obs = np.stack([w.observed for w in chunk])
         pred = np.asarray(predictor(obs), dtype=np.float64)
         if pred.shape[:2] != (len(chunk), dataset.n_future) or pred.shape[2:] != obs.shape[2:]:
@@ -89,14 +89,10 @@ def evaluate(predictor, dataset: WindowedDataset,
                                         fut.take(idx, axis=1)[:, :, None], root))
     err = np.concatenate(errs)
     labels = np.array([UNLABELED if w.action is None else w.action for w in windows])
-    act_counts = {}
-    per_action = {}
-    for a in sorted(set(labels.tolist())):
-        rows = err[labels == a]
-        act_counts[a] = len(rows)
-        per_action[a] = dict(zip(horizons_ms, rows.mean(axis=0).tolist()))
+    per_action = {a: dict(zip(horizons_ms, err[labels == a].mean(axis=0).tolist()))
+                  for a in sorted(set(labels.tolist()))}
     overall = dict(zip(horizons_ms, err.mean(axis=0).tolist()))
-    return HorizonReport(horizons_ms, overall, per_action, len(windows), act_counts)
+    return HorizonReport(horizons_ms, overall, per_action, len(windows))
 
 
 def format_table(report: HorizonReport) -> str:

@@ -265,9 +265,6 @@ class ModelParams:
     def critic_names(self) -> list[str]:
         return [n for n in self.names if n.startswith("critic.")]
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.dims, self.vec.copy())
-
 
 def token_count(n_observed: int, use_quotient: bool) -> int:
     """In-window token count: transitions with quotient features, else frames."""

@@ -123,7 +123,7 @@ class TrainConfig:
     ffn_mult: int = 2
     head_gain: float = 100.0
     input_gain: float = 0.01
-    grad_clip: float | None = 10.0
+    grad_clip: float = 10.0
     max_steps: int | None = None
 
     def __post_init__(self):
@@ -239,10 +239,8 @@ class Adam:
         return p
 
 
-def _clip_global_norm(g: np.ndarray, clip: float | None) -> np.ndarray:
+def _clip_global_norm(g: np.ndarray, clip: float) -> np.ndarray:
     """g scaled to norm clip if longer; the squares sum in float64, past float32's range."""
-    if clip is None:
-        return g
     norm = float(np.sqrt(np.square(g, dtype=np.float64).sum()))
     if norm > clip:
         g = g * (clip / norm)
@@ -253,8 +251,6 @@ def _clip_global_norm(g: np.ndarray, clip: float | None) -> np.ndarray:
 class TrainResult:
     params: net.ModelParams
     reports: list[tuple[int, LossReport]]
-    sigma: float
-    epochs_run: int
 
 
 class Trainer:
@@ -295,16 +291,16 @@ class Trainer:
             self.sigma = cfg.sigma if cfg.sigma is not None else self._auto_sigma()
             self.epoch = self.batch_index = self.global_step = 0
         else:
-            if state.params.dims != dims:
-                diff = ", ".join(f"{k} {v} vs {getattr(dims, k)}"
-                                 for k, v in asdict(state.params.dims).items()
-                                 if v != getattr(dims, k))
-                raise DimsMismatch(f"checkpoint dims vs these clips and config: {diff}")
-            if diff := ", ".join(f"{k} {v} vs {getattr(cfg, k)}"
-                                 for k, v in asdict(state.cfg).items()
-                                 if k not in ("epochs", "max_steps") and v != getattr(cfg, k)):
-                raise FormatError(f"checkpoint config vs this run's: {diff}; a resume "
-                                  "may change only epochs and max_steps")
+            # the model dims follow from the config and the joint count, so
+            # this one list names whatever makes them differ
+            pairs = [(k, v, getattr(cfg, k)) for k, v in asdict(state.cfg).items()
+                     if k not in ("epochs", "max_steps")]
+            pairs += [("joints", state.params.dims.joints, dims.joints),
+                      ("root_index", state.root_index, self.root_index)]
+            if diff := ", ".join(f"{k} {a} vs {b}" for k, a, b in pairs if a != b):
+                error = DimsMismatch if state.params.dims != dims else FormatError
+                raise error(f"checkpoint vs these clips and config: {diff}; a resume "
+                            "may change only epochs and max_steps")
             n_batches = -(-len(dataset) // cfg.batch_size)
             if state.batch_index > n_batches:  # == n: max_steps ended the epoch's last batch
                 raise FormatError(f"checkpoint batch_index {state.batch_index} is past "
@@ -513,7 +509,7 @@ class Trainer:
         if log_path is not None:  # a run that continues another appends to its log
             with open(log_path, "a" if append else "w") as fh:
                 fh.write(log_to_csv(reports, header=not append))
-        return TrainResult(self.params, reports, self.sigma, self.epoch)
+        return TrainResult(self.params, reports)
 
     def save(self, path: str | Path) -> None:
         save_checkpoint(path, self)

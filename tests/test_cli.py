@@ -52,6 +52,11 @@ def synth_file(tmp_path, name="clip.mqs", joints=3, frames=20, seed=0,
     return str(out)
 
 
+def tree_bytes(root):
+    """Every path under root, with a file's bytes (None for a directory)."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
 def edit_header(ckpt, edit, out=None):
     """Write ckpt with edit(header) applied to its JSON header to out (default: ckpt)."""
     raw = ckpt.read_bytes()
@@ -769,6 +774,51 @@ class TestTrain:
         assert len(err) == 1
         assert err[0].startswith("mqmotion: code=3 type=DimsMismatch msg=")
 
+    def test_resume_on_another_root_is_data_error(self, tmp_path, capsys):
+        # the clips' root joint is the features' origin: the checkpoint's 1
+        # against these clips' 0 would change the features mid-run
+        rc, err = self.resume_edited(tmp_path, capsys, "root_index", 1)
+        assert rc == 3 and len(err) == 1
+        assert err[0].startswith("mqmotion: code=3 type=FormatError msg=")
+        assert "root_index 1 vs 0" in err[0]
+        assert not (tmp_path / "more.mqck").exists()
+
+    def test_resume_without_its_ablation_flag_names_it(self, tmp_path, capsys):
+        src = synth_file(tmp_path, frames=40)
+        cfg = write_config(tmp_path, SMALL_MODEL)
+        ckpt = tmp_path / "mid.mqck"
+        base = ["train", src, "--config", cfg, "--out", str(ckpt)]
+        assert cli.main(base + ["--ablate-d", "--max-steps", "2"]) == 0
+        capsys.readouterr()
+        assert cli.main(base + ["--resume", str(ckpt)]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("mqmotion: code=3 type=DimsMismatch msg=")
+        assert "use_quotient False vs True" in line
+
+    @pytest.mark.parametrize("out, log, extra, names", [
+        ("new/model.csv", None, [], ("--out", "the default --log")),
+        ("new/run.mqck", "new/run.mqck", [], ("--out", "--log")),
+        ("new/run.mqck", "clip.mqs", [], ("--log", "a clip")),
+        ("clip.mqs", None, [], ("--out", "a clip")),
+        ("new/run.mqck", "mid.mqck", ["--resume", "mid.mqck"], ("--log", "--resume")),
+    ], ids=["default_log", "log", "log_over_clip", "out_over_clip", "log_over_resume"])
+    def test_an_output_over_another_path_is_one_line(self, tmp_path, monkeypatch, capsys,
+                                                     out, log, extra, names):
+        # checked before anything is read or made: the tree stays as it was
+        monkeypatch.chdir(tmp_path)
+        synth_file(tmp_path)
+        if extra:
+            assert cli.main(["train", "clip.mqs", "--config", write_config(tmp_path, SMALL_MODEL),
+                             "--max-steps", "1", "--out", "mid.mqck"]) == 0
+        before = tree_bytes(tmp_path)
+        capsys.readouterr()
+        rc = cli.main(["train", "clip.mqs", "--out", out] + (["--log", log] if log else [])
+                      + extra)
+        [line] = capsys.readouterr().err.splitlines()
+        assert rc == 3 and line.startswith("mqmotion: code=3 type=FormatError msg=")
+        assert f"msg='{names[0]} and {names[1]} are one path" in line
+        assert tree_bytes(tmp_path) == before
+
 
 class TestPredictAndEval:
     def trained(self, tmp_path):
@@ -886,6 +936,26 @@ class TestPredictAndEval:
         else:
             assert rc == 3 and len(err) == 1
             assert err[0].startswith("mqmotion: code=3 type=FormatError msg=")
+
+    @pytest.mark.parametrize("args, names", [
+        (["predict", "clip.mqs", "--out", "clip.mqs"], ("--out", "the input")),
+        (["predict", "clip.mqs", "--out", "model.mqck"], ("--out", "--checkpoint")),
+        (["eval", "clip.mqs", "--out", "r.csv", "--svg", "r.csv"], ("--out", "--svg")),
+        (["eval", "clip.mqs", "--out", "clip.mqs"], ("--out", "a clip")),
+        (["eval", "clip.mqs", "--svg", "model.mqck"], ("--svg", "--checkpoint")),
+    ], ids=["predict_over_input", "predict_over_checkpoint", "eval_csv_and_svg",
+            "eval_over_clip", "eval_over_checkpoint"])
+    def test_an_output_over_another_path_is_one_line(self, tmp_path, monkeypatch, capsys,
+                                                     args, names):
+        self.trained(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        before = tree_bytes(tmp_path)
+        capsys.readouterr()
+        assert cli.main(args + ["--checkpoint", "model.mqck"]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("mqmotion: code=3 type=FormatError msg=")
+        assert f"msg='{names[0]} and {names[1]} are one path" in line
+        assert tree_bytes(tmp_path) == before
 
     def test_eval_reports_table_and_files(self, tmp_path, capsys):
         src, ckpt = self.trained(tmp_path)

@@ -111,7 +111,6 @@ class TestMqsFormat:
         write_mqs_file(p, seq)
         back = read_mqs_file(p)
         assert np.array_equal(back.sequence.frames, seq.frames)
-        assert back.path == str(p)
 
     @pytest.mark.parametrize("fail", ["fsync", "replace"])
     def test_interrupted_write_keeps_the_old_file(self, tmp_path, monkeypatch, fail):

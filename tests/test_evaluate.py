@@ -1,6 +1,7 @@
 """MPJPE fixtures, horizon bookkeeping against a brute-force oracle, and
 the three report renderers."""
 import os
+from collections import Counter
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -130,7 +131,6 @@ class TestEvaluate:
         ds = small_dataset(actions=("walk", "sit"))
         report = ev.evaluate(oracle_predictor(ds), ds, horizons_ms=(80,))
         assert sorted(report.per_action) == ["sit", "walk"]
-        assert report.action_counts == {"walk": 2, "sit": 2}
 
     def test_overall_is_count_weighted_action_mean(self):
         ds = small_dataset(actions=("walk", "walk", "sit"))
@@ -139,7 +139,9 @@ class TestEvaluate:
             return np.repeat(obs[:, -1:], 4, axis=1)
 
         report = ev.evaluate(predict, ds, horizons_ms=(80,))
-        mixed = sum(report.per_action[a][80] * report.action_counts[a]
+        counts = Counter(w.action for w in ds.windows)
+        assert counts == {"walk": 4, "sit": 2}
+        mixed = sum(report.per_action[a][80] * counts[a]
                     for a in report.per_action) / report.n_windows
         assert abs(report.overall[80] - mixed) < 1e-12
 
@@ -161,14 +163,15 @@ class TestEvaluate:
         with pytest.raises(WindowTooShort):
             ev.evaluate(oracle_predictor(ds), ds, horizons_ms=(80,))
 
-    def test_batch_size_does_not_change_result(self):
+    def test_batch_size_does_not_change_result(self, monkeypatch):
         ds = small_dataset()
 
         def predict(obs):
             return np.repeat(obs[:, -1:], 4, axis=1)
 
-        a = ev.evaluate(predict, ds, horizons_ms=(80, 160), batch_size=1)
-        b = ev.evaluate(predict, ds, horizons_ms=(80, 160), batch_size=64)
+        a = ev.evaluate(predict, ds, horizons_ms=(80, 160))
+        monkeypatch.setattr(ev, "_CHUNK_WINDOWS", 1)
+        b = ev.evaluate(predict, ds, horizons_ms=(80, 160))
         assert a.overall == b.overall
 
     def test_wrong_predictor_shape_rejected(self):
@@ -205,7 +208,6 @@ def sample_report():
         overall={80: 1.25, 160: 3.14159},
         per_action={"sit": {80: 2.0, 160: 4.0}, "walk": {80: 0.5, 160: 2.5}},
         n_windows=4,
-        action_counts={"walk": 2, "sit": 2},
     )
 
 
@@ -224,9 +226,7 @@ class TestRendering:
         assert any(line.split() == ["walk", "0.5", "2.5"] for line in lines)
 
     def test_table_hides_sole_unlabeled_row(self):
-        r = ev.HorizonReport((80,), {80: 1.0},
-                             {ev.UNLABELED: {80: 1.0}}, 2,
-                             {ev.UNLABELED: 2})
+        r = ev.HorizonReport((80,), {80: 1.0}, {ev.UNLABELED: {80: 1.0}}, 2)
         lines = ev.format_table(r).splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("average")
@@ -264,7 +264,7 @@ class TestRendering:
         svg_path = tmp_path / "r.svg"
         ev.write_report(sample_report(), csv_path, svg_path)
         old = csv_path.read_bytes(), svg_path.read_bytes()
-        other = ev.HorizonReport((80,), {80: 9.5}, {"walk": {80: 9.5}}, 1, {"walk": 1})
+        other = ev.HorizonReport((80,), {80: 9.5}, {"walk": {80: 9.5}}, 1)
 
         def interrupt(*args):
             raise KeyboardInterrupt

@@ -111,13 +111,6 @@ class TestModelParams:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_copy_is_independent(self):
-        params = net.ModelParams.init(small_dims(), seed=0)
-        dup = params.copy()
-        dup.t("embed.w").data[...] = 0.0
-        assert not np.array_equal(params.t("embed.w").data,
-                                  dup.t("embed.w").data)
-
     def test_tensors_are_views_of_one_vector(self):
         params = net.ModelParams.init(small_dims(), seed=0)
         assert np.array_equal(params.vec, params.flat())
@@ -125,7 +118,6 @@ class TestModelParams:
         assert np.array_equal(params.critic, params.flat(params.critic_names))
         for name in params.names:
             assert np.shares_memory(params.t(name).data, params.vec), name
-        assert not np.shares_memory(params.vec, params.copy().vec)
 
     def test_fullrank_allocates_no_gate_or_rank_params(self):
         params = net.ModelParams.init(small_dims(lowrank=False), seed=0)

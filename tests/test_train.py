@@ -74,6 +74,7 @@ class TestTrainConfig:
         dict(p_m=2.0), dict(p_n=-0.1), dict(sigma=0.0), dict(grad_clip=float("inf")),
         dict(lr="fast"), dict(epochs=1.5), dict(use_quotient=1), dict(seed=True),
         dict(heads=3), dict(critic_steps=tr._MAX_CRITIC_STEPS + 1), dict(critic_steps=10**12),
+        dict(grad_clip=None),
     ])
     def test_validation(self, bad):
         (name,) = bad
@@ -102,13 +103,12 @@ class TestTrainConfig:
         assert pv("use_quotient", "yes") is True
         assert pv("use_lowrank", "off") is False
         assert pv("sigma", "none") is None
-        assert pv("grad_clip", "") is None
         assert pv("grad_clip", "2.5") == 2.5
         assert pv("max_steps", "100") == 100
 
     @pytest.mark.parametrize("key,raw", [
         ("nonsense", "1"), ("use_quotient", "maybe"), ("epochs", "ten"),
-        ("lr", "fast"),
+        ("lr", "fast"), ("grad_clip", "none"), ("grad_clip", ""),
     ])
     def test_parse_value_rejects(self, key, raw):
         with pytest.raises(FormatError):
@@ -152,7 +152,6 @@ class TestAdam:
 
     def test_clip_global_norm(self):
         g = np.array([3.0, 4.0])
-        assert tr._clip_global_norm(g, None) is g
         assert tr._clip_global_norm(g, 10.0) is g
         clipped = tr._clip_global_norm(g, 1.0)
         assert abs(np.linalg.norm(clipped) - 1.0) < 1e-12
@@ -292,10 +291,11 @@ class TestUpdates:
         assert np.array_equal(t.params.vec, vec)
         assert t.adam_gen.t == t.adam_critic.t == 0
 
-    def test_huge_clip_matches_no_clip(self):
+    def test_huge_clip_matches_no_clip(self, monkeypatch):
         a = tr.Trainer(self.ds, small_cfg(grad_clip=1e12))
-        b = tr.Trainer(self.ds, small_cfg(grad_clip=None))
+        b = tr.Trainer(self.ds, small_cfg())
         a.step(IDXS, 0)
+        monkeypatch.setattr(tr, "_clip_global_norm", lambda g, clip: g)
         b.step(IDXS, 0)
         assert np.array_equal(a.params.flat(), b.params.flat())
 
@@ -377,7 +377,7 @@ class TestRun:
         # one step's gradients at the same weights: the trainer's float32
         # params and batch against a float64 copy and the float64 arrays the
         # batch is cast from, so the bound covers the cast of the inputs too
-        cfg = tr.TrainConfig(use_lowrank=lowrank, batch_size=8, grad_clip=None)
+        cfg = tr.TrainConfig(use_lowrank=lowrank, batch_size=8, grad_clip=1e30)
         seqs = [synth_generate("sinusoid", joints=joints, frames=50, fps=25.0, seed=s)
                 for s in range(2)]
         ds = make_windows(seqs, n_observed=cfg.obs_frames, n_future=cfg.future_frames,
@@ -610,10 +610,11 @@ class TestRun:
         assert hand == loop
 
     def test_step_and_batch_accounting(self):
-        result = tr.train(small_dataset(), small_cfg(epochs=2))
+        t = tr.Trainer(small_dataset(), small_cfg(epochs=2))
+        result = t.run()
         assert len(result.reports) == 4
         assert [step for step, _ in result.reports] == [0, 1, 2, 3]
-        assert result.epochs_run == 2
+        assert t.epoch == 2
 
     def test_max_steps_cuts_run_short(self):
         result = tr.train(small_dataset(), small_cfg(epochs=10, max_steps=3))
