@@ -252,11 +252,13 @@ def _cmd_synth(args, cfg) -> int:
 def _cmd_transform(args, _cfg) -> int:
     out = Path(args.out)
     single_file = len(args.inputs) == 1 and out.suffix == ".mqq"
+    paths = [out if single_file else out / (Path(src).stem + ".mqq") for src in args.inputs]
+    _require_distinct([(f"the output of {src}", path) for src, path in zip(args.inputs, paths)],
+                      [("an input", src) for src in args.inputs])
     (out.parent if single_file else out).mkdir(parents=True, exist_ok=True)
-    for src in args.inputs:
+    for src, path in zip(args.inputs, paths):
         seq = read_mqs_file(src).sequence
         q = encode_quotient(seq)
-        path = out if single_file else out / (Path(src).stem + ".mqq")
         write_atomically(path, write_mqq(q))
         print(path)
     return 0
@@ -271,6 +273,10 @@ def _sidecar(flags: np.ndarray) -> str:
 
 def _cmd_perturb(args, cfg) -> int:
     out = Path(args.out)
+    _require_distinct([(f"the output of {src}", out / f"{Path(src).stem}.{tag}{ext}")
+                       for src in args.inputs for tag in ("masked", "noised")
+                       for ext in (".mqs", ".mask.txt")],
+                      [("an input", src) for src in args.inputs])
     out.mkdir(parents=True, exist_ok=True)
     for i, src in enumerate(args.inputs):
         seq = read_mqs_file(src).sequence

@@ -21,9 +21,11 @@ the embedding passes through untouched.
 
 Each sublayer, residual and post-LN included, is one first-order graph
 node (autodiff.fused): a numpy forward that keeps its intermediates and a
-closed-form numpy backward. In the low-rank form the rank projections fold
-into the query and key projections, x @ (w p) instead of (x @ w) @ p,
-which changes rounding but not the function.
+closed-form numpy backward. Under no_grad forward_backbone runs the same
+numpy forwards on plain arrays and makes no node. In the low-rank form the
+rank projections fold into the query and key projections, x @ (w p)
+instead of (x @ w) @ p, which changes rounding but not the function; a
+training pass folds the live weights, a prediction snapshot folds once.
 
 The prediction head reads only each joint's final-frame token, so the
 passes that feed it (training's clean pass and every predictor call) ask
@@ -186,6 +188,21 @@ def _param_count(dims: ModelDims) -> int:
     return base + dims.layers * (one - base)
 
 
+# Parameter names of each sublayer, in the order its fused node lists them.
+_QKV = ("wq", "bq", "wk", "wv", "bv")
+_GATED = ("pq", "pq_b", "pk", "gate")
+_ATTN_FF = ("ff_w1", "ff_b1", "ff_w2", "ff_b2")
+_FFN = ("w1", "b1", "w2", "b2")
+_LN = ("ln_g", "ln_b")
+_BRANCHES = ("spatial", "temporal", "ffn")  # a block's sublayers, in order
+
+
+def _sublayer_names(dims: ModelDims, branch: str) -> tuple:
+    if branch == "ffn":
+        return _FFN + _LN
+    return _QKV + (_GATED if dims.lowrank else ()) + _ATTN_FF + _LN
+
+
 class ModelParams:
     """All trainable arrays as named views into one float64 or float32 vector.
 
@@ -218,6 +235,15 @@ class ModelParams:
             off += n
         split = self._slices[self.critic_names[0]][0]
         self.generator, self.critic = vec[:split], vec[split:]
+        # (layer, branch) -> (suffixes, tensors, {suffix: array}), built once:
+        # the arrays are views into vec, so they follow in-place updates
+        self._sublayers: dict[tuple[int, str], tuple[tuple, tuple, dict]] = {}
+        for i in range(dims.layers):
+            for branch in _BRANCHES:
+                names = _sublayer_names(dims, branch)
+                tensors = tuple(self.tensors[f"layer{i}.{branch}.{s}"] for s in names)
+                self._sublayers[i, branch] = (names, tensors,
+                                             {s: t.data for s, t in zip(names, tensors)})
 
     @classmethod
     def init(cls, dims: ModelDims, seed: int) -> "ModelParams":
@@ -322,14 +348,6 @@ def embed(features, token_mask, params: ModelParams) -> Tensor:
     return emb
 
 
-# Parameter names of each sublayer, in the order its fused node lists them.
-_QKV = ("wq", "bq", "wk", "wv", "bv")
-_GATED = ("pq", "pq_b", "pk", "gate")
-_ATTN_FF = ("ff_w1", "ff_b1", "ff_w2", "ff_b2")
-_FFN = ("w1", "b1", "w2", "b2")
-_LN = ("ln_g", "ln_b")
-
-
 # The numpy forwards and backwards of the sublayer nodes.
 
 def _weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -357,6 +375,15 @@ def _fold(w, p, heads: int):
     d = w.shape[0]
     w3 = w.reshape(d, heads, -1).transpose(1, 0, 2)  # (H, D, Dh)
     return (w3 @ p).transpose(1, 0, 2).reshape(d, -1)
+
+
+def _folds(P: dict, heads: int) -> tuple:
+    """The low-rank attention's weight-only products: the query and key
+    projections with their rank projections folded in, and the folded query
+    bias. Each pass folds the live weights; a snapshot (fold_snapshot) holds
+    them under "folds"."""
+    bq = (P["bq"].reshape(heads, 1, -1) @ P["pq"] + P["pq_b"]).reshape(-1)
+    return _fold(P["wq"], P["pq"], heads), _fold(P["wk"], P["pk"], heads), bq
 
 
 def _unfold_grads(dw_f, w, p, heads: int):
@@ -406,8 +433,7 @@ def _attention(x: np.ndarray, P: dict, dims: ModelDims, last: bool = False):
         # The rank projections fold into the query and key projections, and
         # the gate, shared by all heads, mixes the merged heads at once. The
         # softmaxes run on (B, G, N, H, r) arrays, contiguous over the rank.
-        wq, wk = _fold(P["wq"], P["pq"], h), _fold(P["wk"], P["pk"], h)
-        bq = (P["bq"].reshape(h, 1, -1) @ P["pq"] + P["pq_b"]).reshape(-1)
+        wq, wk, bq = P["folds"] if "folds" in P else _folds(P, h)
         aq = ad.softmax_forward((x @ wq + bq).reshape(b, g, n, h, r), -1)  # phi(Q): over the rank
         ak = ad.softmax_forward((x @ wk).reshape(b, g, n, h, r), 2)  # phi(K): over tokens
         aqh, akh = aq.transpose(0, 1, 3, 2, 4), ak.transpose(0, 1, 3, 2, 4)
@@ -508,16 +534,37 @@ def _residual_post_ln(x: np.ndarray, y: np.ndarray, P: dict, branch_backward,
     return out, backward
 
 
-def _sublayer(h: Tensor, params: ModelParams, prefix: str, names: tuple, forward) -> Tensor:
-    """One fused graph node over h and the parameters prefix.<names>.
+def _sublayer_forward(x: np.ndarray, P: dict, dims: ModelDims, branch: str,
+                      last: bool = False):
+    """The numpy forward of one sublayer on x, residual and post-LN included:
+    (output, backward), where backward maps the output's gradient to (dx,
+    {suffix: gradient}), or None under no_grad, which keeps no intermediates,
+    so inference holds one stage's arrays at a time.
 
-    forward maps (h's array, {name: array}) to (output array, backward), and
-    backward maps the output's gradient to (dh, {name: gradient}). Under
-    no_grad every forward returns None for its backward instead of keeping
-    its intermediates alive, so inference holds one stage's arrays at a time.
+    branch is "ffn", or the attention over joints ("spatial") or frames
+    ("temporal"); with last (temporal only), at the final frame only.
     """
-    tensors = tuple(params.t(f"{prefix}.{s}") for s in names)
-    out, backward = forward(h.data, {s: t.data for s, t in zip(names, tensors)})
+    if branch == "ffn":
+        y, branch_backward = _mlp(x, P, _FFN)
+        return _residual_post_ln(x, y, P, branch_backward)
+    # the attention runs over axis -2: joints as they are, frames swapped in
+    swap = (lambda a: a) if branch == "spatial" else (lambda a: a.swapaxes(1, 2))
+    heads, heads_backward = _attention(swap(x), P, dims, last)
+    y, ff_backward = _mlp(heads, P, _ATTN_FF)
+
+    def branch_backward(dy):
+        dheads, grads = ff_backward(np.ascontiguousarray(swap(dy)))
+        dx, attn_grads = heads_backward(dheads)
+        grads.update(attn_grads)
+        return swap(dx), grads
+
+    return _residual_post_ln(x, swap(y), P, branch_backward, last)
+
+
+def _node(h: Tensor, params: ModelParams, layer: int, branch: str, last: bool = False) -> Tensor:
+    """One sublayer as one fused graph node over h and its parameters."""
+    names, tensors, P = params._sublayers[layer, branch]
+    out, backward = _sublayer_forward(h.data, P, params.dims, branch, last)
 
     def vjp(g):
         dh, grads = backward(g)
@@ -528,28 +575,9 @@ def _sublayer(h: Tensor, params: ModelParams, prefix: str, names: tuple, forward
 
 def _attention_sublayer(h, params: ModelParams, layer: int, branch: str,
                         last_frame: bool = False) -> Tensor:
-    """LN(h + FF(heads(h))) over joints (spatial) or frames (temporal), one
-    node; with last_frame (temporal only), at the final frame only."""
     h = ad.as_tensor(h)
-    _check_act(h, params, name=branch)
-    dims = params.dims
-    # the attention runs over axis -2: joints as they are, frames swapped in
-    swap = (lambda a: a) if branch == "spatial" else (lambda a: a.swapaxes(1, 2))
-
-    def forward(x, P):
-        heads, heads_backward = _attention(swap(x), P, dims, last_frame)
-        y, ff_backward = _mlp(heads, P, _ATTN_FF)
-
-        def branch_backward(dy):
-            dheads, grads = ff_backward(np.ascontiguousarray(swap(dy)))
-            dx, attn_grads = heads_backward(dheads)
-            grads.update(attn_grads)
-            return swap(dx), grads
-
-        return _residual_post_ln(x, swap(y), P, branch_backward, last_frame)
-
-    names = _QKV + (_GATED if dims.lowrank else ()) + _ATTN_FF + _LN
-    return _sublayer(h, params, f"layer{layer}.{branch}", names, forward)
+    _check_act(h.shape, params.dims, branch)
+    return _node(h, params, layer, branch, last_frame)
 
 
 def spatial_attention(h, params: ModelParams, layer: int) -> Tensor:
@@ -565,26 +593,28 @@ def temporal_attention(h, params: ModelParams, layer: int, last_frame: bool = Fa
     return _attention_sublayer(h, params, layer, "temporal", last_frame)
 
 
-def _check_act(h: Tensor, params: ModelParams, name: str) -> None:
-    dims = params.dims
-    if h.ndim != 4 or h.shape[-1] != dims.d_model or h.shape[2] != dims.joints:
+def _check_act(shape: tuple, dims: ModelDims, name: str) -> None:
+    if len(shape) != 4 or shape[-1] != dims.d_model or shape[2] != dims.joints:
         raise DimsMismatch(
-            f"{name} attention expects (B, T, {dims.joints}, {dims.d_model}), got {h.shape}"
+            f"{name} attention expects (B, T, {dims.joints}, {dims.d_model}), got {shape}"
         )
-    if h.shape[1] != dims.window:
-        raise DimsMismatch(
-            f"{name} attention expects window {dims.window}, got {h.shape[1]}"
-        )
+    if shape[1] != dims.window:
+        raise DimsMismatch(f"{name} attention expects window {dims.window}, got {shape[1]}")
 
 
 def _ffn(h: Tensor, params: ModelParams, layer: int) -> Tensor:
     """Position-wise FFN sublayer, residual and post-LN included."""
+    return _node(h, params, layer, "ffn")
 
-    def forward(x, P):
-        y, branch_backward = _mlp(x, P, _FFN)
-        return _residual_post_ln(x, y, P, branch_backward)
 
-    return _sublayer(h, params, f"layer{layer}.ffn", _FFN + _LN, forward)
+def fold_snapshot(params: ModelParams) -> None:
+    """Store each low-rank attention's weight-only products (_folds) beside
+    its arrays, for no-grad passes over params that nothing updates any more:
+    a prediction snapshot. The folds are those of params as they are now."""
+    if params.dims.lowrank:
+        for (_, branch), (_, _, P) in params._sublayers.items():
+            if branch != "ffn":
+                P["folds"] = _folds(P, params.dims.heads)
 
 
 def forward_backbone(features, token_mask, params: ModelParams,
@@ -601,16 +631,30 @@ def forward_backbone(features, token_mask, params: ModelParams,
     span the window, but its queries, feed-forward, post-LN and FFN run at
     the final frame alone. It equals the full activation's last frame up to
     rounding, and the backward still reaches every frame.
+
+    Under no_grad the sublayers' numpy forwards run on plain arrays, with
+    the bytes of the graph pass: the activation's joints and window are
+    checked once, no node is made, and a snapshot's folds (fold_snapshot)
+    stand in for folding the live weights.
     """
     h = embed(features, token_mask, params)
-    layers = params.dims.layers
-    if last_frame and layers == 0:
+    dims = params.dims
+    if last_frame and dims.layers == 0:
         return h[:, -1:]
-    for i in range(layers):
-        h = spatial_attention(h, params, i)
-        h = temporal_attention(h, params, i, last_frame=last_frame and i == layers - 1)
-        h = _ffn(h, params, i)
-    return h
+    if ad.grad_enabled():
+        for i in range(dims.layers):
+            h = spatial_attention(h, params, i)
+            h = temporal_attention(h, params, i, last_frame=last_frame and i == dims.layers - 1)
+            h = _ffn(h, params, i)
+        return h
+    x = h.data
+    if dims.layers:
+        _check_act(x.shape, dims, "spatial")
+    for i in range(dims.layers):
+        for branch in _BRANCHES:
+            last = last_frame and i == dims.layers - 1 and branch == "temporal"
+            x, _ = _sublayer_forward(x, params._sublayers[i, branch][2], dims, branch, last)
+    return Tensor(x)
 
 
 HEAD_NAMES = ("pred", "mask_recon", "denoise_recon")

@@ -670,8 +670,11 @@ def make_predictor(params: net.ModelParams, use_quotient: bool, input_gain: floa
     then the backbone and the pred head run in float32 on a float32 copy of
     the weights that is made here, once: the predictor is a snapshot of
     params as they are at this call, and later updates to params do not
-    reach it. The backbone runs its final block at the last frame only, the
-    one frame the prediction head reads (forward_backbone's last_frame).
+    reach it. The low-rank attention's weight-only products are folded here
+    too (net.fold_snapshot), so a call folds nothing, and the backbone runs
+    under no_grad on plain arrays. It runs its final block at the last frame
+    only, the one frame the prediction head reads (forward_backbone's
+    last_frame).
 
     A batch runs in consecutive slices of at most _SLICE_ENTRIES //
     (window x joints x d_model) windows, at least one, whose frames fill
@@ -684,6 +687,7 @@ def make_predictor(params: net.ModelParams, use_quotient: bool, input_gain: floa
     """
     dims = params.dims
     params32 = net.ModelParams(dims, params.vec.astype(np.float32))
+    net.fold_snapshot(params32)
     per_slice = max(1, _SLICE_ENTRIES // (dims.window * dims.joints * dims.d_model))
     _kernels.pin_blas_threads()
 

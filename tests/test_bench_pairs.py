@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py: the per-kind samples lines it keeps from run.py."""
+"""tools/bench_pairs.py: the per-kind samples lines it keeps from run.py, and
+the gain rule its summary applies."""
 import importlib.util
 from pathlib import Path
 
@@ -50,3 +51,35 @@ def test_summarize_samples_per_side():
     assert got["eval"]["parent"]["wall_ms"]["median"] == pytest.approx(95.0)
     assert got["eval"]["change"]["reference_ms"]["median"] == pytest.approx(102.0)
     assert got["eval"]["change"]["wall_ms"]["n"] == 2
+
+
+def _pairs(parent, change):
+    def runs(values):
+        return [{"metrics": {"predict_ms_p50": {"value": v}}} for v in values]
+
+    got = bench_pairs.summarize({"parent": runs(parent), "change": runs(change)},
+                                {"predict_ms_p50": "lower"})
+    return got["predict_ms_p50"]
+
+
+PARENT = [1.00, 1.02, 1.04, 1.06, 1.08, 1.10, 1.12, 1.14, 1.16, 1.18]  # IQR 0.09
+
+
+def test_gate_needs_the_medians_apart_by_more_than_the_parent_iqr():
+    # 10 of 10 pairs won, but the medians differ by 0.03 < 0.09
+    entry = _pairs(PARENT, [v - 0.03 for v in PARENT])
+    assert entry["change_won"] == 10 and entry["parent"]["iqr"] == pytest.approx(0.09)
+    assert entry["gate_met"] is False
+
+
+def test_gate_met_at_nine_of_ten_outside_the_iqr():
+    # one tie: nine pairs won, and the medians differ by 0.2
+    change = [v - 0.2 for v in PARENT[:9]] + [PARENT[9]]
+    entry = _pairs(PARENT, change)
+    assert entry["change_won"] == 9 and entry["gate_met"] is True
+
+
+def test_gate_not_met_at_eight_of_ten():
+    change = [v - 0.2 for v in PARENT[:8]] + [PARENT[8] + 0.01, PARENT[9]]
+    entry = _pairs(PARENT, change)
+    assert entry["change_won"] == 8 and entry["gate_met"] is False

@@ -4,7 +4,9 @@ perfbench/tracing.py wraps every (owner, attribute) of its _TARGETS and
 reads autodiff's grad flag and its nodes' parents, perfbench/run.py
 records the kernel backend flags, and perfbench/workloads.py drives a
 Trainer one step per run() and predicts from its checkpoint, so a renamed
-or moved name breaks the benchmark, not just its trace.
+or moved name breaks the benchmark, not just its trace. The predictor
+must also reach network.forward_backbone through the module, once per
+slice, for the traced network.backbone_nograd_ms to read its passes.
 """
 import dataclasses
 import importlib.util
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mqmotion import _kernels, autodiff, dataio, train
+from mqmotion import _kernels, autodiff, dataio, evaluate, network, train
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -93,3 +95,33 @@ def test_traced_step_spans_nest_as_the_per_layer_metrics_read_them():
         "train.Trainer.generator_update"] + ["train.Trainer.run"] * 2
     assert parents("train.Adam.step") == ["train.Trainer.critic_update"] * 2 + [
         "train.Trainer.generator_update"]
+
+
+def test_traced_evaluate_has_one_no_grad_backbone_span_per_slice(monkeypatch):
+    # the benchmark's eval phase: one evaluate of 64 J=22 windows through
+    # make_predictor, the predictor wrapped in its own span; the predictor is
+    # made before the tracer patches the module, as predict_op's is
+    tracing = _load_tracing()
+    cfg = train.TrainConfig()
+    seq = dataio.synth_generate("sinusoid", joints=22, fps=25.0, seed=0,
+                                frames=cfg.obs_frames + cfg.future_frames + 63)
+    data = dataio.make_windows([seq], cfg.obs_frames, cfg.future_frames, stride=1)
+    assert len(data) == 64
+    params = network.ModelParams.init(cfg.model_dims(22), seed=0)
+    predictor = train.make_predictor(params, cfg.use_quotient, cfg.input_gain)
+    lengths = []
+    forward = network.forward_backbone
+
+    def recording(features, *args, **kwargs):
+        lengths.append(len(features))
+        return forward(features, *args, **kwargs)
+
+    monkeypatch.setattr(network, "forward_backbone", recording)
+    tracer = tracing.Tracer()
+    with tracer.installed(), tracer.in_phase("eval"):
+        evaluate.evaluate(tracer.wrap(predictor, "predictor"), data)
+    spans = [s for s in tracer.spans if s[tracing.NAME] == "network.forward_backbone"]
+    assert lengths == [20, 20, 20, 4]
+    assert [(s[tracing.PHASE], s[tracing.ATTRS]["grad"]) for s in spans] == [("eval", False)] * 4
+    assert all(tracer.spans[s[tracing.PARENT]][tracing.NAME] == "predictor" for s in spans)
+    assert tracing.layer_metrics(tracer, windows_per_eval=64)["network.backbone_nograd_ms"] > 0

@@ -57,6 +57,21 @@ def tree_bytes(root):
     return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
 
+def same_name_inputs_are_one_line(tmp_path, monkeypatch, capsys, command):
+    """command over x/a.mqs and y/a.mqs --out out: one FormatError line naming
+    both inputs, checked before a directory is made or a clip is read."""
+    monkeypatch.chdir(tmp_path)
+    synth_file(tmp_path, "x/a.mqs")
+    synth_file(tmp_path, "y/a.mqs", seed=1)
+    before = tree_bytes(tmp_path)
+    capsys.readouterr()
+    rc = cli.main([command, "x/a.mqs", "y/a.mqs", "--out", "out"])
+    [line] = capsys.readouterr().err.splitlines()
+    assert rc == 3 and line.startswith("mqmotion: code=3 type=FormatError msg=")
+    assert "msg='the output of x/a.mqs and the output of y/a.mqs are one path" in line
+    assert tree_bytes(tmp_path) == before
+
+
 def edit_header(ckpt, edit, out=None):
     """Write ckpt with edit(header) applied to its JSON header to out (default: ckpt)."""
     raw = ckpt.read_bytes()
@@ -345,6 +360,9 @@ class TestTransform:
         assert rc == 0
         assert sorted(p.name for p in out.iterdir()) == ["s0.mqq", "s1.mqq"]
 
+    def test_two_inputs_of_one_name_are_one_line(self, tmp_path, monkeypatch, capsys):
+        same_name_inputs_are_one_line(tmp_path, monkeypatch, capsys, "transform")
+
     def test_missing_input_is_data_error(self, tmp_path, capsys):
         rc = cli.main(["transform", str(tmp_path / "ghost.mqs"),
                        "--out", str(tmp_path / "q.mqq")])
@@ -381,6 +399,9 @@ class TestPerturb:
         for name in ("clip.masked.mqs", "clip.noised.mqs",
                      "clip.masked.mask.txt"):
             assert (out_a / name).read_text() == (out_b / name).read_text()
+
+    def test_two_inputs_of_one_name_are_one_line(self, tmp_path, monkeypatch, capsys):
+        same_name_inputs_are_one_line(tmp_path, monkeypatch, capsys, "perturb")
 
     def test_zero_probability_copies_input(self, tmp_path):
         src = synth_file(tmp_path, "clip.mqs", joints=2, frames=6)

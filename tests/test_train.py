@@ -933,9 +933,9 @@ class TestPredictor:
         assert np.array_equal(predict(obs), before)
 
     @staticmethod
-    def _model_and_windows(joints, count, lowrank=True, quotient=True):
+    def _model_and_windows(joints, count, lowrank=True, quotient=True, layers=2):
         """Default-size weights moved off the init point, and count J-joint windows."""
-        cfg = tr.TrainConfig(use_lowrank=lowrank, use_quotient=quotient)
+        cfg = tr.TrainConfig(use_lowrank=lowrank, use_quotient=quotient, layers=layers)
         params = net.ModelParams.init(cfg.model_dims(joints), seed=1)
         params.vec += np.random.default_rng(2).normal(scale=0.05, size=params.vec.size)
         span = cfg.obs_frames + cfg.future_frames
@@ -983,6 +983,27 @@ class TestPredictor:
         assert got.tobytes() == self._one_pass(params, obs, cfg).tobytes()
         for i in (0, per - 1, per, 2 * per, len(obs) - 1):
             assert predict(obs[i]).tobytes() == got[i].tobytes(), i
+
+    @pytest.mark.parametrize("layers", [0, 1, 2])
+    @pytest.mark.parametrize("joints", [5, 22])
+    @pytest.mark.parametrize("lowrank", [True, False], ids=["lowrank", "full"])
+    @pytest.mark.parametrize("quotient", [True, False], ids=["quotient", "raw"])
+    def test_no_grad_pass_gives_the_graph_pass_bytes(self, layers, joints, lowrank, quotient):
+        """The predictor's no-grad pass, whose rank folds are made once per
+        snapshot, against forward_backbone then the pred head with gradients
+        on, on the same float32 snapshot: 1 window, one slice, one slice + 1."""
+        dims = tr.TrainConfig(use_lowrank=lowrank, use_quotient=quotient,
+                              layers=layers).model_dims(joints)
+        per = max(1, tr._SLICE_ENTRIES // (dims.window * dims.joints * dims.d_model))
+        cfg, params, obs = self._model_and_windows(joints, per + 1, lowrank, quotient, layers)
+        predict = tr.make_predictor(params, quotient, cfg.input_gain)
+        p32 = net.ModelParams(params.dims, params.vec.astype(np.float32))
+        feats, _ = net.build_features(obs, 0, quotient, cfg.input_gain)
+        for n in (1, per, per + 1):
+            act = net.forward_backbone(feats[:n].astype(np.float32), None, p32, last_frame=True)
+            want = net.heads(act, p32, "pred")
+            assert want.requires_grad  # the graph pass
+            assert predict(obs[:n]).tobytes() == want.data.astype(np.float64).tobytes(), n
 
     @pytest.mark.parametrize("count, lengths", [
         (1, [1]), (4, [4]), (5, [4, 1]), (14, [4, 4, 4, 2])])

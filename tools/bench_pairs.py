@@ -11,8 +11,8 @@ checkout and from a clone, so the file records each side's commit and
 resolved path under "checkouts". Pair i runs seed first_seed + i on both
 sides, the parent first when i is even and the change first when it is odd.
 Per workload the file holds every run, each side's median and quartiles of
-every metric, the pairs the change won, and one --trace 1 run per side at
-seed 5 (the per-layer metrics).
+every metric, the pairs the change won, whether that meets the gain rule
+(gate_met), and one --trace 1 run per side at seed 5 (the per-layer metrics).
 Every run also keeps run.py's per-kind "samples" lines (count, wall median and
 reference median in ms), and each workload's "samples" summary gives each
 side's quartiles of both medians per kind. The reported metrics are in
@@ -81,7 +81,10 @@ def quartiles(xs: list[float]) -> dict:
 
 
 def summarize(runs: dict, better: dict) -> dict:
-    """Per metric: each side's quartiles, change/parent medians, pairs won."""
+    """Per metric: each side's quartiles, change/parent medians, pairs won, and
+    gate_met: whether a gain may be claimed. That takes the change winning at
+    least nine tenths of the pairs (ties count for neither) and its median
+    beating the parent's by more than the parent's IQR."""
     out = {}
     for name, direction in better.items():
         vals = {s: [r["metrics"][name]["value"] for r in runs[s]
@@ -94,6 +97,9 @@ def summarize(runs: dict, better: dict) -> dict:
         pairs = list(zip(vals["parent"], vals["change"]))
         entry["change_won"] = sum(1 for a, b in pairs if sign * (b - a) > 0)
         entry["pairs"] = len(pairs)
+        iqr = entry["parent"]["iqr"]
+        entry["gate_met"] = bool(pairs) and 10 * entry["change_won"] >= 9 * len(pairs) \
+            and iqr is not None and c is not None and sign * (c - p) > iqr
         out[name] = entry
     return out
 
