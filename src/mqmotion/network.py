@@ -647,14 +647,14 @@ def forward_backbone(features, token_mask, params: ModelParams,
             h = temporal_attention(h, params, i, last_frame=last_frame and i == dims.layers - 1)
             h = _ffn(h, params, i)
         return h
-    x = h.data
+    h = h.data  # no name holds the embedding past the first sublayer
     if dims.layers:
-        _check_act(x.shape, dims, "spatial")
+        _check_act(h.shape, dims, "spatial")
     for i in range(dims.layers):
         for branch in _BRANCHES:
             last = last_frame and i == dims.layers - 1 and branch == "temporal"
-            x, _ = _sublayer_forward(x, params._sublayers[i, branch][2], dims, branch, last)
-    return Tensor(x)
+            h, _ = _sublayer_forward(h, params._sublayers[i, branch][2], dims, branch, last)
+    return Tensor(h)
 
 
 HEAD_NAMES = ("pred", "mask_recon", "denoise_recon")

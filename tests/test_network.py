@@ -1,6 +1,7 @@
 """Backbone, output heads, and critics: exactness fixtures, attention
 normalization properties, and gradient checks against finite differences."""
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -412,6 +413,25 @@ class TestBackbone:
             finally:
                 tracemalloc.stop()
         assert peak < 11 * act_bytes
+
+    @pytest.mark.parametrize("last_frame", [False, True])
+    def test_nograd_pass_holds_one_activation_between_sublayers(self, monkeypatch, last_frame):
+        # each sublayer's input, the embedding first, is freed once the next
+        # sublayer starts: a name left on an earlier activation held one more
+        # slice-sized array through the pass
+        dims = TrainConfig().model_dims(5)
+        params = net.ModelParams.init(dims, seed=0)
+        forward, inputs, held = net._sublayer_forward, [], []
+
+        def recording(x, *args, **kwargs):
+            held.append(sum(ref() is not None for ref in inputs))
+            inputs.append(weakref.ref(x))
+            return forward(x, *args, **kwargs)
+
+        monkeypatch.setattr(net, "_sublayer_forward", recording)
+        with ad.no_grad():
+            net.forward_backbone(rand_features(dims), None, params, last_frame=last_frame)
+        assert held == [0] * 3 * dims.layers
 
     def test_fullrank_forward_runs(self):
         dims = small_dims(lowrank=False)
