@@ -197,12 +197,6 @@ _LN = ("ln_g", "ln_b")
 _BRANCHES = ("spatial", "temporal", "ffn")  # a block's sublayers, in order
 
 
-def _sublayer_names(dims: ModelDims, branch: str) -> tuple:
-    if branch == "ffn":
-        return _FFN + _LN
-    return _QKV + (_GATED if dims.lowrank else ()) + _ATTN_FF + _LN
-
-
 class ModelParams:
     """All trainable arrays as named views into one float64 or float32 vector.
 
@@ -238,9 +232,10 @@ class ModelParams:
         # (layer, branch) -> (suffixes, tensors, {suffix: array}), built once:
         # the arrays are views into vec, so they follow in-place updates
         self._sublayers: dict[tuple[int, str], tuple[tuple, tuple, dict]] = {}
+        attention = _QKV + (_GATED if dims.lowrank else ()) + _ATTN_FF + _LN
         for i in range(dims.layers):
             for branch in _BRANCHES:
-                names = _sublayer_names(dims, branch)
+                names = _FFN + _LN if branch == "ffn" else attention
                 tensors = tuple(self.tensors[f"layer{i}.{branch}.{s}"] for s in names)
                 self._sublayers[i, branch] = (names, tensors,
                                              {s: t.data for s, t in zip(names, tensors)})
