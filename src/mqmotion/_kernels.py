@@ -61,14 +61,14 @@ def pin_blas_threads() -> None:
         setter(1)
 
 
-def quotient_channels(frames: np.ndarray, dt: float):
+def quotient_channels(frames: np.ndarray):
     """Speed and plane cosines of (B, T, J, 3) frames.
 
     Returns magnitudes (B, T-1, J), cosines (B, T-1, J, 3) against the
     xy/yz/zx planes, and a validity mask (B, T-1, J) that is False where
     the velocity is zero (magnitude and cosines are 0 there).
     """
-    vel = np.diff(frames, axis=1) / dt
+    vel = np.diff(frames, axis=1)
     sq = vel * vel
     n = np.sqrt(sq.sum(axis=-1))
     valid = n > 0.0
@@ -82,11 +82,11 @@ def quotient_channels(frames: np.ndarray, dt: float):
     return mag, cos, valid
 
 
-def integrate(start: np.ndarray, vel: np.ndarray, dt: float) -> np.ndarray:
+def integrate(start: np.ndarray, vel: np.ndarray) -> np.ndarray:
     """Frames (T+1, J, 3) from a start pose (J, 3) and velocities (T, J, 3)."""
     out = np.empty((vel.shape[0] + 1,) + start.shape, dtype=np.float64)
     out[0] = start
-    out[1:] = vel * dt
+    out[1:] = vel
     np.cumsum(out, axis=0, out=out)
     return out
 

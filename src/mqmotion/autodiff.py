@@ -45,8 +45,19 @@ rank features over a batch) as whole slabs: chunks of rows go into a buffer
 with the reduced axis first, so each step of a max or a sum is one
 elementwise op over contiguous slabs instead of one numpy loop per row. The sums add in
 numpy's own pairwise order for a contiguous last axis, so the kernels' bits
-equal np.sum's and the plain formula's; few rows, other lengths and other
-axes take numpy's reductions directly.
+equal np.sum's and the plain formula's; few rows and other lengths take
+np.sum directly. Over any other axis (the keys' softmax over tokens) the
+sum is one einsum, which adds the slices in np.sum's own order for that
+axis, one after another, so those bits are np.sum's too.
+
+Layer norm sums each row over its width by einsum, its sum of squares as
+one einsum of the row with itself. That is not np.sum's pairwise order, so
+layer_norm_forward and layer_norm_backward round differently from a
+pairwise sum in the last place, but each row is still summed on its own:
+its bytes do not depend on the rows beside it or on where it sits in
+memory, so a window has the same bytes in any batch or predictor slice. A
+product with a vector of ones (BLAS) was faster still but is not
+row-independent.
 """
 from __future__ import annotations
 
@@ -345,11 +356,14 @@ def concat(tensors, axis=0) -> Tensor:
 #     ((x0 + x1) + (x2 + x3)) + ((x4 + x5) + (x6 + x7)),
 # added to the reduction's 0.0 identity. So the output has the plain
 # formula's bits, signed zeros included. The max is exact in any order and
-# halves its axis. Other lengths, few rows and other axes take numpy's
-# reductions directly: only 8 entries were timed against numpy's path;
-# longer rows (the full-rank form's key rows) get more work per numpy call;
-# and on the keys' token axis numpy's loop already runs over a whole H * r
-# slab per row, which moved to the front measured no faster.
+# halves its axis. Other lengths and few rows take np.sum directly: only 8
+# entries were timed against numpy's path, and longer rows (the full-rank
+# form's key rows) get more work per numpy call. Other axes (the keys' token
+# axis) take one einsum (_axis_sum): off the last axis np.sum adds whole
+# slices one after another, one inner loop of H * r entries per slice, and
+# einsum adds them in that same order in fewer, longer loops, so its bits
+# are np.sum's (TestEinsumSums fails first if a numpy changes either order).
+# Moving the keys' token axis to the front measured no faster.
 
 _SLAB_ROWS = 512  # fewer rows take numpy's path; at 8 entries the backward's slabs pay from ~300 rows
 _SLAB_CHUNK = 1 << 16  # entries per chunk: few ops per chunk, its scratch held in cache
@@ -388,6 +402,15 @@ def _slab_rows(a: np.ndarray, axis: int):
     return rows, min(len(rows), _SLAB_CHUNK // n)
 
 
+def _axis_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """np.sum(a, axis=axis, keepdims=True), bit for bit: np.sum itself over
+    the last axis, one einsum over any other."""
+    if axis == a.ndim - 1:
+        return np.sum(a, axis=axis, keepdims=True)
+    idx = "abcdefghijklmnopqrstuvwxyz"[:a.ndim]
+    return np.expand_dims(np.einsum(f"{idx}->{idx[:axis]}{idx[axis + 1:]}", a), axis)
+
+
 def softmax_forward(a: np.ndarray, axis: int) -> np.ndarray:
     """Shift-stabilized softmax; the shift is a constant, which is exact."""
     axis %= a.ndim
@@ -395,7 +418,7 @@ def softmax_forward(a: np.ndarray, axis: int) -> np.ndarray:
     if slabs is None:
         e = a - _halving_max(a, axis)
         np.exp(e, out=e)
-        e /= np.sum(e, axis=axis, keepdims=True)
+        e /= _axis_sum(e, axis)
         return e
     rows, k = slabs
     y = np.empty_like(a)
@@ -416,7 +439,7 @@ def softmax_backward(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     d = g * y
     slabs = _slab_rows(y, axis)
     if slabs is None or g.shape != y.shape or not g.flags.c_contiguous:
-        np.subtract(g, np.sum(d, axis=axis, keepdims=True), out=d)
+        np.subtract(g, _axis_sum(d, axis), out=d)
         d *= y
         return d
     rows, k = slabs
@@ -440,15 +463,15 @@ def layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: 
     """Normalize over the last axis, then scale and shift.
 
     Returns (output, normalized x, std); the last two feed layer_norm_backward.
+    Each row's sums are einsums over that row alone (see the module docstring).
     """
     n = float(x.shape[-1])
-    y = x - np.sum(x, axis=-1, keepdims=True) / n
-    out = y * y
-    std = np.sqrt(np.sum(out, axis=-1, keepdims=True) / n + eps)
+    y = x - np.einsum("...i->...", x)[..., None] / n
+    std = np.sqrt(np.einsum("...i,...i->...", y, y)[..., None] / n + eps)
     # divide rather than multiply by 1/std: the same rounding as the
     # primitive chain this node replaced
     y /= std
-    np.multiply(y, gamma, out=out)
+    out = y * gamma
     out += beta
     return out, y, std
 
@@ -457,10 +480,9 @@ def layer_norm_backward(g: np.ndarray, gamma: np.ndarray, y: np.ndarray, std: np
     """Gradient with respect to layer_norm_forward's x."""
     n = float(y.shape[-1])
     gy = g * gamma
-    scratch = gy * y
-    mean_gyy = np.sum(scratch, axis=-1, keepdims=True) / n
-    gy -= np.sum(gy, axis=-1, keepdims=True) / n
-    gy -= np.multiply(y, mean_gyy, out=scratch)
+    mean_gyy = np.einsum("...i,...i->...", gy, y)[..., None] / n
+    gy -= np.einsum("...i->...", gy)[..., None] / n
+    gy -= y * mean_gyy
     gy /= std
     return gy
 

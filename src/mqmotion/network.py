@@ -312,7 +312,7 @@ def build_features(
     if obs.ndim != 4 or obs.shape[-1] != 3:
         raise DimsMismatch(f"observed batch must be (B, n, J, 3), got {obs.shape}")
     if use_quotient:
-        mag, cos, _valid = _kernels.quotient_channels(obs, 1.0)
+        mag, cos, _valid = _kernels.quotient_channels(obs)
         b, tm1, j = mag.shape
         last = np.broadcast_to(obs[:, -1][:, None], (b, tm1, j, 3))
         features = np.concatenate(
@@ -357,8 +357,10 @@ def _weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 
 def _bias_grad(dy: np.ndarray) -> np.ndarray:
-    """Gradient of b in x @ W + b: dy summed over every token axis."""
-    return dy.reshape(-1, dy.shape[-1]).sum(axis=0)
+    """Gradient of b in x @ W + b: dy summed over every token axis, by one
+    einsum, which adds the rows in np.sum's order, one row after another,
+    without np.sum's loop per row of a narrow array."""
+    return np.einsum("ij->j", dy.reshape(-1, dy.shape[-1]))
 
 
 def _fold(w, p, heads: int):
@@ -421,7 +423,9 @@ def _attention(x: np.ndarray, P: dict, dims: ModelDims, last: bool = False):
     def merge(a):  # (B, G, H, M, w) -> (B, G, M, H*w)
         return a.transpose(0, 1, 3, 2, 4).reshape(b, g, a.shape[3], -1)
 
-    vh = split(x @ P["wv"] + P["bv"], dh)
+    vh = x @ P["wv"]
+    vh += P["bv"]
+    vh = split(vh, dh)
     # the queried rows: every token, or the last one of the full-rank form
     xq = x[:, :, -1:] if last and not dims.lowrank else x
     if dims.lowrank:
@@ -429,7 +433,9 @@ def _attention(x: np.ndarray, P: dict, dims: ModelDims, last: bool = False):
         # the gate, shared by all heads, mixes the merged heads at once. The
         # softmaxes run on (B, G, N, H, r) arrays, contiguous over the rank.
         wq, wk, bq = P["folds"] if "folds" in P else _folds(P, h)
-        aq = ad.softmax_forward((x @ wq + bq).reshape(b, g, n, h, r), -1)  # phi(Q): over the rank
+        q = x @ wq
+        q += bq
+        aq = ad.softmax_forward(q.reshape(b, g, n, h, r), -1)  # phi(Q): over the rank
         ak = ad.softmax_forward((x @ wk).reshape(b, g, n, h, r), 2)  # phi(K): over tokens
         aqh, akh = aq.transpose(0, 1, 3, 2, 4), ak.transpose(0, 1, 3, 2, 4)
         ctx = akh.swapaxes(-1, -2) @ vh  # (B, G, H, r, Dh)
@@ -439,7 +445,9 @@ def _attention(x: np.ndarray, P: dict, dims: ModelDims, last: bool = False):
     else:
         scale = 1.0 / math.sqrt(dh)  # a Python float keeps float32 logits float32
         wq, wk = P["wq"], P["wk"]
-        qh = split(xq @ wq + P["bq"], dh)
+        qh = xq @ wq
+        qh += P["bq"]
+        qh = split(qh, dh)
         kh = split(x @ wk, dh)
         att = ad.softmax_forward((qh @ kh.swapaxes(-1, -2)) * scale, -1)
         out = merge(att @ vh)
@@ -484,17 +492,20 @@ def _attention(x: np.ndarray, P: dict, dims: ModelDims, last: bool = False):
 def _mlp(x: np.ndarray, P: dict, names: tuple):
     """gelu MLP over the last axis with weights P[names] = (w1, b1, w2, b2)."""
     w1, b1, w2, b2 = (P[s] for s in names)
-    pre = x @ w1 + b1
+    pre = x @ w1
+    pre += b1
     hidden, t = ad.gelu_forward(pre)
+    y = hidden @ w2
+    y += b2
     if not ad.grad_enabled():
-        return hidden @ w2 + b2, None
+        return y, None
 
     def backward(dy):
         dpre = ad.gelu_backward(pre, t, dy @ w2.T)
         grads = (_weight_grad(x, dpre), _bias_grad(dpre), _weight_grad(hidden, dy), _bias_grad(dy))
         return dpre @ w1.T, dict(zip(names, grads))
 
-    return hidden @ w2 + b2, backward
+    return y, backward
 
 
 def _residual_post_ln(x: np.ndarray, y: np.ndarray, P: dict, branch_backward,

@@ -30,10 +30,9 @@ _PLANE_AXES = {"xy": (0, 1), "yz": (1, 2), "zx": (2, 0)}
 
 @dataclass(frozen=True)
 class TangentField:
-    """Per-joint velocities between consecutive frames: (T-1, J, 3) in mm/dt."""
+    """Per-joint velocities between consecutive frames: (T-1, J, 3) in mm per frame."""
 
     velocities: np.ndarray
-    dt: float
     skeleton: Skeleton
     fps: float
 
@@ -43,8 +42,6 @@ class TangentField:
             raise SkeletonMismatch(f"velocities must be (T-1, J, 3), got {arr.shape}")
         if not np.isfinite(arr).all():
             raise DegenerateVelocity("velocities contain non-finite values")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise DegenerateVelocity(f"dt must be positive, got {self.dt}")
         arr.flags.writeable = False
         object.__setattr__(self, "velocities", arr)
 
@@ -78,7 +75,6 @@ class QuotientRepresentation:
     last_pose: np.ndarray
     magnitudes: np.ndarray
     cosines: GrassmannCosines
-    dt: float
     skeleton: Skeleton
     fps: float
 
@@ -96,20 +92,17 @@ class QuotientRepresentation:
         object.__setattr__(self, "magnitudes", mag)
 
 
-def _check_differencing(seq: MotionSequence, dt: float) -> None:
+def _check_differencing(seq: MotionSequence) -> None:
     if seq.n_frames < 2:
         raise SequenceTooShort(
             f"need at least 2 frames for velocities, got {seq.n_frames}"
         )
-    if not (np.isfinite(dt) and dt > 0):
-        raise DegenerateVelocity(f"dt must be positive, got {dt}")
 
 
-def tangent_velocities(seq: MotionSequence, dt: float = 1.0) -> TangentField:
-    """Forward differences (p[t+1] - p[t]) / dt over a sequence."""
-    _check_differencing(seq, dt)
-    vel = np.diff(seq.frames, axis=0) / dt
-    return TangentField(vel, dt, seq.skeleton, seq.fps)
+def tangent_velocities(seq: MotionSequence) -> TangentField:
+    """Forward differences p[t+1] - p[t] over a sequence."""
+    _check_differencing(seq)
+    return TangentField(np.diff(seq.frames, axis=0), seq.skeleton, seq.fps)
 
 
 def grassmann_project(v, plane: str) -> np.ndarray:
@@ -148,18 +141,17 @@ def orthogonal_cosine(v, plane: str) -> tuple[float, bool]:
     return float(np.sqrt(proj @ proj)) / n, True
 
 
-def encode_quotient(seq: MotionSequence, dt: float = 1.0) -> QuotientRepresentation:
+def encode_quotient(seq: MotionSequence) -> QuotientRepresentation:
     """Encode a window into (last pose, |v|, plane cosines)."""
-    _check_differencing(seq, dt)
+    _check_differencing(seq)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        mag, cos, valid = _kernels.quotient_channels(seq.frames[np.newaxis], dt)
+        mag, cos, valid = _kernels.quotient_channels(seq.frames[np.newaxis])
     if not np.isfinite(mag).all():
         raise DegenerateVelocity("velocities are too large to encode")
     return QuotientRepresentation(
         last_pose=seq.frames[-1],
         magnitudes=mag[0],
         cosines=GrassmannCosines(cos[0], valid[0]),
-        dt=dt,
         skeleton=seq.skeleton,
         fps=seq.fps,
     )
@@ -168,7 +160,7 @@ def encode_quotient(seq: MotionSequence, dt: float = 1.0) -> QuotientRepresentat
 def integrate_velocities(start, field: TangentField) -> MotionSequence:
     """Left inverse of tangent_velocities: cumulative sum from a start pose."""
     pose = as_pose(start, field.skeleton)
-    frames = _kernels.integrate(pose, field.velocities, field.dt)
+    frames = _kernels.integrate(pose, field.velocities)
     return MotionSequence(frames, field.fps, field.skeleton)
 
 

@@ -45,7 +45,7 @@ def test_01_plane_cosine_identity():
     rng = np.random.default_rng(0)
     vel = rng.standard_normal((100000, 1, 3))
     frames = np.concatenate([np.zeros((1, 1, 3)), np.cumsum(vel, axis=0)])
-    _, cos, valid = _kernels.quotient_channels(frames[np.newaxis], 1.0)
+    _, cos, valid = _kernels.quotient_channels(frames[np.newaxis])
     ssum = (cos[0, valid[0]] ** 2).sum(axis=-1)
     dev = float(np.abs(ssum - 2.0).max())
     scalar_dev = 0.0

@@ -251,6 +251,79 @@ class TestSoftmaxKernelBits:
             assert np.array_equal(bits(g_t), bits(g0))
 
 
+class TestEinsumSums:
+    """The einsum sums that claim np.sum's order, against np.sum bit for bit.
+
+    Off an array's last axis np.sum adds whole slices one after another, and
+    the softmax kernels' einsum (_axis_sum) adds them in the same order; a
+    numpy whose einsum takes another order fails here first. Inputs are
+    TestSoftmaxKernelBits': six decades of magnitude, signed zeros and +-inf.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 22, 33, 130])
+    def test_axis_sum_is_np_sum(self, dtype, n):
+        for i, (shape_of, axis) in enumerate(SOFTMAX_LAYOUTS):
+            shape = shape_of(n)
+            axis %= len(shape)
+            a, g = TestSoftmaxKernelBits.inputs(shape, axis, dtype, seed=n * 10 + i)
+            g_t = np.ascontiguousarray(g.swapaxes(2, 3)).swapaxes(2, 3)
+            with np.errstate(invalid="ignore"):  # inf - inf
+                # contiguous, transposed, and broadcast along the first axis,
+                # alone and as softmax_backward's product with a softmax
+                y = ad.softmax_forward(a, axis)
+                cases = (a, g, g_t, np.broadcast_to(g[:1], shape), g * y, g_t * y, g[:1] * y)
+                for x in cases:
+                    want = np.sum(x, axis=axis, keepdims=True)
+                    got = ad._axis_sum(x, axis)
+                    assert got.dtype == want.dtype == dtype and got.shape == want.shape
+                    assert np.array_equal(bits(got), bits(want)), (shape, axis, x.strides)
+
+
+class TestLayerNormRows:
+    """layer_norm_forward/backward sum each row on its own (einsum, not
+    np.sum's pairwise order), so a row's bytes do not depend on the rows
+    around it or on where it sits in memory: a window keeps its bytes in any
+    batch or predictor slice."""
+
+    @staticmethod
+    def placed(row: np.ndarray, offset: int) -> np.ndarray:
+        """row copied into a larger buffer at an element offset."""
+        buf = np.full(row.size + 2 * offset + 1, np.nan, row.dtype)
+        buf[offset:offset + row.size] = row.ravel()
+        return buf[offset:offset + row.size].reshape(row.shape)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [3, 8, 32, 33, 64])
+    def test_a_row_keeps_its_bytes(self, dtype, d):
+        rng = np.random.default_rng(d)
+        shape = (20, 9, 22, d)
+        x = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)).astype(dtype)
+        g = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)).astype(dtype)
+        x[1, 2, 3] = -0.0  # a row of negative zeros
+        g[::3, :, :, ::2] = -0.0
+        gamma = rng.uniform(0.5, 2.0, d).astype(dtype)
+        beta = rng.standard_normal(d).astype(dtype)
+
+        def ln(x, g):
+            out, y, std = ad.layer_norm_forward(x, gamma, beta)
+            return out, y, std, ad.layer_norm_backward(g, gamma, y, std)
+
+        whole = ln(x, g)
+        # the same rows in a batch whose frames and joints are swapped in memory
+        swapped = ln(*(np.ascontiguousarray(a.swapaxes(1, 2)).swapaxes(1, 2) for a in (x, g)))
+        for a, b in zip(whole, swapped):
+            assert np.array_equal(bits(a), bits(b))
+        for idx in [(0, 0, 0), (1, 2, 3), (7, 4, 13), (19, 8, 21)]:
+            one = ln(x[idx][None], g[idx][None])  # the row alone
+            window = ln(x[idx[:1]][None], g[idx[:1]][None])  # its window alone
+            odd = ln(self.placed(x[idx][None], 1), self.placed(g[idx][None], 3))
+            for a, b, c, w in zip(whole, one, odd, window):
+                assert np.array_equal(bits(a[idx][None]), bits(b))
+                assert np.array_equal(bits(b), bits(c))
+                assert np.array_equal(bits(a[idx]), bits(w[(0,) + idx[1:]]))
+
+
 FUSED = {
     "softmax_rank": lambda x, g, b: ad.softmax(x, axis=-1),
     "softmax_token": lambda x, g, b: ad.softmax(x, axis=-2),

@@ -1,5 +1,5 @@
-"""tools/bench_pairs.py: the per-kind samples lines it keeps from run.py, and
-the gain rule its summary applies."""
+"""tools/bench_pairs.py: the per-kind samples lines it keeps from run.py, the
+gain rule its summary applies, and the A/A twin arm."""
 import importlib.util
 from pathlib import Path
 
@@ -83,3 +83,59 @@ def test_gate_not_met_at_eight_of_ten():
     change = [v - 0.2 for v in PARENT[:8]] + [PARENT[8] + 0.01, PARENT[9]]
     entry = _pairs(PARENT, change)
     assert entry["change_won"] == 8 and entry["gate_met"] is False
+
+
+def _with_twin(parent, change, twin):
+    def runs(values):
+        return [{"metrics": {"predict_ms_p50": {"value": v}}} for v in values]
+
+    got = bench_pairs.summarize({"parent": runs(parent), "change": runs(change),
+                                 "twin": runs(twin)}, {"predict_ms_p50": "lower"})
+    return got["predict_ms_p50"]
+
+
+def test_twin_quartiles_and_move_are_recorded():
+    twin = [v + 0.05 for v in PARENT]
+    entry = _with_twin(PARENT, [v - 0.2 for v in PARENT], twin)
+    assert entry["twin"]["median"] == pytest.approx(1.14)
+    assert entry["twin"]["iqr"] == pytest.approx(0.09) and entry["twin"]["n"] == 10
+    assert entry["twin_move"] == pytest.approx(0.05)
+    assert entry["gate_met"] is True
+
+
+@pytest.mark.parametrize("shift", [0.25, -0.25])
+def test_gate_needs_the_change_to_beat_the_twins_move(shift):
+    # 10 of 10 pairs and 0.2 beyond the parent's IQR of 0.09, but the twin,
+    # the parent's own code, moved 0.25 either way
+    entry = _with_twin(PARENT, [v - 0.2 for v in PARENT], [v + shift for v in PARENT])
+    assert entry["change_won"] == 10 and entry["twin_move"] == pytest.approx(0.25)
+    assert entry["gate_met"] is False
+
+
+def test_without_a_twin_the_pair_rule_alone_applies():
+    entry = _pairs(PARENT, [v - 0.2 for v in PARENT])
+    assert "twin" not in entry and "twin_move" not in entry
+    assert entry["gate_met"] is True
+
+
+def test_samples_summary_has_the_twin():
+    run = {"samples": {"eval": {"n": 13, "wall_ms": 90.0, "reference_ms": 110.0}}}
+    got = bench_pairs.summarize_samples({"parent": [run], "change": [run], "twin": [run]})
+    assert sorted(got["eval"]) == ["change", "parent", "twin"]
+
+
+def test_each_side_goes_first_in_turn():
+    three = ("parent", "change", "twin")
+    orders = [bench_pairs.pair_order(three, i) for i in range(6)]
+    assert [o[0] for o in orders] == ["parent", "change", "twin"] * 2
+    assert all(sorted(o) == sorted(three) for o in orders)
+    two = ("parent", "change")
+    assert [bench_pairs.pair_order(two, i) for i in range(2)] == [two, two[::-1]]
+
+
+def test_twin_sits_beside_the_parent_under_a_name_of_its_length(tmp_path):
+    parent = tmp_path / "parent"
+    bench_pairs.check_twin(parent, tmp_path / "twin_p")
+    for bad in (tmp_path / "twin", tmp_path / "sub" / "twin_p", parent):
+        with pytest.raises(SystemExit):
+            bench_pairs.check_twin(parent, bad)

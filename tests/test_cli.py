@@ -570,7 +570,7 @@ class TestTrain:
     @pytest.mark.parametrize("frames, sizes, windows", [
         (60, "layers = 603", 16),  # 9,993,608 parameters; one step would take ~22 GB
         (60, SMALL_MODEL + "ffn_mult = 70000", 4),  # 9,550,000 parameters
-        (400, SMALL_MODEL + "batch_size = 1000000000000\nlayers = 30", 393),
+        (400, SMALL_MODEL + "batch_size = 1000000000000\nlayers = 70", 393),
     ], ids=["layers", "ffn_mult", "batch_size"])
     def test_activations_over_limit_are_one_line(self, tmp_path, capsys, frames, sizes,
                                                 windows):
@@ -589,6 +589,15 @@ class TestTrain:
         assert f"on {windows} windows, over the limit of {tr._MAX_STEP_BYTES}" in line
         assert all(f"{name} " in line for name in ("joints", "batch_size", "obs_frames",
                                                   "d_model", "layers", "ffn_mult"))
+
+    def test_one_pass_estimate_admits_what_the_three_graph_fit_refused(self, tmp_path):
+        # 100 default J=22 layers on 16 windows: the first fit, (280, 37) bytes
+        # per entry, estimated 3.6e9 bytes; one pass at a time takes 1.6e9
+        src = synth_file(tmp_path, joints=22, frames=60)
+        cfg = write_config(tmp_path, "layers = 100\n")
+        assert 16 * 9 * 22 * 32 * 100 * (280 + 37 * 2) > tr._MAX_STEP_BYTES
+        assert cli.main(["train", src, "--config", cfg, "--epochs", "0",
+                         "--out", str(tmp_path / "x.mqck")]) == 0
 
     def test_activation_limit_is_inclusive(self, tmp_path, monkeypatch, capsys):
         # the benchmark's J=22 config (the defaults, batch 16) has 20x headroom

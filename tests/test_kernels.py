@@ -11,7 +11,7 @@ def random_frames(rng, b=3, t=12, j=5):
 class TestNumpyBackend:
     def test_quotient_channels_zero_velocity(self):
         frames = np.ones((1, 4, 2, 3))
-        mag, cos, valid = K.quotient_channels(frames, 1.0)
+        mag, cos, valid = K.quotient_channels(frames)
         assert mag.shape == (1, 3, 2)
         assert not valid.any()
         assert np.array_equal(cos, np.zeros((1, 3, 2, 3)))
@@ -19,7 +19,7 @@ class TestNumpyBackend:
     def test_quotient_channels_identity(self):
         rng = np.random.default_rng(0)
         frames = random_frames(rng)
-        mag, cos, valid = K.quotient_channels(frames, 1.0)
+        mag, cos, valid = K.quotient_channels(frames)
         assert valid.all()
         assert np.abs((cos ** 2).sum(axis=-1) - 2.0).max() < 1e-9
 
@@ -27,7 +27,7 @@ class TestNumpyBackend:
         rng = np.random.default_rng(1)
         frames = random_frames(rng, b=1)[0]
         vel = np.diff(frames, axis=0)
-        back = K.integrate(frames[0], vel, 1.0)
+        back = K.integrate(frames[0], vel)
         assert np.abs(back - frames).max() < 1e-9
 
     def test_mpjpe_hand_value(self):

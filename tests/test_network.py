@@ -638,6 +638,29 @@ def sublayer_grads(fn, case, params, h, names, w):
     return out.data, loss.item(), grads
 
 
+class TestBiasGrad:
+    """_bias_grad sums the rows by einsum in np.sum's order, bit for bit,
+    with magnitudes over six decades, signed zeros and +-inf, on contiguous
+    and on the temporal sublayer's swapped gradients."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(16, 9, 22, 32), (16, 9, 5, 64), (1, 1, 3, 8),
+                                       (20, 1, 22, 32)])
+    def test_is_np_sum_over_the_rows(self, dtype, shape):
+        rng = np.random.default_rng(sum(shape))
+        dy = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)).astype(dtype)
+        dy[..., ::3] = -0.0
+        dy[..., 1] = -0.0  # a column of negative zeros sums to +0.0
+        dy[0, 0, 0, 2], dy[-1, -1, -1, 4], dy[0, -1, 0, 4] = np.inf, -np.inf, np.inf
+        as_bits = np.uint32 if dtype == np.float32 else np.uint64
+        with np.errstate(invalid="ignore"):  # inf - inf
+            for d in (dy, dy.swapaxes(1, 2)):
+                want = d.reshape(-1, d.shape[-1]).sum(axis=0)
+                got = net._bias_grad(d)
+                assert got.dtype == dtype
+                assert np.array_equal(got.view(as_bits), want.view(as_bits)), d.strides
+
+
 class TestSublayerNodes:
     @pytest.mark.parametrize("case", SUBLAYER_CASES, ids=sublayer_id)
     def test_one_node_over_input_and_parameters(self, case):

@@ -479,11 +479,19 @@ class TestRun:
         assert got.dtype == want.dtype == np.float32
         assert got.tobytes() == want.tobytes()
 
+    # the activation estimate's bytes per layer and entry as first fitted, to
+    # the step when it held all three passes' graphs until one backward
+    THREE_GRAPH_BYTES_PER_ENTRY = (280, 37)
+
+    def three_graph_bytes(self, dims, batch: int) -> int:
+        a, b = self.THREE_GRAPH_BYTES_PER_ENTRY
+        return batch * dims.window * dims.joints * dims.d_model * dims.layers * (a + b * dims.ffn_mult)
+
     def test_a_step_holds_one_pass_at_a_time(self):
         """A default J=22 step on 16 windows peaks under 0.6 of the activation
-        estimate the Trainer checks, which was fitted to the step when it held
-        all three passes' graphs until one backward (traced peaks: 78.7 MB
-        then, 110% of the estimate; 31.8 MB, 44%, one pass at a time)."""
+        estimate fitted to the step when it held all three passes' graphs
+        until one backward (traced peaks: 78.7 MB then, 110% of that
+        estimate; 31.8 MB, 44%, one pass at a time)."""
         cfg = tr.TrainConfig(max_steps=1)
         seqs = [synth_generate("sinusoid", joints=22, frames=60, fps=25.0, seed=s)
                 for s in range(2)]
@@ -498,7 +506,7 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert t.global_step == 1
-        assert peak <= 0.6 * tr.step_activation_bytes(t.params.dims, cfg.batch_size)
+        assert peak <= 0.6 * self.three_graph_bytes(t.params.dims, cfg.batch_size)
 
     def test_no_step_outlives_its_call(self):
         """Three default J=22 steps keep one step's peak: a run once held
@@ -517,7 +525,7 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert t.global_step == 3 and t.epoch == 0
-        assert peak <= 0.6 * tr.step_activation_bytes(t.params.dims, cfg.batch_size)
+        assert peak <= 0.6 * self.three_graph_bytes(t.params.dims, cfg.batch_size)
 
     @pytest.mark.parametrize("edit", ["set_flat", "vec"])
     def test_a_step_trains_on_edited_params(self, edit):
@@ -1048,28 +1056,46 @@ class TestPredictor:
     @pytest.mark.parametrize("layers", [1, 0])
     @pytest.mark.parametrize("lowrank", [True, False], ids=["lowrank", "full"])
     def test_pass_builds_only_float32(self, monkeypatch, layers, lowrank):
+        """Every array of the no-grad pass seen here is float32: each Tensor,
+        the kernels' operands and outputs, each sublayer's input and output,
+        each einsum's operands and result, and the backbone's and the pred
+        head's inputs and outputs. So a float64 operand that promotes the
+        pass fails here, with or without sublayers, whether the head builds
+        Tensors or plain arrays."""
         ds = small_dataset()
         params = net.ModelParams.init(small_cfg(layers=layers, use_lowrank=lowrank).model_dims(3), 0)
         predict = tr.make_predictor(params, True, 0.01)
-        dtypes = []
+        dtypes = {kind: [] for kind in ("tensor", "kernel", "sublayer", "einsum", "backbone",
+                                        "heads")}
         init = ad.Tensor.__init__
 
         def counting_init(self, data, requires_grad=False):
             init(self, data, requires_grad)
-            dtypes.append(self.data.dtype)
+            dtypes["tensor"].append(self.data.dtype)
 
-        def recording(kernel):
+        def recording(kind, fn):
             def run(*args, **kwargs):
-                out = kernel(*args, **kwargs)
-                dtypes.extend(a.dtype for a in (*args, *(out if isinstance(out, tuple) else (out,)))
-                              if isinstance(a, np.ndarray))
+                out = fn(*args, **kwargs)
+                for a in (*args, *(out if isinstance(out, tuple) else (out,))):
+                    a = a.data if isinstance(a, ad.Tensor) else a
+                    if isinstance(a, np.ndarray):
+                        dtypes[kind].append(a.dtype)
                 return out
             return run
 
         monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
         for name in ("softmax_forward", "layer_norm_forward", "gelu_forward"):
-            monkeypatch.setattr(ad, name, recording(getattr(ad, name)))
+            monkeypatch.setattr(ad, name, recording("kernel", getattr(ad, name)))
+        monkeypatch.setattr(net, "_sublayer_forward", recording("sublayer", net._sublayer_forward))
+        monkeypatch.setattr(np, "einsum", recording("einsum", np.einsum))
+        monkeypatch.setattr(net, "forward_backbone", recording("backbone", net.forward_backbone))
+        monkeypatch.setattr(net, "heads", recording("heads", net.heads))
         out = predict(np.stack([w.observed for w in ds.windows[:2]]))
         assert out.dtype == np.float64
-        assert len(dtypes) > (10 if layers else 5)
-        assert set(dtypes) == {np.dtype(np.float32)}
+        # one slice: the features in, the activation out, and on to the head
+        assert len(dtypes["backbone"]) == len(dtypes["heads"]) == 2
+        assert len(dtypes["sublayer"]) == 2 * 3 * layers
+        # each layer norm's row sum and sum of squares: 5 arrays, 3 a layer
+        assert len(dtypes["einsum"]) >= 15 * layers
+        assert sum(map(len, dtypes.values())) > (10 if layers else 5)
+        assert {d for seen in dtypes.values() for d in seen} == {np.dtype(np.float32)}

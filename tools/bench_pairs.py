@@ -1,18 +1,29 @@
 """Collect a BENCH_*.json: alternating parent/change pairs of perfbench/run.py.
 
-    python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_6.json \
-        --pairs 10 --workloads train_small --first-seed 101
+    python3 tools/bench_pairs.py --parent ../parent --change ../change \
+        --control ../twin_p --out BENCH_6.json --pairs 10 --workloads train_small \
+        --first-seed 101
 
 Each checkout runs its own perfbench/run.py (with --trace 0, so the numbers
 are the 9 end-to-end metrics) on the same seeds, for the run length that
 BENCHMARK.json declares. Make both checkouts sibling clones in one
 directory: the same source has measured a few percent apart from a working
 checkout and from a clone, so the file records each side's commit and
-resolved path under "checkouts". Pair i runs seed first_seed + i on both
-sides, the parent first when i is even and the change first when it is odd.
+resolved path under "checkouts". Pair i runs seed first_seed + i on every
+side, the sides taking turns to go first: the parent first when i is even
+and the change first when it is odd.
+
+--control adds an A/A arm, the "twin": a second clone of the parent's
+commit beside it, under a name of the same length (it is cloned from the
+parent if it does not exist). Each pair then runs parent, change and twin
+in turn, starting with the parent, the change and the twin in rotation.
+The twin shows how far the same code moves between two checkouts, so a
+claimed gain must beat the twin's move as well as meet the pair rule.
+
 Per workload the file holds every run, each side's median and quartiles of
-every metric, the pairs the change won, whether that meets the gain rule
-(gate_met), and one --trace 1 run per side at seed 5 (the per-layer metrics).
+every metric, the pairs the change won, the twin's move against the parent,
+whether the gain rule is met (gate_met), and one --trace 1 run per side at
+seed 5 (the per-layer metrics), the twin's excepted.
 Every run also keeps run.py's per-kind "samples" lines (count, wall median and
 reference median in ms), and each workload's "samples" summary gives each
 side's quartiles of both medians per kind. The reported metrics are in
@@ -21,7 +32,8 @@ that runs slower in one side's processes makes that side's reference
 medians read lower against its wall medians; this summary shows it.
 The file is rewritten after every run, so an interrupted collection keeps
 what it measured; --append adds pairs to an existing file instead of
-starting over, and skips the traced runs it already holds.
+starting over, and skips the traced runs it already holds; it needs the
+sides the file has, --control included or not.
 """
 import argparse
 import json
@@ -33,6 +45,7 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+TWIN = "twin"
 TRACED_SEED = 5
 SAMPLES_LINE = re.compile(r"samples (\S+)\s+n=\s*(\d+) wall median\s+(\S+) ms"
                           r"\s+reference median\s+(\S+) ms")
@@ -68,6 +81,20 @@ def git_commit(checkout: Path) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
+def check_twin(parent: Path, twin: Path) -> None:
+    """The twin must sit beside the parent under a name of the same length:
+    the same source has measured a few percent apart from another path."""
+    if twin.parent != parent.parent or len(twin.name) != len(parent.name) or twin == parent:
+        raise SystemExit(f"--control {twin} must be another directory beside {parent} "
+                         f"with a name of {len(parent.name)} characters")
+
+
+def pair_order(sides: tuple, i: int) -> tuple:
+    """The order pair i runs the sides in: each side goes first in turn."""
+    k = i % len(sides)
+    return sides[k:] + sides[:k]
+
+
 def describe_checkouts(checkouts: dict[str, Path]) -> dict:
     """Each side's commit and resolved path, as a collection records them."""
     return {s: {"commit": git_commit(p), "path": str(p)} for s, p in checkouts.items()}
@@ -84,13 +111,15 @@ def summarize(runs: dict, better: dict) -> dict:
     """Per metric: each side's quartiles, change/parent medians, pairs won, and
     gate_met: whether a gain may be claimed. That takes the change winning at
     least nine tenths of the pairs (ties count for neither) and its median
-    beating the parent's by more than the parent's IQR."""
+    beating the parent's by more than the parent's IQR and, where runs holds
+    a twin, by more than the twin's median moved from the parent's either way
+    (twin_move)."""
     out = {}
     for name, direction in better.items():
-        vals = {s: [r["metrics"][name]["value"] for r in runs[s]
+        vals = {s: [r["metrics"][name]["value"] for r in side_runs
                     if r.get("metrics", {}).get(name, {}).get("value") is not None]
-                for s in SIDES}
-        entry = {s: quartiles(vals[s]) for s in SIDES}
+                for s, side_runs in runs.items()}
+        entry = {s: quartiles(v) for s, v in vals.items()}
         p, c = entry["parent"]["median"], entry["change"]["median"]
         entry["change_over_parent"] = c / p if p and c is not None else None
         sign = 1.0 if direction == "higher" else -1.0
@@ -98,19 +127,25 @@ def summarize(runs: dict, better: dict) -> dict:
         entry["change_won"] = sum(1 for a, b in pairs if sign * (b - a) > 0)
         entry["pairs"] = len(pairs)
         iqr = entry["parent"]["iqr"]
-        entry["gate_met"] = bool(pairs) and 10 * entry["change_won"] >= 9 * len(pairs) \
+        gate = bool(pairs) and 10 * entry["change_won"] >= 9 * len(pairs) \
             and iqr is not None and c is not None and sign * (c - p) > iqr
+        if TWIN in entry:
+            t = entry[TWIN]["median"]
+            entry["twin_move"] = abs(t - p) if t is not None and p is not None else None
+            gate = gate and entry["twin_move"] is not None and sign * (c - p) > entry["twin_move"]
+        entry["gate_met"] = gate
         out[name] = entry
     return out
 
 
 def summarize_samples(runs: dict) -> dict:
     """Per sample kind: each side's quartiles of the runs' wall and reference medians."""
-    kinds = sorted({k for s in SIDES for r in runs[s] for k in r.get("samples", {})})
-    return {k: {s: {field: quartiles([r["samples"][k][field] for r in runs[s]
+    kinds = sorted({k for side_runs in runs.values() for r in side_runs
+                    for k in r.get("samples", {})})
+    return {k: {s: {field: quartiles([r["samples"][k][field] for r in side_runs
                                       if k in r.get("samples", {})])
                     for field in ("wall_ms", "reference_ms")}
-                for s in SIDES}
+                for s, side_runs in runs.items()}
             for k in kinds}
 
 
@@ -118,6 +153,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True, help="parent checkout")
     ap.add_argument("--change", type=Path, required=True, help="change checkout")
+    ap.add_argument("--control", type=Path,
+                    help="A/A twin: a second parent clone beside it, same name length")
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--pairs", type=int, default=5)
@@ -125,6 +162,16 @@ def main() -> int:
     ap.add_argument("--append", action="store_true", help="add pairs to an existing --out")
     args = ap.parse_args()
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if args.control is not None:
+        twin = args.control.resolve()
+        check_twin(checkouts["parent"], twin)
+        if not twin.exists():
+            subprocess.run(["git", "clone", "--quiet", str(checkouts["parent"]), str(twin)],
+                           check=True)
+        if git_commit(twin) != git_commit(checkouts["parent"]):
+            raise SystemExit(f"--control {twin} is not at the parent's commit")
+        checkouts[TWIN] = twin
+    sides = tuple(checkouts)
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seconds = str(bench["run_seconds"])
@@ -132,6 +179,9 @@ def main() -> int:
 
     if args.append and args.out.is_file():
         doc = json.loads(args.out.read_text())
+        if set(doc["checkouts"]) != set(sides):
+            raise SystemExit(f"{args.out} holds the sides {sorted(doc['checkouts'])}; "
+                             f"an appended collection runs the same sides")
     else:
         doc = {
             "command": f"perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
@@ -143,11 +193,11 @@ def main() -> int:
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
     for wl in args.workloads:
-        entry = doc["workloads"].setdefault(wl, {"runs": {s: [] for s in SIDES}})
+        entry = doc["workloads"].setdefault(wl, {"runs": {s: [] for s in sides}})
         start = args.first_seed + len(entry["runs"]["parent"])
         for i in range(args.pairs):
             seed = start + i
-            order = SIDES if (seed - args.first_seed) % 2 == 0 else SIDES[::-1]
+            order = pair_order(sides, seed - args.first_seed)
             for side in order:
                 t0 = time.monotonic()
                 res = run_json(checkouts[side], ["--workload", wl, "--seed", str(seed),
