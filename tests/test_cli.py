@@ -568,7 +568,7 @@ class TestTrain:
         assert f"make {n} parameters, over the limit of {n - 1}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("frames, sizes, windows", [
-        (60, "layers = 603", 16),  # 9,993,608 parameters; one step would take ~22 GB
+        (60, "layers = 603", 16),  # 9,993,608 parameters; one step would take ~10 GB
         (60, SMALL_MODEL + "ffn_mult = 70000", 4),  # 9,550,000 parameters
         (400, SMALL_MODEL + "batch_size = 1000000000000\nlayers = 70", 393),
     ], ids=["layers", "ffn_mult", "batch_size"])
