@@ -40,15 +40,16 @@ WGAN-GP loss, whose gradient penalty is a function of the critic's input
 gradient (``network.Critic.wgan_gp``), with the second derivative written
 out in its backward.
 
-The softmax kernels reduce many last-axis rows of 8 entries (a query's 8
-rank features over a batch) as whole slabs: chunks of rows go into a buffer
-with the reduced axis first, so each step of a max or a sum is one
-elementwise op over contiguous slabs instead of one numpy loop per row. The sums add in
-numpy's own pairwise order for a contiguous last axis, so the kernels' bits
-equal np.sum's and the plain formula's; few rows and other lengths take
-np.sum directly. Over any other axis (the keys' softmax over tokens) the
-sum is one einsum, which adds the slices in np.sum's own order for that
-axis, one after another, so those bits are np.sum's too.
+The softmax kernels reduce last-axis rows of 8 entries (a query's 8 rank
+features) as whole slabs: chunks of rows go into a buffer with the reduced
+axis first, so each step of a max or a sum is one elementwise op over
+contiguous slabs instead of one numpy loop per row. The sums add in numpy's
+own pairwise order for a contiguous last axis, so the kernels' bits equal
+np.sum's and the plain formula's; other lengths, and the backward's few
+rows, take np.sum directly. Over any other axis (the keys' softmax over
+tokens) the sum is one einsum, which adds the slices in np.sum's own order
+for that axis, one after another, so those bits are np.sum's too, and the
+max is whichever exact form is faster for the array's size.
 
 Layer norm sums each row over its width by einsum, its sum of squares as
 one einsum of the row with itself. That is not np.sum's pairwise order, so
@@ -344,29 +345,35 @@ def concat(tensors, axis=0) -> Tensor:
 # The softmax kernels. np.sum and np.max over a short last axis, such as a
 # query's 8 rank features, run numpy's reduction loop once per row, and a
 # (..., 1) keepdims operand splits each elementwise op into one loop per row
-# too; past a few hundred rows that overhead costs several times the
-# arithmetic. So a C-contiguous array with a last axis of 8 entries (the
-# rank softmax) and at least _SLAB_ROWS rows is reduced as whole slabs, one
-# chunk of rows at a time: each step of a max or a sum is one elementwise op
-# over the chunk's column slabs. The forward copies a chunk into a buffer it
-# owns, reduced axis first, and its last op writes the output's rows; the
-# backward sums the columns of its product in place and writes each row's
-# sum along the row. The slab sums add in the order np.sum takes over a
-# contiguous last axis of 8 entries, numpy's pairwise summation, the tree
+# too; past a few dozen rows that overhead costs more than the arithmetic.
+# So a C-contiguous array with a last axis of 8 entries (the rank softmax) is
+# reduced as whole slabs, one chunk of rows at a time: each step of a max or
+# a sum is one elementwise op over the chunk's column slabs. The forward does
+# so at any row count (its slabs pay from about 40 rows and cost about 3 us
+# more at one row); it copies a chunk into a buffer it owns, reduced axis
+# first, and its last op writes the output's rows. The backward, whose slabs
+# pay from about 300 rows, does so from _SLAB_ROWS rows: it sums the columns
+# of its product in place and writes each row's sum along the row. The slab
+# sums add in the order np.sum takes over a contiguous last axis of 8
+# entries, numpy's pairwise summation, the tree
 #     ((x0 + x1) + (x2 + x3)) + ((x4 + x5) + (x6 + x7)),
 # added to the reduction's 0.0 identity. So the output has the plain
 # formula's bits, signed zeros included. The max is exact in any order and
-# halves its axis. Other lengths and few rows take np.sum directly: only 8
-# entries were timed against numpy's path, and longer rows (the full-rank
-# form's key rows) get more work per numpy call. Other axes (the keys' token
-# axis) take one einsum (_axis_sum): off the last axis np.sum adds whole
-# slices one after another, one inner loop of H * r entries per slice, and
-# einsum adds them in that same order in fewer, longer loops, so its bits
-# are np.sum's (TestEinsumSums fails first if a numpy changes either order).
-# Moving the keys' token axis to the front measured no faster.
+# halves its axis. Other lengths take np.sum directly: only 8 entries were
+# timed against numpy's path, and longer rows (the full-rank form's key
+# rows) get more work per numpy call. Other axes (the keys' token axis) take
+# one einsum (_axis_sum): off the last axis np.sum adds whole slices one
+# after another, one inner loop of H * r entries per slice, and einsum adds
+# them in that same order in fewer, longer loops, so its bits are np.sum's
+# (TestEinsumSums fails first if a numpy changes either order). Their max is
+# one np.maximum.reduce below _REDUCE_MAX_ENTRIES entries (a single window's
+# keys) and halves the axis above (a batch's), whichever was faster at that
+# size; a shift by -0.0 or +0.0 gives the same exp, so either max keeps the
+# bits. Moving the keys' token axis to the front measured no faster.
 
-_SLAB_ROWS = 512  # fewer rows take numpy's path; at 8 entries the backward's slabs pay from ~300 rows
+_SLAB_ROWS = 512  # the backward's slabs from this many rows; they pay from ~300 at 8 entries
 _SLAB_CHUNK = 1 << 16  # entries per chunk: few ops per chunk, its scratch held in cache
+_REDUCE_MAX_ENTRIES = 1 << 14  # off the last axis; the halving max wins from ~16-25K entries
 
 
 def _halving_max(a: np.ndarray, axis: int) -> np.ndarray:
@@ -392,10 +399,10 @@ def _slab_sum(t: np.ndarray) -> np.ndarray:
     return s
 
 
-def _slab_rows(a: np.ndarray, axis: int):
+def _slab_rows(a: np.ndarray, axis: int, min_rows: int = 1):
     """a as (rows, n) and the rows per chunk, or None for numpy's path."""
     n = a.shape[axis]
-    if axis != a.ndim - 1 or n != 8 or a.size < _SLAB_ROWS * n \
+    if axis != a.ndim - 1 or n != 8 or a.size < min_rows * n \
             or not a.flags.c_contiguous:
         return None
     rows = a.reshape(-1, n)
@@ -406,9 +413,10 @@ def _axis_sum(a: np.ndarray, axis: int) -> np.ndarray:
     """np.sum(a, axis=axis, keepdims=True), bit for bit: np.sum itself over
     the last axis, one einsum over any other."""
     if axis == a.ndim - 1:
-        return np.sum(a, axis=axis, keepdims=True)
+        return np.add.reduce(a, axis, keepdims=True)
     idx = "abcdefghijklmnopqrstuvwxyz"[:a.ndim]
-    return np.expand_dims(np.einsum(f"{idx}->{idx[:axis]}{idx[axis + 1:]}", a), axis)
+    s = np.einsum(f"{idx}->{idx[:axis]}{idx[axis + 1:]}", a)
+    return s.reshape(a.shape[:axis] + (1,) + a.shape[axis + 1:])
 
 
 def softmax_forward(a: np.ndarray, axis: int) -> np.ndarray:
@@ -416,7 +424,10 @@ def softmax_forward(a: np.ndarray, axis: int) -> np.ndarray:
     axis %= a.ndim
     slabs = _slab_rows(a, axis)
     if slabs is None:
-        e = a - _halving_max(a, axis)
+        if axis != a.ndim - 1 and 0 < a.size < _REDUCE_MAX_ENTRIES:
+            e = a - np.maximum.reduce(a, axis, keepdims=True)
+        else:
+            e = a - _halving_max(a, axis)
         np.exp(e, out=e)
         e /= _axis_sum(e, axis)
         return e
@@ -437,7 +448,7 @@ def softmax_backward(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     """y * (g - sum(g * y)); the sum is np.sum's over the product's layout."""
     axis %= y.ndim
     d = g * y
-    slabs = _slab_rows(y, axis)
+    slabs = _slab_rows(y, axis, _SLAB_ROWS)
     if slabs is None or g.shape != y.shape or not g.flags.c_contiguous:
         np.subtract(g, _axis_sum(d, axis), out=d)
         d *= y

@@ -8,14 +8,16 @@ frames, fps, count, amplitude, base_period, offset_scale, stride and horizons
 (typed and defaulted by their flags). synth, perturb and train take --seed;
 those and eval take --config. Every value is validated before any input file
 is read. Exit codes: 0 success, 2 usage, 3 data error or bad option value,
-4 numeric failure, 130 interrupted (SIGINT). Errors print one machine-readable
-line to stderr: ``mqmotion: code=<n> type=<ExceptionName> msg=<repr>``.
+4 numeric failure, 130 interrupted (SIGINT), 143 terminated (SIGTERM).
+Errors print one machine-readable line to stderr:
+``mqmotion: code=<n> type=<ExceptionName> msg=<repr>``.
 """
 from __future__ import annotations
 
 import argparse
 import inspect
 import math
+import signal
 import sys
 from pathlib import Path
 
@@ -401,7 +403,18 @@ def _cmd_eval(args, _cfg) -> int:
     return 0
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised where the signal lands, as SIGINT raises KeyboardInterrupt."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def main(argv=None) -> int:
+    # SIGTERM ends a run as SIGINT does, with one line; the caller's handler
+    # comes back on return
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         args = parse_args(argv)
         cfg = build_train_config(args)
@@ -420,6 +433,11 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:  # SIGINT: the last checkpoint saved is kept
         print("mqmotion: code=130 type=KeyboardInterrupt msg='interrupted'", file=sys.stderr)
         return 130
+    except _Terminated:  # SIGTERM: the same
+        print("mqmotion: code=143 type=SIGTERM msg='terminated'", file=sys.stderr)
+        return 143
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

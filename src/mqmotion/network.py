@@ -675,6 +675,9 @@ def heads(act, params: ModelParams, name: str) -> Tensor:
     full activation: on a last-frame activation only pred exists. All heads
     share a fixed output gain so millimeter-scale targets are reachable
     early in training; zero weights still give exactly zero outputs.
+
+    Under no_grad pred computes on plain arrays, with the graph head's
+    bytes, and returns one Tensor.
     """
     act = ad.as_tensor(act)
     dims = params.dims
@@ -682,6 +685,12 @@ def heads(act, params: ModelParams, name: str) -> Tensor:
         raise DimsMismatch(f"activation must be (B, T, J, {dims.d_model}), got {act.shape}")
     gain = np.asarray(dims.head_gain, dtype=act.data.dtype)  # a float32 pass stays float32
     if name == "pred":
+        if not ad.grad_enabled():
+            pred = np.ascontiguousarray(act.data[:, -1]) @ params.t("heads.pred_w").data
+            pred += params.t("heads.pred_b").data
+            pred *= gain
+            return Tensor(pred.reshape(act.shape[0], dims.joints, dims.future, 3)
+                          .transpose(0, 2, 1, 3))
         last = act[:, -1]  # (B, J, D)
         pred = ad.add(ad.matmul(last, params.t("heads.pred_w")), params.t("heads.pred_b"))
         pred = ad.reshape(pred, (act.shape[0], dims.joints, dims.future, 3))

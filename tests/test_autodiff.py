@@ -1,6 +1,7 @@
 """Autodiff engine: every primitive against finite differences, and the
 backward machinery."""
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -219,8 +220,9 @@ class TestSoftmaxKernelBits:
         rows = np.moveaxis(a, axis, -1).reshape(-1, shape[axis])
         grows = np.moveaxis(g, axis, -1).reshape(-1, shape[axis])
         grows[::3, ::2] = -0.0
-        grows[1] = -0.0  # a row of negative zeros sums to +0.0
-        rows[2, 0], rows[3, -1], grows[4, 0] = np.inf, -np.inf, -np.inf
+        if len(rows) > 4:  # fewer rows keep the draw and the zeros above
+            grows[1] = -0.0  # a row of negative zeros sums to +0.0
+            rows[2, 0], rows[3, -1], grows[4, 0] = np.inf, -np.inf, -np.inf
         back = lambda r: np.moveaxis(r.reshape(np.moveaxis(a, axis, -1).shape), -1, axis)
         return back(rows).copy(), back(grows).copy()
 
@@ -235,8 +237,11 @@ class TestSoftmaxKernelBits:
             a, g = self.inputs(shape, axis, dtype, seed=n * 10 + i)
             # the real gradient is a transposed view: axes 2 and 3 swapped
             g_t = np.ascontiguousarray(g.swapaxes(2, 3)).swapaxes(2, 3)
-            if i == 0:  # slabs for rows of 8, numpy's path for other lengths
+            if i < 2:  # slabs for rows of 8, numpy's path for other lengths:
+                # the forward's at any row count, the backward's from 512 rows
                 assert (ad._slab_rows(a, axis % a.ndim) is not None) == (n == 8)
+                assert (ad._slab_rows(a, axis % a.ndim, ad._SLAB_ROWS) is not None) \
+                    == (n == 8 and i == 0)
             a0, g0 = a.copy(), g.copy()
             with np.errstate(invalid="ignore"):  # the rows holding +inf
                 y = ad.softmax_forward(a, axis)
@@ -249,6 +254,40 @@ class TestSoftmaxKernelBits:
                     assert np.array_equal(bits(d), bits(want)), (shape, axis, grad_in.strides)
             assert np.array_equal(bits(a), bits(a0)) and np.array_equal(bits(g), bits(g0))
             assert np.array_equal(bits(g_t), bits(g0))
+
+    def check(self, shape, axis, dtype, seed):
+        """Forward and backward against the plain formula on one layout."""
+        a, g = self.inputs(shape, axis, dtype, seed)
+        with np.errstate(invalid="ignore"):  # the rows holding +inf
+            y = ad.softmax_forward(a, axis)
+            assert np.array_equal(bits(y), bits(plain_softmax(a, axis))), (shape, axis)
+            d = ad.softmax_backward(y, g, axis)
+            assert np.array_equal(bits(d), bits(plain_softmax_grad(y, g, axis))), (shape, axis)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axis", [-1, 2], ids=["rank", "tokens"])
+    @pytest.mark.parametrize("shape", [(1, 9, 5, 4, 8), (1, 5, 9, 4, 8), (1, 9, 22, 4, 8)])
+    def test_single_window_shapes(self, dtype, axis, shape):
+        """A single window's spatial and temporal softmaxes at J=5 and J=22:
+        the rank's slabs and the keys' one-call max."""
+        if axis == 2:
+            assert shape[axis] > 1 and math.prod(shape) < ad._REDUCE_MAX_ENTRIES
+        self.check(shape, axis, dtype, seed=sum(shape) + axis)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 7, 64, 180, 511])
+    def test_rank_forward_on_slabs_at_any_row_count(self, dtype, rows):
+        a, _ = self.inputs((rows, 8), -1, dtype, seed=rows)
+        assert ad._slab_rows(a, 1) is not None
+        assert (ad._slab_rows(a, 1, ad._SLAB_ROWS) is None) == (rows < ad._SLAB_ROWS)
+        self.check((rows, 8), -1, dtype, seed=rows)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [2, 3], ids=["below", "above"])
+    def test_token_max_on_each_side_of_the_cut(self, dtype, batch):
+        shape = (batch, 9, 22, 4, 8)
+        assert (math.prod(shape) < ad._REDUCE_MAX_ENTRIES) == (batch == 2)
+        self.check(shape, 2, dtype, seed=batch)
 
 
 class TestEinsumSums:

@@ -139,3 +139,56 @@ def test_twin_sits_beside_the_parent_under_a_name_of_its_length(tmp_path):
     for bad in (tmp_path / "twin", tmp_path / "sub" / "twin_p", parent):
         with pytest.raises(SystemExit):
             bench_pairs.check_twin(parent, bad)
+
+
+def _traced_run(value):
+    return {"metrics": {"network.heads_ms": {"value": value, "unit": "ms"}}}
+
+
+def test_traced_summary_gives_each_sides_median_and_quartiles():
+    runs = {"parent": [_traced_run(v) for v in (0.30, 0.10, 0.20)],
+            "change": [_traced_run(v) for v in (0.08, 0.12)] + [{"error": ["no output"]}]}
+    got = bench_pairs.summarize_traced(runs, ["network.heads_ms", "train.adam_ms"])
+    heads = got["network.heads_ms"]
+    assert heads["parent"]["median"] == pytest.approx(0.20) and heads["parent"]["n"] == 3
+    assert heads["parent"]["q1"] == pytest.approx(0.15)
+    assert heads["parent"]["q3"] == pytest.approx(0.25)
+    assert heads["change"]["median"] == pytest.approx(0.10) and heads["change"]["n"] == 2
+    assert heads["change_over_parent"] == pytest.approx(0.5)
+    # a metric no run reports has no median
+    assert got["train.adam_ms"]["parent"]["n"] == 0
+    assert got["train.adam_ms"]["change_over_parent"] is None
+
+
+def test_three_traced_seeds_each_side_first_in_turn():
+    calls, saves = [], []
+
+    def run(side, seed):
+        calls.append((side, seed))
+        return _traced_run(float(seed))
+
+    traced = {"seeds": list(bench_pairs.TRACED_SEEDS), "runs": {"parent": [], "change": []}}
+    bench_pairs.collect_traced(traced, run, ["network.heads_ms"], lambda: saves.append(1))
+    assert bench_pairs.TRACED_SEEDS == (5, 6, 7)
+    assert calls == [("parent", 5), ("change", 5), ("change", 6), ("parent", 6),
+                     ("parent", 7), ("change", 7)]
+    assert len(saves) == 6
+    assert [r["seed"] for r in traced["runs"]["change"]] == [5, 6, 7]
+    assert traced["summary"]["network.heads_ms"]["change"]["median"] == pytest.approx(6.0)
+
+
+def test_append_skips_the_traced_runs_already_held():
+    calls = []
+
+    def run(side, seed):
+        calls.append((side, seed))
+        return _traced_run(1.0)
+
+    held = dict(_traced_run(2.0), seed=5)
+    traced = {"seeds": [5, 6, 7], "runs": {"parent": [held], "change": []}}
+    bench_pairs.collect_traced(traced, run, ["network.heads_ms"], lambda: None)
+    assert calls == [("change", 5), ("change", 6), ("parent", 6), ("parent", 7),
+                     ("change", 7)]
+    assert traced["runs"]["parent"][0] is held
+    bench_pairs.collect_traced(traced, run, ["network.heads_ms"], lambda: None)
+    assert len(calls) == 5  # all six held: nothing runs again

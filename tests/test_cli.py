@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import textwrap
 import time
 import warnings
 import xml.etree.ElementTree as ET
@@ -555,6 +556,46 @@ class TestTrain:
         assert captured.err.splitlines() == [
             "mqmotion: code=130 type=KeyboardInterrupt msg='interrupted'"]
         assert "Traceback" not in captured.out + captured.err
+
+    def test_sigterm_is_one_line(self, tmp_path):
+        """A child that sends itself SIGTERM at its second Trainer.step exits
+        as SIGINT does: one code=143 line and nothing saved, and main gives
+        the caller's own handler back when it returns."""
+        src = synth_file(tmp_path)
+        cfg = write_config(tmp_path, SMALL_MODEL)
+        ckpt = tmp_path / "x.mqck"
+        child = textwrap.dedent("""
+            import signal, sys
+            import mqmotion.cli as cli
+            import mqmotion.train as tr
+
+            step, calls = tr.Trainer.step, []
+
+            def signalled(self, *args):
+                calls.append(1)
+                if len(calls) == 2:
+                    signal.raise_signal(signal.SIGTERM)
+                return step(self, *args)
+
+            def callers(signum, frame):
+                raise AssertionError("the caller's handler ran")
+
+            tr.Trainer.step = signalled
+            signal.signal(signal.SIGTERM, callers)
+            rc = cli.main(sys.argv[1:])
+            print(len(calls), signal.getsignal(signal.SIGTERM) is callers)
+            sys.exit(rc)
+        """)
+        src_dir = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", child, "train", src, "--config", cfg,
+                               "--out", str(ckpt)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 143, proc.stderr
+        assert proc.stderr.splitlines() == ["mqmotion: code=143 type=SIGTERM msg='terminated'"]
+        assert proc.stdout.split() == ["2", "True"]
+        assert not ckpt.exists()
 
     def test_size_limit_is_inclusive(self, tmp_path, monkeypatch, capsys):
         src = synth_file(tmp_path)

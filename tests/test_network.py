@@ -750,6 +750,24 @@ class TestHeads:
         params = net.ModelParams.init(small_dims(), seed=0)
         with pytest.raises(DimsMismatch):
             net.heads(np.zeros((2, 4, 3, 9)), params, "pred")
+        with ad.no_grad(), pytest.raises(DimsMismatch):
+            net.heads(np.zeros((2, 4, 3, 9)), params, "pred")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("frames", [1, 4])
+    def test_no_grad_pred_is_one_tensor_with_the_graph_heads_bytes(self, dtype, frames):
+        """Under no_grad pred runs on plain arrays: one graph-free Tensor of
+        the graph head's dtype and bytes, from a last-frame activation or
+        from every frame's, whose last frame is a strided view."""
+        params = net.ModelParams(small_dims(), net.ModelParams.init(small_dims(), 0)
+                                 .vec.astype(dtype))
+        act = Tensor(rand_act(params.dims, b=3)[:, -frames:].astype(dtype), requires_grad=True)
+        want = net.heads(act, params, "pred")
+        with ad.no_grad():
+            got = net.heads(act, params, "pred")
+        assert want.requires_grad and not got.requires_grad and got._parents == ()
+        assert got.data.dtype == want.data.dtype == dtype and got.shape == want.shape
+        assert np.ascontiguousarray(got.data).tobytes() == np.ascontiguousarray(want.data).tobytes()
 
     def test_builds_only_the_named_heads(self):
         params = net.ModelParams.init(small_dims(), seed=0)

@@ -22,8 +22,10 @@ claimed gain must beat the twin's move as well as meet the pair rule.
 
 Per workload the file holds every run, each side's median and quartiles of
 every metric, the pairs the change won, the twin's move against the parent,
-whether the gain rule is met (gate_met), and one --trace 1 run per side at
-seed 5 (the per-layer metrics), the twin's excepted.
+and whether the gain rule is met (gate_met). It also holds 3 --trace 1 runs
+per side, at seeds 5-7 and in alternating order, the twin's excepted, and
+their "summary": each side's median and quartiles of every per-layer metric
+that BENCHMARK.json declares, so no single slow run decides one.
 Every run also keeps run.py's per-kind "samples" lines (count, wall median and
 reference median in ms), and each workload's "samples" summary gives each
 side's quartiles of both medians per kind. The reported metrics are in
@@ -32,8 +34,8 @@ that runs slower in one side's processes makes that side's reference
 medians read lower against its wall medians; this summary shows it.
 The file is rewritten after every run, so an interrupted collection keeps
 what it measured; --append adds pairs to an existing file instead of
-starting over, and skips the traced runs it already holds; it needs the
-sides the file has, --control included or not.
+starting over, and skips the traced runs (side and seed) it already holds;
+it needs the sides the file has, --control included or not.
 """
 import argparse
 import json
@@ -46,7 +48,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 TWIN = "twin"
-TRACED_SEED = 5
+TRACED_SEEDS = (5, 6, 7)
 SAMPLES_LINE = re.compile(r"samples (\S+)\s+n=\s*(\d+) wall median\s+(\S+) ms"
                           r"\s+reference median\s+(\S+) ms")
 
@@ -138,6 +140,35 @@ def summarize(runs: dict, better: dict) -> dict:
     return out
 
 
+def summarize_traced(runs: dict, names: list[str]) -> dict:
+    """Per named metric: each side's quartiles over its traced runs, and the
+    change's median over the parent's."""
+    out = {}
+    for name in names:
+        entry = {s: quartiles([r["metrics"][name]["value"] for r in side_runs
+                               if r.get("metrics", {}).get(name, {}).get("value") is not None])
+                 for s, side_runs in runs.items()}
+        p, c = entry["parent"]["median"], entry["change"]["median"]
+        entry["change_over_parent"] = c / p if p and c is not None else None
+        out[name] = entry
+    return out
+
+
+def collect_traced(traced: dict, run, names: list[str], save) -> None:
+    """Trace each of TRACED_SEEDS on both sides, each side going first in
+    turn, skipping the (side, seed) runs traced already holds. run(side,
+    seed) gives one run's JSON; the summary is rewritten and saved after
+    each run."""
+    for i, seed in enumerate(TRACED_SEEDS):
+        for side in pair_order(SIDES, i):
+            held = traced["runs"][side]
+            if any(r.get("seed") == seed for r in held):
+                continue
+            held.append(dict(run(side, seed), seed=seed))
+            traced["summary"] = summarize_traced(traced["runs"], names)
+            save()
+
+
 def summarize_samples(runs: dict) -> dict:
     """Per sample kind: each side's quartiles of the runs' wall and reference medians."""
     kinds = sorted({k for side_runs in runs.values() for r in side_runs
@@ -174,6 +205,7 @@ def main() -> int:
     sides = tuple(checkouts)
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    per_layer = [m["name"] for m in bench["per_layer"]]
     seconds = str(bench["run_seconds"])
     timeout = 10 * bench["run_seconds"] + 300
 
@@ -211,13 +243,11 @@ def main() -> int:
                 entry["summary"] = summarize(entry["runs"], better)
                 entry["samples"] = summarize_samples(entry["runs"])
                 save()
-        traced = entry.setdefault("traced", {"seed": TRACED_SEED})
-        for side in SIDES:
-            if side not in traced:
-                traced[side] = run_json(checkouts[side], ["--workload", wl, "--seed",
-                                                          str(TRACED_SEED), "--seconds",
-                                                          seconds, "--trace", "1"], timeout)
-                save()
+        traced = entry.setdefault("traced", {"seeds": list(TRACED_SEEDS),
+                                             "runs": {s: [] for s in SIDES}})
+        collect_traced(traced, lambda side, seed: run_json(
+            checkouts[side], ["--workload", wl, "--seed", str(seed), "--seconds", seconds,
+                              "--trace", "1"], timeout), per_layer, save)
     return 0
 
 
