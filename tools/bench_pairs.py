@@ -109,6 +109,12 @@ def quartiles(xs: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(xs)}
 
 
+def metric_values(side_runs: list[dict], name: str) -> list[float]:
+    """The values one side's runs report for a metric; a failed run has none."""
+    return [r["metrics"][name]["value"] for r in side_runs
+            if r.get("metrics", {}).get(name, {}).get("value") is not None]
+
+
 def summarize(runs: dict, better: dict) -> dict:
     """Per metric: each side's quartiles, change/parent medians, pairs won, and
     gate_met: whether a gain may be claimed. That takes the change winning at
@@ -118,9 +124,7 @@ def summarize(runs: dict, better: dict) -> dict:
     (twin_move)."""
     out = {}
     for name, direction in better.items():
-        vals = {s: [r["metrics"][name]["value"] for r in side_runs
-                    if r.get("metrics", {}).get(name, {}).get("value") is not None]
-                for s, side_runs in runs.items()}
+        vals = {s: metric_values(side_runs, name) for s, side_runs in runs.items()}
         entry = {s: quartiles(v) for s, v in vals.items()}
         p, c = entry["parent"]["median"], entry["change"]["median"]
         entry["change_over_parent"] = c / p if p and c is not None else None
@@ -145,9 +149,7 @@ def summarize_traced(runs: dict, names: list[str]) -> dict:
     change's median over the parent's."""
     out = {}
     for name in names:
-        entry = {s: quartiles([r["metrics"][name]["value"] for r in side_runs
-                               if r.get("metrics", {}).get(name, {}).get("value") is not None])
-                 for s, side_runs in runs.items()}
+        entry = {s: quartiles(metric_values(side_runs, name)) for s, side_runs in runs.items()}
         p, c = entry["parent"]["median"], entry["change"]["median"]
         entry["change_over_parent"] = c / p if p and c is not None else None
         out[name] = entry
