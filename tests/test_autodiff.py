@@ -277,7 +277,7 @@ class TestSoftmaxKernelBits:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rows", [1, 7, 64, 180, 511])
     def test_rank_forward_on_slabs_at_any_row_count(self, dtype, rows):
-        a, _ = self.inputs((rows, 8), -1, dtype, seed=rows)
+        a = np.zeros((rows, 8), dtype)
         assert ad._slab_rows(a, 1) is not None
         assert (ad._slab_rows(a, 1, ad._SLAB_ROWS) is None) == (rows < ad._SLAB_ROWS)
         self.check((rows, 8), -1, dtype, seed=rows)
