@@ -347,15 +347,15 @@ def concat(tensors, axis=0) -> Tensor:
 # (..., 1) keepdims operand splits each elementwise op into one loop per row
 # too; past a few dozen rows that overhead costs more than the arithmetic.
 # So a C-contiguous array with a last axis of 8 entries (the rank softmax) is
-# reduced as whole slabs, one chunk of rows at a time: each step of a max or
-# a sum is one elementwise op over the chunk's column slabs. The forward does
-# so at any row count (its slabs pay from about 40 rows and cost about 3 us
-# more at one row); it copies a chunk into a buffer it owns, reduced axis
-# first, and its last op writes the output's rows. The backward, whose slabs
-# pay from about 300 rows, does so from _SLAB_ROWS rows: it sums the columns
-# of its product in place and writes each row's sum along the row. The slab
-# sums add in the order np.sum takes over a contiguous last axis of 8
-# entries, numpy's pairwise summation, the tree
+# reduced as whole slabs, one chunk of rows at a time, at any row count: each
+# step of a max or a sum is one elementwise op over the chunk's column slabs.
+# The forward's slabs pay from about 40 rows and the backward's from about
+# 300; every training batch has thousands, and the few-row cost is a few us
+# per call. The forward copies a chunk into a buffer it owns, reduced axis
+# first, and its last op writes the output's rows. The backward sums the
+# columns of its product in place and writes each row's sum along the row.
+# The slab sums add in the order np.sum takes over a contiguous last axis of
+# 8 entries, numpy's pairwise summation, the tree
 #     ((x0 + x1) + (x2 + x3)) + ((x4 + x5) + (x6 + x7)),
 # added to the reduction's 0.0 identity. So the output has the plain
 # formula's bits, signed zeros included. The max is exact in any order and
@@ -371,7 +371,6 @@ def concat(tensors, axis=0) -> Tensor:
 # size; a shift by -0.0 or +0.0 gives the same exp, so either max keeps the
 # bits. Moving the keys' token axis to the front measured no faster.
 
-_SLAB_ROWS = 512  # the backward's slabs from this many rows; they pay from ~300 at 8 entries
 _SLAB_CHUNK = 1 << 16  # entries per chunk: few ops per chunk, its scratch held in cache
 _REDUCE_MAX_ENTRIES = 1 << 14  # off the last axis; the halving max wins from ~16-25K entries
 
@@ -399,11 +398,10 @@ def _slab_sum(t: np.ndarray) -> np.ndarray:
     return s
 
 
-def _slab_rows(a: np.ndarray, axis: int, min_rows: int = 1):
+def _slab_rows(a: np.ndarray, axis: int):
     """a as (rows, n) and the rows per chunk, or None for numpy's path."""
     n = a.shape[axis]
-    if axis != a.ndim - 1 or n != 8 or a.size < min_rows * n \
-            or not a.flags.c_contiguous:
+    if axis != a.ndim - 1 or n != 8 or a.size == 0 or not a.flags.c_contiguous:
         return None
     rows = a.reshape(-1, n)
     return rows, min(len(rows), _SLAB_CHUNK // n)
@@ -448,7 +446,7 @@ def softmax_backward(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     """y * (g - sum(g * y)); the sum is np.sum's over the product's layout."""
     axis %= y.ndim
     d = g * y
-    slabs = _slab_rows(y, axis, _SLAB_ROWS)
+    slabs = _slab_rows(y, axis)
     if slabs is None or g.shape != y.shape or not g.flags.c_contiguous:
         np.subtract(g, _axis_sum(d, axis), out=d)
         d *= y

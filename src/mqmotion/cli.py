@@ -29,7 +29,7 @@ from .core import DEFAULT_HORIZONS_MS, HorizonSpec
 from .dataio import SYNTH_KINDS, read_mqs_file, synth_generate, write_atomically, \
     write_mqs_file, write_mqq, make_windows
 from .errors import AbortStep, BackwardBeforeForward, FormatError, MotionError, \
-    NumericalInstability, SequenceTooShort, SkeletonMismatch
+    NumericalInstability, SequenceTooShort
 from .evaluate import evaluate as run_evaluation
 from .evaluate import format_table, write_report
 from .quotient import encode_quotient
@@ -358,13 +358,7 @@ def _cmd_predict(args, _cfg) -> int:
                       [("the input", args.input), ("--checkpoint", args.checkpoint)])
     state = load_checkpoint(args.checkpoint)
     cfg = state.cfg
-    mqs = read_mqs_file(args.input)
-    seq = mqs.sequence
-    if seq.n_joints != state.params.dims.joints:
-        raise SkeletonMismatch(
-            f"checkpoint expects {state.params.dims.joints} joints, "
-            f"file has {seq.n_joints}"
-        )
+    seq = read_mqs_file(args.input).sequence
     if seq.n_frames < cfg.obs_frames:
         raise SequenceTooShort(
             f"need at least {cfg.obs_frames} observed frames, file has {seq.n_frames}"

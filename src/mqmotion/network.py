@@ -26,6 +26,9 @@ numpy forwards on plain arrays and makes no node. In the low-rank form the
 rank projections fold into the query and key projections, x @ (w p)
 instead of (x @ w) @ p, which changes rounding but not the function; a
 training pass folds the live weights, a prediction snapshot folds once.
+The query's one bias bq is (H*r) and is added to the folded projection: a
+(D) bias ahead of the rank projection would reach the logits only through
+it, which a rank-width bias already spans.
 
 The prediction head reads only each joint's final-frame token, so the
 passes that feed it (training's clean pass and every predictor call) ask
@@ -129,7 +132,7 @@ def _param_spec(dims: ModelDims) -> list[tuple[str, tuple, str]]:
             p = f"layer{i}.{branch}"
             spec += [
                 (f"{p}.wq", (d, d), "uniform"),
-                (f"{p}.bq", (d,), "zeros"),
+                (f"{p}.bq", (h * r,) if dims.lowrank else (d,), "zeros"),
                 (f"{p}.wk", (d, d), "uniform"),
                 (f"{p}.wv", (d, d), "uniform"),
                 (f"{p}.bv", (d,), "zeros"),
@@ -137,7 +140,6 @@ def _param_spec(dims: ModelDims) -> list[tuple[str, tuple, str]]:
             if dims.lowrank:
                 spec += [
                     (f"{p}.pq", (h, dh, r), "uniform"),
-                    (f"{p}.pq_b", (h, 1, r), "zeros"),
                     (f"{p}.pk", (h, dh, r), "uniform"),
                     (f"{p}.gate", (tokens, tokens), "eye"),
                 ]
@@ -190,7 +192,7 @@ def _param_count(dims: ModelDims) -> int:
 
 # Parameter names of each sublayer, in the order its fused node lists them.
 _QKV = ("wq", "bq", "wk", "wv", "bv")
-_GATED = ("pq", "pq_b", "pk", "gate")
+_GATED = ("pq", "pk", "gate")
 _ATTN_FF = ("ff_w1", "ff_b1", "ff_w2", "ff_b2")
 _FFN = ("w1", "b1", "w2", "b2")
 _LN = ("ln_g", "ln_b")
@@ -376,11 +378,9 @@ def _fold(w, p, heads: int):
 
 def _folds(P: dict, heads: int) -> tuple:
     """The low-rank attention's weight-only products: the query and key
-    projections with their rank projections folded in, and the folded query
-    bias. Each pass folds the live weights; a snapshot (fold_snapshot) holds
-    them under "folds"."""
-    bq = (P["bq"].reshape(heads, 1, -1) @ P["pq"] + P["pq_b"]).reshape(-1)
-    return _fold(P["wq"], P["pq"], heads), _fold(P["wk"], P["pk"], heads), bq
+    projections with their rank projections folded in. Each pass folds the
+    live weights; a snapshot (fold_snapshot) holds them under "folds"."""
+    return _fold(P["wq"], P["pq"], heads), _fold(P["wk"], P["pk"], heads)
 
 
 def _unfold_grads(dw_f, w, p, heads: int):
@@ -432,9 +432,9 @@ def _attention(x: np.ndarray, P: dict, dims: ModelDims, last: bool = False):
         # The rank projections fold into the query and key projections, and
         # the gate, shared by all heads, mixes the merged heads at once. The
         # softmaxes run on (B, G, N, H, r) arrays, contiguous over the rank.
-        wq, wk, bq = P["folds"] if "folds" in P else _folds(P, h)
+        wq, wk = P["folds"] if "folds" in P else _folds(P, h)
         q = x @ wq
-        q += bq
+        q += P["bq"]
         aq = ad.softmax_forward(q.reshape(b, g, n, h, r), -1)  # phi(Q): over the rank
         ak = ad.softmax_forward((x @ wk).reshape(b, g, n, h, r), 2)  # phi(K): over tokens
         aqh, akh = aq.transpose(0, 1, 3, 2, 4), ak.transpose(0, 1, 3, 2, 4)
@@ -481,9 +481,6 @@ def _attention(x: np.ndarray, P: dict, dims: ModelDims, last: bool = False):
         if dims.lowrank:
             grads["wq"], grads["pq"] = _unfold_grads(grads["wq"], P["wq"], P["pq"], h)
             grads["wk"], grads["pk"] = _unfold_grads(grads["wk"], P["wk"], P["pk"], h)
-            grads["pq_b"] = grads["bq"].reshape(h, 1, -1)
-            grads["pq"] += P["bq"].reshape(h, 1, -1).swapaxes(-1, -2) @ grads["pq_b"]
-            grads["bq"] = (grads["pq_b"] @ P["pq"].swapaxes(-1, -2)).reshape(-1)
         return dx, grads
 
     return out, backward
@@ -614,9 +611,10 @@ def _ffn(h: Tensor, params: ModelParams, layer: int) -> Tensor:
 
 
 def fold_snapshot(params: ModelParams) -> None:
-    """Store each low-rank attention's weight-only products (_folds) beside
-    its arrays, for no-grad passes over params that nothing updates any more:
-    a prediction snapshot. The folds are those of params as they are now."""
+    """Store each low-rank attention's folded query and key projections
+    (_folds) beside its arrays, for no-grad passes over params that nothing
+    updates any more: a prediction snapshot. The folds are those of params as
+    they are now."""
     if params.dims.lowrank:
         for (_, branch), (_, _, P) in params._sublayers.items():
             if branch != "ffn":

@@ -61,7 +61,8 @@ from . import perturb
 from . import streams
 from .autodiff import Tensor
 from .dataio import WindowedDataset, write_atomically
-from .errors import AbortStep, DimsMismatch, FormatError, NumericalInstability
+from .errors import AbortStep, DimsMismatch, FormatError, NumericalInstability, \
+    SkeletonMismatch
 from .losses import LossReport
 
 CHECKPOINT_MAGIC = b"MQCK"
@@ -667,8 +668,10 @@ def make_predictor(params: net.ModelParams, use_quotient: bool, input_gain: floa
                    root_index: int = 0):
     """Wrap params into a pure function: observed window -> predicted frames.
 
-    Accepts (n, J, 3) or (B, n, J, 3); returns matching (T_f, J, 3) or
-    (B, T_f, J, 3) float64 arrays in mm. The features are built in float64,
+    Accepts (n, J, 3) or (B, n, J, 3), with n the model's observed frames
+    and J its joints; returns matching (T_f, J, 3) or (B, T_f, J, 3) float64
+    arrays in mm. Another joint count raises SkeletonMismatch and any other
+    window shape DimsMismatch, before anything is computed. The features are built in float64,
     then the backbone and the pred head run in float32 on a float32 copy of
     the weights that is made here, once: the predictor is a snapshot of
     params as they are at this call, and later updates to params do not
@@ -688,6 +691,7 @@ def make_predictor(params: net.ModelParams, use_quotient: bool, input_gain: floa
     large for a float32 layer norm, raises NumericalInstability.
     """
     dims = params.dims
+    window = (dims.window + 1 if use_quotient else dims.window, dims.joints, 3)
     params32 = net.ModelParams(dims, params.vec.astype(np.float32))
     net.fold_snapshot(params32)
     per_slice = max(1, _SLICE_ENTRIES // (dims.window * dims.joints * dims.d_model))
@@ -702,6 +706,11 @@ def make_predictor(params: net.ModelParams, use_quotient: bool, input_gain: floa
         single = arr.ndim == 3
         if single:
             arr = arr[None]
+        if arr.ndim == 4 and arr.shape[2] != dims.joints:
+            raise SkeletonMismatch(f"the model has {dims.joints} joints, "
+                                   f"the observed frames have {arr.shape[2]}")
+        if arr.shape[1:] != window:
+            raise DimsMismatch(f"each observed window must be {window}, got {arr.shape[1:]}")
         feats, _ = net.build_features(arr, root_index, use_quotient, input_gain)
         feats32 = feats.astype(np.float32)
         out = np.empty((len(feats32), dims.future, dims.joints, 3))

@@ -237,11 +237,8 @@ class TestSoftmaxKernelBits:
             a, g = self.inputs(shape, axis, dtype, seed=n * 10 + i)
             # the real gradient is a transposed view: axes 2 and 3 swapped
             g_t = np.ascontiguousarray(g.swapaxes(2, 3)).swapaxes(2, 3)
-            if i < 2:  # slabs for rows of 8, numpy's path for other lengths:
-                # the forward's at any row count, the backward's from 512 rows
+            if i < 2:  # slabs for rows of 8 at any row count, numpy's path for other lengths
                 assert (ad._slab_rows(a, axis % a.ndim) is not None) == (n == 8)
-                assert (ad._slab_rows(a, axis % a.ndim, ad._SLAB_ROWS) is not None) \
-                    == (n == 8 and i == 0)
             a0, g0 = a.copy(), g.copy()
             with np.errstate(invalid="ignore"):  # the rows holding +inf
                 y = ad.softmax_forward(a, axis)
@@ -277,10 +274,29 @@ class TestSoftmaxKernelBits:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rows", [1, 7, 64, 180, 511])
     def test_rank_forward_on_slabs_at_any_row_count(self, dtype, rows):
-        a = np.zeros((rows, 8), dtype)
-        assert ad._slab_rows(a, 1) is not None
-        assert (ad._slab_rows(a, 1, ad._SLAB_ROWS) is None) == (rows < ad._SLAB_ROWS)
+        assert ad._slab_rows(np.zeros((rows, 8), dtype), 1) is not None
         self.check((rows, 8), -1, dtype, seed=rows)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 7, 64, 180, 511])
+    def test_rank_backward_on_slabs_at_any_row_count(self, dtype, rows, monkeypatch):
+        """The backward sums a contiguous gradient's rows of 8 on slabs,
+        however few, with the plain formula's bits; a strided gradient takes
+        numpy's path, with the same bits."""
+        a, g = self.inputs((rows, 8), -1, dtype, seed=rows + 1)
+        with np.errstate(invalid="ignore"):  # the rows holding +inf
+            y = ad.softmax_forward(a, -1)
+        calls = []
+        slab_sum = ad._slab_sum
+        monkeypatch.setattr(ad, "_slab_sum", lambda t: calls.append(t.shape) or slab_sum(t))
+        g_s = np.empty((rows, 16), dtype)[:, ::2]
+        g_s[...] = g
+        for grad_in, slabs in ((g, 1), (g_s, 0)):
+            calls.clear()
+            with np.errstate(invalid="ignore"):
+                d = ad.softmax_backward(y, grad_in, -1)
+                want = plain_softmax_grad(y, grad_in, -1)
+            assert len(calls) == slabs and np.array_equal(bits(d), bits(want)), grad_in.strides
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("batch", [2, 3], ids=["below", "above"])

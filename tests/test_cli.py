@@ -83,6 +83,49 @@ def edit_header(ckpt, edit, out=None):
     (out or ckpt).write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
 
 
+def write_old_low_rank_layout(ckpt, out):
+    """Write a low-rank ckpt in the layout of the parameter set before the
+    query bias moved to rank width: each attention's bq is (D) and a
+    (H, 1, r) pq_b follows its pq, in the manifest, the counts, the
+    parameter blob and the generator's Adam moments. The moved biases are
+    written as zeros."""
+    raw = ckpt.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + hlen])
+    dims, counts = header["dims"], header["counts"]
+    assert dims["lowrank"]
+    d, hr = dims["d_model"], dims["heads"] * dims["rank"]
+    manifest = []
+    for name, shape in header["params"]:
+        manifest.append([name, [d] if name.endswith(".bq") else shape])
+        if name.endswith(".pq"):
+            manifest.append([name + "_b", [dims["heads"], 1, dims["rank"]]])
+
+    def relayout(vec):
+        parts, off = [], 0
+        for name, shape in header["params"]:
+            if off == len(vec):  # the generator's moments end before the critic
+                break
+            size = int(np.prod(shape))
+            parts.append(np.zeros(d) if name.endswith(".bq") else vec[off : off + size])
+            off += size
+            if name.endswith(".pq"):
+                parts.append(np.zeros(hr))
+        return np.concatenate(parts)
+
+    off, blobs = 16 + hlen, []
+    for n in ("total", "generator", "generator", "critic", "critic"):
+        blob = np.frombuffer(raw, "<f8", counts[n], off)
+        off += 8 * counts[n]
+        blobs.append(blob if n == "critic" else relayout(blob))
+    grown = len(blobs[0]) - counts["total"]
+    header.update(params=manifest, counts={**counts, "total": counts["total"] + grown,
+                                           "generator": counts["generator"] + grown})
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    out.write_bytes(raw[:8] + struct.pack("<Q", len(text)) + text
+                    + b"".join(b.astype("<f8").tobytes() for b in blobs))
+
+
 class TestConfigFile:
     def test_types_and_comments(self, tmp_path):
         path = write_config(tmp_path, """
@@ -951,6 +994,41 @@ class TestPredictAndEval:
         rc = cli.main(["predict", other, "--checkpoint", str(ckpt)])
         assert rc == 3
         assert "type=SkeletonMismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("layers", [0, 2])
+    def test_eval_joint_mismatch_is_one_line(self, tmp_path, capsys, layers):
+        src = synth_file(tmp_path)
+        cfg = write_config(tmp_path, SMALL_MODEL.replace("layers = 1", f"layers = {layers}"))
+        ckpt = tmp_path / "model.mqck"
+        assert cli.main(["train", src, "--config", cfg, "--epochs", "0",
+                         "--out", str(ckpt)]) == 0
+        other = synth_file(tmp_path, "four.mqs", joints=4)
+        capsys.readouterr()
+        rc = cli.main(["eval", other, "--checkpoint", str(ckpt), "--horizons", "80"])
+        [line] = capsys.readouterr().err.splitlines()
+        assert rc == 3 and line.startswith("mqmotion: code=3 type=SkeletonMismatch msg=")
+        assert "has 3 joints" in line and "have 4" in line
+
+    @pytest.mark.parametrize("command", ["predict", "eval", "train"])
+    def test_old_low_rank_layout_is_refused(self, tmp_path, capsys, command):
+        # a low-rank checkpoint written before the query bias moved to rank
+        # width names a pq_b the model no longer has
+        src, ckpt = self.trained(tmp_path)
+        old = tmp_path / "old.mqck"
+        write_old_low_rank_layout(ckpt, old)
+        argv = {
+            "predict": ["predict", src, "--checkpoint", str(old)],
+            "eval": ["eval", src, "--checkpoint", str(old), "--horizons", "80"],
+            "train": ["train", src, "--config", str(tmp_path / "run.cfg"), "--resume",
+                      str(old), "--out", str(tmp_path / "resumed.mqck")],
+        }[command]
+        capsys.readouterr()
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert rc == 3 and line.startswith("mqmotion: code=3 type=FormatError msg=")
+        assert captured.out == "" and not (tmp_path / "clip.pred.mqs").exists()
+        assert not (tmp_path / "resumed.mqck").exists()
 
     def test_predict_short_file(self, tmp_path, capsys):
         _, ckpt = self.trained(tmp_path)

@@ -125,6 +125,23 @@ class TestModelParams:
         assert not any(".gate" in n or ".pq" in n or ".pk" in n
                        for n in params.names)
 
+    @pytest.mark.parametrize("joints, lowrank, count", [
+        (5, True, 46_437), (22, True, 57_147), (5, False, 44_177), (22, False, 53_969)])
+    def test_default_parameter_counts(self, joints, lowrank, count):
+        # README quotes these; a change to _param_spec shows here first
+        dims = TrainConfig(use_lowrank=lowrank).model_dims(joints)
+        assert net._param_count(dims) == net.ModelParams.init(dims, seed=0).n_params == count
+
+    @pytest.mark.parametrize("lowrank", [True, False])
+    def test_one_query_bias_per_attention(self, lowrank):
+        # the low-rank form adds its query bias at rank width, after the
+        # rank projection; the full-rank form at model width
+        dims = small_dims(lowrank=lowrank)
+        shapes = {name: shape for name, shape, _ in net._param_spec(dims)}
+        assert shapes["layer0.spatial.bq"] == ((dims.heads * dims.rank,) if lowrank
+                                              else (dims.d_model,))
+        assert not any(name.endswith(".pq_b") for name in shapes)
+
 
 class TestFeatures:
     def test_token_count(self):
@@ -246,22 +263,19 @@ class TestAttention:
         params = net.ModelParams.init(small_dims(), seed=0)
         dims = params.dims
         x = rand_act(dims)
-        b, t, n, d = x.shape
-        p = {s: params.t(f"layer0.spatial.{s}").data
-             for s in ("wq", "bq", "pq", "pq_b", "wk", "pk")}
-        # keys carry no bias
-        biases = {"q": (p["bq"], p["pq_b"]),
-                  "k": (np.zeros(d), np.zeros((dims.heads, 1, dims.rank)))}
+        b, t, n, _ = x.shape
+        p = {s: params.t(f"layer0.spatial.{s}").data for s in ("wq", "pq", "wk", "pk")}
+        # the query's one bias is at rank width, (H*r); keys carry no bias
+        biases = {"q": np.random.default_rng(3).uniform(-1, 1, dims.heads * dims.rank),
+                  "k": np.zeros(dims.heads * dims.rank)}
         maps = {}
         for c, axis in (("q", -1), ("k", -2)):
-            bias, rank_bias = biases[c]
-            folded_bias = bias.reshape(dims.heads, 1, -1) @ p[f"p{c}"] + rank_bias
             w = net._fold(p[f"w{c}"], p[f"p{c}"], dims.heads)
-            logits = (x @ w + folded_bias.reshape(-1)).reshape(
+            logits = (x @ w + biases[c]).reshape(
                 b, t, n, dims.heads, dims.rank).transpose(0, 1, 3, 2, 4)
-            heads = (x @ p[f"w{c}"] + bias).reshape(
+            heads = (x @ p[f"w{c}"]).reshape(
                 b, t, n, dims.heads, dims.head_dim).transpose(0, 1, 3, 2, 4)
-            unfolded = heads @ p[f"p{c}"] + rank_bias
+            unfolded = heads @ p[f"p{c}"] + biases[c].reshape(dims.heads, 1, dims.rank)
             assert np.allclose(logits, unfolded, rtol=1e-12, atol=1e-13)
             maps[c] = ad.softmax(logits, axis=axis).data
         aq, ak = maps["q"], maps["k"]
@@ -382,7 +396,7 @@ class TestBackbone:
         inner = [t for t in seen.values() if t._parents]
         assert dims.layers == 2
         assert len(inner) == 8
-        assert len(seen) == 82
+        assert len(seen) == 78
 
     def test_last_frame_graph_has_the_same_nodes(self):
         # the trimmed pass keeps one node per sublayer; its pred head adds
@@ -392,8 +406,8 @@ class TestBackbone:
         params = net.ModelParams.init(dims, seed=0)
         act = net.forward_backbone(rand_features(dims), None, params, last_frame=True)
         assert act.shape == (2, 1, 5, dims.d_model)
-        assert reachable_nodes(act) == 82
-        assert reachable_nodes(net.heads(act, params, "pred")) == 90
+        assert reachable_nodes(act) == 78
+        assert reachable_nodes(net.heads(act, params, "pred")) == 86
 
     @pytest.mark.parametrize("lowrank", [True, False])
     def test_nograd_forward_keeps_no_intermediates(self, lowrank):
@@ -573,11 +587,15 @@ def reference_sublayer(h, params, kind, key_bias=None):
         y = mlp(h, ("w1", "b1", "w2", "b2"))
     else:
         x = h if kind == "spatial" else ad.swapaxes(h, 1, 2)
-        q, v = (split(ad.add(ad.matmul(x, t(f"w{c}")), t(f"b{c}"))) for c in "qv")
+        q = ad.matmul(x, t("wq"))
+        if not dims.lowrank:  # the low-rank form adds its (H*r) query bias after pq
+            q = ad.add(q, t("bq"))
+        q, v = split(q), split(ad.add(ad.matmul(x, t("wv")), t("bv")))
         k = ad.matmul(x, t("wk"))
         k = split(k if key_bias is None else ad.add(k, key_bias["bk"]))
         if dims.lowrank:
-            aq = ref_softmax(ad.add(ad.matmul(q, t("pq")), t("pq_b")), axis=-1)
+            bq = ad.reshape(t("bq"), (dims.heads, 1, dims.rank))
+            aq = ref_softmax(ad.add(ad.matmul(q, t("pq")), bq), axis=-1)
             k = ad.matmul(k, t("pk"))
             ak = ref_softmax(k if key_bias is None else ad.add(k, key_bias["pk_b"]),
                              axis=-2)

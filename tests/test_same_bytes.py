@@ -1,5 +1,6 @@
-"""tools/same_bytes.py on a tiny matrix: this checkout against itself, and
-against a copy of its src/ whose Adam epsilon is one float32 ulp larger."""
+"""tools/same_bytes.py on a tiny matrix: this checkout against itself,
+against a copy of its src/ whose Adam epsilon is one float32 ulp larger, and
+against a copy that refuses this checkout's checkpoints."""
 import importlib
 import shutil
 from pathlib import Path
@@ -53,6 +54,26 @@ def test_tiny_matrix_against_itself_and_one_ulp(same_bytes, tmp_path):
     diffs = report["differences"]
     assert 0 < diffs["change"]["infer/a.pred.mqs"]["max_abs_mm"] < 1e-3
     assert diffs["cross"] == {"infer/a.pred.mqs": {"max_abs_mm": 0.0}}
+
+
+def test_a_change_that_refuses_the_parents_checkpoint(same_bytes, tmp_path):
+    # a change to the checkpoint format: the change's own runs load their
+    # checkpoints, and its cross predict refuses the parent's with one line
+    bumped = tmp_path / "bumped"
+    shutil.copytree(ROOT / "src", bumped / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    train_py = bumped / "src" / "mqmotion" / "train.py"
+    text = train_py.read_text()
+    edited = text.replace("CHECKPOINT_VERSION = 2", "CHECKPOINT_VERSION = 3")
+    assert edited != text
+    train_py.write_text(edited)
+    report = same_bytes.compare({"parent": ROOT, "change": bumped}, TINY, tmp_path / "work")
+    assert report["verdict"] == "different" and not report["failures"]
+    assert report["cross_refused"] == [{
+        "command": TINY[2],
+        "stderr": "mqmotion: code=3 type=FormatError msg='unsupported checkpoint version 2'"}]
+    # the change's own prediction keeps the parent's bytes
+    assert report["differing"] == ["stdout/02_predict", "train/a.mqck"]
+    assert report["differences"] == {"change": {}, "cross": {}}
 
 
 def test_differences_per_log_column_and_predicted_file(same_bytes, tmp_path):

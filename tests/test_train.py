@@ -21,7 +21,7 @@ import mqmotion.train as tr
 from mqmotion.core import MotionSequence, Skeleton
 from mqmotion.dataio import make_windows, synth_generate
 from mqmotion.errors import (AbortStep, DimsMismatch, FormatError, MaskTermSkipped, MotionError,
-                             NumericalInstability)
+                             NumericalInstability, SkeletonMismatch)
 
 EPS = 1e-8
 
@@ -572,7 +572,7 @@ class TestRun:
 
         monkeypatch.setattr(net, "parameter_gradients", counting)
         t.run()
-        assert nodes == {"generator": [102, 97, 128], "critic": [13]}
+        assert nodes == {"generator": [98, 93, 124], "critic": [13]}
 
     def test_zero_epochs_writes_initial_checkpoint(self, tmp_path):
         ckpt = tmp_path / "run.mqck"
@@ -802,7 +802,7 @@ class TestCheckpoint:
         lambda h: h["dims"].update(heads=3),
         lambda h: h.pop("sigma"),
         lambda h: h["dims"].update(head_gain=50.0),
-        lambda h: swap_manifest_entries(h, "layer0.spatial.bq", "layer0.spatial.bv"),
+        lambda h: swap_manifest_entries(h, "layer0.spatial.bv", "layer0.spatial.ff_b1"),
         lambda h: h["params"][0][1].reverse(),  # embed.w's shape transposed
         lambda h: h["counts"].update(generator=h["counts"]["generator"] + 1,
                                      critic=h["counts"]["critic"] - 1),
@@ -899,6 +899,24 @@ class TestPredictor:
         assert batched.shape == (2, 3, 3, 3)
         assert np.array_equal(batched[0], single)
         assert np.array_equal(batched[1], single)
+
+    @pytest.mark.parametrize("quotient", [True, False], ids=["quotient", "raw"])
+    @pytest.mark.parametrize("layers", [0, 1])
+    def test_window_of_another_shape_is_refused(self, layers, quotient):
+        """Each window must be (observed frames, joints, 3) for the model,
+        with or without sublayers to trip over another shape."""
+        params = net.ModelParams.init(small_cfg(layers=layers,
+                                                use_quotient=quotient).model_dims(3), 0)
+        predict = tr.make_predictor(params, quotient, 0.01)
+        obs = small_dataset().windows[0].observed  # (4, 3, 3)
+        assert predict(obs).shape == (3, 3, 3)
+        for bad in (obs[1:], np.concatenate([obs, obs[:1]]), obs[..., :2], obs[0],
+                    np.stack([obs[1:]] * 2)):
+            with pytest.raises(DimsMismatch, match=r"must be \(4, 3, 3\)"):
+                predict(bad)
+        for bad in (obs[:, :2], np.stack([np.concatenate([obs, obs], axis=1)] * 2)):
+            with pytest.raises(SkeletonMismatch, match="has 3 joints"):
+                predict(bad)
 
     def test_matches_manual_forward(self):
         ds = small_dataset()

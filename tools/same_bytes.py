@@ -18,8 +18,12 @@ The JSON holds each file's hashes per side and per run, the cross run's
 hashes of the predict and eval outputs, and one verdict: "identical" when
 every hash of the change and of the cross run equals the parent's,
 "different" when some do not, "not reproducible" when a side's two runs
-differ, and "failed" when a command exits nonzero. With "different", the
-JSON also holds the sizes of the differences under "differences", for the
+differ, and "failed" when a command exits nonzero. One exception: a cross
+command that exits 3 where the change's own runs of it exit 0 means the
+change refuses the parent's checkpoint (its parameter set changed, say). It
+is listed under "cross_refused" with its stderr line, not as a failure, and
+the verdict is then "different" at best. With "different", the JSON also
+holds the sizes of the differences under "differences", for the
 change's first run and for the cross run, each against the parent's first
 run: per differing CSV (the loss logs and the eval reports), the largest
 relative difference per column; per differing predicted .mqs file, the
@@ -214,8 +218,12 @@ def compare(checkouts: dict[str, Path], commands: list[list[str]], workroot: Pat
     for path, digest in cross.items():
         files.setdefault(path, {s: [None] * RUNS for s in SIDES})["cross"] = digest
 
+    own_failures = [f["command"] for (side, _), (_, fs) in results.items()
+                    if side == "change" for f in fs]
+    refused = [f for f in cross_failures if f["exit"] == 3 and f["command"] not in own_failures]
     failures = [{"side": side, "run": run, **f} for (side, run), (_, fs) in results.items()
-                for f in fs] + [{"side": "cross", **f} for f in cross_failures]
+                for f in fs] + [{"side": "cross", **f} for f in cross_failures
+                                if f not in refused]
     reproducible = {s: all(len(set(h[s])) == 1 for h in files.values()) for s in SIDES}
     differing = sorted(path for path, h in files.items()
                        if h["change"] != h["parent"]
@@ -225,10 +233,13 @@ def compare(checkouts: dict[str, Path], commands: list[list[str]], workroot: Pat
     elif not all(reproducible.values()):
         verdict = "not reproducible"
     else:
-        verdict = "different" if differing else "identical"
+        verdict = "different" if differing or refused else "identical"
     report = {"checkouts": describe_checkouts(checkouts), "commands": commands,
               "files_compared": len(files), "verdict": verdict, "reproducible": reproducible,
-              "differing": differing, "failures": failures, "files": files}
+              "differing": differing, "failures": failures,
+              "cross_refused": [{"command": f["command"], "stderr": f["stderr"].strip()}
+                                for f in refused],
+              "files": files}
     if verdict == "different":
         parent = workroot / "parent-1"
         report["differences"] = {
@@ -250,7 +261,8 @@ def main() -> int:
         report = compare(checkouts, MATRIX, Path(tmp))
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"{report['verdict']}: {report['files_compared']} files, "
-          f"{len(report['differing'])} differing, {len(report['failures'])} failed commands")
+          f"{len(report['differing'])} differing, {len(report['failures'])} failed commands, "
+          f"{len(report['cross_refused'])} refused across")
     return 0 if report["verdict"] in ("identical", "different") else 1
 
 
