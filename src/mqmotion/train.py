@@ -671,15 +671,14 @@ def make_predictor(params: net.ModelParams, use_quotient: bool, input_gain: floa
     Accepts (n, J, 3) or (B, n, J, 3), with n the model's observed frames
     and J its joints; returns matching (T_f, J, 3) or (B, T_f, J, 3) float64
     arrays in mm. Another joint count raises SkeletonMismatch and any other
-    window shape DimsMismatch, before anything is computed. The features are built in float64,
-    then the backbone and the pred head run in float32 on a float32 copy of
-    the weights that is made here, once: the predictor is a snapshot of
-    params as they are at this call, and later updates to params do not
-    reach it. The low-rank attention's weight-only products are folded here
-    too (net.fold_snapshot), so a call folds nothing, and the backbone runs
-    under no_grad on plain arrays. It runs its final block at the last frame
-    only, the one frame the prediction head reads (forward_backbone's
-    last_frame).
+    window shape DimsMismatch. The features are built in float64, then the
+    backbone and the pred head run in float32 on a float32 copy of the
+    weights that is made here, once: the predictor is a snapshot of params
+    as they are at this call, and later updates to params do not reach it.
+    The low-rank attention's weight-only products are folded here too
+    (net.fold_snapshot), so a call folds nothing, and the backbone runs under
+    no_grad on plain arrays. It runs its final block at the last frame only,
+    the one frame the prediction head reads (forward_backbone's last_frame).
 
     A batch runs in consecutive slices of at most _SLICE_ENTRIES //
     (window x joints x d_model) windows, at least one, whose frames fill
