@@ -690,7 +690,7 @@ def make_predictor(params: net.ModelParams, use_quotient: bool, input_gain: floa
     large for a float32 layer norm, raises NumericalInstability.
     """
     dims = params.dims
-    window = (dims.window + 1 if use_quotient else dims.window, dims.joints, 3)
+    window_shape = (dims.window + 1 if use_quotient else dims.window, dims.joints, 3)
     params32 = net.ModelParams(dims, params.vec.astype(np.float32))
     net.fold_snapshot(params32)
     per_slice = max(1, _SLICE_ENTRIES // (dims.window * dims.joints * dims.d_model))
@@ -708,8 +708,8 @@ def make_predictor(params: net.ModelParams, use_quotient: bool, input_gain: floa
         if arr.ndim == 4 and arr.shape[2] != dims.joints:
             raise SkeletonMismatch(f"the model has {dims.joints} joints, "
                                    f"the observed frames have {arr.shape[2]}")
-        if arr.shape[1:] != window:
-            raise DimsMismatch(f"each observed window must be {window}, got {arr.shape[1:]}")
+        if arr.shape[1:] != window_shape:
+            raise DimsMismatch(f"each observed window must be {window_shape}, got {arr.shape[1:]}")
         feats, _ = net.build_features(arr, root_index, use_quotient, input_gain)
         feats32 = feats.astype(np.float32)
         out = np.empty((len(feats32), dims.future, dims.joints, 3))
