@@ -82,15 +82,6 @@ def quotient_channels(frames: np.ndarray):
     return mag, cos, valid
 
 
-def integrate(start: np.ndarray, vel: np.ndarray) -> np.ndarray:
-    """Frames (T+1, J, 3) from a start pose (J, 3) and velocities (T, J, 3)."""
-    out = np.empty((vel.shape[0] + 1,) + start.shape, dtype=np.float64)
-    out[0] = start
-    out[1:] = vel
-    np.cumsum(out, axis=0, out=out)
-    return out
-
-
 def mpjpe_mean(pred: np.ndarray, truth: np.ndarray, root: int):
     """Mean root-aligned joint error over the (T, J) axes of (..., T, J, 3).
 

@@ -45,11 +45,11 @@ features) as whole slabs: chunks of rows go into a buffer with the reduced
 axis first, so each step of a max or a sum is one elementwise op over
 contiguous slabs instead of one numpy loop per row. The sums add in numpy's
 own pairwise order for a contiguous last axis, so the kernels' bits equal
-np.sum's and the plain formula's; other lengths, and the backward's few
-rows, take np.sum directly. Over any other axis (the keys' softmax over
-tokens) the sum is one einsum, which adds the slices in np.sum's own order
-for that axis, one after another, so those bits are np.sum's too, and the
-max is whichever exact form is faster for the array's size.
+np.sum's and the plain formula's, at any row count; other lengths, and a
+strided backward gradient, take np.sum directly. Over any other axis (the
+keys' softmax over tokens) the sum is one einsum, which adds the slices in
+np.sum's own order for that axis, one after another, so those bits are
+np.sum's too, and the max is whichever exact form is faster at its size.
 
 Layer norm sums each row over its width by einsum, its sum of squares as
 one einsum of the row with itself. That is not np.sum's pairwise order, so

@@ -72,6 +72,8 @@ def parse_mqs(text: str) -> MqsFile:
         raise FormatError(f"bad header value: {exc}", line=1) from None
     if joints < 1 or frames_n < 1:
         raise FormatError(f"J and T must be positive, got J={joints} T={frames_n}", line=1)
+    if not (np.isfinite(fps) and fps > 0):
+        raise FormatError(f"fps must be positive and finite, got {fields['fps']}", line=1)
     action = fields.get("action")
 
     # (the file's line number, text) of each non-blank body line

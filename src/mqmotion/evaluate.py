@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .core import DEFAULT_HORIZONS_MS, horizon_to_frame
+from .core import DEFAULT_HORIZONS_MS, HorizonSpec, horizon_to_frame
 from .dataio import WindowedDataset, write_atomically
 from .errors import DimsMismatch, NumericalInstability, WindowTooShort
 
@@ -53,8 +53,9 @@ def evaluate(predictor, dataset: WindowedDataset,
 
     `predictor` maps observed frames (B, n, J, 3) to predictions
     (B, T_f, J, 3). Horizon entries are the error at that frame alone.
+    Empty, unsorted or repeated horizons raise HorizonMisaligned (HorizonSpec).
     """
-    horizons_ms = tuple(int(ms) for ms in horizons_ms)
+    horizons_ms = HorizonSpec(horizons_ms).milliseconds
     frames_1b = {ms: horizon_to_frame(ms, dataset.fps) for ms in horizons_ms}
     deepest = max(frames_1b.values())
     if deepest > dataset.n_future:

@@ -190,13 +190,9 @@ def _param_count(dims: ModelDims) -> int:
     return base + dims.layers * (one - base)
 
 
-# Parameter names of each sublayer, in the order its fused node lists them.
-_QKV = ("wq", "bq", "wk", "wv", "bv")
-_GATED = ("pq", "pk", "gate")
+# the weights _mlp reads, by suffix: an attention's feed-forward and the FFN
 _ATTN_FF = ("ff_w1", "ff_b1", "ff_w2", "ff_b2")
 _FFN = ("w1", "b1", "w2", "b2")
-_LN = ("ln_g", "ln_b")
-_BRANCHES = ("spatial", "temporal", "ffn")  # a block's sublayers, in order
 
 
 class ModelParams:
@@ -231,16 +227,15 @@ class ModelParams:
             off += n
         split = self._slices[self.critic_names[0]][0]
         self.generator, self.critic = vec[:split], vec[split:]
-        # (layer, branch) -> (suffixes, tensors, {suffix: array}), built once:
-        # the arrays are views into vec, so they follow in-place updates
-        self._sublayers: dict[tuple[int, str], tuple[tuple, tuple, dict]] = {}
-        attention = _QKV + (_GATED if dims.lowrank else ()) + _ATTN_FF + _LN
-        for i in range(dims.layers):
-            for branch in _BRANCHES:
-                names = _FFN + _LN if branch == "ffn" else attention
-                tensors = tuple(self.tensors[f"layer{i}.{branch}.{s}"] for s in names)
-                self._sublayers[i, branch] = (names, tensors,
-                                             {s: t.data for s, t in zip(names, tensors)})
+        # (layer, branch) -> (suffixes, tensors, {suffix: array}): the spec's
+        # layer<i>.<branch>.<suffix> entries in spec order, arrays views into vec
+        groups: dict[tuple[int, str], dict[str, Tensor]] = {}
+        for name, t in self.tensors.items():
+            if name.startswith("layer"):
+                layer, branch, suffix = name.split(".")
+                groups.setdefault((int(layer.removeprefix("layer")), branch), {})[suffix] = t
+        self._sublayers = {key: (tuple(g), tuple(g.values()), {s: t.data for s, t in g.items()})
+                           for key, g in groups.items()}
 
     @classmethod
     def init(cls, dims: ModelDims, seed: int) -> "ModelParams":
@@ -605,11 +600,6 @@ def _check_act(shape: tuple, dims: ModelDims, name: str) -> None:
         raise DimsMismatch(f"{name} attention expects window {dims.window}, got {shape[1]}")
 
 
-def _ffn(h: Tensor, params: ModelParams, layer: int) -> Tensor:
-    """Position-wise FFN sublayer, residual and post-LN included."""
-    return _node(h, params, layer, "ffn")
-
-
 def fold_snapshot(params: ModelParams) -> None:
     """Store each low-rank attention's folded query and key projections
     (_folds) beside its arrays, for no-grad passes over params that nothing
@@ -649,15 +639,14 @@ def forward_backbone(features, token_mask, params: ModelParams,
         for i in range(dims.layers):
             h = spatial_attention(h, params, i)
             h = temporal_attention(h, params, i, last_frame=last_frame and i == dims.layers - 1)
-            h = _ffn(h, params, i)
+            h = _node(h, params, i, "ffn")
         return h
     h = h.data  # no name holds the embedding past the first sublayer
     if dims.layers:
         _check_act(h.shape, dims, "spatial")
-    for i in range(dims.layers):
-        for branch in _BRANCHES:
-            last = last_frame and i == dims.layers - 1 and branch == "temporal"
-            h, _ = _sublayer_forward(h, params._sublayers[i, branch][2], dims, branch, last)
+    for (i, branch), (_, _, P) in params._sublayers.items():
+        last = last_frame and i == dims.layers - 1 and branch == "temporal"
+        h, _ = _sublayer_forward(h, P, dims, branch, last)
     return Tensor(h)
 
 

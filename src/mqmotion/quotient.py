@@ -160,7 +160,7 @@ def encode_quotient(seq: MotionSequence) -> QuotientRepresentation:
 def integrate_velocities(start, field: TangentField) -> MotionSequence:
     """Left inverse of tangent_velocities: cumulative sum from a start pose."""
     pose = as_pose(start, field.skeleton)
-    frames = _kernels.integrate(pose, field.velocities)
+    frames = np.cumsum(np.concatenate([pose[None], field.velocities]), axis=0)
     return MotionSequence(frames, field.fps, field.skeleton)
 
 

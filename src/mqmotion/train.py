@@ -44,6 +44,7 @@ against the config's model_dims, and rejects any disagreement.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -67,6 +68,8 @@ from .losses import LossReport
 
 CHECKPOINT_MAGIC = b"MQCK"
 CHECKPOINT_VERSION = 2
+# the header's training counters, written and read by these names
+_COUNTERS = ("root_index", "epoch", "batch_index", "global_step")
 
 # parameters a fresh run may allocate (README, model size)
 _MAX_PARAMS = 10**7
@@ -554,10 +557,7 @@ def save_checkpoint(path, trainer: Trainer) -> None:
         "dims": asdict(params.dims),
         "config": asdict(trainer.cfg),
         "sigma": trainer.sigma,
-        "root_index": trainer.root_index,
-        "epoch": trainer.epoch,
-        "batch_index": trainer.batch_index,
-        "global_step": trainer.global_step,
+        **{k: getattr(trainer, k) for k in _COUNTERS},
         "adam": {"generator": {"t": adam_gen.t}, "critic": {"t": adam_critic.t}},
         **_layout(params),
     }
@@ -590,10 +590,21 @@ class CheckpointState:
 
 
 def _header_int(name: str, value) -> int:
-    """A header counter, which must be a JSON integer: int() would truncate 0.9."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise FormatError(f"checkpoint {name} must be an integer, got {value!r}")
+    """A header count or counter: a JSON integer >= 0 (int() would truncate 0.9)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise FormatError(f"checkpoint {name} must be an integer >= 0, got {value!r}")
     return value
+
+
+def _first_difference(manifest, dims: net.ModelDims) -> None:
+    """Raise a FormatError naming the first entry where a manifest list and dims' layout differ."""
+    if not isinstance(manifest, list):
+        return
+    layout = [[name, list(shape)] for name, shape, _ in net._param_spec(dims)]
+    for k, (got, want) in enumerate(itertools.zip_longest(manifest, layout)):
+        if got != want:
+            got, want = ("nothing" if e is None else json.dumps(e) for e in (got, want))
+            raise FormatError(f"checkpoint parameter {k} is {got}, its dims lay out {want}")
 
 
 def load_checkpoint(path) -> CheckpointState:
@@ -623,25 +634,23 @@ def load_checkpoint(path) -> CheckpointState:
                   for k in ("total", "generator", "critic")}
         manifest = header["params"]
         steps = {k: _header_int("adam t", header["adam"][k]["t"]) for k in ("generator", "critic")}
-        counters = {k: _header_int(k, header[k])
-                    for k in ("root_index", "epoch", "batch_index", "global_step")}
+        counters = {k: _header_int(k, header[k]) for k in _COUNTERS}
         sigma = header["sigma"]  # float() would take a bool or a numeric string
         if isinstance(sigma, (bool, str)) or not 0 < float(sigma) < math.inf:
             raise FormatError(f"checkpoint sigma must be a positive finite number, got {sigma!r}")
     except (KeyError, TypeError, ValueError, OverflowError, DimsMismatch) as exc:
         raise FormatError(f"bad checkpoint header: {type(exc).__name__}: {exc}") from None
-    if not 0 <= counters["root_index"] < dims.joints:
+    if counters["root_index"] >= dims.joints:
         raise FormatError(f"checkpoint root_index {counters['root_index']} is not a joint "
                           f"of its {dims.joints}")
-    for name, value in [*counters.items(), *(("adam t", t) for t in steps.values())]:
-        if value < 0:
-            raise FormatError(f"checkpoint {name} must be >= 0, got {value}")
     need = 16 + hlen + 8 * (counts["total"] + 2 * counts["generator"] + 2 * counts["critic"])
     if len(raw) != need:
         raise FormatError(
             f"truncated checkpoint: have {len(raw)} bytes, header implies {need}"
         )
     off = 16 + hlen
+    if net._param_count(dims) < counts["total"]:  # the file bounds the dims' layout
+        _first_difference(manifest, dims)
 
     def pull(n):
         nonlocal off

@@ -1,6 +1,8 @@
 """tools/bench_pairs.py: the per-kind samples lines it keeps from run.py, the
-gain rule its summary applies, and the A/A twin arm."""
+gain rule its summary applies, the A/A twin arm, and how it records each
+checkout."""
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -192,3 +194,27 @@ def test_append_skips_the_traced_runs_already_held():
     assert traced["runs"]["parent"][0] is held
     bench_pairs.collect_traced(traced, run, ["network.heads_ms"], lambda: None)
     assert len(calls) == 5  # all six held: nothing runs again
+
+
+def test_describe_checkouts_records_uncommitted_files_and_source_lines(tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    src = tmp_path / "src" / "mqmotion"
+    src.mkdir(parents=True)
+    (src / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "README.md").write_text("not source\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "first")
+    [clean] = bench_pairs.describe_checkouts({"parent": tmp_path}).values()
+    assert len(clean["commit"]) == 40 and clean["path"] == str(tmp_path)
+    assert clean["uncommitted"] == [] and clean["source_lines"] == 2
+
+    (src / "a.py").write_text("x = 1\n")
+    (src / "b.py").write_text("z = 3\nw = 4\nv = 5\n")
+    [edited] = bench_pairs.describe_checkouts({"change": tmp_path}).values()
+    assert edited["commit"] == clean["commit"]
+    assert edited["uncommitted"] == [" M src/mqmotion/a.py", "?? src/mqmotion/b.py"]
+    assert edited["source_lines"] == 4

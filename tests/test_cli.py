@@ -1027,8 +1027,25 @@ class TestPredictAndEval:
         captured = capsys.readouterr()
         [line] = captured.err.splitlines()
         assert rc == 3 and line.startswith("mqmotion: code=3 type=FormatError msg=")
+        # the line names the first entry that differs: bq, 8 wide then, 4 now
+        assert '["layer0.spatial.bq", [8]]' in line and '["layer0.spatial.bq", [4]]' in line
         assert captured.out == "" and not (tmp_path / "clip.pred.mqs").exists()
         assert not (tmp_path / "resumed.mqck").exists()
+
+    def test_dims_past_the_blob_are_one_count_line(self, tmp_path, capsys):
+        # dims whose layout outgrows the file are refused by their count alone,
+        # without listing a layout of a billion layers
+        src, ckpt = self.trained(tmp_path)
+        layers = 10**9
+        edit_header(ckpt, lambda h: (h["dims"].update(layers=layers),
+                                     h["config"].update(layers=layers)))
+        capsys.readouterr()
+        start = time.monotonic()
+        rc = cli.main(["predict", src, "--checkpoint", str(ckpt)])
+        [line] = capsys.readouterr().err.splitlines()
+        assert time.monotonic() - start < 5
+        assert rc == 3 and line.startswith("mqmotion: code=3 type=FormatError msg=")
+        assert "checkpoint parameter blob: need" in line
 
     def test_predict_short_file(self, tmp_path, capsys):
         _, ckpt = self.trained(tmp_path)

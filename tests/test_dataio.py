@@ -92,6 +92,12 @@ class TestMqsFormat:
         with pytest.raises(FormatError):
             parse_mqs("MQS1 J=1 T=1\n0.0 0.0 0.0\n")
 
+    @pytest.mark.parametrize("fps", ["nan", "inf", "1e400", "0", "-25"])
+    def test_fps_must_be_positive_and_finite(self, fps):
+        with pytest.raises(FormatError) as exc:
+            parse_mqs(f"MQS1 J=1 T=1 fps={fps}\n0.0 0.0 0.0\n")
+        assert exc.value.line == 1 and "fps must be positive and finite" in str(exc.value)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(FormatError):
             parse_mqs("MQS1 J=1 T=1 fps=25.0\nnan 0.0 0.0\n")

@@ -10,7 +10,7 @@ import pytest
 import mqmotion.evaluate as ev
 from mqmotion.core import MotionSequence, Skeleton
 from mqmotion.dataio import make_windows, synth_generate
-from mqmotion.errors import DimsMismatch, NumericalInstability, WindowTooShort
+from mqmotion.errors import DimsMismatch, HorizonMisaligned, NumericalInstability, WindowTooShort
 
 
 def labeled_sequence(action, seed, frames=12, joints=2):
@@ -89,6 +89,13 @@ class TestEvaluate:
         assert all(v == 0.0 for v in report.overall.values())
         assert all(v == 0.0 for row in report.per_action.values()
                    for v in row.values())
+
+    @pytest.mark.parametrize("horizons", [(), (160, 80), (80, 80, 160)],
+                             ids=["empty", "unsorted", "repeated"])
+    def test_horizons_are_a_horizon_spec(self, horizons):
+        ds = small_dataset()
+        with pytest.raises(HorizonMisaligned):
+            ev.evaluate(oracle_predictor(ds), ds, horizons_ms=horizons)
 
     def test_constant_predictor_on_constant_data(self):
         seq = synth_generate("constant", joints=3, frames=12, fps=25.0, seed=0)

@@ -23,13 +23,6 @@ class TestNumpyBackend:
         assert valid.all()
         assert np.abs((cos ** 2).sum(axis=-1) - 2.0).max() < 1e-9
 
-    def test_integrate_inverts_diff(self):
-        rng = np.random.default_rng(1)
-        frames = random_frames(rng, b=1)[0]
-        vel = np.diff(frames, axis=0)
-        back = K.integrate(frames[0], vel)
-        assert np.abs(back - frames).max() < 1e-9
-
     def test_mpjpe_hand_value(self):
         pred = np.array([[[0.0, 0, 0], [3.0, 4.0, 0.0]]])
         truth = np.zeros((1, 2, 3))
@@ -59,7 +52,7 @@ class TestNumpyBackend:
 
 class TestBackendSelection:
     def test_dispatch_names_exist(self):
-        for name in ("quotient_channels", "integrate", "mpjpe_mean", "adam_update"):
+        for name in ("quotient_channels", "mpjpe_mean", "adam_update"):
             assert callable(getattr(K, name))
 
 

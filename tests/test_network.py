@@ -125,6 +125,23 @@ class TestModelParams:
         assert not any(".gate" in n or ".pq" in n or ".pk" in n
                        for n in params.names)
 
+    @pytest.mark.parametrize("layers", [0, 1, 2])
+    @pytest.mark.parametrize("lowrank", [True, False])
+    def test_sublayer_tables_follow_the_spec(self, layers, lowrank):
+        # one table per (layer, branch) in block order, each listing that
+        # prefix's spec entries in spec order, its arrays views into vec
+        params = net.ModelParams.init(small_dims(layers=layers, lowrank=lowrank), seed=0)
+        assert list(params._sublayers) == [(i, branch) for i in range(layers)
+                                           for branch in ("spatial", "temporal", "ffn")]
+        for (i, branch), (suffixes, tensors, P) in params._sublayers.items():
+            prefix = f"layer{i}.{branch}."
+            names = [n for n, _, _ in net._param_spec(params.dims) if n.startswith(prefix)]
+            assert [prefix + s for s in suffixes] == names
+            assert tensors == tuple(params.t(n) for n in names)
+            assert list(P) == list(suffixes)
+            for s, t in zip(suffixes, tensors):
+                assert P[s] is t.data and np.shares_memory(P[s], params.vec), prefix + s
+
     @pytest.mark.parametrize("joints, lowrank, count", [
         (5, True, 46_437), (22, True, 57_147), (5, False, 44_177), (22, False, 53_969)])
     def test_default_parameter_counts(self, joints, lowrank, count):
@@ -615,7 +632,7 @@ def reference_sublayer(h, params, kind, key_bias=None):
 
 def fused_sublayer(h, params, kind):
     if kind == "ffn":
-        return net._ffn(h, params, 0)
+        return net._node(h, params, 0, "ffn")
     attention = net.spatial_attention if kind == "spatial" else net.temporal_attention
     return attention(h, params, 0)
 

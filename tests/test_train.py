@@ -843,6 +843,18 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             tr.load_checkpoint(ckpt)
 
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.update(epoch=-1),
+        lambda h: h["adam"]["critic"].update(t=-1),
+        lambda h: h["counts"].update(total=-1),
+        lambda h: h["counts"].update(critic=-3),
+    ], ids=["counter", "adam_t", "total_count", "critic_count"])
+    def test_negative_header_integers_share_one_rule(self, tmp_path, edit):
+        ckpt, _ = self.run_short(tmp_path)
+        rewrite_header(ckpt, edit)
+        with pytest.raises(FormatError, match="must be an integer >= 0, got -"):
+            tr.load_checkpoint(ckpt)
+
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         cfg_full = small_cfg(epochs=2)
         straight = tr.train(small_dataset(), cfg_full)

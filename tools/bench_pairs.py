@@ -8,8 +8,9 @@ Each checkout runs its own perfbench/run.py (with --trace 0, so the numbers
 are the 9 end-to-end metrics) on the same seeds, for the run length that
 BENCHMARK.json declares. Make both checkouts sibling clones in one
 directory: the same source has measured a few percent apart from a working
-checkout and from a clone, so the file records each side's commit and
-resolved path under "checkouts". Pair i runs seed first_seed + i on every
+checkout and from a clone, so the file records each side's commit,
+resolved path, uncommitted files (git status's lines) and src/mqmotion line
+count under "checkouts". Pair i runs seed first_seed + i on every
 side, the sides taking turns to go first: the parent first when i is even
 and the change first when it is odd.
 
@@ -97,9 +98,24 @@ def pair_order(sides: tuple, i: int) -> tuple:
     return sides[k:] + sides[:k]
 
 
+def uncommitted(checkout: Path) -> list[str] | None:
+    """git status's lines for checkout's modified, staged and untracked files."""
+    proc = subprocess.run(["git", "status", "--porcelain", "--untracked-files=all"],
+                          cwd=checkout, capture_output=True, text=True)
+    return proc.stdout.splitlines() if proc.returncode == 0 else None
+
+
+def source_lines(checkout: Path) -> int:
+    """The lines of checkout's src/mqmotion/*.py, as wc -l counts them."""
+    return sum(f.read_bytes().count(b"\n") for f in (checkout / "src" / "mqmotion").glob("*.py"))
+
+
 def describe_checkouts(checkouts: dict[str, Path]) -> dict:
-    """Each side's commit and resolved path, as a collection records them."""
-    return {s: {"commit": git_commit(p), "path": str(p)} for s, p in checkouts.items()}
+    """Each side's commit, resolved path, uncommitted files and source lines,
+    as a collection records them: a working tree measured with uncommitted
+    edits is not its commit."""
+    return {s: {"commit": git_commit(p), "path": str(p), "uncommitted": uncommitted(p),
+                "source_lines": source_lines(p)} for s, p in checkouts.items()}
 
 
 def quartiles(xs: list[float]) -> dict:

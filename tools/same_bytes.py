@@ -29,7 +29,9 @@ run: per differing CSV (the loss logs and the eval reports), the largest
 relative difference per column; per differing predicted .mqs file, the
 largest absolute coordinate difference in mm. The exit status is 0 for
 "identical" and "different", 1 otherwise. Make the checkouts sibling clones,
-as for tools/bench_pairs.py; only their src/ is used.
+as for tools/bench_pairs.py; only their src/ is used. "checkouts" records
+each side as bench_pairs.py does: commit, path, uncommitted files and
+src/mqmotion line count.
 """
 import argparse
 import hashlib
