@@ -663,6 +663,7 @@ def load_checkpoint(path) -> CheckpointState:
     except DimsMismatch as exc:
         raise FormatError(f"checkpoint parameter blob: {exc}") from None
     if {"params": manifest, "counts": counts} != _layout(params):
+        _first_difference(manifest, dims)
         raise FormatError("checkpoint parameter manifest or counts disagree with its dims")
 
     adams = {k: Adam(cfg.lr, pull(counts[k]), pull(counts[k]), steps[k])

@@ -843,6 +843,18 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             tr.load_checkpoint(ckpt)
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda h: swap_manifest_entries(h, "layer0.spatial.bv", "layer0.spatial.ff_b1"),
+         '["layer0.spatial.ff_b1", [8]], its dims lay out ["layer0.spatial.bv", [8]]'),
+        (lambda h: h["params"][0][1].reverse(), '["embed.w", [8, 7]]'),
+    ], ids=["names_swapped", "shape_transposed"])
+    def test_manifest_refusal_names_the_first_differing_entry(self, tmp_path, edit, named):
+        ckpt, _ = self.run_short(tmp_path)
+        rewrite_header(ckpt, edit)
+        with pytest.raises(FormatError) as exc:
+            tr.load_checkpoint(ckpt)
+        assert named in str(exc.value)
+
     @pytest.mark.parametrize("edit", [
         lambda h: h.update(epoch=-1),
         lambda h: h["adam"]["critic"].update(t=-1),
