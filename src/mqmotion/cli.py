@@ -279,20 +279,24 @@ def _cmd_perturb(args, cfg) -> int:
                        for src in args.inputs for tag in ("masked", "noised")
                        for ext in (".mqs", ".mask.txt")],
                       [("an input", src) for src in args.inputs])
-    out.mkdir(parents=True, exist_ok=True)
+    copies = []  # every input's masked and noised copies, built before any is written
     for i, src in enumerate(args.inputs):
         seq = read_mqs_file(src).sequence
         sigma = cfg.sigma if cfg.sigma is not None else default_sigma(seq.frames)
         fseed = streams.derive_seed(cfg.seed, streams.CORRUPT, i)
         masked, mask_flags = pt.apply_mask(seq.frames, cfg.p_m, fseed)
         noised, noise_flags = pt.apply_noise(seq.frames, cfg.p_n, sigma, fseed)
-        stem = Path(src).stem
-        for tag, data, flags in (("masked", masked, mask_flags),
-                                 ("noised", noised, noise_flags)):
-            path = out / f"{stem}.{tag}.mqs"
-            write_mqs_file(path, seq.with_frames(data))
-            write_atomically(out / f"{stem}.{tag}.mask.txt", _sidecar(flags))
-            print(path)
+        if not np.isfinite(noised).all():
+            raise FormatError(f"bad value for 'sigma': {sigma!r} makes the noised copy "
+                              f"of {src} non-finite")
+        copies += [(f"{Path(src).stem}.{tag}", seq.with_frames(data), flags)
+                   for tag, data, flags in (("masked", masked, mask_flags),
+                                            ("noised", noised, noise_flags))]
+    out.mkdir(parents=True, exist_ok=True)
+    for name, copy, flags in copies:
+        write_mqs_file(out / f"{name}.mqs", copy)
+        write_atomically(out / f"{name}.mask.txt", _sidecar(flags))
+        print(out / f"{name}.mqs")
     return 0
 
 
@@ -312,7 +316,8 @@ def _load_windows(paths, cfg, stride):
 
 
 def _require_distinct(outputs, inputs, allowed=()) -> None:
-    """FormatError naming both options when an output shares a path with
+    """FormatError naming the option when an output is an existing
+    directory, and naming both options when an output shares a path with
     another output or with an input, unless the (output, input) pair of
     names is allowed. outputs and inputs are (option, path) pairs; a None
     path is skipped, and inputs may share a path with each other."""
@@ -321,6 +326,8 @@ def _require_distinct(outputs, inputs, allowed=()) -> None:
         if path is None:
             continue
         key = Path(path).resolve()
+        if i < len(outputs) and key.is_dir():
+            raise FormatError(f"{name} is a directory: {path}")
         if key in written and (written[key], name) not in allowed:
             raise FormatError(f"{written[key]} and {name} are one path, {path}: a command "
                               f"writes neither over its input nor two outputs to one path")

@@ -57,7 +57,7 @@ import numpy as np
 from . import autodiff as ad
 from . import streams
 from .autodiff import Tensor
-from .errors import BackwardBeforeForward, DimsMismatch, NumericalInstability
+from .errors import DimsMismatch, NumericalInstability
 from .losses import penalty_of_gradients
 from . import _kernels
 from .core import root_align
@@ -559,8 +559,12 @@ def _sublayer_forward(x: np.ndarray, P: dict, dims: ModelDims, branch: str,
     return _residual_post_ln(x, swap(y), P, branch_backward, last)
 
 
-def _node(h: Tensor, params: ModelParams, layer: int, branch: str, last: bool = False) -> Tensor:
-    """One sublayer as one fused graph node over h and its parameters."""
+def _node(h, params: ModelParams, layer: int, branch: str, last: bool = False) -> Tensor:
+    """One sublayer as one fused graph node over h and its parameters; an
+    attention branch checks h's shape first."""
+    h = ad.as_tensor(h)
+    if branch != "ffn":
+        _check_act(h.shape, params.dims, branch)
     names, tensors, P = params._sublayers[layer, branch]
     out, backward = _sublayer_forward(h.data, P, params.dims, branch, last)
 
@@ -571,24 +575,17 @@ def _node(h: Tensor, params: ModelParams, layer: int, branch: str, last: bool = 
     return ad.fused(out, (h, *tensors), vjp)
 
 
-def _attention_sublayer(h, params: ModelParams, layer: int, branch: str,
-                        last_frame: bool = False) -> Tensor:
-    h = ad.as_tensor(h)
-    _check_act(h.shape, params.dims, branch)
-    return _node(h, params, layer, branch, last_frame)
-
-
 def spatial_attention(h, params: ModelParams, layer: int) -> Tensor:
     """Mix joints within each frame, residual and post-LN included:
     (B, T, J, D) -> (B, T, J, D)."""
-    return _attention_sublayer(h, params, layer, "spatial")
+    return _node(h, params, layer, "spatial")
 
 
 def temporal_attention(h, params: ModelParams, layer: int, last_frame: bool = False) -> Tensor:
     """Mix frames within each joint, residual and post-LN included:
     (B, T, J, D) -> (B, T, J, D), or (B, 1, J, D) with last_frame, where
     only the final frame is queried (keys and values span every frame)."""
-    return _attention_sublayer(h, params, layer, "temporal", last_frame)
+    return _node(h, params, layer, "temporal", last_frame)
 
 
 def _check_act(shape: tuple, dims: ModelDims, name: str) -> None:
@@ -823,14 +820,10 @@ def fidelity_inputs(frames) -> Tensor:
 def parameter_gradients(loss: Tensor, params: ModelParams, names: list[str] | None = None) -> np.ndarray:
     """Flat gradient of a scalar loss over the named parameters.
 
-    Parameters the loss does not touch get exact zeros. Raises
+    Parameters the loss does not touch get exact zeros. ad.grad raises
     BackwardBeforeForward when the loss carries no graph (e.g. it was
     computed under no_grad or from plain arrays).
     """
-    if not isinstance(loss, Tensor) or not loss.requires_grad:
-        raise BackwardBeforeForward(
-            "loss has no computation graph; run the forward pass first"
-        )
     names = params.names if names is None else names
     grads = ad.grad(loss, [params.tensors[n] for n in names])
     return np.concatenate([g.data.ravel() for g in grads])

@@ -38,9 +38,10 @@ Checkpoint container (little-endian):
         full flat parameter vector (N), generator Adam m (n), v (n),
         critic Adam m (m), v (m)
 
-The flat layout is network.ModelParams's and follows from dims alone: the
-loader checks the params manifest and the counts against it, and dims
-against the config's model_dims, and rejects any disagreement.
+The flat layout is network.ModelParams's and follows from dims alone. The
+loader checks dims against the config's model_dims, then compares the params
+manifest entry by entry and then the counts against dims' layout, before it
+reads a blob, and rejects any disagreement.
 """
 from __future__ import annotations
 
@@ -495,21 +496,18 @@ class Trainer:
         cfg = self.cfg
         reports: list[tuple[int, LossReport]] = []
         append = self.global_step > 0 and log_path is not None and Path(log_path).exists()
-        done = cfg.max_steps is not None and self.global_step >= cfg.max_steps
-        while self.epoch < cfg.epochs and not done:
+        stop = math.inf if cfg.max_steps is None else cfg.max_steps
+        while self.epoch < cfg.epochs and self.global_step < stop:
             batches = self._batches(self.epoch)
-            while self.batch_index < len(batches):
+            while self.batch_index < len(batches) and self.global_step < stop:
                 step = self.global_step
                 reports.append((step, self.step(batches[self.batch_index], self.epoch)))
                 self.batch_index += 1
-                if cfg.max_steps is not None and self.global_step >= cfg.max_steps:
-                    done = True
-                    break
-            if not done:
+            if self.global_step < stop:  # a stop at the last batch leaves the epoch open
                 self.epoch += 1
                 self.batch_index = 0
-            if checkpoint_path is not None and self.epoch < cfg.epochs and not done:
-                self.save(checkpoint_path)  # the last state is saved once, below
+                if checkpoint_path is not None and self.epoch < cfg.epochs:
+                    self.save(checkpoint_path)  # the last state is saved once, below
         if checkpoint_path is not None:
             self.save(checkpoint_path)
         if log_path is not None:  # a run that continues another appends to its log
@@ -542,12 +540,14 @@ def train(dataset: WindowedDataset, cfg: TrainConfig,
 
 # checkpoint serialization
 
-def _layout(params: net.ModelParams) -> dict:
-    """The header's "params" manifest and "counts" for params' flat layout."""
+def _layout(dims: net.ModelDims) -> dict:
+    """The header's "params" manifest and "counts" for dims' flat layout."""
+    spec = net._param_spec(dims)
+    total = sum(math.prod(shape) for _, shape, _ in spec)
+    critic = sum(math.prod(shape) for name, shape, _ in spec if name.startswith("critic."))
     return {
-        "params": [[n, list(params.t(n).shape)] for n in params.names],
-        "counts": {"total": params.vec.size, "generator": params.generator.size,
-                   "critic": params.critic.size},
+        "params": [[name, list(shape)] for name, shape, _ in spec],
+        "counts": {"total": total, "generator": total - critic, "critic": critic},
     }
 
 
@@ -559,7 +559,7 @@ def save_checkpoint(path, trainer: Trainer) -> None:
         "sigma": trainer.sigma,
         **{k: getattr(trainer, k) for k in _COUNTERS},
         "adam": {"generator": {"t": adam_gen.t}, "critic": {"t": adam_critic.t}},
-        **_layout(params),
+        **_layout(params.dims),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     parts = [
@@ -596,17 +596,6 @@ def _header_int(name: str, value) -> int:
     return value
 
 
-def _first_difference(manifest, dims: net.ModelDims) -> None:
-    """Raise a FormatError naming the first entry where a manifest list and dims' layout differ."""
-    if not isinstance(manifest, list):
-        return
-    layout = [[name, list(shape)] for name, shape, _ in net._param_spec(dims)]
-    for k, (got, want) in enumerate(itertools.zip_longest(manifest, layout)):
-        if got != want:
-            got, want = ("nothing" if e is None else json.dumps(e) for e in (got, want))
-            raise FormatError(f"checkpoint parameter {k} is {got}, its dims lay out {want}")
-
-
 def load_checkpoint(path) -> CheckpointState:
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
@@ -622,9 +611,9 @@ def load_checkpoint(path) -> CheckpointState:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"corrupt checkpoint header: {exc}") from None
 
-    if not isinstance(header, dict) or not all(
-            isinstance(header.get(k), dict) for k in ("config", "dims", "counts")):
-        raise FormatError("checkpoint header lacks its config, dims or counts object")
+    if not isinstance(header, dict) or not all(isinstance(header.get(k), kind) for k, kind in (
+            ("config", dict), ("dims", dict), ("counts", dict), ("params", list))):
+        raise FormatError("checkpoint header lacks its config, dims, counts or params")
     try:
         cfg = TrainConfig(**header["config"])
         dims = net.ModelDims(**header["dims"])
@@ -632,7 +621,6 @@ def load_checkpoint(path) -> CheckpointState:
             raise FormatError("checkpoint dims disagree with the model dims of its config")
         counts = {k: _header_int(f"counts.{k}", header["counts"][k])
                   for k in ("total", "generator", "critic")}
-        manifest = header["params"]
         steps = {k: _header_int("adam t", header["adam"][k]["t"]) for k in ("generator", "critic")}
         counters = {k: _header_int(k, header[k]) for k in _COUNTERS}
         sigma = header["sigma"]  # float() would take a bool or a numeric string
@@ -648,9 +636,18 @@ def load_checkpoint(path) -> CheckpointState:
         raise FormatError(
             f"truncated checkpoint: have {len(raw)} bytes, header implies {need}"
         )
+    # the file bounds the dims' layout before it is listed
+    if (n := net._param_count(dims)) > counts["total"]:
+        raise FormatError(f"checkpoint parameter blob: need {n} parameters for its dims, "
+                          f"the header counts {counts['total']}")
+    layout = _layout(dims)
+    for k, (got, want) in enumerate(itertools.zip_longest(header["params"], layout["params"])):
+        if got != want:
+            got, want = ("nothing" if e is None else json.dumps(e) for e in (got, want))
+            raise FormatError(f"checkpoint parameter {k} is {got}, its dims lay out {want}")
+    if counts != layout["counts"]:
+        raise FormatError(f"checkpoint counts {counts} disagree with its dims' {layout['counts']}")
     off = 16 + hlen
-    if net._param_count(dims) < counts["total"]:  # the file bounds the dims' layout
-        _first_difference(manifest, dims)
 
     def pull(n):
         nonlocal off
@@ -658,14 +655,7 @@ def load_checkpoint(path) -> CheckpointState:
         off += 8 * n
         return arr
 
-    try:
-        params = net.ModelParams(dims, pull(counts["total"]))
-    except DimsMismatch as exc:
-        raise FormatError(f"checkpoint parameter blob: {exc}") from None
-    if {"params": manifest, "counts": counts} != _layout(params):
-        _first_difference(manifest, dims)
-        raise FormatError("checkpoint parameter manifest or counts disagree with its dims")
-
+    params = net.ModelParams(dims, pull(counts["total"]))
     adams = {k: Adam(cfg.lr, pull(counts[k]), pull(counts[k]), steps[k])
              for k in ("generator", "critic")}
     return CheckpointState(

@@ -447,6 +447,19 @@ class TestPerturb:
     def test_two_inputs_of_one_name_are_one_line(self, tmp_path, monkeypatch, capsys):
         same_name_inputs_are_one_line(tmp_path, monkeypatch, capsys, "perturb")
 
+    def test_non_finite_noise_writes_nothing(self, tmp_path, capsys):
+        # every copy is built before the first is written
+        srcs = [synth_file(tmp_path, name, joints=2, frames=10, seed=i)
+                for i, name in enumerate(("a.mqs", "b.mqs"))]
+        out = tmp_path / "per"
+        capsys.readouterr()
+        rc = cli.main(["perturb", *srcs, "--pn", "1", "--sigma", "1e308", "--out", str(out)])
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert rc == 3 and line.startswith("mqmotion: code=3 type=FormatError msg=")
+        assert "'sigma'" in line and captured.out == ""
+        assert not out.exists() or not any(out.iterdir())
+
     def test_zero_probability_copies_input(self, tmp_path):
         src = synth_file(tmp_path, "clip.mqs", joints=2, frames=6)
         out = tmp_path / "per"
@@ -934,6 +947,25 @@ class TestTrain:
         assert tree_bytes(tmp_path) == before
 
 
+    @pytest.mark.parametrize("option", ["--log", "--out"])
+    def test_an_output_that_is_a_directory_is_one_line(self, tmp_path, monkeypatch, capsys,
+                                                      option):
+        # refused before a clip is read: no checkpoint and no log are written
+        monkeypatch.chdir(tmp_path)
+        synth_file(tmp_path)
+        cfg = write_config(tmp_path, SMALL_MODEL)
+        (tmp_path / "taken").mkdir()
+        before = tree_bytes(tmp_path)
+        capsys.readouterr()
+        outputs = {"--out": "run.mqck", "--log": "run.csv", option: "taken"}
+        rc = cli.main(["train", "clip.mqs", "--config", cfg,
+                       *(arg for pair in outputs.items() for arg in pair)])
+        [line] = capsys.readouterr().err.splitlines()
+        assert rc == 3
+        assert line == f"mqmotion: code=3 type=FormatError msg='{option} is a directory: taken'"
+        assert tree_bytes(tmp_path) == before
+
+
 class TestPredictAndEval:
     def trained(self, tmp_path):
         src = synth_file(tmp_path)
@@ -1122,6 +1154,23 @@ class TestPredictAndEval:
         assert line.startswith("mqmotion: code=3 type=FormatError msg=")
         assert f"msg='{names[0]} and {names[1]} are one path" in line
         assert tree_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("args, option", [
+        (["eval", "clip.mqs", "--svg", "taken"], "--svg"),
+        (["predict", "clip.mqs", "--out", "taken"], "--out"),
+    ], ids=["eval_svg", "predict_out"])
+    def test_an_output_that_is_a_directory_is_one_line(self, tmp_path, monkeypatch, capsys,
+                                                      args, option):
+        self.trained(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").mkdir()
+        before = tree_bytes(tmp_path)
+        capsys.readouterr()
+        assert cli.main(args + ["--checkpoint", "model.mqck"]) == 3
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line == f"mqmotion: code=3 type=FormatError msg='{option} is a directory: taken'"
+        assert captured.out == "" and tree_bytes(tmp_path) == before
 
     def test_eval_reports_table_and_files(self, tmp_path, capsys):
         src, ckpt = self.trained(tmp_path)

@@ -589,8 +589,9 @@ class TestRun:
     @pytest.mark.parametrize("over, saved", [
         (dict(epochs=2), [(1, 0, 2), (2, 0, 4)]),
         (dict(epochs=3, max_steps=3), [(1, 0, 2), (1, 1, 3)]),
+        (dict(epochs=3, max_steps=2), [(0, 2, 2)]),  # the epoch stays open at its last batch
         (dict(epochs=0), [(0, 0, 0)]),
-    ], ids=["two_epochs", "max_steps", "zero_epochs"])
+    ], ids=["two_epochs", "max_steps", "max_steps_at_last_batch", "zero_epochs"])
     def test_each_state_is_saved_once(self, tmp_path, monkeypatch, over, saved):
         states = []
         save = tr.save_checkpoint
@@ -804,6 +805,7 @@ class TestCheckpoint:
         lambda h: h["dims"].update(head_gain=50.0),
         lambda h: swap_manifest_entries(h, "layer0.spatial.bv", "layer0.spatial.ff_b1"),
         lambda h: h["params"][0][1].reverse(),  # embed.w's shape transposed
+        lambda h: h.update(params={name: shape for name, shape in h["params"]}),
         lambda h: h["counts"].update(generator=h["counts"]["generator"] + 1,
                                      critic=h["counts"]["critic"] - 1),
         lambda h: h.update(sigma=-1),
@@ -817,7 +819,7 @@ class TestCheckpoint:
             "no_critic_count", "unknown_config_key", "bad_config_value",
             "bad_config_type", "bad_dims_value", "no_sigma",
             "dims_disagree_with_config", "manifest_names_swapped",
-            "manifest_shape_transposed", "counts_disagree_with_dims",
+            "manifest_shape_transposed", "manifest_not_a_list", "counts_disagree_with_dims",
             "sigma_negative", "sigma_zero", "sigma_nan", "sigma_bool", "sigma_string",
             "sigma_huge_int", "critic_steps_over_limit"])
     def test_header_schema_rejected(self, tmp_path, edit):
@@ -847,7 +849,9 @@ class TestCheckpoint:
         (lambda h: swap_manifest_entries(h, "layer0.spatial.bv", "layer0.spatial.ff_b1"),
          '["layer0.spatial.ff_b1", [8]], its dims lay out ["layer0.spatial.bv", [8]]'),
         (lambda h: h["params"][0][1].reverse(), '["embed.w", [8, 7]]'),
-    ], ids=["names_swapped", "shape_transposed"])
+        (lambda h: h["params"].append(["extra.w", [2]]),
+         '["extra.w", [2]], its dims lay out nothing'),
+    ], ids=["names_swapped", "shape_transposed", "one_extra_entry"])
     def test_manifest_refusal_names_the_first_differing_entry(self, tmp_path, edit, named):
         ckpt, _ = self.run_short(tmp_path)
         rewrite_header(ckpt, edit)

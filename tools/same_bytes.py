@@ -8,10 +8,11 @@ checkout's src/ on PYTHONPATH). The matrix synthesizes sinusoid and
 constant clips at J=5 and J=22, writes `perturb` outputs, trains 2 epochs
 for each J=5 and J=22 configuration, trains each J=5 configuration 1 epoch
 and resumes it to 2, trains the default J=5 configuration 3 steps and
-resumes it mid-epoch to 2 epochs, and runs `predict` and `eval` (CSV and
-SVG) on every 2-epoch checkpoint: 50 commands. Then the change's code runs
-those predict and eval commands once more on the parent's checkpoints (the
-"cross" run).
+resumes it mid-epoch to 2 epochs, trains it 5 steps (one whole epoch, left
+open at its last batch) and resumes that to 2 epochs, and runs `predict`
+and `eval` (CSV and SVG) on every 2-epoch checkpoint: 52 commands. Then
+the change's code runs those predict and eval commands once more on the
+parent's checkpoints (the "cross" run).
 
 Every file a run leaves, and each command's stdout, is hashed with sha256.
 The JSON holds each file's hashes per side and per run, the cross run's
@@ -94,10 +95,13 @@ def _matrix() -> list[list[str]]:
         commands += [["train", *j5, *flags, "--epochs", "1", "--out", resumed],
                      ["train", *j5, *flags, "--epochs", "2", "--resume", resumed,
                       "--out", resumed]]
-    # a resume in the middle of an epoch: 78 windows make 5 batches of 16
-    commands += [["train", *j5, "--max-steps", "3", "--out", "resume/j5_step3.mqck"],
-                 ["train", *j5, "--epochs", "2", "--resume", "resume/j5_step3.mqck",
-                  "--out", "resume/j5_step3.mqck"]]
+    # a resume in the middle of an epoch, and one from an epoch that max_steps
+    # ended at its last batch (saved open, at batch_index 5): 78 windows make
+    # 5 batches of 16
+    for steps in (3, 5):
+        resumed = f"resume/j5_step{steps}.mqck"
+        commands += [["train", *j5, "--max-steps", str(steps), "--out", resumed],
+                     ["train", *j5, "--epochs", "2", "--resume", resumed, "--out", resumed]]
     commands += _trained("const_default", const, [])
     for name, flags in J22_CONFIGS.items():
         commands += _trained(f"j22_{name}", j22, flags)
