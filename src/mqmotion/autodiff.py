@@ -525,10 +525,16 @@ def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)  # tanh(c * (x + a * x^3))
+    return gelu_output(x, t), t
+
+
+def gelu_output(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """gelu_forward's output from x and its tanh term, in gelu_forward's own
+    ops: a backward that keeps (x, t) rebuilds the output with its bytes."""
     out = t + 1.0
     out *= x
     out *= 0.5  # exact, so equal to (0.5 * x) * (1 + t)
-    return out, t
+    return out
 
 
 def gelu_backward(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -26,8 +26,8 @@ import numpy as np
 from . import perturb as pt
 from . import streams
 from .core import DEFAULT_HORIZONS_MS, HorizonSpec
-from .dataio import SYNTH_KINDS, read_mqs_file, synth_generate, write_atomically, \
-    write_mqs_file, write_mqq, make_windows
+from .dataio import SYNTH_KINDS, read_mqs_file, read_text, synth_generate, \
+    write_atomically, write_mqs_file, write_mqq, make_windows
 from .errors import AbortStep, BackwardBeforeForward, FormatError, MotionError, \
     NumericalInstability, SequenceTooShort
 from .evaluate import evaluate as run_evaluation
@@ -46,7 +46,7 @@ def load_config(path: str | Path) -> dict:
     fields as their annotations say, the other options as their flags do."""
     flags = _file_options()
     out: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -304,6 +304,7 @@ def _load_windows(paths, cfg, stride):
     """Window the clips at ``paths``; a corpus with no window is a data error.
 
     The check runs before make_windows, which would warn once per short clip.
+    Its errors and warnings name the clips by their paths.
     """
     sequences = [read_mqs_file(p).sequence for p in paths]
     span = cfg.obs_frames + cfg.future_frames
@@ -312,7 +313,7 @@ def _load_windows(paths, cfg, stride):
             f"no windows: every clip is shorter than obs_frames + future_frames "
             f"= {span} frames"
         )
-    return make_windows(sequences, cfg.obs_frames, cfg.future_frames, stride)
+    return make_windows(sequences, cfg.obs_frames, cfg.future_frames, stride, paths)
 
 
 def _require_distinct(outputs, inputs, allowed=()) -> None:

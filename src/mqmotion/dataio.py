@@ -117,12 +117,26 @@ def write_mqs(seq: MotionSequence) -> str:
     return "\n".join(rows) + "\n"
 
 
-def read_mqs_file(path: str | Path) -> MqsFile:
+def read_text(path: str | Path) -> str:
+    """The file at path as UTF-8 text, the encoding write_atomically writes;
+    a byte that is not UTF-8 raises UnicodeDecodeError naming path."""
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UnicodeDecodeError(exc.encoding, exc.object, exc.start, exc.end,
+                                 f"{exc.reason} in {path}") from None
+
+
+def read_mqs_file(path: str | Path) -> MqsFile:
+    """parse_mqs of the file at path; every error names path."""
+    try:
+        text = read_text(path)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
-    return parse_mqs(text)
+    try:
+        return parse_mqs(text)
+    except FormatError as exc:
+        raise exc.in_file(path) from None
 
 
 def write_atomically(path: str | Path, data: bytes | str) -> None:
@@ -238,6 +252,7 @@ def make_windows(
     n_observed: int = 10,
     n_future: int = 25,
     stride: int = 1,
+    names: list | None = None,
 ) -> WindowedDataset:
     """Slice sequences into (observed, future) windows.
 
@@ -245,6 +260,8 @@ def make_windows(
     windows when that is positive; shorter sequences contribute none and
     trigger a warning rather than an error so mixed corpora still load.
     Every sequence must share the first one's joint count and frame rate.
+    Errors and warnings call sequence i names[i] (its file, say), or
+    "sequence i" without names.
     """
     if not sequences:
         raise SequenceTooShort("no sequences given")
@@ -256,21 +273,22 @@ def make_windows(
     skeleton = sequences[0].skeleton
     fps = sequences[0].fps
     span = n_observed + n_future
+    name = (lambda i: f"sequence {i}") if names is None else (lambda i: str(names[i]))
     windows: list[WindowSample] = []
     for si, seq in enumerate(sequences):
         if seq.skeleton.joint_count != skeleton.joint_count:
             raise SkeletonMismatch(
-                f"sequence {si} has {seq.skeleton.joint_count} joints, expected "
+                f"{name(si)} has {seq.skeleton.joint_count} joints, {name(0)} has "
                 f"{skeleton.joint_count}"
             )
         if seq.fps != fps:
             raise ResampleUnsupported(
-                f"sequence {si} is at {seq.fps} fps, sequence 0 at {fps} fps; "
+                f"{name(si)} is at {seq.fps} fps, {name(0)} at {fps} fps; "
                 f"bring them to one rate with core.downsample"
             )
         if seq.n_frames < span:
             warnings.warn(
-                f"sequence {si} has {seq.n_frames} frames < window span {span}; skipped",
+                f"{name(si)} has {seq.n_frames} frames < window span {span}; skipped",
                 stacklevel=2,
             )
             continue

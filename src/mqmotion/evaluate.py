@@ -1,6 +1,8 @@
 """Horizon-wise MPJPE evaluation, table/CSV reporting, SVG chart."""
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,13 +114,16 @@ def format_table(report: HorizonReport) -> str:
 
 
 def report_to_csv(report: HorizonReport) -> str:
-    """Full-precision CSV: one row per action plus the overall average."""
-    header = "action," + ",".join(str(ms) for ms in report.horizons_ms)
-    rows = [header]
+    """Full-precision CSV: one row per action plus the overall average. The
+    csv module quotes a label that holds a comma or a quote; others keep
+    their bytes."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["action", *(str(ms) for ms in report.horizons_ms)])
     for action in sorted(report.per_action):
-        rows.append(action + "," + ",".join(repr(v) for v in report.row(action)))
-    rows.append("average," + ",".join(repr(v) for v in report.row()))
-    return "\n".join(rows) + "\n"
+        writer.writerow([action, *(repr(v) for v in report.row(action))])
+    writer.writerow(["average", *(repr(v) for v in report.row())])
+    return out.getvalue()
 
 
 def svg_chart(report: HorizonReport) -> str:

@@ -20,9 +20,14 @@ FFN, every sublayer wrapped in residual-plus-layernorm. Zero blocks means
 the embedding passes through untouched.
 
 Each sublayer, residual and post-LN included, is one first-order graph
-node (autodiff.fused): a numpy forward that keeps its intermediates and a
-closed-form numpy backward. Under no_grad forward_backbone runs the same
-numpy forwards on plain arrays and makes no node. In the low-rank form the
+node (autodiff.fused): a numpy forward that keeps the intermediates its
+backward reads and a closed-form numpy backward. Two cheap arrays are
+rebuilt there instead of kept, each by the forward's own ops, so with the
+same bytes: a feed-forward's gelu output, from its pre-activation and tanh
+term, and an attention's heads, the input of its feed-forward, from the
+gate and mixed heads (or the attention weights and values). Under no_grad
+forward_backbone runs the same numpy forwards on plain arrays and makes no
+node. In the low-rank form the
 rank projections fold into the query and key projections, x @ (w p)
 instead of (x @ w) @ p, which changes rounding but not the function; a
 training pass folds the live weights, a prediction snapshot folds once.
@@ -400,9 +405,13 @@ def _attention(x: np.ndarray, P: dict, dims: ModelDims, last: bool = False):
 
     Attention runs over the N tokens within each of the G groups. Returns
     the concatenated heads (B, G, N, D), before the attention feed-forward,
-    and their backward: a map from the heads' gradient to (dx, {parameter
-    suffix: gradient}). Keys have no bias: a bias adds the same logit to
-    every token of a head, which the softmax over tokens cancels.
+    and their backward, or None under no_grad. The backward takes the
+    feed-forward's backward, a map from the heads to (their gradient,
+    {parameter suffix: gradient}), and returns (dx, those gradients and the
+    attention's): the heads are not kept but rebuilt from the arrays this
+    backward holds anyway, gate and mixed, or att and vh. Keys have no bias:
+    a bias adds the same logit to every token of a head, which the softmax
+    over tokens cancels.
 
     With last set, only each group's final token is an output, (B, G, 1, D):
     the gate's last row in the low-rank form, the last query row in the
@@ -449,8 +458,8 @@ def _attention(x: np.ndarray, P: dict, dims: ModelDims, last: bool = False):
     if not ad.grad_enabled():
         return out, None  # and the intermediates go with this frame
 
-    def backward(dout):
-        grads = {}
+    def backward(ff_backward):
+        dout, grads = ff_backward(gate @ mixed if dims.lowrank else merge(att @ vh))
         if dims.lowrank:
             dgate = (dout @ mixed.swapaxes(-1, -2)).reshape(b * g, -1, n).sum(axis=0)
             grads["gate"] = np.concatenate([np.zeros((n - 1, n), dgate.dtype), dgate]) if last else dgate
@@ -482,7 +491,13 @@ def _attention(x: np.ndarray, P: dict, dims: ModelDims, last: bool = False):
 
 
 def _mlp(x: np.ndarray, P: dict, names: tuple):
-    """gelu MLP over the last axis with weights P[names] = (w1, b1, w2, b2)."""
+    """gelu MLP over the last axis with weights P[names] = (w1, b1, w2, b2).
+
+    Returns y and its backward, or None under no_grad. The backward maps
+    (dy, x) to (dx, {suffix: gradient}); it keeps neither x, which the
+    caller holds or rebuilds, nor the gelu output, which it rebuilds from
+    (pre, t) for w2's gradient alone.
+    """
     w1, b1, w2, b2 = (P[s] for s in names)
     pre = x @ w1
     pre += b1
@@ -492,9 +507,10 @@ def _mlp(x: np.ndarray, P: dict, names: tuple):
     if not ad.grad_enabled():
         return y, None
 
-    def backward(dy):
+    def backward(dy, x):
         dpre = ad.gelu_backward(pre, t, dy @ w2.T)
-        grads = (_weight_grad(x, dpre), _bias_grad(dpre), _weight_grad(hidden, dy), _bias_grad(dy))
+        grads = (_weight_grad(x, dpre), _bias_grad(dpre),
+                 _weight_grad(ad.gelu_output(pre, t), dy), _bias_grad(dy))
         return dpre @ w1.T, dict(zip(names, grads))
 
     return y, backward
@@ -543,17 +559,16 @@ def _sublayer_forward(x: np.ndarray, P: dict, dims: ModelDims, branch: str,
     ("temporal"); with last (temporal only), at the final frame only.
     """
     if branch == "ffn":
-        y, branch_backward = _mlp(x, P, _FFN)
-        return _residual_post_ln(x, y, P, branch_backward)
+        y, ffn_backward = _mlp(x, P, _FFN)
+        return _residual_post_ln(x, y, P, lambda dy: ffn_backward(dy, x))
     # the attention runs over axis -2: joints as they are, frames swapped in
     swap = (lambda a: a) if branch == "spatial" else (lambda a: a.swapaxes(1, 2))
     heads, heads_backward = _attention(swap(x), P, dims, last)
     y, ff_backward = _mlp(heads, P, _ATTN_FF)
 
     def branch_backward(dy):
-        dheads, grads = ff_backward(np.ascontiguousarray(swap(dy)))
-        dx, attn_grads = heads_backward(dheads)
-        grads.update(attn_grads)
+        dy = np.ascontiguousarray(swap(dy))
+        dx, grads = heads_backward(lambda heads: ff_backward(dy, heads))
         return swap(dx), grads
 
     return _residual_post_ln(x, swap(y), P, branch_backward, last)

@@ -78,11 +78,12 @@ _MAX_PARAMS = 10**7
 # is allocated (README, model size), and the estimate's bytes per layer and
 # per entry of a (batch, window, joints, d_model) activation: a + b *
 # ffn_mult, fitted above one J=22 step's peak RSS at batch 16, one pass held
-# at a time (2 to 12 layers, ffn_mult 2 to 10, d_model 32 to 128: 156, 125
-# and 294 bytes at 2 and 12 layers and at ffn_mult 10; ~16 MB per layer at
-# the defaults)
+# at a time, each backward rebuilding its gelu outputs and attention heads
+# (2 to 12 layers, ffn_mult 2 to 10, d_model 32 to 128: 131, 99 and 235
+# bytes at 2 and 12 layers and at ffn_mult 10; ~14 MB per layer at the
+# defaults)
 _MAX_STEP_BYTES = 2 * 10**9
-_STEP_BYTES_PER_ENTRY = (125, 18)
+_STEP_BYTES_PER_ENTRY = (112, 14)
 _ACTIVATION_FIELDS = ("batch_size", "obs_frames", "d_model", "layers", "ffn_mult")
 # critic updates per step (README): each reads the step's one prediction, so
 # more add only critic work, and a huge count would run silently for ever

@@ -1,4 +1,5 @@
 """End-to-end command-line pipelines, config precedence, and exit codes."""
+import csv
 import dataclasses
 import json
 import os
@@ -10,6 +11,7 @@ import textwrap
 import time
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1189,6 +1191,21 @@ class TestPredictAndEval:
         assert all(float(v) >= 0.0 for v in rows[-1].split(",")[1:])
         ET.fromstring(svg_path.read_text())
 
+    def test_eval_csv_quotes_a_label_with_a_comma(self, tmp_path, capsys):
+        # only whitespace is refused in an action label, so "walk,fast" is legal
+        src, ckpt = self.trained(tmp_path)
+        clip = Path(src)
+        head, body = clip.read_text().split("\n", 1)
+        head = " ".join(f for f in head.split() if not f.startswith("action="))
+        clip.write_text(f"{head} action=walk,fast\n{body}")
+        csv_path = tmp_path / "report.csv"
+        rc = cli.main(["eval", src, "--checkpoint", str(ckpt), "--horizons", "80,160",
+                       "--out", str(csv_path)])
+        assert rc == 0
+        rows = list(csv.reader(csv_path.read_text().splitlines()))
+        assert [len(row) for row in rows] == [3, 3, 3]
+        assert [row[0] for row in rows] == ["action", "walk,fast", "average"]
+
     def test_eval_clips_shorter_than_window_is_data_error(self, tmp_path, capsys):
         _, ckpt = self.trained(tmp_path)
         short = synth_file(tmp_path, "short.mqs", frames=6)
@@ -1368,6 +1385,64 @@ class TestOptionFuzz:
         err = capsys.readouterr().err
         assert rc in (0, 2, 3, 4), (argv, lines, err)
         assert "Traceback" not in err
+
+
+def bad_clip(tmp_path, case):
+    """A clip that a corpus of 5-joint 25 fps clips cannot take, by case."""
+    path = tmp_path / f"{case}.mqs"
+    if case == "no_body":
+        path.write_text("MQS1 J=5 T=60 fps=25.0\n")
+    elif case == "not_utf8":
+        path.write_bytes(b"MQS1 J=5 T=1 fps=25.0\n\xff\n")
+    else:
+        joints, fps = (22, "25") if case == "joints" else (5, "50")
+        assert cli.main(["synth", "--joints", str(joints), "--frames", "60", "--fps", fps,
+                         "--out", str(path)]) == 0
+    return str(path)
+
+
+class TestErrorsNameTheFile:
+    """With several inputs, a read or corpus error names the file at fault
+    (and, for a joint count or frame rate, the first clip it differs from)."""
+
+    def corpus(self, tmp_path, capsys):
+        clips = [synth_file(tmp_path, f"good{i}.mqs", joints=5, frames=60, seed=i)
+                 for i in range(3)]
+        ckpt = tmp_path / "model.mqck"
+        assert cli.main(["train", *clips, "--config", write_config(tmp_path, SMALL_MODEL),
+                         "--epochs", "0", "--out", str(ckpt)]) == 0
+        capsys.readouterr()
+        return clips, ckpt
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("case, kind", [("no_body", "FormatError"),
+                                            ("joints", "SkeletonMismatch"),
+                                            ("fps", "ResampleUnsupported"),
+                                            ("not_utf8", "UnicodeDecodeError")])
+    def test_a_bad_clip_is_named(self, tmp_path, capsys, command, case, kind):
+        clips, ckpt = self.corpus(tmp_path, capsys)
+        bad = bad_clip(tmp_path, case)
+        capsys.readouterr()
+        inputs = [clips[0], bad, *clips[1:]]
+        out = str(tmp_path / "out.mqck") if command == "train" else str(tmp_path / "r.csv")
+        rest = ["--checkpoint", str(ckpt)] if command == "eval" else []
+        rc = cli.main([command, *inputs, *rest, "--out", out])
+        [line] = capsys.readouterr().err.splitlines()
+        assert rc == 3 and line.startswith(f"mqmotion: code=3 type={kind} msg=")
+        assert bad in line
+        if case in ("joints", "fps"):
+            assert clips[0] in line
+        assert not Path(out).exists()
+
+    def test_a_config_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        clips, _ = self.corpus(tmp_path, capsys)
+        config = tmp_path / "bin.cfg"
+        config.write_bytes(b"lr = \xff\n")
+        rc = cli.main(["train", *clips, "--config", str(config),
+                       "--out", str(tmp_path / "out.mqck")])
+        [line] = capsys.readouterr().err.splitlines()
+        assert rc == 3 and line.startswith("mqmotion: code=3 type=UnicodeDecodeError msg=")
+        assert str(config) in line
 
 
 class TestUsageErrors:

@@ -508,6 +508,36 @@ class TestRun:
         assert t.global_step == 1
         assert peak <= 0.6 * self.three_graph_bytes(t.params.dims, cfg.batch_size)
 
+    def test_a_pass_keeps_only_what_its_backward_reads(self, monkeypatch):
+        """The masked pass's graph, traced as its backward starts, for the
+        default J=22 model on a batch of 16: about 54 activation-sized
+        arrays (float32 (16, 9, 22, 32), 0.41 MB each). It was about 66
+        while each sublayer node kept its gelu output and each attention
+        its feed-forward's input, the heads; the backwards now rebuild
+        those."""
+        cfg = tr.TrainConfig(max_steps=1)
+        seqs = [synth_generate("sinusoid", joints=22, frames=60, fps=25.0, seed=s)
+                for s in range(2)]
+        ds = make_windows(seqs, n_observed=cfg.obs_frames, n_future=cfg.future_frames,
+                          stride=2)
+        t = tr.Trainer(ds, cfg)
+        dims = t.params.dims
+        act = cfg.batch_size * dims.window * dims.joints * dims.d_model * 4
+        at_grad, grad = [], ad.grad
+
+        def traced(output, inputs):
+            at_grad.append(tracemalloc.get_traced_memory()[0])
+            return grad(output, inputs)
+
+        monkeypatch.setattr(ad, "grad", traced)
+        tracemalloc.start()
+        try:
+            t.run()
+        finally:
+            tracemalloc.stop()
+        assert len(at_grad) == 4  # masked, noised, critic, generator
+        assert 50 * act <= at_grad[0] <= 60 * act
+
     def test_no_step_outlives_its_call(self):
         """Three default J=22 steps keep one step's peak: a run once held
         the last clean pass's graph through the next step's restorative
