@@ -136,7 +136,7 @@ def read_mqs_file(path: str | Path) -> MqsFile:
     try:
         return parse_mqs(text)
     except FormatError as exc:
-        raise exc.in_file(path) from None
+        raise FormatError(f"{exc.message} in {path}", exc.line, exc.column) from None
 
 
 def write_atomically(path: str | Path, data: bytes | str) -> None:

@@ -57,13 +57,9 @@ class FormatError(MotionError):
         if line is not None:
             loc = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
         super().__init__(message + loc)
-        self.message = message
+        self.message = message  # without the location, for a caller that adds its file
         self.line = line
         self.column = column
-
-    def in_file(self, path) -> "FormatError":
-        """This error with path named ahead of its line and column."""
-        return FormatError(f"{self.message} in {path}", self.line, self.column)
 
 
 # numeric failures (CLI exit code 4)
