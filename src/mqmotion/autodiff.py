@@ -32,10 +32,11 @@ spatial attention and temporal attention, each with its feed-forward, and
 the position-wise FFN, each node including its residual and post-LN. They
 are built on the numpy kernels here (``softmax_forward``/
 ``softmax_backward``, ``layer_norm_forward``/``layer_norm_backward``,
-``gelu_forward``/``gelu_backward``). The Tensor ops ``softmax``,
-``layer_norm`` and ``gelu`` wrap those kernels as nodes of their own; no
-model code calls them, and they serve to test the kernels against finite
-differences. So are a critic's scores (``network.discriminate_*``) and its
+``gelu_forward``/``gelu_backward``, and ``gelu_output``, with which a
+backward rebuilds the gelu output it does not keep). The Tensor ops
+``softmax``, ``layer_norm`` and ``gelu`` wrap those kernels as nodes of
+their own; no model code calls them, and they serve to test the kernels
+against finite differences. So are a critic's scores (``network.discriminate_*``) and its
 WGAN-GP loss, whose gradient penalty is a function of the critic's input
 gradient (``network.Critic.wgan_gp``), with the second derivative written
 out in its backward.

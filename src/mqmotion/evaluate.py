@@ -1,7 +1,6 @@
 """Horizon-wise MPJPE evaluation, table/CSV reporting, SVG chart."""
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
@@ -117,6 +116,8 @@ def report_to_csv(report: HorizonReport) -> str:
     """Full-precision CSV: one row per action plus the overall average. The
     csv module quotes a label that holds a comma or a quote; others keep
     their bytes."""
+    import csv  # here: only a report file needs it, and it adds ~0.1 MB to every process
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["action", *(str(ms) for ms in report.horizons_ms)])

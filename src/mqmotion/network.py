@@ -27,10 +27,10 @@ same bytes: a feed-forward's gelu output, from its pre-activation and tanh
 term, and an attention's heads, the input of its feed-forward, from the
 gate and mixed heads (or the attention weights and values). Under no_grad
 forward_backbone runs the same numpy forwards on plain arrays and makes no
-node. In the low-rank form the
-rank projections fold into the query and key projections, x @ (w p)
-instead of (x @ w) @ p, which changes rounding but not the function; a
-training pass folds the live weights, a prediction snapshot folds once.
+node. In the low-rank form the rank projections fold into the query and
+key projections, x @ (w p) instead of (x @ w) @ p, which changes rounding
+but not the function; a training pass folds the live weights, a
+prediction snapshot folds once.
 The query's one bias bq is (H*r) and is added to the folded projection: a
 (D) bias ahead of the rank projection would reach the logits only through
 it, which a rank-width bias already spans.
