@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -91,20 +91,10 @@ class ModelDims:
     lowrank: bool = True
 
     def __post_init__(self):
-        sizes = {
-            "joints": self.joints,
-            "window": self.window,
-            "future": self.future,
-            "in_channels": self.in_channels,
-            "d_model": self.d_model,
-            "rank": self.rank,
-            "heads": self.heads,
-            "critic_width": self.critic_width,
-            "ffn_mult": self.ffn_mult,
-            "layers": self.layers,
-        }
-        for name, v in sizes.items():  # a float size would reach numpy's shapes and slices
-            low = 0 if name == "layers" else 1
+        # every size field: a float size would reach numpy's shapes and slices
+        # (postponed annotations make each field's type the string "int")
+        for name in (f.name for f in fields(self) if f.type == "int"):
+            v, low = getattr(self, name), 0 if name == "layers" else 1
             if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
                 raise DimsMismatch(f"{name} must be an integer >= {low}, got {v!r}")
         if self.d_model % self.heads != 0:
@@ -121,6 +111,32 @@ class ModelDims:
     @property
     def head_dim(self) -> int:
         return self.d_model // self.heads
+
+
+# the weights _mlp reads, by suffix: an attention's feed-forward and the FFN
+_ATTN_FF = ("ff_w1", "ff_b1", "ff_w2", "ff_b2")
+_FFN = ("w1", "b1", "w2", "b2")
+# the weights _critic_forward reads, by suffix: an MLP, then the scoring column
+_CRITIC = (*_FFN, "w3")
+HEAD_NAMES = ("pred", "mask_recon", "denoise_recon")
+
+
+def _head(name: str) -> str:
+    """The parameter prefix of the output head name: heads.pred, heads.mask or
+    heads.denoise, followed by _w and _b."""
+    return f"heads.{name.split('_')[0]}"
+
+
+def _mlp_spec(p: str, names: tuple, d_in: int, width: int, d_out: int) -> list:
+    """The spec entries of an MLP p.{w1, b1, w2, b2}, suffixes as in names."""
+    w1, b1, w2, b2 = (f"{p}.{s}" for s in names)
+    return [(w1, (d_in, width), "uniform"), (b1, (width,), "zeros"),
+            (w2, (width, d_out), "uniform"), (b2, (d_out,), "zeros")]
+
+
+def _ln_spec(p: str, d: int) -> list:
+    """The spec entries of a post-LN's gain and shift."""
+    return [(f"{p}.ln_g", (d,), "ones"), (f"{p}.ln_b", (d,), "zeros")]
 
 
 def _param_spec(dims: ModelDims) -> list[tuple[str, tuple, str]]:
@@ -148,42 +164,17 @@ def _param_spec(dims: ModelDims) -> list[tuple[str, tuple, str]]:
                     (f"{p}.pk", (h, dh, r), "uniform"),
                     (f"{p}.gate", (tokens, tokens), "eye"),
                 ]
-            spec += [
-                (f"{p}.ff_w1", (d, d), "uniform"),
-                (f"{p}.ff_b1", (d,), "zeros"),
-                (f"{p}.ff_w2", (d, d), "uniform"),
-                (f"{p}.ff_b2", (d,), "zeros"),
-                (f"{p}.ln_g", (d,), "ones"),
-                (f"{p}.ln_b", (d,), "zeros"),
-            ]
+            spec += _mlp_spec(p, _ATTN_FF, d, d, d) + _ln_spec(p, d)
         p = f"layer{i}.ffn"
-        m = dims.ffn_mult * d
-        spec += [
-            (f"{p}.w1", (d, m), "uniform"),
-            (f"{p}.b1", (m,), "zeros"),
-            (f"{p}.w2", (m, d), "uniform"),
-            (f"{p}.b2", (d,), "zeros"),
-            (f"{p}.ln_g", (d,), "ones"),
-            (f"{p}.ln_b", (d,), "zeros"),
-        ]
-    spec += [
-        ("heads.pred_w", (d, dims.future * 3), "uniform"),
-        ("heads.pred_b", (dims.future * 3,), "zeros"),
-        ("heads.mask_w", (d, 3), "uniform"),
-        ("heads.mask_b", (3,), "zeros"),
-        ("heads.denoise_w", (d, 3), "uniform"),
-        ("heads.denoise_b", (3,), "zeros"),
-    ]
+        spec += _mlp_spec(p, _FFN, d, dims.ffn_mult * d, d) + _ln_spec(p, d)
+    for name, width in zip(HEAD_NAMES, (dims.future * 3, 3, 3)):
+        p = _head(name)
+        spec += [(f"{p}_w", (d, width), "uniform"), (f"{p}_b", (width,), "zeros")]
     w = dims.critic_width
     for name, width_in in (("fidelity", dims.joints * 3), ("continuity", 2 * dims.joints * 3)):
         p = f"critic.{name}"
-        spec += [
-            (f"{p}.w1", (width_in, w), "uniform"),
-            (f"{p}.b1", (w,), "zeros"),
-            (f"{p}.w2", (w, w), "uniform"),
-            (f"{p}.b2", (w,), "zeros"),
-            (f"{p}.w3", (w, 1), "uniform"),
-        ]
+        spec += _mlp_spec(p, _CRITIC[:-1], width_in, w, w)
+        spec.append((f"{p}.{_CRITIC[-1]}", (w, 1), "uniform"))
     return spec
 
 
@@ -193,11 +184,6 @@ def _param_count(dims: ModelDims) -> int:
     base, one = (sum(math.prod(shape) for _, shape, _ in _param_spec(replace(dims, layers=n)))
                  for n in (0, 1))
     return base + dims.layers * (one - base)
-
-
-# the weights _mlp reads, by suffix: an attention's feed-forward and the FFN
-_ATTN_FF = ("ff_w1", "ff_b1", "ff_w2", "ff_b2")
-_FFN = ("w1", "b1", "w2", "b2")
 
 
 class ModelParams:
@@ -662,9 +648,6 @@ def forward_backbone(features, token_mask, params: ModelParams,
     return Tensor(h)
 
 
-HEAD_NAMES = ("pred", "mask_recon", "denoise_recon")
-
-
 def heads(act, params: ModelParams, name: str) -> Tensor:
     """The linear output head name, one of HEAD_NAMES.
 
@@ -682,29 +665,27 @@ def heads(act, params: ModelParams, name: str) -> Tensor:
     dims = params.dims
     if act.ndim != 4 or act.shape[-1] != dims.d_model:
         raise DimsMismatch(f"activation must be (B, T, J, {dims.d_model}), got {act.shape}")
+    if name not in HEAD_NAMES:
+        raise ValueError(f"unknown head {name!r}; heads are {HEAD_NAMES}")
     gain = np.asarray(dims.head_gain, dtype=act.data.dtype)  # a float32 pass stays float32
+    p = _head(name)
+    w, b = params.t(f"{p}_w"), params.t(f"{p}_b")
     if name == "pred":
         if not ad.grad_enabled():
-            pred = np.ascontiguousarray(act.data[:, -1]) @ params.t("heads.pred_w").data
-            pred += params.t("heads.pred_b").data
+            pred = np.ascontiguousarray(act.data[:, -1]) @ w.data
+            pred += b.data
             pred *= gain
             return Tensor(pred.reshape(act.shape[0], dims.joints, dims.future, 3)
                           .transpose(0, 2, 1, 3))
         last = act[:, -1]  # (B, J, D)
-        pred = ad.add(ad.matmul(last, params.t("heads.pred_w")), params.t("heads.pred_b"))
+        pred = ad.add(ad.matmul(last, w), b)
         pred = ad.reshape(pred, (act.shape[0], dims.joints, dims.future, 3))
         return ad.mul(ad.transpose(pred, (0, 2, 1, 3)), gain)
-    if name not in HEAD_NAMES:
-        raise ValueError(f"unknown head {name!r}; heads are {HEAD_NAMES}")
     if act.shape[1] != dims.window:
         raise DimsMismatch(
             f"{name} needs the {dims.window}-frame activation, got {act.shape[1]} frames"
         )
-    p = f"heads.{name.split('_')[0]}"
-    return ad.mul(ad.add(ad.matmul(act, params.t(f"{p}_w")), params.t(f"{p}_b")), gain)
-
-
-_CRITIC = ("w1", "b1", "w2", "b2", "w3")
+    return ad.mul(ad.add(ad.matmul(act, w), b), gain)
 
 
 def _critic_forward(params: ModelParams, which: str, x: np.ndarray):

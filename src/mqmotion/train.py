@@ -329,13 +329,8 @@ class Trainer:
 
     # deterministic schedule helpers
 
-    def _epoch_order(self, epoch: int) -> np.ndarray:
-        return streams.stream(self.cfg.seed, streams.SHUFFLE, epoch).permutation(
-            len(self.dataset)
-        )
-
     def _batches(self, epoch: int) -> list[np.ndarray]:
-        order = self._epoch_order(epoch)
+        order = streams.stream(self.cfg.seed, streams.SHUFFLE, epoch).permutation(len(self.dataset))
         bs = self.cfg.batch_size
         return [order[i : i + bs] for i in range(0, len(order), bs)]
 

@@ -1,5 +1,7 @@
 """Backbone, output heads, and critics: exactness fixtures, attention
 normalization properties, and gradient checks against finite differences."""
+import hashlib
+import json
 import tracemalloc
 import weakref
 
@@ -72,6 +74,18 @@ class TestModelDims:
     def test_zero_joints_rejected(self):
         with pytest.raises(DimsMismatch):
             small_dims(joints=0)
+
+    # every field annotated int, its floor, and what else the floor needs
+    @pytest.mark.parametrize("field, floor, fit", [
+        ("joints", 1, {}), ("window", 1, {}), ("future", 1, {}), ("in_channels", 1, {}),
+        ("d_model", 1, dict(heads=1, rank=1)), ("rank", 1, {}), ("heads", 1, {}),
+        ("layers", 0, {}), ("critic_width", 1, {}), ("ffn_mult", 1, {})])
+    def test_every_size_field_is_checked(self, field, floor, fit):
+        for bad in (True, 1.5, floor - 1):
+            with pytest.raises(DimsMismatch,
+                               match=rf"^{field} must be an integer >= {floor}, got {bad!r}$"):
+                small_dims(**{field: bad})
+        assert getattr(small_dims(**{field: floor}, **fit), field) == floor
 
     def test_bad_head_gain_rejected(self):
         with pytest.raises(DimsMismatch):
@@ -148,6 +162,19 @@ class TestModelParams:
         # README quotes these; a change to _param_spec shows here first
         dims = TrainConfig(use_lowrank=lowrank).model_dims(joints)
         assert net._param_count(dims) == net.ModelParams.init(dims, seed=0).n_params == count
+
+    @pytest.mark.parametrize("joints, lowrank, entries, digest", [
+        (5, True, 87, "1c9b91e07670a52efc3430634c2a4629cddd622c1a8c929ef42628aee984beea"),
+        (5, False, 75, "48b2c526981215411d54a14e97d1cbdb200e55f2acecf2c19ddd3fc6288030d7"),
+        (22, True, 87, "d9ddb3b5b4fc8483a2cf6356fd163f6441e97469ea22dedbb8cd07db9529af11"),
+        (22, False, 75, "c68bdf44c98d559377da910be34b788b972abe95713b9200451e27f9d69fd6f8")])
+    def test_default_spec_is_pinned(self, joints, lowrank, entries, digest):
+        # every entry's name, shape and init kind, in order: the INIT draws and
+        # the checkpoint manifest follow this list
+        spec = net._param_spec(TrainConfig(use_lowrank=lowrank).model_dims(joints))
+        text = json.dumps([[name, list(shape), init] for name, shape, init in spec])
+        assert len(spec) == entries
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("lowrank", [True, False])
     def test_one_query_bias_per_attention(self, lowrank):

@@ -12,7 +12,10 @@ sinusoid clips from a disjoint seed range (other offsets, phases and
 direction weights) and random_walk clips. Prints one JSON document: per
 variant, set and horizon, the median and quartiles of the per-seed MPJPE in
 mm, and each ablation's relative change of the median against the full
-model's. STEPS and SEEDS are fixed, so every recorded output is comparable
+model's. Under "baselines" it also gives, per set and horizon, the MPJPE of
+two trivial predictors that need no training: zero velocity (repeat the
+last observed frame) and constant velocity (extrapolate the last observed
+step). STEPS and SEEDS are fixed, so every recorded output is comparable
 with every other.
 
 Not a Tier-1 test and not a benchmark workload: it takes several minutes
@@ -26,6 +29,8 @@ import statistics
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -69,6 +74,31 @@ def heldout_mpjpe(variant: dict, seed: int) -> dict:
             for kind, seeds in HELDOUT.items()}
 
 
+def zero_velocity(obs: np.ndarray, future: int) -> np.ndarray:
+    """Repeat the last observed frame: (B, n, J, 3) -> (B, future, J, 3)."""
+    return np.repeat(obs[:, -1:], future, axis=1)
+
+
+def constant_velocity(obs: np.ndarray, future: int) -> np.ndarray:
+    """Extrapolate the last observed step: future frame k is the last
+    observed frame plus k times that step."""
+    step = obs[:, -1:] - obs[:, -2:-1]
+    return obs[:, -1:] + np.arange(1, future + 1)[:, None, None] * step
+
+
+BASELINES = {"zero_velocity": zero_velocity, "constant_velocity": constant_velocity}
+
+
+def baseline_mpjpe() -> dict:
+    """{predictor: {set: {horizon ms: MPJPE}}} of BASELINES on the held-out
+    sets, which evaluate scores as it scores a trained model."""
+    cfg = tr.TrainConfig()
+    sets = {kind: windows(kind, seeds, cfg, 5) for kind, seeds in HELDOUT.items()}
+    return {name: {kind: evaluate(lambda obs: predict(obs, cfg.future_frames), dataset).overall
+                   for kind, dataset in sets.items()}
+            for name, predict in BASELINES.items()}
+
+
 def spread(xs: list[float]) -> dict:
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
@@ -96,6 +126,7 @@ def main() -> None:
         "train_clip_seeds": f"{CLIPS} per seed s: {CLIPS}s .. {CLIPS}s+{CLIPS - 1}",
         "heldout_clip_seeds": {k: [r.start, r.stop - 1] for k, r in HELDOUT.items()},
         "mpjpe_mm": summary, "relative_change_of_median": relative,
+        "baselines": baseline_mpjpe(),
         "seconds": round(time.perf_counter() - t0, 1),
     }, indent=1))
 
